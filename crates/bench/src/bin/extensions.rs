@@ -1,5 +1,6 @@
 //! Run the extension experiments (SIMD-width sweep, adaptive body bias,
-//! timing-yield curves) that go beyond the paper's printed figures.
+//! timing-yield curves, error policies, variance decomposition, modelling
+//! ablations) that go beyond the paper's printed figures.
 
 use ntv_bench::{experiments::extensions, experiments::policies, DEFAULT_SEED};
 use ntv_device::TechNode;
@@ -41,4 +42,5 @@ fn main() {
             )
         );
     }
+    println!("{}", extensions::ablations());
 }

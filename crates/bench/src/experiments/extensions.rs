@@ -7,14 +7,21 @@
 //!   section, priced next to voltage margining.
 //! * **Timing-yield curves** — the 99 % design point generalized to full
 //!   yield-vs-clock curves, with and without spares.
+//! * **Ablations** — how much the modelling choices DESIGN.md calls out
+//!   (path tail shape, correlation structure, quadrature order, MC vs QMC
+//!   sampling) move the quantities they feed.
 
+use ntv_circuit::chain::ChainMc;
 use ntv_core::body_bias::BodyBiasStudy;
 use ntv_core::duplication::DuplicationStudy;
+use ntv_core::engine::VariationMode;
 use ntv_core::margining::MarginStudy;
 use ntv_core::perf;
 use ntv_core::yield_model::{YieldPoint, YieldStudy};
 use ntv_core::{DatapathConfig, DatapathEngine, Executor};
-use ntv_device::{TechModel, TechNode};
+use ntv_device::{ChipSample, TechModel, TechNode};
+use ntv_mc::qmc::Halton;
+use ntv_mc::{normal, order, GaussHermite, Quantiles, StreamRng};
 use ntv_units::Volts;
 use serde::{Deserialize, Serialize};
 
@@ -239,6 +246,146 @@ impl std::fmt::Display for YieldCurvesResult {
             t.row(&cells);
         }
         write!(f, "{t}")
+    }
+}
+
+/// The modelling-choice ablations, each measured once at a fixed setup.
+#[derive(Debug, Clone)]
+pub struct AblationResult {
+    /// 22 nm @0.5 V performance drop with the paper's normal path fit.
+    pub drop_paper_normal: f64,
+    /// The same drop sampling the exact right-skewed mixture.
+    pub drop_skewed_iid: f64,
+    /// 90 nm @0.55 V spares needed with i.i.d. paths (`None`: > 128).
+    pub spares_iid: Option<u32>,
+    /// The same spare count under hierarchical chip/region correlation.
+    pub spares_hierarchical: Option<u32>,
+    /// `(order, mean)`: 45 nm chain-of-50 mean delay at 0.55 V (ps) from
+    /// Gauss–Hermite conditional moments, ascending order.
+    pub gh_chain_means_ps: Vec<(usize, f64)>,
+    /// Cross-chip mean of the same chain from gate-level Monte Carlo (ps).
+    pub mc_chain_mean_ps: f64,
+    /// |error| of plain Monte Carlo's q99 estimate of the max of 12 800
+    /// standard normals, in z units.
+    pub mc_q99_error: f64,
+    /// The same error for a Halton low-discrepancy stream.
+    pub qmc_q99_error: f64,
+}
+
+/// Lanes × paths: the order of the extreme quantile the MC-vs-QMC ablation
+/// estimates.
+const MAX_OF: usize = 12_800;
+
+/// Sample budget of the drop, spares and MC-vs-QMC ablations.
+const ABLATION_SAMPLES: usize = 2_000;
+
+/// Measure the four ablations: tail shape (22 nm @0.5 V drop, paper normal
+/// fit vs exact skewed mixture), correlation structure (90 nm @0.55 V
+/// spares, i.i.d. vs hierarchical), Gauss–Hermite order (4–32 points vs a
+/// 4 000-sample gate-level chain), and MC vs QMC q99 estimator error.
+/// Sample counts and seeds are fixed so the values quoted in EXPERIMENTS.md
+/// regenerate exactly.
+#[must_use]
+pub fn ablations() -> AblationResult {
+    let exec = Executor::default();
+    let config = DatapathConfig::paper_default();
+
+    let tech22 = TechModel::new(TechNode::PtmHp22);
+    let drop_with = |mode| {
+        let engine = DatapathEngine::with_mode(&tech22, config, mode);
+        perf::performance_drop(&engine, Volts(0.5), ABLATION_SAMPLES, 1, exec).drop
+    };
+    let drop_paper_normal = drop_with(VariationMode::PaperNormal);
+    let drop_skewed_iid = drop_with(VariationMode::SkewedIid);
+
+    let tech90 = TechModel::new(TechNode::Gp90);
+    let spares_with = |mode| {
+        let engine = DatapathEngine::with_mode(&tech90, config, mode);
+        let study = DuplicationStudy::new(&engine);
+        let baseline = perf::baseline_q99_fo4(&engine, ABLATION_SAMPLES, 2, exec);
+        let matrix = study.sample_matrix(Volts(0.55), 128, ABLATION_SAMPLES, 2);
+        study.required_spares(&matrix, baseline).ok()
+    };
+    let spares_iid = spares_with(VariationMode::PaperNormal);
+    let spares_hierarchical = spares_with(VariationMode::Hierarchical);
+
+    let tech45 = TechModel::new(TechNode::Gp45);
+    let mc_chain_mean_ps = ChainMc::new(&tech45, 50)
+        .summary(Volts(0.55), 4_000, &mut StreamRng::from_seed(4))
+        .mean();
+    let params = *tech45.params();
+    let chip = ChipSample::nominal();
+    let k_factor = (0.5 * params.sigma_k_random * params.sigma_k_random).exp();
+    let gh_chain_means_ps = [4usize, 8, 16, 32]
+        .into_iter()
+        .map(|n| {
+            let gate =
+                GaussHermite::new(n).expect_normal(0.0, params.sigma_vth_random.get(), |dv| {
+                    tech45.gate_delay_ps_at(Volts(0.55), &chip, Volts(dv), 0.0)
+                });
+            (n, 50.0 * gate * k_factor)
+        })
+        .collect();
+
+    let true_q99 = normal::quantile(0.99_f64.powf(1.0 / MAX_OF as f64));
+    let q99_error = |draws: Vec<f64>| (Quantiles::from_samples(draws).q99() - true_q99).abs();
+    let mut halton = Halton::new(2);
+    let qmc_q99_error = q99_error(
+        (0..ABLATION_SAMPLES)
+            .map(|_| halton.next_max_normal(MAX_OF))
+            .collect(),
+    );
+    let mut rng = StreamRng::from_seed(11);
+    let mc_q99_error = q99_error(
+        (0..ABLATION_SAMPLES)
+            .map(|_| order::sample_max_normal(&mut rng, MAX_OF, 0.0, 1.0))
+            .collect(),
+    );
+
+    AblationResult {
+        drop_paper_normal,
+        drop_skewed_iid,
+        spares_iid,
+        spares_hierarchical,
+        gh_chain_means_ps,
+        mc_chain_mean_ps,
+        mc_q99_error,
+        qmc_q99_error,
+    }
+}
+
+impl std::fmt::Display for AblationResult {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let spares = |s: Option<u32>| s.map_or_else(|| ">128".to_owned(), |s| s.to_string());
+        writeln!(f, "Extension — ablations of the modelling choices")?;
+        writeln!(
+            f,
+            "  tail shape, {} @0.50 V perf drop: {:.1}% paper normal fit vs {:.1}% skewed mixture",
+            TechNode::PtmHp22,
+            self.drop_paper_normal * 100.0,
+            self.drop_skewed_iid * 100.0
+        )?;
+        writeln!(
+            f,
+            "  correlation, {} @0.55 V spares: {} i.i.d. vs {} hierarchical",
+            TechNode::Gp90,
+            spares(self.spares_iid),
+            spares(self.spares_hierarchical)
+        )?;
+        writeln!(
+            f,
+            "  quadrature, {} chain-of-50 mean @0.55 V: gate-level MC {:.1} ps",
+            TechNode::Gp45,
+            self.mc_chain_mean_ps
+        )?;
+        for (order, mean) in &self.gh_chain_means_ps {
+            writeln!(f, "    GH order {order:>2}: {mean:.1} ps")?;
+        }
+        write!(
+            f,
+            "  q99 of the max of {MAX_OF} normals, error at {ABLATION_SAMPLES} samples: MC {:.4} vs QMC {:.4}",
+            self.mc_q99_error, self.qmc_q99_error
+        )
     }
 }
 

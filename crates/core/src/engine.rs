@@ -15,7 +15,7 @@
 //! * [`VariationMode::SkewedIid`] — paths are i.i.d. draws from the *exact*
 //!   unconditional mixture CDF `F(x) = E_sys[Φ((x − μ(sys))/σ(sys))]`,
 //!   including the heavy right tail the exponential near-threshold delay
-//!   law produces. Used by the tail-shape ablation bench: extreme
+//!   law produces. Used by the tail-shape ablation: extreme
 //!   quantiles of maxima are substantially more pessimistic than the
 //!   normal fit suggests.
 //! * [`VariationMode::Hierarchical`] — chip-global + per-lane regional

@@ -59,7 +59,7 @@
 //!
 //! Hit/miss/evict/coalesced counters (plain relaxed atomics — they order
 //! nothing) are exposed through [`OpPointCache::stats`] for the serve
-//! layer's `/stats` endpoint and the load bench.
+//! layer's `/stats` endpoint and the `perf` benchmark.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};

@@ -38,7 +38,7 @@ pub const THERMAL_VOLTAGE: Volts = Volts(0.02585);
 ///
 /// Construct via [`DeviceParams::for_node`] for the calibrated paper nodes,
 /// or build a custom value with [`DeviceParams::builder`] for what-if
-/// studies (e.g. the variation-scaling ablation bench).
+/// studies (e.g. variation-scaling ablations).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DeviceParams {
     /// Which node this parameter set describes.

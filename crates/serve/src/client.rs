@@ -1,5 +1,5 @@
 //! A minimal blocking HTTP client for the serve endpoints — just enough
-//! for the integration tests, the load bench, and CI smoke scripting.
+//! for the integration tests and CI smoke scripting.
 //! Not a general client: it speaks exactly the dialect `ntv serve` emits.
 
 use std::io::{BufRead, BufReader, Read, Write};

@@ -133,7 +133,7 @@ fn tail_shape_matters_for_extreme_maxima() {
 fn hierarchical_mode_weakens_spares() {
     // With correlated (chip/region) variation, dropping slow lanes cannot
     // trim the shared component; the i.i.d. model is more optimistic about
-    // duplication. Quantified here, used by the ablation bench.
+    // duplication. Quantified here and in the `extensions` ablations.
     use ntv_simd::core::duplication::DuplicationStudy;
     use ntv_simd::core::perf;
 

@@ -1,9 +1,10 @@
 //! End-to-end reproduction checks: the pivotal quantitative claims of the
 //! paper must hold when the experiments are run through the public API.
 //! (The full-size regeneration lives in `cargo run -p ntv-bench --bin
-//! repro`; these use reduced sample counts.)
+//! repro`; these use reduced sample counts, except the ablation check,
+//! which runs the `extensions` record's own setup.)
 
-use ntv_bench::experiments::{fig4, fig7, placement, table1, table2, table3};
+use ntv_bench::experiments::{extensions, fig4, fig7, placement, table1, table2, table3};
 use ntv_simd::device::TechNode;
 use ntv_simd::units::Volts;
 
@@ -98,4 +99,21 @@ fn global_sparing_beats_local_and_bypass_works() {
     }
     assert!(r.demo.repaired);
     assert!(r.demo.output_correct);
+}
+
+#[test]
+fn ablation_shapes_match_the_experiments_record() {
+    let r = extensions::ablations();
+    // The paper's normal fit is optimistic about extreme quantiles.
+    assert!(r.drop_skewed_iid > r.drop_paper_normal, "{r:?}");
+    // Correlated variation makes spares weaker than Table 1's i.i.d. count.
+    let iid = r.spares_iid.expect("i.i.d. spares within 128");
+    assert!(r.spares_hierarchical.is_none_or(|h| h > iid), "{r:?}");
+    // 4-point Gauss–Hermite already matches gate-level Monte Carlo.
+    let (order, gh4) = r.gh_chain_means_ps[0];
+    assert_eq!(order, 4);
+    let rel = (gh4 - r.mc_chain_mean_ps).abs() / r.mc_chain_mean_ps;
+    assert!(rel < 0.004, "GH order 4 off by {rel}");
+    // The Halton stream beats plain Monte Carlo at equal budget.
+    assert!(r.qmc_q99_error < r.mc_q99_error, "{r:?}");
 }
