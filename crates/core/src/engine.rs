@@ -270,7 +270,7 @@ impl PathDistribution {
             lo_ps,
             hi_ps,
             comps,
-            grid: OnceLock::new(), // ntv:allow(effect-escape): lazy grid is a pure function of the build inputs
+            grid: OnceLock::new(),
         }
     }
 
@@ -286,7 +286,6 @@ impl PathDistribution {
     /// its components left to right, so the result is bit-identical to
     /// the point-major scalar formulation (pinned by test).
     fn grid(&self) -> &SurvivalGrid {
-        // ntv:allow(effect-escape): first-use timing cannot change any grid value
         self.grid.get_or_init(|| {
             let sqrt2 = std::f64::consts::SQRT_2;
             let (lo, hi) = (self.lo_ps, self.hi_ps);

@@ -42,7 +42,7 @@ impl Executor {
     #[must_use]
     pub fn new(threads: usize) -> Self {
         let threads = if threads == 0 {
-            std::thread::available_parallelism() // ntv:allow(ambient-clock, effect-escape): worker count only sizes chunks; results are identical for any count
+            std::thread::available_parallelism() // ntv:allow(env-read): worker count only sizes chunks; results are identical for any count
                 .map(NonZeroUsize::get)
                 .unwrap_or(1)
         } else {
@@ -101,11 +101,10 @@ impl Executor {
 
         let f = &f;
         let mut chunks: Vec<Vec<T>> = Vec::with_capacity(workers);
-        // ntv:allow(effect-escape): sanctioned fork-join root; pure fn per index, order-preserving merge
         std::thread::scope(|scope| {
             let handles: Vec<_> = starts
                 .iter()
-                .map(|&(start, len)| scope.spawn(move || (start..start + len).map(f).collect())) // ntv:allow(effect-escape): scoped worker over a disjoint index chunk
+                .map(|&(start, len)| scope.spawn(move || (start..start + len).map(f).collect()))
                 .collect();
             for handle in handles {
                 // ntv:allow(panic-path): re-raises a worker's own panic; join fails no other way
@@ -166,11 +165,10 @@ impl Executor {
 
         let f = &f;
         let mut chunks: Vec<Vec<T>> = Vec::with_capacity(workers);
-        // ntv:allow(effect-escape): sanctioned fork-join root; pure fn per chunk, order-preserving merge
         std::thread::scope(|scope| {
             let handles: Vec<_> = starts
                 .iter()
-                .map(|&(start, len)| scope.spawn(move || f(start, len))) // ntv:allow(effect-escape): scoped worker over a disjoint index chunk
+                .map(|&(start, len)| scope.spawn(move || f(start, len)))
                 .collect();
             for (&(start, len), handle) in starts.iter().zip(handles) {
                 // ntv:allow(panic-path): re-raises a worker's own panic; join fails no other way

@@ -202,7 +202,7 @@ impl OpPointCache {
     /// calibrated parameter set.
     #[must_use]
     pub fn global() -> &'static Arc<OpPointCache> {
-        static GLOBAL: OnceLock<Arc<OpPointCache>> = OnceLock::new(); // ntv:allow(effect-escape): the one sanctioned process-global; entries are a pure function of the key
+        static GLOBAL: OnceLock<Arc<OpPointCache>> = OnceLock::new();
         GLOBAL.get_or_init(|| Arc::new(OpPointCache::new()))
     }
 
@@ -284,7 +284,7 @@ impl OpPointCache {
         let tick = self.tick();
         let entry = self
             .entries
-            .read() // ntv:allow(effect-escape): map lock guards a pure memo; never held across a build
+            .read() // map lock guards a pure memo; never held across a build
             // ntv:allow(panic-path): poisoned only if a writer panicked; propagating is correct
             .expect("op-point cache lock")
             .get(&key)
@@ -294,7 +294,7 @@ impl OpPointCache {
             None => {
                 let mut entries = self
                     .entries
-                    .write() // ntv:allow(effect-escape): map lock guards a pure memo; never held across a build
+                    .write() // map lock guards a pure memo; never held across a build
                     // ntv:allow(panic-path): poisoned only if a writer panicked; propagating is correct
                     .expect("op-point cache lock");
                 let len_before = entries.len();
@@ -310,7 +310,6 @@ impl OpPointCache {
         // Build outside both map locks; same-key racers park on this
         // entry's OnceLock only.
         let mut built_here = false;
-        // ntv:allow(effect-escape): same-key racers park on a pure function of the key
         let dist = Arc::clone(entry.cell.get_or_init(|| {
             built_here = true;
             // ntv:allow(uncached-build): the cache's own build site — every other caller shares it
@@ -345,7 +344,7 @@ impl OpPointCache {
         }
         let over = self
             .entries
-            .read() // ntv:allow(effect-escape): cheap size probe before taking the write lock
+            .read()
             // ntv:allow(panic-path): poisoned only if a writer panicked; propagating is correct
             .expect("op-point cache lock")
             .len()
@@ -353,7 +352,7 @@ impl OpPointCache {
         if over {
             let mut entries = self
                 .entries
-                .write() // ntv:allow(effect-escape): map lock guards a pure memo; never held across a build
+                .write() // map lock guards a pure memo; never held across a build
                 // ntv:allow(panic-path): poisoned only if a writer panicked; propagating is correct
                 .expect("op-point cache lock");
             self.evict_over_bound(&mut entries);
@@ -390,7 +389,7 @@ impl OpPointCache {
         let jobs: Vec<(Volts, Arc<CacheEntry>)> = {
             let mut entries = self
                 .entries
-                .write() // ntv:allow(effect-escape): map lock guards a pure memo; never held across a build
+                .write() // map lock guards a pure memo; never held across a build
                 // ntv:allow(panic-path): poisoned only if a writer panicked; propagating is correct
                 .expect("op-point cache lock");
             let len_before = entries.len();
@@ -419,7 +418,7 @@ impl OpPointCache {
         for ((_, entry), dist) in jobs.into_iter().zip(built) {
             // A racer may have beaten us to this cell; its value wins and
             // our duplicate is dropped, preserving Arc identity.
-            let dist = entry.cell.get_or_init(move || Arc::new(dist)); // ntv:allow(effect-escape): first racer's value wins; all candidates are bit-identical
+            let dist = entry.cell.get_or_init(move || Arc::new(dist));
             if warm {
                 dist.warm_grid();
             }
@@ -437,7 +436,7 @@ impl OpPointCache {
     #[must_use]
     pub fn len(&self) -> usize {
         self.entries
-            .read() // ntv:allow(effect-escape): read-only size probe of the memo map
+            .read()
             // ntv:allow(panic-path): poisoned only if a writer panicked; propagating is correct
             .expect("op-point cache lock")
             .values()

@@ -23,6 +23,7 @@
 //!   Kept for gate-level circuit Monte Carlo and exploratory harness code;
 //!   new index-addressed sampling paths should take a [`CounterRng`].
 
+// ntv:allow(stateful-rng): `StreamRng` is the one sanctioned stateful-generator wrapper
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
 
@@ -306,6 +307,7 @@ impl SampleStream for CounterDraws {
 /// ```
 #[derive(Debug, Clone)]
 pub struct StreamRng {
+    // ntv:allow(stateful-rng): the sequential stream this type exists to wrap
     inner: SmallRng,
     /// Cached second output of the polar method.
     spare_normal: Option<f64>,
@@ -316,6 +318,7 @@ impl StreamRng {
     #[must_use]
     pub fn from_seed(seed: u64) -> Self {
         Self {
+            // ntv:allow(stateful-rng): seeding the wrapped sequential stream
             inner: SmallRng::seed_from_u64(seed),
             spare_normal: None,
         }

@@ -49,7 +49,7 @@ use std::time::Duration;
 use ntv_core::{Executor, OpPointCache};
 
 use crate::http::{read_request, write_response, Request, RequestError};
-use crate::json::{self, Value};
+use crate::json;
 use crate::shed::McGate;
 use crate::wire;
 
@@ -323,13 +323,4 @@ fn render_stats(shared: &Shared) -> String {
             ]),
         ),
     ])
-}
-
-/// Parse a stats body (for tests and the bench harness).
-///
-/// # Errors
-///
-/// Propagates JSON parse failures.
-pub fn parse_stats(body: &str) -> Result<Value, json::ParseError> {
-    json::parse(body)
 }

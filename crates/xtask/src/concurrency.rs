@@ -43,7 +43,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use crate::effects::{self, Effects};
+use crate::effects::Effects;
 use crate::graph::{self, Graph, SemFile};
 use crate::json;
 use crate::lexer::Token;
@@ -173,8 +173,8 @@ pub struct Concurrency {
 impl Concurrency {
     /// Run the full analysis over one graph's worth of files.
     ///
-    /// `eff` must be the effect facts for the same `graph`/`files` pair —
-    /// its direct `io` seeds double as blocking sites.
+    /// `eff` must be the I/O seeds for the same `graph`/`files` pair —
+    /// each one doubles as a blocking site.
     #[must_use]
     #[allow(clippy::too_many_lines)] // one deterministic pipeline, stage-commented
     pub fn analyze(graph: &Graph, files: &[SemFile], eff: &Effects) -> Concurrency {
@@ -397,13 +397,11 @@ impl Concurrency {
                 }
             }
             for seed in &eff.seeds[id] {
-                if seed.mask & effects::IO != 0 {
-                    sites[id].push(BlockSite {
-                        line: seed.line,
-                        tok: None,
-                        what: seed.what.clone(),
-                    });
-                }
+                sites[id].push(BlockSite {
+                    line: seed.line,
+                    tok: None,
+                    what: seed.what.clone(),
+                });
             }
         }
         let mut trans_block: Vec<bool> = sites.iter().map(|s| !s.is_empty()).collect();

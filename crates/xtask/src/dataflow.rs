@@ -4,8 +4,8 @@
 //! (the call graph). This layer reasons about *values*: per-function
 //! def-use facts — which bindings are floats, which carry `ntv-units`
 //! newtypes, which token spans are loop bodies — assembled by a single
-//! forward scan over the body token stream. Three rules and one report
-//! consume the facts:
+//! forward scan over the body token stream. Three rules consume the
+//! facts:
 //!
 //! * **`ntv::reduction-order`** — sequential non-associative f64
 //!   accumulation (`+=` / `*=` on a float binding inside a loop, `.sum()`,
@@ -27,13 +27,6 @@
 //!   the signature-level `ntv::bare-unit` rule. Only *escapes* are flagged
 //!   — a projection that feeds arithmetic produces a new (documented,
 //!   scale-suffixed) quantity and is the intended use of `.0`.
-//! * **`--report batch-readiness`** — a byte-identical JSON worklist of
-//!   the scalar hot path: every function reachable from a public
-//!   `sample_*` root, with its reduction sites classified order-sensitive
-//!   vs order-free. This is the literal task list for the vectorization
-//!   PR: a function with zero order-sensitive reductions can be
-//!   vectorized blindly; the rest name the exact lines that must move to
-//!   `ntv_mc::reduce` first.
 //!
 //! Like the rest of the pass, the analysis is name-shaped and total: no
 //! type inference, just deterministic scans that over-approximate in the
@@ -44,7 +37,6 @@
 use std::collections::BTreeSet;
 
 use crate::graph::{Graph, SemFile};
-use crate::json::escape as json_escape;
 use crate::lexer::Token;
 use crate::parser::{self, FnSig, ParsedFile};
 use crate::resolve::SymbolId;
@@ -70,15 +62,12 @@ const FLOAT_METHODS: &[&str] = &[
     "hypot", "mul_add", "recip", "erfc",
 ];
 
-/// The sanctioned fixed-order reduction helpers in `ntv_mc::reduce`.
-const ORDER_FREE_REDUCERS: &[&str] = &["sum_ordered", "sum2_ordered", "sum_compensated"];
-
 /// One reduction site inside a function body.
 #[derive(Debug, Clone)]
 pub struct ReductionSite {
     /// 1-based source line.
     pub line: u32,
-    /// What shape of reduction this is (for the message / report).
+    /// What shape of reduction this is (for the message).
     pub kind: ReductionKind,
 }
 
@@ -91,25 +80,16 @@ pub enum ReductionKind {
     IterSum,
     /// `.fold(<float literal>, ..)` terminal.
     FloatFold,
-    /// A call into `ntv_mc::reduce` — order-free, report-only.
-    OrderFree,
 }
 
 impl ReductionKind {
-    /// Report classification: does lane reordering change the result?
-    #[must_use]
-    pub fn order_sensitive(self) -> bool {
-        !matches!(self, ReductionKind::OrderFree)
-    }
-
-    /// Short label used in diagnostics and the JSON report.
+    /// Short label used in diagnostics.
     #[must_use]
     pub fn label(self) -> &'static str {
         match self {
             ReductionKind::LoopAccumulate => "loop-accumulate",
             ReductionKind::IterSum => "iter-sum",
             ReductionKind::FloatFold => "float-fold",
-            ReductionKind::OrderFree => "ordered-helper",
         }
     }
 }
@@ -364,15 +344,6 @@ fn reduction_sites(
         }
         let t = &tokens[i];
         if let Some(id) = t.ident() {
-            if ORDER_FREE_REDUCERS.contains(&id)
-                && tokens.get(i + 1).is_some_and(|n| n.is_punct('('))
-            {
-                out.push(ReductionSite {
-                    line: t.line,
-                    kind: ReductionKind::OrderFree,
-                });
-                continue;
-            }
             if id == "sum" && i > 0 && tokens[i - 1].is_punct('.') {
                 if let Some(kind) = classify_sum(tokens, span, sig, i) {
                     out.push(ReductionSite { line: t.line, kind });
@@ -805,17 +776,35 @@ pub fn file_hits(tokens: &[Token], parsed: &ParsedFile) -> Vec<Hit> {
 /// functions reachable from a public Library root, as (file index, hit).
 #[must_use]
 pub fn reduction_hits(graph: &Graph, files: &[SemFile]) -> Vec<(usize, Hit)> {
+    // Innermost-span ownership, mirroring `Graph::build`.
+    let mut file_spans: Vec<Vec<(SymbolId, (usize, usize))>> = vec![Vec::new(); files.len()];
+    for (id, sym) in graph.table.symbols.iter().enumerate() {
+        if let Some(span) = sym.body {
+            file_spans[sym.file].push((id, span));
+        }
+    }
     let mut out = Vec::new();
-    for (id, sites) in symbol_reductions(graph, files) {
+    for (id, sym) in graph.table.symbols.iter().enumerate() {
+        if sym.body.is_none() {
+            continue;
+        }
         let Some(root) = graph.witness_root(id) else {
             continue;
         };
-        let sym = &graph.table.symbols[id];
+        let file = &files[sym.file];
+        let sig = &file.parsed.fns[sym.sig];
+        let facts = collect_facts(file.tokens, sig);
+        let spans = &file_spans[sym.file];
+        let own = |tok: usize| {
+            spans
+                .iter()
+                .filter(|(_, (a, b))| (*a..*b).contains(&tok))
+                .max_by_key(|(_, (a, _))| *a)
+                .map(|&(o, _)| o)
+                == Some(id)
+        };
         let root_fq = &graph.table.symbols[root].fq;
-        for site in sites {
-            if !site.kind.order_sensitive() {
-                continue;
-            }
+        for site in reduction_sites(file.tokens, sig, &facts, own) {
             out.push((
                 sym.file,
                 Hit {
@@ -833,136 +822,6 @@ pub fn reduction_hits(graph: &Graph, files: &[SemFile]) -> Vec<(usize, Hit)> {
         }
     }
     out
-}
-
-/// Reduction sites per symbol, in symbol-id order (the shared scan behind
-/// both the rule and the report).
-fn symbol_reductions(graph: &Graph, files: &[SemFile]) -> Vec<(SymbolId, Vec<ReductionSite>)> {
-    // Innermost-span ownership, mirroring `Graph::build`.
-    let mut file_spans: Vec<Vec<(SymbolId, (usize, usize))>> = vec![Vec::new(); files.len()];
-    for (id, sym) in graph.table.symbols.iter().enumerate() {
-        if let Some(span) = sym.body {
-            file_spans[sym.file].push((id, span));
-        }
-    }
-    let mut out = Vec::new();
-    for (id, sym) in graph.table.symbols.iter().enumerate() {
-        if sym.body.is_none() {
-            continue;
-        }
-        let file = &files[sym.file];
-        let sig = &file.parsed.fns[sym.sig];
-        let facts = collect_facts(file.tokens, sig);
-        let spans = &file_spans[sym.file];
-        let own = |tok: usize| {
-            spans
-                .iter()
-                .filter(|(_, (a, b))| (*a..*b).contains(&tok))
-                .max_by_key(|(_, (a, _))| *a)
-                .map(|&(o, _)| o)
-                == Some(id)
-        };
-        let sites = reduction_sites(file.tokens, sig, &facts, own);
-        if !sites.is_empty() {
-            out.push((id, sites));
-        }
-    }
-    out
-}
-
-/// The `--report batch-readiness` JSON: every function reachable from a
-/// public `sample_*` root, with reduction sites classified. Deterministic
-/// — symbols arrive path-sorted and every list is emitted in sorted order
-/// — so two consecutive runs are byte-identical.
-///
-/// `waived` holds, parallel to `files`, the line numbers covered by a
-/// `reduction-order` waiver (a waiver covers its own line and the next).
-/// Each site reports a `status`: `"migrated"` for order-free accumulation
-/// (the batch `*_ordered` helpers), `"waived"` for an order-sensitive
-/// fold whose sequential order is the pinned definition (a documented
-/// waiver), `"sensitive"` for an unmigrated, unwaived fold — the actual
-/// worklist. `batch_ready` is true iff a function has no `"sensitive"`
-/// site.
-#[must_use]
-pub fn batch_readiness_report(
-    graph: &Graph,
-    files: &[SemFile],
-    waived: &[std::collections::BTreeSet<u32>],
-) -> String {
-    assert_eq!(
-        files.len(),
-        waived.len(),
-        "waiver sets must parallel the file list"
-    );
-    let roots: Vec<SymbolId> = (0..graph.table.symbols.len())
-        .filter(|&id| {
-            let s = &graph.table.symbols[id];
-            s.is_pub && s.name.starts_with("sample")
-        })
-        .collect();
-    let reached = graph.reach_from(&roots);
-    let reductions: std::collections::BTreeMap<SymbolId, Vec<ReductionSite>> =
-        symbol_reductions(graph, files).into_iter().collect();
-
-    let mut root_fqs: Vec<&str> = roots
-        .iter()
-        .map(|&id| graph.table.symbols[id].fq.as_str())
-        .collect();
-    root_fqs.sort_unstable();
-
-    let mut entries: Vec<(String, String)> = Vec::new();
-    for &id in &reached {
-        let sym = &graph.table.symbols[id];
-        let rel = files[sym.file].rel.to_string_lossy().replace('\\', "/");
-        let sites = reductions.get(&id).map_or(&[][..], Vec::as_slice);
-        let status = |s: &ReductionSite| {
-            if !s.kind.order_sensitive() {
-                "migrated"
-            } else if waived[sym.file].contains(&s.line) {
-                "waived"
-            } else {
-                "sensitive"
-            }
-        };
-        let mut sites_json = String::new();
-        for (k, s) in sites.iter().enumerate() {
-            if k > 0 {
-                sites_json.push(',');
-            }
-            sites_json.push_str(&format!(
-                "{{\"line\":{},\"kind\":\"{}\",\"status\":\"{}\"}}",
-                s.line,
-                s.kind.label(),
-                status(s)
-            ));
-        }
-        let ready = sites.iter().all(|s| status(s) != "sensitive");
-        entries.push((
-            sym.fq.clone(),
-            format!(
-                "{{\"fn\":\"{}\",\"file\":\"{}\",\"line\":{},\"batch_ready\":{},\
-                 \"reductions\":[{}]}}",
-                json_escape(&sym.fq),
-                json_escape(&rel),
-                sym.line,
-                ready,
-                sites_json
-            ),
-        ));
-    }
-    entries.sort();
-
-    let root_items: Vec<String> = root_fqs
-        .iter()
-        .map(|fq| format!("\"{}\"", json_escape(fq)))
-        .collect();
-    let entry_items: Vec<String> = entries.into_iter().map(|(_, entry)| entry).collect();
-    format!(
-        "{{\n  \"schema\": \"ntv-batch-readiness/2\",\n  \"roots\": {},\n  \
-         \"functions\": {}\n}}\n",
-        crate::json::array(&root_items, 4, 2),
-        crate::json::array(&entry_items, 4, 2),
-    )
 }
 
 #[cfg(test)]
@@ -1036,23 +895,9 @@ mod tests {
     }
 
     #[test]
-    fn ordered_helper_calls_pass_and_report_as_order_free() {
-        let src = "pub fn total(xs: &[f64]) -> f64 { sum_ordered(xs.iter().copied()) }";
-        let hits = one_graph(src);
+    fn ordered_helper_calls_pass() {
+        let hits = one_graph("pub fn total(xs: &[f64]) -> f64 { sum_ordered(xs.iter().copied()) }");
         assert!(hits.is_empty(), "{hits:?}");
-        let lexed = lex(src);
-        let parsed = parse(&lexed);
-        let rel = PathBuf::from("crates/core/src/x.rs");
-        let files = [SemFile {
-            rel: &rel,
-            tokens: &lexed.tokens,
-            parsed: &parsed,
-            test_ranges: &[],
-        }];
-        let graph = Graph::build(&files);
-        let sites = symbol_reductions(&graph, &files);
-        assert_eq!(sites.len(), 1);
-        assert_eq!(sites[0].1[0].kind, ReductionKind::OrderFree);
     }
 
     #[test]
@@ -1111,56 +956,5 @@ mod tests {
         );
         let hits = file_hits(&tokens, &parsed);
         assert!(hits.is_empty(), "{hits:?}");
-    }
-
-    #[test]
-    fn batch_readiness_is_deterministic_and_classifies() {
-        let src = "pub fn sample_thing(xs: &[f64]) -> f64 { per_sample(xs) }\nfn per_sample(xs: &[f64]) -> f64 { let mut a = 0.0; for &x in xs { a += x; } a }\npub fn unrelated() -> f64 { 0.0 }";
-        let lexed = lex(src);
-        let parsed = parse(&lexed);
-        let rel = PathBuf::from("crates/core/src/x.rs");
-        let files = [SemFile {
-            rel: &rel,
-            tokens: &lexed.tokens,
-            parsed: &parsed,
-            test_ranges: &[],
-        }];
-        let graph = Graph::build(&files);
-        let none = [std::collections::BTreeSet::new()];
-        let a = batch_readiness_report(&graph, &files, &none);
-        let b = batch_readiness_report(&graph, &files, &none);
-        assert_eq!(a, b);
-        assert!(a.contains("\"schema\": \"ntv-batch-readiness/2\""), "{a}");
-        assert!(a.contains("sample_thing"), "{a}");
-        assert!(a.contains("per_sample"), "{a}");
-        assert!(!a.contains("unrelated"), "{a}");
-        assert!(a.contains("\"status\":\"sensitive\""), "{a}");
-        assert!(a.contains("\"batch_ready\":false"), "{a}");
-
-        // The same fold under a reduction-order waiver reports as waived,
-        // not sensitive, and no longer blocks batch readiness.
-        let waived = [std::collections::BTreeSet::from([2u32])];
-        let w = batch_readiness_report(&graph, &files, &waived);
-        assert!(w.contains("\"status\":\"waived\""), "{w}");
-        assert!(!w.contains("\"status\":\"sensitive\""), "{w}");
-        assert!(!w.contains("\"batch_ready\":false"), "{w}");
-    }
-
-    #[test]
-    fn batch_readiness_reports_ordered_helpers_as_migrated() {
-        let src = "pub fn sample_sum(xs: &[f64]) -> f64 { sum_ordered(xs.iter().copied()) }";
-        let lexed = lex(src);
-        let parsed = parse(&lexed);
-        let rel = PathBuf::from("crates/core/src/x.rs");
-        let files = [SemFile {
-            rel: &rel,
-            tokens: &lexed.tokens,
-            parsed: &parsed,
-            test_ranges: &[],
-        }];
-        let graph = Graph::build(&files);
-        let report = batch_readiness_report(&graph, &files, &[std::collections::BTreeSet::new()]);
-        assert!(report.contains("\"status\":\"migrated\""), "{report}");
-        assert!(report.contains("\"batch_ready\":true"), "{report}");
     }
 }

@@ -1,6 +1,6 @@
 //! The lint engine: applies `rules::scan` hits to files according to the
-//! workspace policy (file classes, severities, allowlist overrides, inline
-//! waivers, `#[cfg(test)]` regions) and renders diagnostics.
+//! workspace policy (file classes, inline waivers, `#[cfg(test)]` regions)
+//! and renders diagnostics. Every surviving diagnostic is an error.
 
 use std::fmt;
 use std::fs;
@@ -23,7 +23,7 @@ pub enum FileClass {
     Library,
     /// The bench/experiment crate: exempt from wall-clock, env, hash and
     /// panic-hygiene rules (it times things and prints tables), but still
-    /// barred from OS entropy and NaN-unsafe orderings.
+    /// barred from NaN-unsafe orderings and uncached builds.
     Bench,
     /// Test / example / bin-target code: determinism of the underlying
     /// libraries is what matters; panics are the idiomatic failure mode.
@@ -41,7 +41,7 @@ impl FileClass {
     pub fn classify(rel: &Path) -> FileClass {
         let p = rel.to_string_lossy().replace('\\', "/");
         // Lint fixtures opt into a class by directory name
-        // (`tests/fixtures/library/bad_unwrap.rs` lints as Library code), so
+        // (`tests/fixtures/library/bad_panic.rs` lints as Library code), so
         // `cargo xtask lint <fixture>` exercises the real policy; the
         // workspace walker never descends into fixtures.
         if let Some(idx) = p.find("tests/fixtures/") {
@@ -69,7 +69,7 @@ impl FileClass {
         }
         // The query service is deliberately effectful — sockets, wall-clock
         // idle timeouts, stderr logging — so the library-only purity rules
-        // (hidden-io, ambient-clock) do not apply to it.
+        // (hidden-io, env-read) do not apply to it.
         if p.starts_with("crates/serve/") {
             return FileClass::Harness;
         }
@@ -88,17 +88,15 @@ impl FileClass {
             return false;
         }
         match rule {
-            // OS entropy and NaN-unsafe orderings poison experiments no
-            // matter where they live, tests and benches included; a rotted
-            // waiver is likewise a lie wherever it lives.
-            RuleId::ThreadRng
-            | RuleId::PartialCmpUnwrap
-            | RuleId::BadWaiver
-            | RuleId::DeadWaiver => true,
+            // NaN-unsafe orderings poison experiments no matter where they
+            // live, tests and benches included; a rotted waiver is likewise
+            // a lie wherever it lives.
+            RuleId::PartialCmpUnwrap | RuleId::BadWaiver | RuleId::DeadWaiver => true,
             // Stateful generators are a library-crate concern: harnesses may
             // hold a `StreamRng` for legacy sequential checks, but result
-            // code must go through the counter-based API. Environment reads
-            // are likewise library-only (harnesses may take CLI/env knobs).
+            // code must go through the counter-based API. Environment and
+            // host reads are likewise library-only (harnesses may take
+            // CLI/env knobs and size thread pools).
             // Unit newtypes likewise police the cross-crate API surface
             // only: harness and bench code deliberately holds raw `f64`
             // grids and wraps at the call boundary. The call-graph rules
@@ -107,9 +105,9 @@ impl FileClass {
             // The numeric-dataflow family polices result-producing library
             // code: reduction order and cast truncation only corrupt
             // *results*, and harness/bench/tool code is full of benign
-            // display-width casts and timing sums. The effect rules police
-            // the same surface: what a harness prints or spawns is its own
-            // business; what a library drags in is every consumer's.
+            // display-width casts and timing sums. The hidden-io rule polices
+            // the same surface: what a harness prints is its own business;
+            // what a library drags in is every consumer's.
             RuleId::StatefulRng
             | RuleId::EnvRead
             | RuleId::BareUnit
@@ -118,9 +116,7 @@ impl FileClass {
             | RuleId::ReductionOrder
             | RuleId::LossyCast
             | RuleId::UnitEscape
-            | RuleId::HiddenIo
-            | RuleId::AmbientClock
-            | RuleId::EffectEscape => matches!(self, Library),
+            | RuleId::HiddenIo => matches!(self, Library),
             // Concurrency soundness spans result code *and* the serve
             // stack: deadlock cycles, handshake orderings and blocking
             // under a guard are exactly where harness code bites, so
@@ -130,7 +126,7 @@ impl FileClass {
             }
             RuleId::WallClock => matches!(self, Library | Tool),
             RuleId::HashContainer => matches!(self, Library | Tool),
-            RuleId::Unwrap | RuleId::Panic => matches!(self, Library | Tool),
+            RuleId::Panic => matches!(self, Library | Tool),
             // Result-producing code (library and experiment crates) must
             // share Gauss–Hermite builds through the operating-point cache;
             // harnesses may construct throwaway distributions.
@@ -139,98 +135,11 @@ impl FileClass {
     }
 }
 
-/// Diagnostic severity after policy is applied.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Severity {
-    /// Reported and fails the run.
-    Deny,
-    /// Reported, does not fail the run.
-    Warn,
-    /// Suppressed.
-    Allow,
-}
-
-/// A path-scoped severity override — the allowlist mechanism.
-///
-/// `path_contains` matches against the `/`-normalized workspace-relative
-/// path; `rule: None` matches every rule.
-#[derive(Debug, Clone)]
-pub struct Override {
-    /// Substring of the workspace-relative path this override applies to.
-    pub path_contains: &'static str,
-    /// Rule to override, or `None` for all rules.
-    pub rule: Option<RuleId>,
-    /// Severity to apply when this override matches.
-    pub severity: Severity,
-}
-
-/// The lint policy: base severity per rule plus allowlist overrides.
-#[derive(Debug, Clone)]
-pub struct Policy {
-    overrides: Vec<Override>,
-}
-
-/// Built-in allowlist. Keep this list short and justified — prefer inline
-/// `// ntv:allow(rule): reason` waivers, which sit next to the code they
-/// excuse and are re-validated on every run.
-const DEFAULT_OVERRIDES: &[Override] = &[
-    // The mc::stats Welford accumulator compares against cached extrema by
-    // identity; flagged sites there carry inline waivers instead. (Entry kept
-    // as the canonical example of the mechanism; it matches nothing today.)
-    Override {
-        path_contains: "crates/mc/src/does-not-exist.rs",
-        rule: None,
-        severity: Severity::Allow,
-    },
-    // `ntv_mc::rng` is the one sanctioned wrapper around a stateful
-    // generator: `StreamRng` keeps the legacy sequential sequences alive
-    // behind the `SampleStream` trait.
-    Override {
-        path_contains: "crates/mc/src/rng.rs",
-        rule: Some(RuleId::StatefulRng),
-        severity: Severity::Allow,
-    },
-];
-
-impl Default for Policy {
-    fn default() -> Self {
-        Self {
-            overrides: DEFAULT_OVERRIDES.to_vec(),
-        }
-    }
-}
-
-impl Policy {
-    /// A policy with extra overrides appended (used by tests and, later,
-    /// per-invocation flags).
-    #[must_use]
-    pub fn with_overrides(mut self, extra: Vec<Override>) -> Self {
-        self.overrides.extend(extra);
-        self
-    }
-
-    /// Effective severity of `rule` for the file at `rel`, before waivers.
-    #[must_use]
-    pub fn severity(&self, rule: RuleId, rel: &Path) -> Severity {
-        let p = rel.to_string_lossy().replace('\\', "/");
-        // Last matching override wins, so callers can append refinements.
-        let mut sev = Severity::Deny;
-        for o in &self.overrides {
-            if p.contains(o.path_contains) && o.rule.is_none_or(|r| r == rule) {
-                sev = o.severity;
-            }
-        }
-        sev
-    }
-}
-
 /// One rendered diagnostic.
 #[derive(Debug, Clone)]
 pub struct Diagnostic {
     /// The violated rule.
     pub rule: RuleId,
-    /// Effective severity after policy and overrides.
-    pub severity: Severity,
     /// Workspace-relative path of the offending file.
     pub file: PathBuf,
     /// 1-based source line of the violation.
@@ -241,12 +150,7 @@ pub struct Diagnostic {
 
 impl fmt::Display for Diagnostic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let level = match self.severity {
-            Severity::Deny => "error",
-            Severity::Warn => "warning",
-            Severity::Allow => "allowed",
-        };
-        writeln!(f, "{level}[{}]: {}", self.rule.name(), self.message)?;
+        writeln!(f, "error[{}]: {}", self.rule.name(), self.message)?;
         writeln!(f, "  --> {}:{}", self.file.display(), self.line)?;
         write!(f, "  = help: {}", self.rule.help())
     }
@@ -411,19 +315,13 @@ impl Waivers {
     }
 }
 
-/// Per-invocation switches that are not policy (severities) or scope (file
-/// classes): extra analyses the caller opts into.
+/// Per-invocation switches that are not scope (file classes): extra
+/// analyses the caller opts into.
 #[derive(Debug, Default, Clone)]
 pub struct LintOptions {
     /// Report `ntv:allow(..)` waivers that suppressed zero findings this
     /// run as `ntv::dead-waiver` diagnostics (`xtask lint --check-waivers`).
     pub check_waivers: bool,
-    /// Produce the batch-readiness JSON worklist (`xtask lint --report
-    /// batch-readiness`) in [`LintReport::batch_readiness`].
-    pub batch_readiness: bool,
-    /// Produce the no-std/WASM readiness JSON worklist (`xtask lint
-    /// --report nostd-readiness`) in [`LintReport::nostd_readiness`].
-    pub nostd_readiness: bool,
     /// Produce the concurrency inventory (`xtask lint --report
     /// concurrency`) in [`LintReport::concurrency`].
     pub concurrency: bool,
@@ -440,10 +338,10 @@ struct FileState {
     diags: Vec<Diagnostic>,
 }
 
-/// Filter one raw hit through class → test-region → waiver → policy and
-/// record the surviving diagnostic. Waiver bookkeeping happens here: a
-/// waiver is "used" iff it suppresses a hit its class/region let through.
-fn apply_hit(st: &mut FileState, hit: rules::Hit, policy: &Policy) {
+/// Filter one raw hit through class → test-region → waiver and record the
+/// surviving diagnostic. Waiver bookkeeping happens here: a waiver is
+/// "used" iff it suppresses a hit its class/region let through.
+fn apply_hit(st: &mut FileState, hit: rules::Hit) {
     if !st.class.rule_applies(hit.rule) {
         return;
     }
@@ -452,8 +350,7 @@ fn apply_hit(st: &mut FileState, hit: rules::Hit, policy: &Policy) {
     if st.regions.contains(hit.line)
         && matches!(
             hit.rule,
-            RuleId::Unwrap
-                | RuleId::Panic
+            RuleId::Panic
                 | RuleId::HashContainer
                 | RuleId::WallClock
                 | RuleId::BareUnit
@@ -464,8 +361,6 @@ fn apply_hit(st: &mut FileState, hit: rules::Hit, policy: &Policy) {
                 | RuleId::LossyCast
                 | RuleId::UnitEscape
                 | RuleId::HiddenIo
-                | RuleId::AmbientClock
-                | RuleId::EffectEscape
                 | RuleId::LockOrderCycle
                 | RuleId::AtomicOrdering
                 | RuleId::BlockingUnderLock
@@ -476,13 +371,8 @@ fn apply_hit(st: &mut FileState, hit: rules::Hit, policy: &Policy) {
     if st.waivers.cover(hit.rule, hit.line) {
         return;
     }
-    let severity = policy.severity(hit.rule, &st.rel);
-    if severity == Severity::Allow {
-        return;
-    }
     st.diags.push(Diagnostic {
         rule: hit.rule,
-        severity,
         file: st.rel.clone(),
         line: hit.line,
         message: hit.message,
@@ -498,11 +388,7 @@ fn apply_hit(st: &mut FileState, hit: rules::Hit, policy: &Policy) {
 /// sorted by path before analysis and diagnostics come back sorted by
 /// (file, line, rule).
 #[must_use]
-pub fn lint_sources(
-    files: &[(PathBuf, String)],
-    policy: &Policy,
-    options: &LintOptions,
-) -> LintReport {
+pub fn lint_sources(files: &[(PathBuf, String)], options: &LintOptions) -> LintReport {
     let mut states: Vec<FileState> = files
         .iter()
         .filter_map(|(rel, source)| {
@@ -537,7 +423,7 @@ pub fn lint_sources(
             hits.extend(dataflow::file_hits(&st.lexed.tokens, &st.parsed));
         }
         for hit in hits {
-            apply_hit(st, hit, policy);
+            apply_hit(st, hit);
         }
     }
 
@@ -548,8 +434,6 @@ pub fn lint_sources(
         .filter(|(_, s)| s.class == FileClass::Library)
         .map(|(i, _)| i)
         .collect();
-    let mut batch_readiness = None;
-    let mut nostd_readiness = None;
     if !lib_idx.is_empty() {
         let sem_hits = {
             let sem_files: Vec<graph::SemFile> = lib_idx
@@ -569,56 +453,11 @@ pub fn lint_sources(
             hits.extend(g.lock_discipline_hits(&sem_files));
             hits.extend(dataflow::reduction_hits(&g, &sem_files));
             let eff = effects::Effects::collect(&g, &sem_files);
-            hits.extend(effects::effect_hits(&g, &sem_files, &eff));
-            if options.nostd_readiness {
-                // Waived effect lines per library file (waiver line + next,
-                // per rule): the report classifies waived effects as
-                // `gated`, unwaived ones as `blocked`.
-                let waivers: Vec<effects::FileWaivers> = lib_idx
-                    .iter()
-                    .map(|&i| {
-                        let lines = |rule: RuleId| {
-                            states[i]
-                                .waivers
-                                .entries
-                                .iter()
-                                .filter(|e| e.rule == rule)
-                                .flat_map(|e| [e.line, e.line + 1])
-                                .collect()
-                        };
-                        effects::FileWaivers {
-                            hidden_io: lines(RuleId::HiddenIo),
-                            ambient_clock: lines(RuleId::AmbientClock),
-                            effect_escape: lines(RuleId::EffectEscape),
-                        }
-                    })
-                    .collect();
-                nostd_readiness = Some(effects::nostd_readiness_report(
-                    &g, &sem_files, &eff, &waivers,
-                ));
-            }
-            if options.batch_readiness {
-                // Lines covered by a reduction-order waiver (the waiver
-                // line and the next), per library file: the report
-                // distinguishes waived pinned folds from unmigrated ones.
-                let waived: Vec<std::collections::BTreeSet<u32>> = lib_idx
-                    .iter()
-                    .map(|&i| {
-                        states[i]
-                            .waivers
-                            .entries
-                            .iter()
-                            .filter(|e| e.rule == RuleId::ReductionOrder)
-                            .flat_map(|e| [e.line, e.line + 1])
-                            .collect()
-                    })
-                    .collect();
-                batch_readiness = Some(dataflow::batch_readiness_report(&g, &sem_files, &waived));
-            }
+            hits.extend(effects::hidden_io_hits(&g, &eff));
             hits
         };
         for (fi, hit) in sem_hits {
-            apply_hit(&mut states[lib_idx[fi]], hit, policy);
+            apply_hit(&mut states[lib_idx[fi]], hit);
         }
     }
 
@@ -656,7 +495,7 @@ pub fn lint_sources(
             conc.into_hits()
         };
         for (fi, hit) in conc_hits {
-            apply_hit(&mut states[conc_idx[fi]], hit, policy);
+            apply_hit(&mut states[conc_idx[fi]], hit);
         }
     }
 
@@ -667,13 +506,8 @@ pub fn lint_sources(
         }
         let bad = std::mem::take(&mut st.waivers.bad);
         for (line, why) in bad {
-            let severity = policy.severity(RuleId::BadWaiver, &st.rel);
-            if severity == Severity::Allow {
-                continue;
-            }
             st.diags.push(Diagnostic {
                 rule: RuleId::BadWaiver,
-                severity,
                 file: st.rel.clone(),
                 line,
                 message: why,
@@ -682,14 +516,12 @@ pub fn lint_sources(
     }
     if options.check_waivers {
         for st in &mut states {
-            report_dead_waivers(st, policy);
+            report_dead_waivers(st);
         }
     }
 
     let mut report = LintReport {
         files_scanned: files.len(),
-        batch_readiness,
-        nostd_readiness,
         concurrency: concurrency_report,
         ..LintReport::default()
     };
@@ -708,11 +540,7 @@ pub fn lint_sources(
 /// so the meta-level cannot rot either. Waivers inside `#[cfg(test)]`
 /// regions are ignored: most rules don't fire there, so their waivers
 /// legitimately suppress nothing.
-fn report_dead_waivers(st: &mut FileState, policy: &Policy) {
-    let severity = policy.severity(RuleId::DeadWaiver, &st.rel);
-    if severity == Severity::Allow {
-        return;
-    }
+fn report_dead_waivers(st: &mut FileState) {
     let n = st.waivers.entries.len();
     let mut dead: Vec<usize> = Vec::new();
     for i in 0..n {
@@ -736,7 +564,6 @@ fn report_dead_waivers(st: &mut FileState, policy: &Policy) {
         let e = &st.waivers.entries[i];
         st.diags.push(Diagnostic {
             rule: RuleId::DeadWaiver,
-            severity,
             file: st.rel.clone(),
             line: e.line,
             message: format!(
@@ -749,14 +576,13 @@ fn report_dead_waivers(st: &mut FileState, policy: &Policy) {
 
 /// Lint one file's source text.
 ///
-/// `rel` is the workspace-relative path used for classification, policy
-/// lookup and display. Returns only `Deny`/`Warn` diagnostics. The
-/// call-graph rules see this file in isolation — cross-file reachability
-/// needs [`lint_sources`] / [`lint_workspace`].
+/// `rel` is the workspace-relative path used for classification and
+/// display. The call-graph rules see this file in isolation — cross-file
+/// reachability needs [`lint_sources`] / [`lint_workspace`].
 #[must_use]
-pub fn lint_source(rel: &Path, source: &str, policy: &Policy) -> Vec<Diagnostic> {
+pub fn lint_source(rel: &Path, source: &str) -> Vec<Diagnostic> {
     let files = [(rel.to_path_buf(), source.to_string())];
-    lint_sources(&files, policy, &LintOptions::default()).diagnostics
+    lint_sources(&files, &LintOptions::default()).diagnostics
 }
 
 /// Recursively collect every `.rs` file under `root`, skipping `target`,
@@ -789,22 +615,13 @@ pub fn collect_rust_files(root: &Path) -> io::Result<Vec<PathBuf>> {
 /// Diagnostics come back sorted by (file, line, rule), so two runs over the
 /// same tree render byte-identical reports regardless of filesystem
 /// enumeration order.
-pub fn lint_workspace(root: &Path, policy: &Policy) -> io::Result<LintReport> {
-    lint_workspace_with(root, policy, &LintOptions::default())
-}
-
-/// [`lint_workspace`] with explicit [`LintOptions`].
-pub fn lint_workspace_with(
-    root: &Path,
-    policy: &Policy,
-    options: &LintOptions,
-) -> io::Result<LintReport> {
+pub fn lint_workspace(root: &Path, options: &LintOptions) -> io::Result<LintReport> {
     let mut files = Vec::new();
     for path in collect_rust_files(root)? {
         let rel = path.strip_prefix(root).unwrap_or(&path).to_path_buf();
         files.push((rel, fs::read_to_string(&path)?));
     }
-    Ok(lint_sources(&files, policy, options))
+    Ok(lint_sources(&files, options))
 }
 
 /// Outcome of a lint run.
@@ -814,12 +631,6 @@ pub struct LintReport {
     pub diagnostics: Vec<Diagnostic>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
-    /// The batch-readiness JSON worklist, when
-    /// [`LintOptions::batch_readiness`] was set.
-    pub batch_readiness: Option<String>,
-    /// The no-std/WASM readiness JSON worklist, when
-    /// [`LintOptions::nostd_readiness`] was set.
-    pub nostd_readiness: Option<String>,
     /// The concurrency inventory (`ntv-concurrency/1`), when
     /// [`LintOptions::concurrency`] was set.
     pub concurrency: Option<String>,
@@ -830,24 +641,6 @@ impl LintReport {
     pub fn sort(&mut self) {
         self.diagnostics
             .sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
-    }
-
-    /// Number of deny-severity diagnostics.
-    #[must_use]
-    pub fn errors(&self) -> usize {
-        self.diagnostics
-            .iter()
-            .filter(|d| d.severity == Severity::Deny)
-            .count()
-    }
-
-    /// Number of warn-severity diagnostics.
-    #[must_use]
-    pub fn warnings(&self) -> usize {
-        self.diagnostics
-            .iter()
-            .filter(|d| d.severity == Severity::Warn)
-            .count()
     }
 }
 
@@ -881,19 +674,18 @@ mod tests {
         let d = lint_source(
             &lib_path(),
             "pub fn f(v: &mut Vec<f64>) { v.sort_by(|a, b| a.partial_cmp(b).unwrap()); }",
-            &Policy::default(),
         );
-        assert_eq!(d.len(), 2, "{d:?}"); // partial-cmp-unwrap + unwrap
-        assert!(d.iter().all(|x| x.severity == Severity::Deny));
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert_eq!(d[0].rule, RuleId::PartialCmpUnwrap);
     }
 
     #[test]
-    fn harness_files_may_unwrap_but_not_thread_rng() {
+    fn harness_files_may_panic_but_not_partial_cmp_unwrap() {
         let p = PathBuf::from("tests/determinism.rs");
-        assert!(lint_source(&p, "let x = y.unwrap();", &Policy::default()).is_empty());
-        let d = lint_source(&p, "let r = rand::thread_rng();", &Policy::default());
+        assert!(lint_source(&p, "panic!(\"boom\");").is_empty());
+        let d = lint_source(&p, "let o = a.partial_cmp(&b).unwrap();");
         assert_eq!(d.len(), 1);
-        assert_eq!(d[0].rule, RuleId::ThreadRng);
+        assert_eq!(d[0].rule, RuleId::PartialCmpUnwrap);
     }
 
     #[test]
@@ -905,87 +697,75 @@ pub fn lib_code() -> u32 { 1 }
 mod tests {
     #[test]
     fn t() {
-        let x = Some(1).unwrap();
         let m = std::collections::HashMap::<u32, u32>::new();
-        assert!(m.is_empty());
-        let _ = x;
+        if !m.is_empty() {
+            panic!(\"map starts empty\");
+        }
     }
 }
 ";
-        assert!(lint_source(&lib_path(), src, &Policy::default()).is_empty());
+        assert!(lint_source(&lib_path(), src).is_empty());
     }
 
     #[test]
-    fn unwrap_outside_test_module_still_fires() {
+    fn panic_outside_test_module_still_fires() {
         let src = "
-pub fn lib_code() -> u32 { Some(1).unwrap() }
+pub fn lib_code() -> u32 { todo!() }
 
 #[cfg(test)]
 mod tests {}
 ";
-        let d = lint_source(&lib_path(), src, &Policy::default());
+        let d = lint_source(&lib_path(), src);
         assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].rule, RuleId::Unwrap);
+        assert_eq!(d[0].rule, RuleId::Panic);
         assert_eq!(d[0].line, 2);
     }
 
     #[test]
     fn waiver_with_reason_suppresses_same_and_next_line() {
-        let trailing = "let x = y.unwrap(); // ntv:allow(unwrap): y checked non-empty above";
-        assert!(lint_source(&lib_path(), trailing, &Policy::default()).is_empty());
-        let above = "// ntv:allow(unwrap): y checked non-empty above\nlet x = y.unwrap();";
-        assert!(lint_source(&lib_path(), above, &Policy::default()).is_empty());
+        let trailing = "todo!(); // ntv:allow(panic): stub unreachable until the caller lands";
+        assert!(lint_source(&lib_path(), trailing).is_empty());
+        let above = "// ntv:allow(panic): stub unreachable until the caller lands\ntodo!();";
+        assert!(lint_source(&lib_path(), above).is_empty());
     }
 
     #[test]
     fn waiver_without_reason_is_itself_a_violation() {
-        let src = "let x = y.unwrap(); // ntv:allow(unwrap)";
-        let d = lint_source(&lib_path(), src, &Policy::default());
-        // The unwrap still fires AND the waiver is flagged.
+        let src = "todo!(); // ntv:allow(panic)";
+        let d = lint_source(&lib_path(), src);
+        // The panic still fires AND the waiver is flagged.
         assert_eq!(d.len(), 2, "{d:?}");
         assert!(d.iter().any(|x| x.rule == RuleId::BadWaiver));
-        assert!(d.iter().any(|x| x.rule == RuleId::Unwrap));
+        assert!(d.iter().any(|x| x.rule == RuleId::Panic));
     }
 
     #[test]
     fn waiver_only_covers_named_rule() {
-        let src = "let t = Instant::now(); // ntv:allow(unwrap): wrong rule named";
-        let d = lint_source(&lib_path(), src, &Policy::default());
+        let src = "let t = Instant::now(); // ntv:allow(panic): wrong rule named";
+        let d = lint_source(&lib_path(), src);
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].rule, RuleId::WallClock);
     }
 
     #[test]
-    fn policy_override_can_demote_to_warning() {
-        let policy = Policy::default().with_overrides(vec![Override {
-            path_contains: "crates/mc/",
-            rule: Some(RuleId::Unwrap),
-            severity: Severity::Warn,
-        }]);
-        let d = lint_source(&lib_path(), "let x = y.unwrap();", &policy);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].severity, Severity::Warn);
-    }
-
-    #[test]
     fn bare_unit_fires_in_library_but_not_harness_or_bench() {
         let src = "pub fn solve(vdd: f64) -> f64 { vdd }";
-        let d = lint_source(&lib_path(), src, &Policy::default());
+        let d = lint_source(&lib_path(), src);
         assert_eq!(d.len(), 1, "{d:?}");
         assert_eq!(d[0].rule, RuleId::BareUnit);
         let harness = PathBuf::from("tests/determinism.rs");
-        assert!(lint_source(&harness, src, &Policy::default()).is_empty());
+        assert!(lint_source(&harness, src).is_empty());
         let bench = PathBuf::from("crates/bench/src/experiments/fig4.rs");
-        assert!(lint_source(&bench, src, &Policy::default()).is_empty());
+        assert!(lint_source(&bench, src).is_empty());
     }
 
     #[test]
     fn bare_unit_respects_waivers_and_test_regions() {
         let waived = "// ntv:allow(bare-unit): plotting boundary, wrapped by the one caller\n\
                       pub fn solve(vdd: f64) -> f64 { vdd }";
-        assert!(lint_source(&lib_path(), waived, &Policy::default()).is_empty());
+        assert!(lint_source(&lib_path(), waived).is_empty());
         let in_tests = "#[cfg(test)]\nmod tests {\n    pub fn solve(vdd: f64) -> f64 { vdd }\n}";
-        assert!(lint_source(&lib_path(), in_tests, &Policy::default()).is_empty());
+        assert!(lint_source(&lib_path(), in_tests).is_empty());
     }
 
     #[test]
@@ -993,16 +773,15 @@ mod tests {}
         let mut r = LintReport::default();
         let diag = |file: &str, line: u32, rule: RuleId| Diagnostic {
             rule,
-            severity: Severity::Deny,
             file: PathBuf::from(file),
             line,
             message: String::new(),
         };
         r.diagnostics = vec![
-            diag("b.rs", 1, RuleId::Unwrap),
+            diag("b.rs", 1, RuleId::PartialCmpUnwrap),
             diag("a.rs", 9, RuleId::Panic),
-            diag("a.rs", 9, RuleId::Unwrap),
-            diag("a.rs", 2, RuleId::Unwrap),
+            diag("a.rs", 9, RuleId::PartialCmpUnwrap),
+            diag("a.rs", 2, RuleId::PartialCmpUnwrap),
         ];
         r.sort();
         let key: Vec<(String, u32)> = r
@@ -1019,17 +798,13 @@ mod tests {}
                 ("b.rs".to_string(), 1),
             ]
         );
-        assert_eq!(r.diagnostics[1].rule, RuleId::Unwrap);
+        assert_eq!(r.diagnostics[1].rule, RuleId::PartialCmpUnwrap);
         assert_eq!(r.diagnostics[2].rule, RuleId::Panic);
     }
 
     #[test]
     fn diagnostics_render_with_file_and_line() {
-        let d = lint_source(
-            &lib_path(),
-            "\n\nlet t = Instant::now();",
-            &Policy::default(),
-        );
+        let d = lint_source(&lib_path(), "\n\nlet t = Instant::now();");
         let text = d[0].to_string();
         assert!(text.contains("error[ntv::wall-clock]"), "{text}");
         assert!(text.contains("crates/mc/src/order.rs:3"), "{text}");

@@ -9,9 +9,9 @@
 //!   message-carrying `unreachable!(..)`) and slice indexing by a
 //!   caller-supplied parameter, flagged only when the enclosing function is
 //!   reachable from a `pub` function of a Library-class file. Bare
-//!   `unwrap()` and the `panic!` family stay with the always-on
-//!   `ntv::unwrap` / `ntv::panic` rules — this rule covers the forms those
-//!   deliberately allow, once they sit on a public path.
+//!   `unwrap()` stays with clippy's `unwrap_used` and the `panic!` family
+//!   with the always-on `ntv::panic` rule — this rule covers the forms
+//!   those deliberately allow, once they sit on a public path.
 //! * **`ntv::lock-discipline`** — `RwLock`/`Mutex` guards (recognized by the
 //!   workspace idiom `.read()/.write()/.lock()` + `.unwrap()/.expect(..)`)
 //!   held across calls into functions that themselves (transitively)
@@ -90,9 +90,9 @@ pub struct Call {
     /// Every workspace symbol the call may target (over-approximate).
     pub candidates: Vec<SymbolId>,
     /// Whether resolution was confident. The precision-sensitive analyses
-    /// (lock discipline, effect propagation for the readiness report) only
-    /// follow `candidates` when this is set; over-approximate fallbacks go
-    /// into `edges` for reachability and widen the effect lattice instead.
+    /// (lock discipline, the concurrency layer) only follow `candidates`
+    /// when this is set; over-approximate fallbacks only widen
+    /// reachability.
     pub confident: bool,
 }
 
@@ -100,8 +100,6 @@ pub struct Call {
 pub struct Graph {
     /// Symbol table (public so the engine can display roots).
     pub table: SymbolTable,
-    /// Over-approximate callees per symbol (ascending, deduplicated).
-    edges: Vec<Vec<SymbolId>>,
     /// Resolved call list per symbol, with token positions.
     calls: Vec<Vec<Call>>,
     /// Per-symbol panic operations (line, op).
@@ -236,7 +234,6 @@ impl Graph {
 
         Graph {
             table,
-            edges,
             calls,
             panic_ops,
             acquisitions,
@@ -258,26 +255,6 @@ impl Graph {
     #[must_use]
     pub fn witness_root(&self, sym: SymbolId) -> Option<SymbolId> {
         (self.witness[sym] != usize::MAX).then(|| self.witness[sym])
-    }
-
-    /// Forward closure: every symbol reachable from `roots` (including the
-    /// roots themselves), ascending — deterministic for report generation.
-    #[must_use]
-    pub fn reach_from(&self, roots: &[SymbolId]) -> Vec<SymbolId> {
-        let mut seen = vec![false; self.table.symbols.len()];
-        let mut queue: Vec<SymbolId> = roots.to_vec();
-        for &r in roots {
-            seen[r] = true;
-        }
-        while let Some(s) = queue.pop() {
-            for &t in &self.edges[s] {
-                if !seen[t] {
-                    seen[t] = true;
-                    queue.push(t);
-                }
-            }
-        }
-        (0..seen.len()).filter(|&i| seen[i]).collect()
     }
 
     /// All `ntv::panic-path` hits, as (file index, hit), in symbol order.
@@ -393,25 +370,11 @@ impl Graph {
         out
     }
 
-    /// Direct callees of `sym` (for tests and future rules).
-    #[must_use]
-    pub fn callees(&self, sym: SymbolId) -> &[SymbolId] {
-        &self.edges[sym]
-    }
-
-    /// Resolved call sites inside `sym`'s body, in body order (the effect
-    /// layer's input for confidence-filtered propagation).
+    /// Resolved call sites inside `sym`'s body, in body order (the
+    /// concurrency layer's input for confident-edge propagation).
     #[must_use]
     pub fn calls(&self, sym: SymbolId) -> &[Call] {
         &self.calls[sym]
-    }
-
-    /// Lines of recognized lock acquisitions in `sym`'s body — `sync`
-    /// effect seeds the token scan cannot see (an acquisition through a
-    /// field never names the lock type).
-    #[must_use]
-    pub(crate) fn acquisition_lines(&self, sym: SymbolId) -> Vec<u32> {
-        self.acquisitions[sym].iter().map(|a| a.line).collect()
     }
 
     /// Recognized lock acquisitions inside `sym`'s body, in token order —

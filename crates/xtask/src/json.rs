@@ -1,7 +1,7 @@
 //! The one byte-stable JSON writer behind every machine-readable report.
 //!
-//! Four emitters share this module — the `--format json` diagnostic array,
-//! the SARIF log, and the `batch-readiness` / `nostd-readiness` worklists.
+//! Three emitters share this module — the `--format json` diagnostic
+//! array, the SARIF log, and the `--report concurrency` inventory.
 //! Each hand-assembles its own key order (the workspace is offline; no
 //! serde), but the parts that must agree byte-for-byte across runs and
 //! emitters — string escaping and array layout — live here exactly once.
@@ -37,7 +37,7 @@ pub fn array(items: &[String], item_indent: usize, close_indent: usize) -> Strin
 }
 
 /// Render strings as a compact single-line JSON array of escaped strings
-/// (`["a","b"]`) — witness chains and effect lists in the worklists.
+/// (`["a","b"]`) — the ordering lists in the concurrency inventory.
 #[must_use]
 pub fn string_array(items: &[String]) -> String {
     let quoted: Vec<String> = items.iter().map(|s| format!("\"{}\"", escape(s))).collect();
@@ -80,7 +80,7 @@ mod tests {
         assert_eq!(
             array(&items[..1], 4, 2),
             "[\n    {\"a\": 1}\n  ]",
-            "worklist indent"
+            "report indent"
         );
     }
 

@@ -2,16 +2,16 @@
 //!
 //! The only subcommand today is `lint`: a custom static-analysis pass that
 //! mechanically enforces the workspace's domain invariants (determinism,
-//! float totality, panic hygiene, unit safety) as deny-by-default
-//! diagnostics with `file:line` spans, a severity/allowlist system, and
-//! inline waiver comments. Run it as `cargo xtask lint` (aliased in
+//! float totality, panic hygiene, unit safety, I/O purity, concurrency
+//! soundness) as deny-level diagnostics with `file:line` spans and inline
+//! waiver comments. Run it as `cargo xtask lint` (aliased in
 //! `.cargo/config.toml`); CI treats a non-zero exit as a failed build.
 //!
 //! Design notes:
 //!
 //! * The pass is built on a hand-rolled lexer ([`lexer`]) rather than `syn`:
 //!   the build environment is offline, and a comment/string-aware token
-//!   stream cannot be fooled by `"thread_rng"` in a message string while
+//!   stream cannot be fooled by `"SmallRng"` in a message string while
 //!   staying total over in-progress code that does not parse yet.
 //! * Token-pattern rules are pure functions over that stream; the
 //!   signature-aware family additionally runs a shallow recursive-descent
@@ -20,18 +20,22 @@
 //!   expression parsing, so it inherits the lexer's totality.
 //! * Rules ([`rules`]) produce raw hits; the policy layer ([`engine`])
 //!   decides where they apply (library vs bench vs harness vs tool code),
-//!   applies `#[cfg(test)]` carve-outs, severity overrides and waivers, and
-//!   renders diagnostics (human-readable, `--format json`, or
-//!   `--format sarif` for code-scanning upload).
+//!   applies `#[cfg(test)]` carve-outs and waivers, and renders
+//!   diagnostics (human-readable, `--format json`, or `--format sarif` for
+//!   code-scanning upload). There is no allowlist: every exception is an
+//!   inline waiver next to the code it excuses.
 //! * A semantic layer sits on top of the per-file pass: [`resolve`] builds
 //!   a workspace symbol table with name-shaped (soundly over-approximate)
 //!   path resolution, [`graph`] assembles the call graph and runs
 //!   reachability, powering `ntv::panic-path` and `ntv::lock-discipline`;
-//!   the engine tracks waiver usage so `--check-waivers` can deny waivers
-//!   that suppress nothing.
-//! * Fixtures under `tests/fixtures/` pin every rule's behaviour — each bad
-//!   fixture must keep tripping its diagnostic, and the clean fixture plus
-//!   the real workspace must stay quiet.
+//!   [`dataflow`] adds the numeric rules, [`effects`] the I/O seeds behind
+//!   `ntv::hidden-io`, and [`concurrency`] the lock-order, atomic-ordering
+//!   and blocking-under-lock rules plus `--report concurrency`. The engine
+//!   tracks waiver usage so `--check-waivers` can deny waivers that
+//!   suppress nothing.
+//! * Fixtures under `tests/fixtures/` pin every rule's behaviour — one bad
+//!   fixture per rule in [`RuleId::ALL`] must keep tripping its diagnostic,
+//!   and the clean fixture plus the real workspace must stay quiet.
 
 pub mod concurrency;
 pub mod dataflow;
@@ -46,8 +50,7 @@ pub mod rules;
 pub mod sarif;
 
 pub use engine::{
-    lint_source, lint_sources, lint_workspace, lint_workspace_with, Diagnostic, FileClass,
-    LintOptions, LintReport, Override, Policy, Severity,
+    lint_source, lint_sources, lint_workspace, Diagnostic, FileClass, LintOptions, LintReport,
 };
 pub use rules::RuleId;
 

@@ -4,7 +4,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use xtask::{engine, json, sarif, Policy, RuleId, Severity};
+use xtask::{engine, json, sarif, RuleId};
 
 const USAGE: &str = "\
 usage: cargo xtask <command>
@@ -27,15 +27,7 @@ lint options:
   --check-waivers  additionally deny `ntv:allow(..)` waivers that suppress
                    zero findings (dead waivers)
   --report <name>  emit a machine-readable analysis report on stdout
-                   (summary and diagnostics go to stderr). Reports:
-                   batch-readiness — the vectorization worklist: every fn
-                   reachable from a public `sample_*` root with its f64
-                   reduction sites classified order-sensitive / order-free;
-                   byte-identical across runs
-                   nostd-readiness — the no-std/WASM worklist: every pub fn
-                   classified portable / gated (waived or feature-gated
-                   effects) / blocked (unwaived effects or unsafe, with the
-                   shortest witness chain); byte-identical across runs
+                   (summary and diagnostics go to stderr). The one report:
                    concurrency — the sync-topology inventory: every lock
                    class with its acquisition sites, the lock-order graph
                    edges with witnesses, and every atomic class with its
@@ -76,8 +68,6 @@ fn lint(args: &[String]) -> ExitCode {
     let mut warn_only = false;
     let mut quiet = false;
     let mut check_waivers = false;
-    let mut batch_readiness = false;
-    let mut nostd_readiness = false;
     let mut concurrency = false;
     let mut format = Format::Text;
     let mut bench_out: Option<PathBuf> = None;
@@ -104,14 +94,9 @@ fn lint(args: &[String]) -> ExitCode {
             },
             "--check-waivers" => check_waivers = true,
             "--report" => match it.next().map(String::as_str) {
-                Some("batch-readiness") => batch_readiness = true,
-                Some("nostd-readiness") => nostd_readiness = true,
                 Some("concurrency") => concurrency = true,
                 _ => {
-                    eprintln!(
-                        "xtask lint: --report needs `batch-readiness`, `nostd-readiness` \
-                         or `concurrency`"
-                    );
+                    eprintln!("xtask lint: --report needs `concurrency`");
                     return ExitCode::from(2);
                 }
             },
@@ -139,18 +124,15 @@ fn lint(args: &[String]) -> ExitCode {
         }
     }
 
-    let policy = Policy::default();
     let options = engine::LintOptions {
         check_waivers,
-        batch_readiness,
-        nostd_readiness,
         concurrency,
     };
     let root = xtask::workspace_root();
     // ntv:allow(wall-clock): timing the linter itself is --bench-out's job
     let t0 = Instant::now();
     let report = if paths.is_empty() {
-        match engine::lint_workspace_with(&root, &policy, &options) {
+        match engine::lint_workspace(&root, &options) {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("xtask lint: cannot scan {}: {e}", root.display());
@@ -173,32 +155,20 @@ fn lint(args: &[String]) -> ExitCode {
             let rel = path.strip_prefix(&root).unwrap_or(path).to_path_buf();
             files.push((rel, source));
         }
-        engine::lint_sources(&files, &policy, &options)
+        engine::lint_sources(&files, &options)
     };
     let wall_ms = t0.elapsed().as_millis();
 
-    let mut errors = 0usize;
-    let mut warnings = 0usize;
-    let mut shown = Vec::new();
-    for diag in &report.diagnostics {
-        if !only_rules.is_empty() && !only_rules.contains(&diag.rule) {
-            continue;
-        }
-        match diag.severity {
-            Severity::Deny => errors += 1,
-            Severity::Warn => warnings += 1,
-            Severity::Allow => continue,
-        }
-        shown.push(diag);
-    }
+    let shown: Vec<&engine::Diagnostic> = report
+        .diagnostics
+        .iter()
+        .filter(|d| only_rules.is_empty() || only_rules.contains(&d.rule))
+        .collect();
+    let errors = shown.len();
 
     // With --report, stdout is reserved for the report; diagnostics and
     // the summary move to stderr so piping/redirecting stays clean.
-    let machine_report = report
-        .batch_readiness
-        .as_ref()
-        .or(report.nostd_readiness.as_ref())
-        .or(report.concurrency.as_ref());
+    let machine_report = report.concurrency.as_ref();
     if let Some(rep) = machine_report {
         print!("{rep}");
         if !quiet && format == Format::Text {
@@ -233,9 +203,8 @@ fn lint(args: &[String]) -> ExitCode {
     }
 
     let summary = format!(
-        "xtask lint: {errors} error{}, {warnings} warning{} across {} files",
+        "xtask lint: {errors} error{} across {} files",
         if errors == 1 { "" } else { "s" },
-        if warnings == 1 { "" } else { "s" },
         report.files_scanned,
     );
     // In machine-read formats stdout is reserved for the report.
@@ -253,19 +222,15 @@ fn lint(args: &[String]) -> ExitCode {
 
 /// Render diagnostics as a stable JSON array: objects with `file`, `line`,
 /// `rule`, `severity`, `message` keys in that order, input order preserved
-/// (already sorted by (file, line, rule)).
+/// (already sorted by (file, line, rule)). Every diagnostic is an error, so
+/// `severity` is always `deny`.
 fn render_json(diags: &[&engine::Diagnostic]) -> String {
     let items: Vec<String> = diags
         .iter()
         .map(|d| {
-            let severity = match d.severity {
-                Severity::Deny => "deny",
-                Severity::Warn => "warn",
-                Severity::Allow => "allow",
-            };
             format!(
                 "{{\"file\": \"{}\", \"line\": {}, \"rule\": \"{}\", \
-                 \"severity\": \"{severity}\", \"message\": \"{}\"}}",
+                 \"severity\": \"deny\", \"message\": \"{}\"}}",
                 json::escape(&d.file.display().to_string().replace('\\', "/")),
                 d.line,
                 d.rule.name(),

@@ -5,15 +5,15 @@
 //!
 //! * **Determinism** — every figure is a Monte-Carlo statistic, so all
 //!   randomness must flow through `ntv_mc::rng` labelled seed streams and no
-//!   result-producing path may depend on wall-clock time, OS entropy,
-//!   environment variables, or hash-map iteration order.
+//!   result-producing path may depend on wall-clock time, the host
+//!   environment, or hash-map iteration order.
 //! * **Float totality** — order statistics must be NaN-safe:
 //!   `partial_cmp(..).unwrap()` is a latent panic on the exact inputs
 //!   (NaN-bearing samples) the pipeline must reject gracefully; use
 //!   `f64::total_cmp` or an explicit NaN-rejecting constructor.
-//! * **Panic hygiene** — library crates must not contain bare `unwrap()` or
-//!   `panic!`-family macros; propagate errors or use `expect` with a
-//!   documented invariant.
+//! * **Panic hygiene** — library crates must not contain `panic!`-family
+//!   macros (bare `unwrap()` is clippy's `unwrap_used`, denied workspace-wide);
+//!   propagate errors or use `expect` with a documented invariant.
 //! * **Unit safety** — public library APIs must not pass physical quantities
 //!   (volts, seconds, hertz, watts, kelvin) as bare `f64`; use the
 //!   `ntv-units` newtypes so the compiler rejects a voltage where a time is
@@ -26,23 +26,20 @@ use crate::parser::ParsedFile;
 /// Identity of a lint rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RuleId {
-    /// OS-entropy randomness: `thread_rng`, `from_entropy`.
-    ThreadRng,
     /// Direct stateful-generator use (`SmallRng`, `rand::rngs`) outside
     /// `ntv_mc::rng` — library code must draw through the index-addressed
     /// counter streams so sample *i* never depends on draw history.
     StatefulRng,
     /// Wall-clock reads: `Instant::now`, `SystemTime::now`.
     WallClock,
-    /// Environment reads: `env::var` / `env::vars` / `env::var_os`.
+    /// Host-environment reads: any `std::env::` path, or
+    /// `available_parallelism`.
     EnvRead,
     /// `HashMap` / `HashSet` in result-producing code (iteration order is
     /// nondeterministic with the default RandomState hasher).
     HashContainer,
     /// `partial_cmp(..).unwrap()` / `.expect(..)` float orderings.
     PartialCmpUnwrap,
-    /// Bare `.unwrap()` in library code.
-    Unwrap,
     /// `panic!` / `todo!` / `unimplemented!` (and argument-less
     /// `unreachable!()`) in library code.
     Panic,
@@ -79,19 +76,10 @@ pub enum RuleId {
     /// public fn as a bare float — the dataflow extension of the
     /// signature-level `bare-unit` rule.
     UnitEscape,
-    /// An `io` effect (`println!`, `std::fs`, `std::io`) reachable from a
+    /// An I/O seed (`println!`, `std::fs`, `std::io`) reachable from a
     /// public Library-class fn — found by the [`effects`](crate::effects)
-    /// lattice over the call graph, not token scanning.
+    /// seed scan over the call graph, not token scanning.
     HiddenIo,
-    /// A `clock`/`env` effect (`Instant::now`, `available_parallelism`,
-    /// `std::env`) reaching a sampling or solver path, where determinism
-    /// across replicas is a documented invariant.
-    AmbientClock,
-    /// A `thread`/`sync`/`global` effect (spawns, locks, `static` state)
-    /// reachable from the public API of a crate the WASM split must keep
-    /// pure (ntv-units, ntv-device, ntv-circuit, ntv-mc-math) or from the
-    /// waived `Executor`/`OpPointCache` roots in ntv-core.
-    EffectEscape,
     /// A cycle in the workspace lock-order graph: two lock classes each
     /// acquirable while the other is held (possibly through confident call
     /// edges), i.e. a latent ABBA deadlock — found by the
@@ -113,13 +101,11 @@ pub enum RuleId {
 impl RuleId {
     /// Every rule, in diagnostic-name order.
     pub const ALL: &'static [RuleId] = &[
-        RuleId::ThreadRng,
         RuleId::StatefulRng,
         RuleId::WallClock,
         RuleId::EnvRead,
         RuleId::HashContainer,
         RuleId::PartialCmpUnwrap,
-        RuleId::Unwrap,
         RuleId::Panic,
         RuleId::BareUnit,
         RuleId::UncachedBuild,
@@ -130,25 +116,21 @@ impl RuleId {
         RuleId::LossyCast,
         RuleId::UnitEscape,
         RuleId::HiddenIo,
-        RuleId::AmbientClock,
-        RuleId::EffectEscape,
         RuleId::LockOrderCycle,
         RuleId::AtomicOrdering,
         RuleId::BlockingUnderLock,
         RuleId::DeadWaiver,
     ];
 
-    /// Full diagnostic name, e.g. `ntv::unwrap`.
+    /// Full diagnostic name, e.g. `ntv::panic`.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
-            RuleId::ThreadRng => "ntv::thread-rng",
             RuleId::StatefulRng => "ntv::stateful-rng",
             RuleId::WallClock => "ntv::wall-clock",
             RuleId::EnvRead => "ntv::env-read",
             RuleId::HashContainer => "ntv::hash-container",
             RuleId::PartialCmpUnwrap => "ntv::partial-cmp-unwrap",
-            RuleId::Unwrap => "ntv::unwrap",
             RuleId::Panic => "ntv::panic",
             RuleId::BareUnit => "ntv::bare-unit",
             RuleId::UncachedBuild => "ntv::uncached-build",
@@ -159,8 +141,6 @@ impl RuleId {
             RuleId::LossyCast => "ntv::lossy-cast",
             RuleId::UnitEscape => "ntv::unit-escape",
             RuleId::HiddenIo => "ntv::hidden-io",
-            RuleId::AmbientClock => "ntv::ambient-clock",
-            RuleId::EffectEscape => "ntv::effect-escape",
             RuleId::LockOrderCycle => "ntv::lock-order-cycle",
             RuleId::AtomicOrdering => "ntv::atomic-ordering",
             RuleId::BlockingUnderLock => "ntv::blocking-under-lock",
@@ -172,13 +152,11 @@ impl RuleId {
     #[must_use]
     pub fn short_name(self) -> &'static str {
         match self {
-            RuleId::ThreadRng => "thread-rng",
             RuleId::StatefulRng => "stateful-rng",
             RuleId::WallClock => "wall-clock",
             RuleId::EnvRead => "env-read",
             RuleId::HashContainer => "hash-container",
             RuleId::PartialCmpUnwrap => "partial-cmp-unwrap",
-            RuleId::Unwrap => "unwrap",
             RuleId::Panic => "panic",
             RuleId::BareUnit => "bare-unit",
             RuleId::UncachedBuild => "uncached-build",
@@ -189,8 +167,6 @@ impl RuleId {
             RuleId::LossyCast => "lossy-cast",
             RuleId::UnitEscape => "unit-escape",
             RuleId::HiddenIo => "hidden-io",
-            RuleId::AmbientClock => "ambient-clock",
-            RuleId::EffectEscape => "effect-escape",
             RuleId::LockOrderCycle => "lock-order-cycle",
             RuleId::AtomicOrdering => "atomic-ordering",
             RuleId::BlockingUnderLock => "blocking-under-lock",
@@ -198,7 +174,7 @@ impl RuleId {
         }
     }
 
-    /// Resolve a waiver name (`unwrap` or `ntv::unwrap`) to a rule.
+    /// Resolve a waiver name (`panic` or `ntv::panic`) to a rule.
     #[must_use]
     pub fn from_waiver_name(name: &str) -> Option<RuleId> {
         let name = name.trim().trim_start_matches("ntv::");
@@ -209,10 +185,6 @@ impl RuleId {
     #[must_use]
     pub fn help(self) -> &'static str {
         match self {
-            RuleId::ThreadRng => {
-                "all randomness must flow through `ntv_mc::rng::StreamRng` \
-                 labelled seed streams; OS entropy breaks bit-reproducibility"
-            }
             RuleId::StatefulRng => {
                 "draw through `ntv_mc::CounterRng` index-addressed streams \
                  (or the `SampleStream` trait); only `ntv_mc::rng` may wrap \
@@ -224,9 +196,11 @@ impl RuleId {
                  as parameters or move the timing into `crates/bench`"
             }
             RuleId::EnvRead => {
-                "environment reads make library results host-dependent; pass \
-                 configuration explicitly through `DatapathConfig` or function \
-                 arguments"
+                "environment and host probes (`std::env`, \
+                 `available_parallelism`) make library results \
+                 host-dependent; pass configuration explicitly through \
+                 `DatapathConfig` or function arguments, or waive with the \
+                 invariant that keeps results independent of it"
             }
             RuleId::HashContainer => {
                 "HashMap/HashSet iteration order is randomized per process; \
@@ -235,10 +209,6 @@ impl RuleId {
             RuleId::PartialCmpUnwrap => {
                 "panics on NaN; order floats with `f64::total_cmp`, or reject \
                  NaN at the boundary and document it"
-            }
-            RuleId::Unwrap => {
-                "propagate with `?`, or use `expect(\"<why this cannot \
-                 fail>\")` to document the invariant"
             }
             RuleId::Panic => {
                 "library code must return `Result`; reserve panics for \
@@ -294,24 +264,9 @@ impl RuleId {
             }
             RuleId::HiddenIo => {
                 "this I/O operation is reachable from a public library fn, \
-                 so library consumers (and the future WASM build) inherit a \
-                 hidden stdout/filesystem dependency; return the data and \
-                 let the caller print, or move the printing into the bin \
-                 harness"
-            }
-            RuleId::AmbientClock => {
-                "a wall-clock or environment read reaches a sampling/solver \
-                 path, so identical queries stop being byte-identical \
-                 across replicas; pass the value in as a parameter, or \
-                 waive with the invariant that keeps results independent \
-                 of it"
-            }
-            RuleId::EffectEscape => {
-                "threads, locks, or process-global state are reachable from \
-                 the public API of a crate the no-std/WASM split must keep \
-                 pure; move the effect behind `ntv_core` (the sanctioned \
-                 `Executor`/`OpPointCache` roots carry waivers stating \
-                 their invariant), or gate it behind a feature"
+                 so library consumers inherit a hidden stdout/filesystem \
+                 dependency; return the data and let the caller print, or \
+                 move the printing into the bin harness"
             }
             RuleId::LockOrderCycle => {
                 "two lock classes can each be acquired while the other is \
@@ -345,14 +300,15 @@ impl RuleId {
     }
 }
 
-/// A raw rule hit before policy (severity, waivers) is applied.
+/// A raw rule hit before policy (file class, test regions, waivers) is
+/// applied.
 #[derive(Debug, Clone)]
 pub struct Hit {
     /// The violated rule.
     pub rule: RuleId,
     /// 1-based source line of the violation.
     pub line: u32,
-    /// What was found, e.g. ``bare `unwrap()` ``.
+    /// What was found, e.g. ``wall-clock read via `Instant::now` ``.
     pub message: String,
 }
 
@@ -364,11 +320,6 @@ pub fn scan(tokens: &[Token]) -> Vec<Hit> {
     for (i, tok) in tokens.iter().enumerate() {
         let Some(ident) = tok.ident() else { continue };
         match ident {
-            "thread_rng" | "from_entropy" => hits.push(Hit {
-                rule: RuleId::ThreadRng,
-                line: tok.line,
-                message: format!("OS-entropy randomness via `{ident}`"),
-            }),
             "SmallRng" => hits.push(Hit {
                 rule: RuleId::StatefulRng,
                 line: tok.line,
@@ -384,14 +335,19 @@ pub fn scan(tokens: &[Token]) -> Vec<Hit> {
                 line: tok.line,
                 message: format!("wall-clock read via `{ident}::now`"),
             }),
-            "env" if env_read(tokens, i).is_some() => {
-                let what = env_read(tokens, i).unwrap_or("var");
+            "env" if double_colon(tokens, i) => {
+                let what = tokens.get(i + 3).and_then(Token::ident).unwrap_or("..");
                 hits.push(Hit {
                     rule: RuleId::EnvRead,
                     line: tok.line,
                     message: format!("environment read via `env::{what}`"),
                 });
             }
+            "available_parallelism" => hits.push(Hit {
+                rule: RuleId::EnvRead,
+                line: tok.line,
+                message: "host probe via `available_parallelism`".to_string(),
+            }),
             "HashMap" | "HashSet" => hits.push(Hit {
                 rule: RuleId::HashContainer,
                 line: tok.line,
@@ -406,11 +362,6 @@ pub fn scan(tokens: &[Token]) -> Vec<Hit> {
                     });
                 }
             }
-            "unwrap" if is_method_call(tokens, i) => hits.push(Hit {
-                rule: RuleId::Unwrap,
-                line: tok.line,
-                message: "bare `unwrap()`".to_string(),
-            }),
             "panic" | "todo" | "unimplemented" if is_macro_invocation(tokens, i) => {
                 hits.push(Hit {
                     rule: RuleId::Panic,
@@ -549,30 +500,17 @@ fn doc_names_unit(doc: &str) -> Option<&'static str> {
         .find(|unit| doc.contains(&format!("in {unit}")))
 }
 
-/// Is token `i` followed by `::name`?
-fn path_call(tokens: &[Token], i: usize, name: &str) -> bool {
+/// Is token `i` followed by `::`?
+pub(crate) fn double_colon(tokens: &[Token], i: usize) -> bool {
     matches!(
-        (tokens.get(i + 1), tokens.get(i + 2), tokens.get(i + 3)),
-        (Some(a), Some(b), Some(c))
-            if a.is_punct(':') && b.is_punct(':') && c.ident() == Some(name)
+        (tokens.get(i + 1), tokens.get(i + 2)),
+        (Some(a), Some(b)) if a.is_punct(':') && b.is_punct(':')
     )
 }
 
-/// `env::{var, vars, var_os, vars_os}` starting at the `env` token.
-fn env_read(tokens: &[Token], i: usize) -> Option<&'static str> {
-    ["var", "vars", "var_os", "vars_os"]
-        .into_iter()
-        .find(|name| path_call(tokens, i, name))
-}
-
-/// `.unwrap()` — a method call, not an `fn unwrap` definition or a path.
-fn is_method_call(tokens: &[Token], i: usize) -> bool {
-    let preceded_by_dot = i > 0 && tokens[i - 1].is_punct('.');
-    let called = matches!(
-        (tokens.get(i + 1), tokens.get(i + 2)),
-        (Some(a), Some(b)) if a.is_punct('(') && b.is_punct(')')
-    );
-    preceded_by_dot && called
+/// Is token `i` followed by `::name`?
+pub(crate) fn path_call(tokens: &[Token], i: usize, name: &str) -> bool {
+    double_colon(tokens, i) && tokens.get(i + 3).and_then(Token::ident) == Some(name)
 }
 
 /// `name!(..)` / `name! {..}` — and not a `macro_rules!` definition head.
@@ -636,18 +574,6 @@ mod tests {
     }
 
     #[test]
-    fn detects_thread_rng_and_entropy() {
-        assert_eq!(
-            rules_hit("let mut r = rand::thread_rng();"),
-            vec![RuleId::ThreadRng]
-        );
-        assert_eq!(
-            rules_hit("let r = SmallRng::from_entropy();"),
-            vec![RuleId::StatefulRng, RuleId::ThreadRng]
-        );
-    }
-
-    #[test]
     fn detects_stateful_generators() {
         assert_eq!(
             rules_hit("use rand::rngs::SmallRng;"),
@@ -682,6 +608,10 @@ mod tests {
             rules_hit("let v = std::env::var(\"SEED\");"),
             vec![RuleId::EnvRead]
         );
+        assert_eq!(
+            rules_hit("let n = std::thread::available_parallelism();"),
+            vec![RuleId::EnvRead]
+        );
         assert!(rules_hit("let v = env!(\"CARGO_MANIFEST_DIR\");").is_empty());
     }
 
@@ -698,7 +628,7 @@ mod tests {
     fn detects_partial_cmp_unwrap_and_expect() {
         assert_eq!(
             rules_hit("v.sort_by(|a, b| a.partial_cmp(b).unwrap());"),
-            vec![RuleId::PartialCmpUnwrap, RuleId::Unwrap]
+            vec![RuleId::PartialCmpUnwrap]
         );
         assert_eq!(
             rules_hit("let o = x.partial_cmp(&y).expect(\"no NaN\");"),
@@ -706,14 +636,6 @@ mod tests {
         );
         assert!(rules_hit("v.sort_by(f64::total_cmp);").is_empty());
         assert!(rules_hit("let f = f64::partial_cmp;").is_empty());
-    }
-
-    #[test]
-    fn detects_bare_unwrap_only_as_method() {
-        assert_eq!(rules_hit("let x = y.unwrap();"), vec![RuleId::Unwrap]);
-        assert!(rules_hit("fn unwrap(self) -> T { self.0 }").is_empty());
-        assert!(rules_hit("let x = y.unwrap_or(0);").is_empty());
-        assert!(rules_hit("let x = y.expect(\"invariant\");").is_empty());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! full rule catalog in `tool.driver.rules` (indexed by `ruleIndex`), and
 //! workspace-relative artifact URIs under the `SRCROOT` base id.
 
-use crate::engine::{Diagnostic, Severity};
+use crate::engine::Diagnostic;
 use crate::json::escape as esc;
 use crate::rules::RuleId;
 
@@ -47,17 +47,13 @@ pub fn render(diags: &[&Diagnostic]) -> String {
     let results: Vec<String> = diags
         .iter()
         .map(|d| {
-            let level = match d.severity {
-                Severity::Deny => "error",
-                Severity::Warn | Severity::Allow => "warning",
-            };
             let index = RuleId::ALL
                 .iter()
                 .position(|&r| r == d.rule)
                 .unwrap_or(usize::MAX);
             format!(
                 "{{\"ruleId\": \"{}\", \"ruleIndex\": {index}, \
-                 \"level\": \"{level}\", \"message\": {{\"text\": \"{}\"}}, \
+                 \"level\": \"error\", \"message\": {{\"text\": \"{}\"}}, \
                  \"locations\": [{{\"physicalLocation\": {{\"artifactLocation\": \
                  {{\"uri\": \"{}\", \"uriBaseId\": \"SRCROOT\"}}, \"region\": \
                  {{\"startLine\": {}}}}}}}]}}",
@@ -88,7 +84,6 @@ mod tests {
     fn diag(file: &str, line: u32, rule: RuleId) -> Diagnostic {
         Diagnostic {
             rule,
-            severity: Severity::Deny,
             file: PathBuf::from(file),
             line,
             message: format!("test finding with \"quotes\" at {line}"),
@@ -98,7 +93,7 @@ mod tests {
     #[test]
     fn renders_schema_rules_and_results() {
         let d1 = diag("crates/core/src/engine.rs", 12, RuleId::PanicPath);
-        let d2 = diag("crates/mc/src/ecdf.rs", 50, RuleId::Unwrap);
+        let d2 = diag("crates/mc/src/ecdf.rs", 50, RuleId::Panic);
         let doc = render(&[&d1, &d2]);
         assert!(doc.contains("\"version\": \"2.1.0\""), "{doc}");
         assert!(doc.contains("sarif-2.1.0.json"), "{doc}");
@@ -112,12 +107,12 @@ mod tests {
                 "{doc}"
             );
         }
-        let unwrap_index = RuleId::ALL
+        let panic_index = RuleId::ALL
             .iter()
-            .position(|&r| r == RuleId::Unwrap)
+            .position(|&r| r == RuleId::Panic)
             .expect("catalog rule");
         assert!(
-            doc.contains(&format!("\"ruleIndex\": {unwrap_index}")),
+            doc.contains(&format!("\"ruleIndex\": {panic_index}")),
             "{doc}"
         );
         // Deterministic: same input renders byte-identically.

@@ -10,12 +10,12 @@
 use std::path::Path;
 
 use xtask::lexer::lex;
-use xtask::{engine, Policy, RuleId};
+use xtask::{engine, RuleId};
 
 /// Lint a generated source as Library code, returning the deduped rules.
 fn rules_of(source: &str) -> Vec<RuleId> {
     let ws_rel = Path::new("crates/xtask/tests/fixtures/library/generated_case.rs");
-    let mut rules: Vec<RuleId> = engine::lint_source(ws_rel, source, &Policy::default())
+    let mut rules: Vec<RuleId> = engine::lint_source(ws_rel, source)
         .into_iter()
         .map(|d| d.rule)
         .collect();

@@ -1,5 +1,4 @@
-//! Fixture: the bench class may read wall clocks and unwrap — but is still
-//! barred from OS entropy (see `bad_entropy.rs`).
+//! Fixture: the bench class may read wall clocks and unwrap.
 
 use std::time::Instant;
 

@@ -1,8 +1,8 @@
 //! Fixture: malformed waiver comments → `ntv::bad-waiver`.
 
-// ntv:allow(unwrap)
-pub fn missing_reason(x: Option<u32>) -> u32 {
-    x.unwrap()
+// ntv:allow(panic)
+pub fn missing_reason() -> u32 {
+    todo!()
 }
 
 // ntv:allow(not-a-rule): the rule name does not exist

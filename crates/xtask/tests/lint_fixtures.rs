@@ -1,14 +1,15 @@
 //! Fixture-based integration tests for `cargo xtask lint`.
 //!
-//! Every `tests/fixtures/library/bad_*.rs` file must trigger exactly the
-//! diagnostic its name advertises; the clean fixtures and the real
-//! workspace must lint clean. The binary is also exercised end-to-end so
-//! the exit-code contract (0 clean / 1 violations) is pinned.
+//! Every rule in `RuleId::ALL` has a `tests/fixtures/*/bad_*.rs` file that
+//! must trigger the diagnostic its name advertises; the clean fixtures and
+//! the real workspace must lint clean. The binary is also exercised
+//! end-to-end so the exit-code contract (0 clean / 1 violations) is pinned.
 
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use xtask::{engine, Policy, RuleId};
+use xtask::{engine, RuleId};
 
 fn fixture(rel: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -22,7 +23,7 @@ fn lint_rules(rel: &str) -> Vec<RuleId> {
     let source = std::fs::read_to_string(&path).expect("fixture exists");
     // Classify under the fixture's workspace-relative path.
     let ws_rel = Path::new("crates/xtask/tests/fixtures").join(rel);
-    let mut rules: Vec<RuleId> = engine::lint_source(&ws_rel, &source, &Policy::default())
+    let mut rules: Vec<RuleId> = engine::lint_source(&ws_rel, &source)
         .into_iter()
         .map(|d| d.rule)
         .collect();
@@ -30,16 +31,16 @@ fn lint_rules(rel: &str) -> Vec<RuleId> {
     rules
 }
 
+/// The canary table: one firing fixture per rule, and every rule in the
+/// catalog has a row — a rule nothing can trip fails here by name.
 #[test]
-fn each_bad_library_fixture_triggers_its_rule() {
+fn each_bad_fixture_triggers_its_rule() {
     let cases = [
-        ("library/bad_thread_rng.rs", RuleId::ThreadRng),
         ("library/bad_small_rng.rs", RuleId::StatefulRng),
         ("library/bad_wall_clock.rs", RuleId::WallClock),
         ("library/bad_env_read.rs", RuleId::EnvRead),
         ("library/bad_hash_map.rs", RuleId::HashContainer),
         ("library/bad_partial_cmp.rs", RuleId::PartialCmpUnwrap),
-        ("library/bad_unwrap.rs", RuleId::Unwrap),
         ("library/bad_panic.rs", RuleId::Panic),
         ("library/bad_bare_unit.rs", RuleId::BareUnit),
         ("library/bad_uncached_build.rs", RuleId::UncachedBuild),
@@ -50,17 +51,36 @@ fn each_bad_library_fixture_triggers_its_rule() {
         ("library/bad_lossy_cast.rs", RuleId::LossyCast),
         ("library/bad_unit_escape.rs", RuleId::UnitEscape),
         ("library/bad_hidden_io.rs", RuleId::HiddenIo),
-        ("library/bad_ambient_clock.rs", RuleId::AmbientClock),
-        ("library/pure/bad_effect_escape.rs", RuleId::EffectEscape),
+        ("harness/bad_lock_order_cycle.rs", RuleId::LockOrderCycle),
+        ("harness/bad_atomic_ordering.rs", RuleId::AtomicOrdering),
+        (
+            "harness/bad_blocking_under_lock.rs",
+            RuleId::BlockingUnderLock,
+        ),
+        ("library/bad_dead_waiver.rs", RuleId::DeadWaiver),
     ];
+    // Dead waivers are only reported under --check-waivers.
+    let check = engine::LintOptions {
+        check_waivers: true,
+        ..engine::LintOptions::default()
+    };
     for (rel, rule) in cases {
-        let rules = lint_rules(rel);
+        let source = std::fs::read_to_string(fixture(rel)).expect("fixture exists");
+        let ws_rel = Path::new("crates/xtask/tests/fixtures").join(rel);
+        let rules: Vec<RuleId> = engine::lint_sources(&[(ws_rel, source)], &check)
+            .diagnostics
+            .iter()
+            .map(|d| d.rule)
+            .collect();
         assert!(
             rules.contains(&rule),
             "{rel}: expected {} among {rules:?}",
             rule.name()
         );
     }
+    let covered: BTreeSet<RuleId> = cases.iter().map(|&(_, rule)| rule).collect();
+    let all: BTreeSet<RuleId> = RuleId::ALL.iter().copied().collect();
+    assert_eq!(covered, all, "every rule needs a firing fixture");
 }
 
 #[test]
@@ -73,7 +93,7 @@ fn bare_unit_fixture_flags_every_shape_and_waiver_silences() {
     let source =
         std::fs::read_to_string(fixture("library/bad_bare_unit.rs")).expect("fixture exists");
     let ws_rel = Path::new("crates/xtask/tests/fixtures/library/bad_bare_unit.rs");
-    let diags = engine::lint_source(ws_rel, &source, &Policy::default());
+    let diags = engine::lint_source(ws_rel, &source);
     // vdd param, nominal_vdd return, doc-typed clock_period return, and the
     // (f64, f64) vdd_bounds tuple.
     assert_eq!(diags.len(), 4, "{diags:#?}");
@@ -98,7 +118,7 @@ fn uncached_build_waiver_silences_and_harness_is_exempt() {
         std::fs::read_to_string(fixture("library/bad_uncached_build.rs")).expect("fixture exists");
     let harness_rel = Path::new("crates/core/tests/scratch.rs");
     assert!(
-        engine::lint_source(harness_rel, &source, &Policy::default()).is_empty(),
+        engine::lint_source(harness_rel, &source).is_empty(),
         "harness files are exempt from ntv::uncached-build"
     );
 }
@@ -108,7 +128,7 @@ fn panic_path_fixture_flags_every_shape_and_waivers_silence() {
     let source =
         std::fs::read_to_string(fixture("library/bad_panic_path.rs")).expect("fixture exists");
     let ws_rel = Path::new("crates/xtask/tests/fixtures/library/bad_panic_path.rs");
-    let diags = engine::lint_source(ws_rel, &source, &Policy::default());
+    let diags = engine::lint_source(ws_rel, &source);
     // The helper's expect, the messaged unreachable!, and the param index.
     assert_eq!(diags.len(), 3, "{diags:#?}");
     assert!(diags.iter().all(|d| d.rule == RuleId::PanicPath));
@@ -148,7 +168,7 @@ fn cross_file_pair_connects_only_when_linted_together() {
             (ws_rel, source)
         })
         .collect();
-    let report = engine::lint_sources(&files, &Policy::default(), &engine::LintOptions::default());
+    let report = engine::lint_sources(&files, &engine::LintOptions::default());
     assert_eq!(report.diagnostics.len(), 1, "{:#?}", report.diagnostics);
     let d = &report.diagnostics[0];
     assert_eq!(d.rule, RuleId::PanicPath);
@@ -169,7 +189,7 @@ fn dataflow_fixtures_flag_every_shape_and_waivers_silence() {
         let source =
             std::fs::read_to_string(fixture(&format!("library/{name}"))).expect("fixture exists");
         let ws_rel = Path::new("crates/xtask/tests/fixtures/library").join(name);
-        engine::lint_source(&ws_rel, &source, &Policy::default())
+        engine::lint_source(&ws_rel, &source)
     };
 
     // Loop `+=`, `.sum::<f64>()`, and the `*=` product — one hit each.
@@ -196,14 +216,14 @@ fn dataflow_fixtures_flag_every_shape_and_waivers_silence() {
     }
 }
 
-/// The effect rules flag every advertised shape, and waivers stating the
-/// invariant silence each of them.
+/// `ntv::hidden-io` and `ntv::env-read` flag every advertised shape, and
+/// waivers stating the invariant silence hidden-io.
 #[test]
-fn effect_fixtures_flag_every_shape_and_waivers_silence() {
+fn io_and_env_fixtures_flag_every_shape_and_waivers_silence() {
     let diags = |rel: &str| {
         let source = std::fs::read_to_string(fixture(rel)).expect("fixture exists");
         let ws_rel = Path::new("crates/xtask/tests/fixtures").join(rel);
-        engine::lint_source(&ws_rel, &source, &Policy::default())
+        engine::lint_source(&ws_rel, &source)
     };
 
     // println! in a reachable helper + direct std::io grab — one hit each.
@@ -217,28 +237,22 @@ fn effect_fixtures_flag_every_shape_and_waivers_silence() {
         "{io:#?}"
     );
 
-    // One ambient read on the sample_* path.
-    let clock = diags("library/bad_ambient_clock.rs");
-    assert_eq!(clock.len(), 1, "{clock:#?}");
-    assert_eq!(clock[0].rule, RuleId::AmbientClock);
+    // `env::var`, `env::args` and the `available_parallelism` probe — one
+    // hit each.
+    let env = diags("library/bad_env_read.rs");
+    assert_eq!(env.len(), 3, "{env:#?}");
+    assert!(env.iter().all(|d| d.rule == RuleId::EnvRead));
     assert!(
-        clock[0].message.contains("`available_parallelism`")
-            && clock[0].message.contains("::sample_chunks`"),
-        "{clock:#?}"
+        env.iter()
+            .any(|d| d.message.contains("`available_parallelism`")),
+        "{env:#?}"
     );
 
-    // Lock type, spawned thread, and body-local static — one hit each.
-    let esc = diags("library/pure/bad_effect_escape.rs");
-    assert_eq!(esc.len(), 3, "{esc:#?}");
-    assert!(esc.iter().all(|d| d.rule == RuleId::EffectEscape));
-
-    for rel in [
-        "library/waived_hidden_io.rs",
-        "library/waived_ambient_clock.rs",
-        "library/pure/waived_effect_escape.rs",
-    ] {
-        assert_eq!(lint_rules(rel), vec![], "{rel}");
-    }
+    assert_eq!(
+        lint_rules("library/waived_hidden_io.rs"),
+        vec![],
+        "library/waived_hidden_io.rs"
+    );
 }
 
 /// The concurrency rules flag every advertised shape in harness-classed
@@ -248,7 +262,7 @@ fn concurrency_fixtures_flag_every_shape_and_waivers_silence() {
     let diags = |rel: &str| {
         let source = std::fs::read_to_string(fixture(rel)).expect("fixture exists");
         let ws_rel = Path::new("crates/xtask/tests/fixtures").join(rel);
-        engine::lint_source(&ws_rel, &source, &Policy::default())
+        engine::lint_source(&ws_rel, &source)
     };
 
     // One cycle between the two opposite-order functions — one hit, with
@@ -303,7 +317,7 @@ fn lock_order_pair_cycles_only_when_linted_together() {
             (ws_rel, source)
         })
         .collect();
-    let report = engine::lint_sources(&files, &Policy::default(), &engine::LintOptions::default());
+    let report = engine::lint_sources(&files, &engine::LintOptions::default());
     assert_eq!(report.diagnostics.len(), 1, "{:#?}", report.diagnostics);
     let d = &report.diagnostics[0];
     assert_eq!(d.rule, RuleId::LockOrderCycle);
@@ -353,73 +367,6 @@ fn concurrency_report_is_stable_and_covers_the_serve_stack() {
     assert!(!report.contains("xtask lint:"), "{report}");
 }
 
-/// Cross-file effect propagation: each half of the pair is clean alone;
-/// linted together, the pure-crate public entry point in one file makes
-/// the lock in the other an `ntv::effect-escape` finding.
-#[test]
-fn effect_pair_connects_only_when_linted_together() {
-    assert_eq!(lint_rules("library/pure/effect_entry.rs"), vec![]);
-    assert_eq!(lint_rules("library/pure/effect_helper.rs"), vec![]);
-
-    let files: Vec<(PathBuf, String)> = ["effect_entry.rs", "effect_helper.rs"]
-        .iter()
-        .map(|name| {
-            let source = std::fs::read_to_string(fixture(&format!("library/pure/{name}")))
-                .expect("fixture exists");
-            let ws_rel = Path::new("crates/xtask/tests/fixtures/library/pure").join(name);
-            (ws_rel, source)
-        })
-        .collect();
-    let report = engine::lint_sources(&files, &Policy::default(), &engine::LintOptions::default());
-    assert_eq!(report.diagnostics.len(), 1, "{:#?}", report.diagnostics);
-    let d = &report.diagnostics[0];
-    assert_eq!(d.rule, RuleId::EffectEscape);
-    assert!(d.file.ends_with("effect_helper.rs"), "{d:?}");
-    assert!(
-        d.message.contains("::bump`")
-            && d.message.contains("pure-crate public API")
-            && d.message.contains("::entry_total`"),
-        "{d:?}"
-    );
-}
-
-/// `--report nostd-readiness` emits a byte-identical worklist across runs,
-/// and the crates the WASM split targets first have no blocked functions.
-#[test]
-fn nostd_readiness_report_is_stable_and_units_device_are_unblocked() {
-    let bin = env!("CARGO_BIN_EXE_xtask");
-    let run = || {
-        Command::new(bin)
-            .args(["lint", "--report", "nostd-readiness", "--quiet"])
-            .current_dir(xtask::workspace_root())
-            .output()
-            .expect("xtask runs")
-    };
-    let a = run();
-    let b = run();
-    assert_eq!(a.status.code(), Some(0), "workspace must lint clean");
-    assert_eq!(a.stdout, b.stdout, "report must be byte-identical");
-    let report = String::from_utf8(a.stdout).expect("utf-8 report");
-    assert!(
-        report.contains("\"schema\": \"ntv-nostd-readiness/1\""),
-        "{report}"
-    );
-    for krate in ["ntv_units", "ntv_device"] {
-        let line = report
-            .lines()
-            .find(|l| l.contains(&format!("\"crate\":\"{krate}\"")))
-            .expect("crate summary line present");
-        assert!(line.contains("\"blocked\":0"), "{krate}: {line}");
-    }
-    // Every status is one of the three the schema promises.
-    for status in ["\"status\":\"portable\"", "\"status\":\"gated\""] {
-        assert!(report.contains(status), "{report}");
-    }
-    assert!(!report.contains("\"status\":\"blocked\""), "{report}");
-    // The summary stays off the machine-read stream.
-    assert!(!report.contains("xtask lint:"), "{report}");
-}
-
 /// Dead waivers are silent by default, reported under `--check-waivers`,
 /// and an `ntv:allow(dead-waiver)` shield keeps an intentional one quiet.
 #[test]
@@ -438,16 +385,16 @@ fn dead_waivers_only_fire_under_check_waivers() {
     };
 
     assert_eq!(lint_rules("library/bad_dead_waiver.rs"), vec![]);
-    let report = engine::lint_sources(&load("bad_dead_waiver.rs"), &Policy::default(), &check);
+    let report = engine::lint_sources(&load("bad_dead_waiver.rs"), &check);
     assert_eq!(report.diagnostics.len(), 1, "{:#?}", report.diagnostics);
     assert_eq!(report.diagnostics[0].rule, RuleId::DeadWaiver);
     assert!(
-        report.diagnostics[0].message.contains("ntv:allow(unwrap)"),
+        report.diagnostics[0].message.contains("ntv:allow(panic)"),
         "{:?}",
         report.diagnostics[0]
     );
 
-    let shielded = engine::lint_sources(&load("waived_dead_waiver.rs"), &Policy::default(), &check);
+    let shielded = engine::lint_sources(&load("waived_dead_waiver.rs"), &check);
     assert!(
         shielded.diagnostics.is_empty(),
         "shield must silence the rule: {:#?}",
@@ -456,21 +403,16 @@ fn dead_waivers_only_fire_under_check_waivers() {
 }
 
 #[test]
-fn bench_class_allows_timing_but_not_entropy() {
+fn bench_class_allows_timing() {
     assert_eq!(lint_rules("bench/clean_timing.rs"), vec![]);
-    assert_eq!(lint_rules("bench/bad_entropy.rs"), vec![RuleId::ThreadRng]);
 }
 
 #[test]
 fn real_workspace_lints_clean() {
     let root = xtask::workspace_root();
-    let report = engine::lint_workspace(&root, &Policy::default()).expect("workspace scans");
-    let errors: Vec<String> = report
-        .diagnostics
-        .iter()
-        .filter(|d| d.severity == engine::Severity::Deny)
-        .map(ToString::to_string)
-        .collect();
+    let report =
+        engine::lint_workspace(&root, &engine::LintOptions::default()).expect("workspace scans");
+    let errors: Vec<String> = report.diagnostics.iter().map(ToString::to_string).collect();
     assert!(
         errors.is_empty(),
         "workspace not clean:\n{}",
@@ -491,7 +433,7 @@ fn binary_exit_codes_match_the_contract() {
 
     let bad = Command::new(bin)
         .args(["lint", "--quiet"])
-        .arg(fixture("library/bad_unwrap.rs"))
+        .arg(fixture("library/bad_panic.rs"))
         .output()
         .expect("xtask runs");
     assert_eq!(bad.status.code(), Some(1), "bad fixture must exit 1");
@@ -517,7 +459,7 @@ fn binary_exit_codes_match_the_contract() {
 
     let warn_only = Command::new(bin)
         .args(["lint", "--warn-only", "--quiet"])
-        .arg(fixture("library/bad_unwrap.rs"))
+        .arg(fixture("library/bad_panic.rs"))
         .output()
         .expect("xtask runs");
     assert_eq!(
@@ -536,7 +478,7 @@ fn json_format_is_stable_and_machine_readable() {
         Command::new(bin)
             .args(["lint", "--format", "json", "--warn-only"])
             .arg(fixture("library/bad_bare_unit.rs"))
-            .arg(fixture("library/bad_unwrap.rs"))
+            .arg(fixture("library/bad_panic.rs"))
             .output()
             .expect("xtask runs")
     };
@@ -557,10 +499,10 @@ fn json_format_is_stable_and_machine_readable() {
         assert!(stdout.contains(key), "missing {key} in {stdout}");
     }
     assert!(stdout.contains("ntv::bare-unit"), "{stdout}");
-    assert!(stdout.contains("ntv::unwrap"), "{stdout}");
-    // Sorted by file: bad_bare_unit.rs diagnostics come before bad_unwrap.rs.
+    assert!(stdout.contains("ntv::panic"), "{stdout}");
+    // Sorted by file: bad_bare_unit.rs diagnostics come before bad_panic.rs.
     let first = stdout.find("bad_bare_unit.rs").expect("bare-unit file");
-    let second = stdout.find("bad_unwrap.rs").expect("unwrap file");
+    let second = stdout.find("bad_panic.rs").expect("panic file");
     assert!(first < second, "{stdout}");
     // The summary must not pollute the machine-read stream.
     assert!(!stdout.contains("xtask lint:"), "{stdout}");
@@ -584,14 +526,13 @@ fn sarif_format_is_stable_and_complete() {
     let run = |format: &str| {
         Command::new(bin)
             .args(["lint", "--format", format, "--warn-only"])
-            .arg(fixture("library/bad_ambient_clock.rs"))
             .arg(fixture("library/bad_bare_unit.rs"))
+            .arg(fixture("library/bad_env_read.rs"))
             .arg(fixture("library/bad_hidden_io.rs"))
             .arg(fixture("library/bad_lossy_cast.rs"))
             .arg(fixture("library/bad_reduction_order.rs"))
             .arg(fixture("library/bad_unit_escape.rs"))
-            .arg(fixture("library/bad_unwrap.rs"))
-            .arg(fixture("library/pure/bad_effect_escape.rs"))
+            .arg(fixture("library/bad_panic.rs"))
             .arg(fixture("harness/bad_lock_order_cycle.rs"))
             .arg(fixture("harness/bad_atomic_ordering.rs"))
             .arg(fixture("harness/bad_blocking_under_lock.rs"))
