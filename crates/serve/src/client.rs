@@ -40,12 +40,13 @@ impl Connection {
     ///
     /// Propagates socket failures and malformed response framing.
     pub fn request(&mut self, method: &str, path: &str, body: &str) -> std::io::Result<Response> {
-        write!(
-            self.writer,
+        // One buffer, one write: on a `TCP_NODELAY` socket each write is
+        // its own segment.
+        let message = format!(
             "{method} {path} HTTP/1.1\r\nhost: ntv\r\ncontent-length: {}\r\n\r\n{body}",
             body.len()
-        )?;
-        self.writer.flush()?;
+        );
+        self.writer.write_all(message.as_bytes())?;
 
         let bad =
             |what: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, what.to_string());

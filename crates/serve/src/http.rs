@@ -7,10 +7,15 @@
 //! chunked bodies, expect/continue, multipart — is rejected with a clear
 //! status. Hard caps on the header block and body size bound per-request
 //! memory before a single byte of JSON is parsed.
+//!
+//! Each message goes out in one `write`: the server's sockets are
+//! `TCP_NODELAY`, so every `write` call is its own segment and its own
+//! wake-up of the reader.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
-/// Cap on the request line + headers (16 KiB — far above any sane client).
+/// Cap on the request line + headers (16 KiB — far above any sane client),
+/// enforced before the bytes are buffered.
 pub const MAX_HEADER_BYTES: usize = 16 * 1024;
 
 /// Cap on the request body (1 MiB — thousands of batched queries).
@@ -55,11 +60,13 @@ impl From<io::Error> for RequestError {
 ///
 /// See [`RequestError`] for the status each failure maps to.
 pub fn read_request<R: BufRead>(reader: &mut R) -> Result<Option<Request>, RequestError> {
-    let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
+    // The request line and the headers share one byte budget.
+    let mut budget = MAX_HEADER_BYTES;
+    let mut line = Vec::new();
+    if read_head_line(reader, &mut line, &mut budget)? == 0 {
         return Ok(None);
     }
-    let mut parts = line.split_whitespace();
+    let mut parts = utf8(&line)?.split_whitespace();
     let (method, target, version) = match (parts.next(), parts.next(), parts.next()) {
         (Some(m), Some(t), Some(v)) => (m.to_string(), t.to_string(), v),
         _ => return Err(RequestError::Bad("malformed request line".to_string())),
@@ -71,17 +78,11 @@ pub fn read_request<R: BufRead>(reader: &mut R) -> Result<Option<Request>, Reque
     let mut keep_alive = version == "HTTP/1.1";
 
     let mut content_length: usize = 0;
-    let mut header_bytes = line.len();
     loop {
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
+        if read_head_line(reader, &mut line, &mut budget)? == 0 {
             return Err(RequestError::Bad("truncated headers".to_string()));
         }
-        header_bytes += header.len();
-        if header_bytes > MAX_HEADER_BYTES {
-            return Err(RequestError::TooLarge);
-        }
-        let header = header.trim_end();
+        let header = utf8(&line)?.trim_end();
         if header.is_empty() {
             break;
         }
@@ -118,7 +119,7 @@ pub fn read_request<R: BufRead>(reader: &mut R) -> Result<Option<Request>, Reque
     }
 
     let mut body = vec![0u8; content_length];
-    io::Read::read_exact(reader, &mut body)?;
+    reader.read_exact(&mut body)?;
     let body = String::from_utf8(body)
         .map_err(|_| RequestError::Bad("body is not valid UTF-8".to_string()))?;
 
@@ -128,6 +129,39 @@ pub fn read_request<R: BufRead>(reader: &mut R) -> Result<Option<Request>, Reque
         body,
         keep_alive,
     }))
+}
+
+/// Read one header-block line into `line` (cleared first), reading no more
+/// than `budget` bytes and charging them to it, so an endless line is
+/// refused at the cap instead of being buffered. Returns the bytes read; 0
+/// is end of stream.
+///
+/// A line still without its newline when the budget runs out, or a line
+/// that starts with nothing left to spend, is [`RequestError::TooLarge`].
+fn read_head_line<R: BufRead>(
+    reader: &mut R,
+    line: &mut Vec<u8>,
+    budget: &mut usize,
+) -> Result<usize, RequestError> {
+    if *budget == 0 {
+        return Err(RequestError::TooLarge);
+    }
+    line.clear();
+    let n = reader
+        .by_ref()
+        .take(*budget as u64)
+        .read_until(b'\n', line)?;
+    *budget -= n;
+    if *budget == 0 && !line.ends_with(b"\n") {
+        return Err(RequestError::TooLarge);
+    }
+    Ok(n)
+}
+
+/// A header-block line as text; HTTP heads are ASCII.
+fn utf8(line: &[u8]) -> Result<&str, RequestError> {
+    std::str::from_utf8(line)
+        .map_err(|_| RequestError::Bad("request head is not valid UTF-8".to_string()))
 }
 
 /// Reason phrase for the statuses this service emits.
@@ -146,8 +180,9 @@ pub fn reason(status: u16) -> &'static str {
 
 /// Write a JSON response with exact `Content-Length` framing.
 ///
-/// The body bytes pass through untouched — response byte-identity is
-/// decided entirely by the caller's rendering.
+/// The status line, headers and body are rendered into one buffer and
+/// sent with one `write_all`. The body bytes pass through untouched —
+/// response byte-identity is decided entirely by the caller's rendering.
 ///
 /// # Errors
 ///
@@ -159,12 +194,16 @@ pub fn write_response<W: Write>(
     keep_alive: bool,
 ) -> io::Result<()> {
     let connection = if keep_alive { "keep-alive" } else { "close" };
+    // The head is at most ~120 bytes.
+    let mut message = Vec::with_capacity(body.len() + 128);
     write!(
-        writer,
-        "HTTP/1.1 {status} {}\r\ncontent-type: application/json\r\ncontent-length: {}\r\nconnection: {connection}\r\n\r\n{body}",
+        message,
+        "HTTP/1.1 {status} {}\r\ncontent-type: application/json\r\ncontent-length: {}\r\nconnection: {connection}\r\n\r\n",
         reason(status),
         body.len(),
     )?;
+    message.extend_from_slice(body.as_bytes());
+    writer.write_all(&message)?;
     writer.flush()
 }
 
@@ -175,6 +214,25 @@ mod tests {
 
     fn read(raw: &str) -> Result<Option<Request>, RequestError> {
         read_request(&mut BufReader::new(raw.as_bytes()))
+    }
+
+    /// A `Write` that keeps the bytes and counts the `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
     }
 
     #[test]
@@ -219,16 +277,74 @@ mod tests {
             read("POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"),
             Err(RequestError::Bad(_))
         ));
+        assert!(matches!(
+            read_request(&mut BufReader::new(&b"GET /\xff HTTP/1.1\r\n\r\n"[..])),
+            Err(RequestError::Bad(_))
+        ));
+    }
+
+    #[test]
+    fn a_newline_free_request_line_is_refused_at_the_cap() {
+        // 64 MiB with no newline: refused after at most the header cap (plus
+        // one `BufReader` fill), not after buffering the whole line.
+        const LINE: u64 = 64 << 20;
+        let mut reader = BufReader::new(io::repeat(b'a').take(LINE));
+        assert_eq!(read_request(&mut reader), Err(RequestError::TooLarge));
+        let consumed = LINE - reader.into_inner().limit();
+        assert!(
+            consumed <= (MAX_HEADER_BYTES + 8 * 1024) as u64,
+            "read {consumed} bytes"
+        );
+    }
+
+    #[test]
+    fn the_header_budget_is_inclusive_and_exact() {
+        // Request line + one header, padded so the block ends exactly at
+        // `MAX_HEADER_BYTES`.
+        let block = |total: usize, blank_line: bool| {
+            let head = "GET / HTTP/1.1\r\nX-Pad: ";
+            let tail = if blank_line { "\r\n\r\n" } else { "\r\n" };
+            format!(
+                "{head}{}{tail}",
+                "x".repeat(total - head.len() - tail.len())
+            )
+        };
+        // Ending with the blank line at the cap is accepted...
+        let at_cap = block(MAX_HEADER_BYTES, true);
+        assert_eq!(at_cap.len(), MAX_HEADER_BYTES);
+        assert!(matches!(read(&at_cap), Ok(Some(_))));
+        // ...one byte more is not...
+        assert_eq!(
+            read(&block(MAX_HEADER_BYTES + 1, true)),
+            Err(RequestError::TooLarge)
+        );
+        // ...and complete header lines that fill the budget exactly leave no
+        // room for the blank line: too large, not "truncated headers".
+        let full = block(MAX_HEADER_BYTES, false);
+        assert_eq!(full.len(), MAX_HEADER_BYTES);
+        assert_eq!(read(&full), Err(RequestError::TooLarge));
     }
 
     #[test]
     fn responses_are_exactly_framed() {
-        let mut out = Vec::new();
+        let mut out = CountingWriter::default();
         write_response(&mut out, 200, "{\"ok\":true}", true).expect("write");
-        let text = String::from_utf8(out).expect("utf8");
         assert_eq!(
-            text,
+            String::from_utf8(out.bytes).expect("utf8"),
             "HTTP/1.1 200 OK\r\ncontent-type: application/json\r\ncontent-length: 11\r\nconnection: keep-alive\r\n\r\n{\"ok\":true}"
         );
+        assert_eq!(out.writes, 1, "one write per message");
+
+        let mut out = CountingWriter::default();
+        let body = "{\"error\":\"request exceeds size caps\"}";
+        write_response(&mut out, 413, body, false).expect("write");
+        assert_eq!(
+            String::from_utf8(out.bytes).expect("utf8"),
+            format!(
+                "HTTP/1.1 413 Payload Too Large\r\ncontent-type: application/json\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{body}",
+                body.len()
+            )
+        );
+        assert_eq!(out.writes, 1, "one write per message");
     }
 }

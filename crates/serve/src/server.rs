@@ -150,6 +150,10 @@ impl ServerHandle {
     }
 
     /// Stop accepting, wake the workers, and join them.
+    ///
+    /// A worker notices the stop only between requests, so this waits up
+    /// to [`ServeConfig::idle_timeout`] for a connection a client keeps
+    /// open; close client connections first.
     pub fn shutdown(mut self) {
         self.stop();
     }

@@ -130,6 +130,7 @@ fn mc_requests_shed_with_429_when_the_gate_is_full() {
         .expect("mixed batch");
     assert_eq!(mixed.status, 429);
 
+    drop(conn);
     handle.shutdown();
 }
 
@@ -146,6 +147,7 @@ fn mc_requests_run_when_capacity_allows() {
         .expect("mc margin");
     assert_eq!(response.status, 200, "{}", response.body);
     assert!(response.body.contains(r#""kind":"margin""#));
+    drop(conn);
     handle.shutdown();
 }
 
@@ -174,6 +176,7 @@ fn stats_endpoint_reports_cache_and_server_counters() {
             .expect("queries")
             >= 2.0
     );
+    drop(conn);
     handle.shutdown();
 }
 
@@ -195,6 +198,7 @@ fn double_run_bodies_are_byte_identical_with_bounded_cache() {
                 r.body
             })
             .collect();
+        drop(conn);
         handle.shutdown();
         bodies
     };
