@@ -47,16 +47,11 @@ pub fn run_with(samples: usize, seed: u64, exec: Executor) -> Fig3Result {
     let mut curves = Vec::new();
     curves.push(Fig3Curve {
         label: "critical path @1V".to_owned(),
-        distribution: full.path_delay_distribution_par(
-            Volts(1.0),
-            samples,
-            &base.stream("path"),
-            exec,
-        ),
+        distribution: full.path_delay_distribution(Volts(1.0), samples, &base.stream("path"), exec),
     });
     curves.push(Fig3Curve {
         label: "1-wide @1V".to_owned(),
-        distribution: one_lane.chip_delay_distribution_par(
+        distribution: one_lane.chip_delay_distribution(
             Volts(1.0),
             samples,
             &base.stream("1wide"),
@@ -67,7 +62,7 @@ pub fn run_with(samples: usize, seed: u64, exec: Executor) -> Fig3Result {
     for vdd in [1.0, 0.6, 0.55, 0.5] {
         curves.push(Fig3Curve {
             label: format!("128-wide @{vdd:.2}V"),
-            distribution: full.chip_delay_distribution_par(Volts(vdd), samples, &wide, exec),
+            distribution: full.chip_delay_distribution(Volts(vdd), samples, &wide, exec),
         });
     }
     Fig3Result { curves }

@@ -50,7 +50,7 @@ pub fn run_with(samples: usize, seed: u64, exec: Executor) -> Fig5Result {
 
     let stream = CounterRng::new(seed, "fig5-baseline");
     let baseline = engine
-        .chip_delay_distribution_par(tech.nominal_vdd(), samples, &stream, exec)
+        .chip_delay_distribution(tech.nominal_vdd(), samples, &stream, exec)
         .q99_fo4();
 
     let matrix = study.sample_matrix(Volts(vdd), 32, samples, seed);

@@ -62,7 +62,7 @@ pub fn run_with(samples: usize, seed: u64, exec: Executor) -> Fig6Result {
     let mut voltage_curves = Vec::new();
     for step in 0..5 {
         let v = vdd + f64::from(step) * 0.005;
-        let distribution = engine.chip_delay_distribution_par(Volts(v), samples, &stream, exec);
+        let distribution = engine.chip_delay_distribution(Volts(v), samples, &stream, exec);
         voltage_curves.push(Fig6Curve {
             label: format!("128-wide @{:.0} mV", v * 1000.0),
             q99_ns: distribution.q99_ns(),

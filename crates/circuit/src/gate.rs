@@ -107,7 +107,7 @@ impl std::fmt::Display for GateKind {
 mod tests {
     use super::*;
     use ntv_device::TechNode;
-    use ntv_mc::StreamRng;
+    use ntv_mc::{SampleStream, StreamRng};
 
     #[test]
     fn inverter_is_the_reference() {

@@ -210,7 +210,7 @@ mod tests {
     use super::*;
     use crate::chain::ChainMc;
     use ntv_device::TechNode;
-    use ntv_mc::{StreamRng, Summary};
+    use ntv_mc::{SampleStream, StreamRng, Summary};
 
     #[test]
     fn gate_moments_match_direct_monte_carlo() {

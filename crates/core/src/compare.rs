@@ -113,23 +113,6 @@ pub fn compare_at_with(
     }
 }
 
-/// One Fig 7 panel: comparison across a voltage sweep (Monte-Carlo
-/// evaluation).
-#[must_use]
-pub fn compare_sweep(
-    engine: &DatapathEngine<'_>,
-    voltages: &[Volts],
-    max_spares: u32,
-    samples: usize,
-    seed: u64,
-    exec: Executor,
-) -> Vec<ComparisonPoint> {
-    voltages
-        .iter()
-        .map(|&v| compare_at(engine, v, max_spares, samples, seed, exec))
-        .collect()
-}
-
 /// One Fig 7 panel with an explicit [`Evaluation`]. The sweep's operating
 /// points are prefetched in parallel first, so even the analytic path
 /// never pays a Gauss–Hermite build inside its solve loops.
@@ -190,13 +173,14 @@ mod tests {
     fn sweep_produces_one_point_per_voltage() {
         let tech = TechModel::new(TechNode::Gp90);
         let engine = DatapathEngine::new(&tech, DatapathConfig::paper_default());
-        let pts = compare_sweep(
+        let pts = compare_sweep_with(
             &engine,
             &[Volts(0.6), Volts(0.65), Volts(0.7)],
             64,
             800,
             4,
             Executor::default(),
+            Evaluation::MonteCarlo,
         );
         assert_eq!(pts.len(), 3);
         for (p, v) in pts.iter().zip([Volts(0.6), Volts(0.65), Volts(0.7)]) {

@@ -12,7 +12,7 @@ use ntv_mc::CounterRng;
 use ntv_units::Volts;
 use serde::{Deserialize, Serialize};
 
-use crate::engine::{DatapathEngine, VariationMode};
+use crate::engine::DatapathEngine;
 use crate::exec::Executor;
 use crate::overhead::DietSodaBudget;
 use crate::perf;
@@ -87,17 +87,13 @@ impl<'a> DseStudy<'a> {
         }
         // Chip `i` is `(seed, "dse-eval", i)`-addressed: common random
         // numbers across effective voltages, bit-identical for any thread
-        // count. Warm the per-vdd cache (and, for grid-sampling modes, the
-        // survival grid) before forking.
-        let dist = self.engine.path_distribution(vdd_effective);
-        if self.engine.mode() != VariationMode::PaperNormal {
-            dist.warm_grid();
-        }
+        // count.
+        self.engine.warmed_distribution(vdd_effective);
         let stream = CounterRng::new(seed, "dse-eval");
         let mut worst_used: Vec<f64> = self.exec.map_indexed(samples as u64, |i| {
-            let row = self
-                .engine
-                .sample_lane_delays_fo4_at(vdd_effective, physical, &stream, i);
+            let row =
+                self.engine
+                    .sample_lane_delays_fo4(vdd_effective, physical, &mut stream.at(i));
             ntv_mc::order::kth_smallest(&row, lanes - 1)
         });
         worst_used.sort_by(f64::total_cmp);
@@ -189,7 +185,6 @@ mod tests {
     use super::*;
     use crate::config::DatapathConfig;
     use ntv_device::{TechModel, TechNode};
-    use ntv_mc::StreamRng;
 
     const SAMPLES: usize = 1200;
 
@@ -235,9 +230,9 @@ mod tests {
         let engine = DatapathEngine::new(&tech, DatapathConfig::paper_default());
         let dse = DseStudy::new(&engine);
         let via_dse = dse.q99_ns_with_spares(Volts(0.55), 0, SAMPLES, 3);
-        let mut rng = StreamRng::from_seed(99);
+        let stream = CounterRng::new(99, "dse-test");
         let direct = engine
-            .chip_delay_distribution(Volts(0.55), SAMPLES, &mut rng)
+            .chip_delay_distribution(Volts(0.55), SAMPLES, &stream, Executor::default())
             .q99_ns();
         assert!(
             (via_dse / direct - 1.0).abs() < 0.03,

@@ -17,7 +17,7 @@ use ntv_mc::{order, CounterRng, Quantiles};
 use ntv_units::Volts;
 use serde::{Deserialize, Serialize};
 
-use crate::engine::{ChipDelayDistribution, DatapathEngine, VariationMode};
+use crate::engine::{ChipDelayDistribution, DatapathEngine};
 use crate::exec::Executor;
 use crate::overhead::DietSodaBudget;
 use crate::perf;
@@ -187,17 +187,12 @@ impl<'a> DuplicationStudy<'a> {
         let lanes = self.engine.config().lanes;
         let max_lanes = lanes + max_spares as usize;
         // Chip `i`'s lane delays are addressed as `(seed, label, i)`, so the
-        // matrix is bit-identical for any thread count. Warm the per-vdd
-        // distribution cache (and, for grid-sampling modes, the survival
-        // grid) before forking.
-        let dist = self.engine.path_distribution(vdd);
-        if self.engine.mode() != VariationMode::PaperNormal {
-            dist.warm_grid();
-        }
+        // matrix is bit-identical for any thread count.
+        self.engine.warmed_distribution(vdd);
         let stream = CounterRng::new(seed, "duplication-matrix");
         let rows: Vec<Vec<f64>> = self.exec.map_indexed(samples as u64, |i| {
             self.engine
-                .sample_lane_delays_fo4_at(vdd, max_lanes, &stream, i)
+                .sample_lane_delays_fo4(vdd, max_lanes, &mut stream.at(i))
         });
         LaneDelayMatrix {
             vdd,

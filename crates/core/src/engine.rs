@@ -538,15 +538,15 @@ impl ChipDelayDistribution {
 /// # Example
 ///
 /// ```
-/// use ntv_core::{DatapathConfig, DatapathEngine};
+/// use ntv_core::{DatapathConfig, DatapathEngine, Executor};
 /// use ntv_device::{TechModel, TechNode};
-/// use ntv_mc::StreamRng;
+/// use ntv_mc::CounterRng;
 /// use ntv_units::Volts;
 ///
 /// let tech = TechModel::new(TechNode::Gp90);
 /// let engine = DatapathEngine::new(&tech, DatapathConfig::paper_default());
-/// let mut rng = StreamRng::from_seed(1);
-/// let dist = engine.chip_delay_distribution(Volts(0.55), 1_000, &mut rng);
+/// let stream = CounterRng::new(1, "example");
+/// let dist = engine.chip_delay_distribution(Volts(0.55), 1_000, &stream, Executor::serial());
 /// // The slowest of 12,800 paths always exceeds the 50-FO4 ideal.
 /// assert!(dist.fo4_quantiles.min() > 50.0);
 /// ```
@@ -630,9 +630,23 @@ impl<'a> DatapathEngine<'a> {
         );
     }
 
+    /// The distribution at `vdd`, with its survival grid built when this
+    /// mode draws through it. Sampling loops call this once before forking,
+    /// so workers never contend on (or double-build) either lazy structure.
+    pub(crate) fn warmed_distribution(&self, vdd: Volts) -> Arc<PathDistribution> {
+        let dist = self.path_distribution(vdd);
+        if self.mode != VariationMode::PaperNormal {
+            dist.warm_grid();
+        }
+        dist
+    }
+
     /// Sample the delays (FO4 units) of `n_lanes` lanes on a fresh chip.
     ///
     /// Each lane delay is the maximum of `paths_per_lane` path delays.
+    /// Passing `&mut stream.at(i)` makes chip `i`'s lanes a pure function
+    /// of `(stream key, i)`, so any subset of chips can be sampled on any
+    /// thread without changing a value.
     #[must_use]
     pub fn sample_lane_delays_fo4<R: SampleStream + ?Sized>(
         &self,
@@ -675,10 +689,11 @@ impl<'a> DatapathEngine<'a> {
         }
     }
 
-    /// Sample one chip delay (FO4 units): the slowest lane of the
-    /// datapath.
-    #[must_use]
-    pub fn sample_chip_delay_fo4<R: SampleStream + ?Sized>(&self, vdd: Volts, rng: &mut R) -> f64 {
+    /// Per-chip scalar form of [`Self::sample_chip_delays_fo4_batch`]: one
+    /// chip delay (FO4 units), the slowest lane of the datapath. The oracle
+    /// the batch kernel is pinned against.
+    #[cfg(test)]
+    fn sample_chip_delay_fo4<R: SampleStream + ?Sized>(&self, vdd: Volts, rng: &mut R) -> f64 {
         let dist = self.path_distribution(vdd);
         let fo4 = dist.mean_ps() / self.config.path_length as f64;
         match self.mode {
@@ -701,63 +716,17 @@ impl<'a> DatapathEngine<'a> {
         }
     }
 
-    /// Monte-Carlo chip-delay distribution at `vdd`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `samples == 0`.
-    #[must_use]
-    pub fn chip_delay_distribution<R: SampleStream + ?Sized>(
-        &self,
-        vdd: Volts,
-        samples: usize,
-        rng: &mut R,
-    ) -> ChipDelayDistribution {
-        assert!(samples > 0, "need at least one Monte-Carlo sample");
-        let data: Vec<f64> = (0..samples)
-            .map(|_| self.sample_chip_delay_fo4(vdd, rng))
-            .collect();
-        ChipDelayDistribution {
-            vdd,
-            fo4_unit_ps: self.fo4_unit_ps(vdd),
-            fo4_quantiles: Quantiles::from_samples(data),
-        }
-    }
-
-    /// Sample chip delay number `index` (FO4 units) from a counter-based
-    /// stream: a pure function of `(stream key, index)`, so any subset of
-    /// indexes can be evaluated on any thread without changing any value.
-    #[must_use]
-    pub fn sample_chip_delay_fo4_at(&self, vdd: Volts, stream: &CounterRng, index: u64) -> f64 {
-        let mut draws = stream.at(index);
-        self.sample_chip_delay_fo4(vdd, &mut draws)
-    }
-
-    /// Index-addressed counterpart of [`Self::sample_lane_delays_fo4`]:
-    /// lane delays of chip `index`, a pure function of `(stream key, index)`.
-    #[must_use]
-    pub fn sample_lane_delays_fo4_at(
-        &self,
-        vdd: Volts,
-        n_lanes: usize,
-        stream: &CounterRng,
-        index: u64,
-    ) -> Vec<f64> {
-        let mut draws = stream.at(index);
-        self.sample_lane_delays_fo4(vdd, n_lanes, &mut draws)
-    }
-
     /// Sample `out.len()` consecutive chip delays (FO4 units) starting at
-    /// stream index `first`: `out[i]` is chip `first + i`.
+    /// stream index `first`: `out[i]` is chip `first + i`, the slowest lane
+    /// of the datapath drawn from the cursor `stream.at(first + i)`.
     ///
     /// This is the SoA kernel behind [`Self::sample_batch`]. It hoists the
     /// per-voltage distribution lookup out of the loop and, for the modes
     /// whose chip delay consumes exactly one uniform draw, splits the work
     /// into fixed-stride passes: a batched counter-RNG draw, an
     /// elementwise order-statistic target map, and a batched quantile
-    /// inversion. Element `i` is bit-identical to
-    /// [`Self::sample_chip_delay_fo4_at`]`(vdd, stream, first + i)`
-    /// (pinned by the batch-identity matrix test).
+    /// inversion. Element `i` is bit-identical to the per-chip scalar
+    /// sampler on that cursor (pinned by the unit tests).
     pub fn sample_chip_delays_fo4_batch(
         &self,
         vdd: Volts,
@@ -795,11 +764,15 @@ impl<'a> DatapathEngine<'a> {
                 }
             }
             // Hierarchical chips consume a variable number of draws in a
-            // data-dependent order; keep the scalar per-chip path.
+            // data-dependent order; sample each chip's lanes from its own
+            // cursor and keep the slowest.
             VariationMode::Hierarchical => {
                 for (i, o) in out.iter_mut().enumerate() {
                     let mut draws = stream.at(first + i as u64);
-                    *o = self.sample_chip_delay_fo4(vdd, &mut draws);
+                    *o = self
+                        .sample_lane_delays_fo4(vdd, self.config.lanes, &mut draws)
+                        .into_iter()
+                        .fold(f64::NEG_INFINITY, f64::max);
                 }
             }
         }
@@ -816,13 +789,7 @@ impl<'a> DatapathEngine<'a> {
         range: std::ops::Range<u64>,
         exec: Executor,
     ) -> Vec<f64> {
-        // Warm the per-vdd distribution cache once, outside the fork, so
-        // workers never contend on (or double-build) it; modes that draw
-        // through the survival grid need the grid itself warm too.
-        let dist = self.path_distribution(vdd);
-        if self.mode != VariationMode::PaperNormal {
-            dist.warm_grid();
-        }
+        self.warmed_distribution(vdd);
         let start = range.start;
         exec.map_indexed_chunks(range.end - range.start, |s, len| {
             let mut out = vec![0.0; len as usize];
@@ -842,7 +809,7 @@ impl<'a> DatapathEngine<'a> {
     ///
     /// Panics if `samples == 0`.
     #[must_use]
-    pub fn chip_delay_distribution_par(
+    pub fn chip_delay_distribution(
         &self,
         vdd: Volts,
         samples: usize,
@@ -858,14 +825,16 @@ impl<'a> DatapathEngine<'a> {
         }
     }
 
-    /// Index-addressed, parallel counterpart of
-    /// [`Self::path_delay_distribution`].
+    /// Distribution of a *single critical path's* delay in FO4 units (the
+    /// leftmost curve of Fig 3), index-addressed like
+    /// [`Self::chip_delay_distribution`] and evaluated in parallel by
+    /// `exec`.
     ///
     /// # Panics
     ///
     /// Panics if `samples == 0`.
     #[must_use]
-    pub fn path_delay_distribution_par(
+    pub fn path_delay_distribution(
         &self,
         vdd: Volts,
         samples: usize,
@@ -873,10 +842,7 @@ impl<'a> DatapathEngine<'a> {
         exec: Executor,
     ) -> ChipDelayDistribution {
         assert!(samples > 0, "need at least one Monte-Carlo sample");
-        let dist = self.path_distribution(vdd);
-        if self.mode != VariationMode::PaperNormal {
-            dist.warm_grid();
-        }
+        let dist = self.warmed_distribution(vdd);
         let fo4 = dist.mean_ps() / self.config.path_length as f64;
         let data = exec.map_indexed(samples as u64, |i| {
             let mut draws = stream.at(i);
@@ -901,31 +867,6 @@ impl<'a> DatapathEngine<'a> {
     pub fn fo4_unit_ps(&self, vdd: Volts) -> f64 {
         self.path_distribution(vdd).mean_ps() / self.config.path_length as f64
     }
-
-    /// Distribution of a *single critical path's* delay in FO4 units
-    /// (the leftmost curve of Fig 3).
-    #[must_use]
-    pub fn path_delay_distribution<R: SampleStream + ?Sized>(
-        &self,
-        vdd: Volts,
-        samples: usize,
-        rng: &mut R,
-    ) -> ChipDelayDistribution {
-        assert!(samples > 0, "need at least one Monte-Carlo sample");
-        let dist = self.path_distribution(vdd);
-        let fo4 = dist.mean_ps() / self.config.path_length as f64;
-        let data: Vec<f64> = (0..samples)
-            .map(|_| match self.mode {
-                VariationMode::SkewedIid | VariationMode::Hierarchical => dist.sample(rng) / fo4,
-                VariationMode::PaperNormal => rng.normal(dist.mean_ps(), dist.std_ps()) / fo4,
-            })
-            .collect();
-        ChipDelayDistribution {
-            vdd,
-            fo4_unit_ps: fo4,
-            fo4_quantiles: Quantiles::from_samples(data),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -936,6 +877,10 @@ mod tests {
 
     fn engine_default(tech: &TechModel) -> DatapathEngine<'_> {
         DatapathEngine::new(tech, DatapathConfig::paper_default())
+    }
+
+    fn stream(seed: u64) -> CounterRng {
+        CounterRng::new(seed, "engine-test")
     }
 
     #[test]
@@ -1007,12 +952,12 @@ mod tests {
     fn wider_simd_is_slower() {
         // Fig 3: 128-wide@1V right of 1-wide@1V, right of a single path@1V.
         let tech = TechModel::new(TechNode::Gp90);
-        let mut rng = StreamRng::from_seed(3);
+        let (rng, exec) = (stream(3), Executor::serial());
         let one_path = DatapathEngine::new(&tech, DatapathConfig::new(1, 1, 50))
-            .chip_delay_distribution(Volts(1.0), 2000, &mut rng);
+            .chip_delay_distribution(Volts(1.0), 2000, &rng, exec);
         let one_lane = DatapathEngine::new(&tech, DatapathConfig::new(1, 100, 50))
-            .chip_delay_distribution(Volts(1.0), 2000, &mut rng);
-        let full = engine_default(&tech).chip_delay_distribution(Volts(1.0), 2000, &mut rng);
+            .chip_delay_distribution(Volts(1.0), 2000, &rng, exec);
+        let full = engine_default(&tech).chip_delay_distribution(Volts(1.0), 2000, &rng, exec);
         assert!(one_path.fo4_quantiles.median() < one_lane.fo4_quantiles.median());
         assert!(one_lane.fo4_quantiles.median() < full.fo4_quantiles.median());
     }
@@ -1021,10 +966,10 @@ mod tests {
     fn low_voltage_distributions_drift_right_in_fo4_units() {
         let tech = TechModel::new(TechNode::Gp90);
         let engine = engine_default(&tech);
-        let mut rng = StreamRng::from_seed(4);
-        let at_1v = engine.chip_delay_distribution(Volts(1.0), 2000, &mut rng);
-        let at_055 = engine.chip_delay_distribution(Volts(0.55), 2000, &mut rng);
-        let at_05 = engine.chip_delay_distribution(Volts(0.5), 2000, &mut rng);
+        let (rng, exec) = (stream(4), Executor::serial());
+        let at_1v = engine.chip_delay_distribution(Volts(1.0), 2000, &rng, exec);
+        let at_055 = engine.chip_delay_distribution(Volts(0.55), 2000, &rng, exec);
+        let at_05 = engine.chip_delay_distribution(Volts(0.5), 2000, &rng, exec);
         assert!(at_055.q99_fo4() > at_1v.q99_fo4());
         assert!(at_05.q99_fo4() > at_055.q99_fo4());
     }
@@ -1061,8 +1006,7 @@ mod tests {
             DatapathConfig::paper_default(),
             VariationMode::Hierarchical,
         );
-        let mut rng = StreamRng::from_seed(6);
-        let d = engine.chip_delay_distribution(Volts(0.55), 800, &mut rng);
+        let d = engine.chip_delay_distribution(Volts(0.55), 800, &stream(6), Executor::serial());
         assert!(d.q99_fo4() > 50.0);
         assert_eq!(engine.mode(), VariationMode::Hierarchical);
     }
@@ -1071,8 +1015,7 @@ mod tests {
     fn chip_delay_exceeds_ideal_path() {
         let tech = TechModel::new(TechNode::PtmHp22);
         let engine = engine_default(&tech);
-        let mut rng = StreamRng::from_seed(5);
-        let d = engine.chip_delay_distribution(Volts(0.5), 500, &mut rng);
+        let d = engine.chip_delay_distribution(Volts(0.5), 500, &stream(5), Executor::serial());
         assert!(d.fo4_quantiles.min() > 50.0);
     }
 
@@ -1080,8 +1023,7 @@ mod tests {
     fn q99_ns_consistent_with_fo4() {
         let tech = TechModel::new(TechNode::Gp90);
         let engine = engine_default(&tech);
-        let mut rng = StreamRng::from_seed(6);
-        let d = engine.chip_delay_distribution(Volts(0.5), 500, &mut rng);
+        let d = engine.chip_delay_distribution(Volts(0.5), 500, &stream(6), Executor::serial());
         assert!((d.q99_ns() - d.q99_fo4() * d.fo4_unit_ps / 1000.0).abs() < 1e-12);
         assert!(d.q99_ns() > 20.0 && d.q99_ns() < 30.0, "{}", d.q99_ns());
     }
@@ -1090,19 +1032,21 @@ mod tests {
     fn path_distribution_centres_near_50_fo4() {
         let tech = TechModel::new(TechNode::Gp90);
         let engine = engine_default(&tech);
-        let mut rng = StreamRng::from_seed(7);
-        let d = engine.path_delay_distribution(Volts(1.0), 3000, &mut rng);
+        let d = engine.path_delay_distribution(Volts(1.0), 3000, &stream(7), Executor::serial());
         assert!((d.fo4_quantiles.median() / 50.0 - 1.0).abs() < 0.03);
     }
 
+    /// Chip `i` is a pure function of `(stream key, i)`, and the parallel
+    /// batch path equals the per-chip scalar loop in every mode for any
+    /// thread count, including chunk boundaries that split mid-lane.
     #[test]
     fn counter_sampling_is_index_pure_and_thread_invariant() {
         let tech = TechModel::new(TechNode::Gp90);
         let engine = engine_default(&tech);
         let stream = ntv_mc::CounterRng::new(2012, "engine-test");
         // Pure function of (key, index): repeated evaluation is bitwise equal.
-        let a = engine.sample_chip_delay_fo4_at(Volts(0.55), &stream, 7);
-        let b = engine.sample_chip_delay_fo4_at(Volts(0.55), &stream, 7);
+        let a = engine.sample_chip_delay_fo4(Volts(0.55), &mut stream.at(7));
+        let b = engine.sample_chip_delay_fo4(Volts(0.55), &mut stream.at(7));
         assert_eq!(a.to_bits(), b.to_bits());
         // Batch output equals the per-index loop, for any thread count.
         let serial = engine.sample_batch(Volts(0.55), &stream, 0..500, Executor::serial());
@@ -1112,22 +1056,25 @@ mod tests {
             .zip(&par)
             .all(|(x, y)| x.to_bits() == y.to_bits()));
         assert_eq!(serial[7].to_bits(), a.to_bits());
-    }
 
-    #[test]
-    fn counter_distribution_matches_stream_distribution_statistically() {
-        // The counter-based and sequential samplers draw from the same
-        // distribution; quantiles must agree to MC accuracy.
-        let tech = TechModel::new(TechNode::Gp90);
-        let engine = engine_default(&tech);
-        let stream = ntv_mc::CounterRng::new(11, "engine-test");
-        let ctr =
-            engine.chip_delay_distribution_par(Volts(0.55), 4000, &stream, Executor::default());
-        let mut rng = StreamRng::from_seed(12);
-        let seq = engine.chip_delay_distribution(Volts(0.55), 4000, &mut rng);
-        for p in [0.1, 0.5, 0.9, 0.99] {
-            let (a, b) = (ctr.quantile_fo4(p), seq.quantile_fo4(p));
-            assert!((a / b - 1.0).abs() < 0.02, "p={p}: {a} vs {b}");
+        let stream = ntv_mc::CounterRng::new(7, "batch-identity-par");
+        for mode in [
+            VariationMode::PaperNormal,
+            VariationMode::SkewedIid,
+            VariationMode::Hierarchical,
+        ] {
+            let engine = DatapathEngine::with_mode(&tech, DatapathConfig::paper_default(), mode);
+            let scalar: Vec<f64> = (0..333)
+                .map(|i| engine.sample_chip_delay_fo4(Volts(0.55), &mut stream.at(i)))
+                .collect();
+            for threads in [1, 2, 5, 8] {
+                let batch =
+                    engine.sample_batch(Volts(0.55), &stream, 0..333, Executor::new(threads));
+                assert_eq!(batch.len(), scalar.len());
+                for (i, (x, y)) in batch.iter().zip(&scalar).enumerate() {
+                    assert_eq!(x.to_bits(), y.to_bits(), "{mode:?} threads={threads} i={i}");
+                }
+            }
         }
     }
 
@@ -1140,9 +1087,8 @@ mod tests {
             VariationMode::Hierarchical,
         );
         let stream = ntv_mc::CounterRng::new(3, "engine-test");
-        let serial =
-            engine.chip_delay_distribution_par(Volts(0.6), 300, &stream, Executor::serial());
-        let par = engine.chip_delay_distribution_par(Volts(0.6), 300, &stream, Executor::new(8));
+        let serial = engine.chip_delay_distribution(Volts(0.6), 300, &stream, Executor::serial());
+        let par = engine.chip_delay_distribution(Volts(0.6), 300, &stream, Executor::new(8));
         assert_eq!(serial, par);
     }
 
@@ -1151,9 +1097,8 @@ mod tests {
         let tech = TechModel::new(TechNode::Gp45);
         let engine = engine_default(&tech);
         let stream = ntv_mc::CounterRng::new(5, "engine-test");
-        let serial =
-            engine.path_delay_distribution_par(Volts(0.6), 2000, &stream, Executor::serial());
-        let par = engine.path_delay_distribution_par(Volts(0.6), 2000, &stream, Executor::new(4));
+        let serial = engine.path_delay_distribution(Volts(0.6), 2000, &stream, Executor::serial());
+        let par = engine.path_delay_distribution(Volts(0.6), 2000, &stream, Executor::new(4));
         assert_eq!(serial, par);
         assert!((serial.fo4_quantiles.median() / 50.0 - 1.0).abs() < 0.05);
     }
@@ -1213,10 +1158,10 @@ mod tests {
         let tech = TechModel::new(TechNode::Gp45);
         let engine = engine_default(&tech);
         let a = engine
-            .chip_delay_distribution(Volts(0.6), 50, &mut StreamRng::from_seed(42))
+            .chip_delay_distribution(Volts(0.6), 50, &stream(42), Executor::serial())
             .q99_fo4();
         let b = engine
-            .chip_delay_distribution(Volts(0.6), 50, &mut StreamRng::from_seed(42))
+            .chip_delay_distribution(Volts(0.6), 50, &stream(42), Executor::serial())
             .q99_fo4();
         assert_eq!(a, b);
     }
@@ -1240,14 +1185,20 @@ mod tests {
         }
     }
 
-    /// `build_grid` (voltage-grid batch build) must agree bitwise with
-    /// per-voltage scalar builds — moments, extent, every mixture
-    /// component, and the derived survival grid.
+    /// `build_grid` (voltage-grid batch build, the builder behind
+    /// `OpPointCache::prefetch`) must agree bitwise with per-voltage scalar
+    /// builds — moments, extent, every mixture component, the derived
+    /// survival grid, and survival queries over the full clamp range.
     #[test]
     fn grid_build_matches_scalar_builds_bitwise() {
-        let tech = TechModel::new(TechNode::Gp45);
-        for n in [0usize, 1, 7] {
-            let vdds: Vec<Volts> = (0..n).map(|i| Volts(0.45 + 0.08 * i as f64)).collect();
+        for (node, n, step) in [
+            (TechNode::Gp45, 0usize, 0.08),
+            (TechNode::Gp45, 1, 0.08),
+            (TechNode::Gp45, 7, 0.08),
+            (TechNode::PtmHp32, 9, 0.07),
+        ] {
+            let tech = TechModel::new(node);
+            let vdds: Vec<Volts> = (0..n).map(|i| Volts(0.45 + step * i as f64)).collect();
             let batch = PathDistribution::build_grid(&tech, &vdds, 50);
             assert_eq!(batch.len(), n);
             for (dist, &vdd) in batch.iter().zip(&vdds) {
@@ -1255,7 +1206,7 @@ mod tests {
                 assert_eq!(
                     dist.mean_ps().to_bits(),
                     scalar.mean_ps().to_bits(),
-                    "{vdd}"
+                    "{node:?} {vdd}"
                 );
                 assert_eq!(dist.std_ps().to_bits(), scalar.std_ps().to_bits(), "{vdd}");
                 assert_eq!(dist.lo_ps.to_bits(), scalar.lo_ps.to_bits(), "{vdd}");
@@ -1269,35 +1220,53 @@ mod tests {
                 for (a, b) in dist.grid().sf.iter().zip(&scalar.grid().sf) {
                     assert_eq!(a.to_bits(), b.to_bits(), "{vdd}");
                 }
+                for g in [1e-9, 1e-6, 1e-3, 0.01, 0.5, 0.99, 1.0 - 1e-12] {
+                    assert_eq!(
+                        dist.quantile_by_survival(g).to_bits(),
+                        scalar.quantile_by_survival(g).to_bits(),
+                        "{node:?} {vdd} g={g:e}"
+                    );
+                }
             }
         }
     }
 
     /// The SoA chip-delay kernel must equal the per-index scalar sampler
-    /// bitwise in every mode, including batch lengths of 0, 1, and sizes
-    /// that are not a multiple of any lane width.
+    /// bitwise for every node × mode × voltage, at several stream offsets
+    /// and batch lengths: 0, 1, and sizes that are not a multiple of any
+    /// lane width.
     #[test]
     fn batched_chip_delay_kernel_is_bit_exact_per_mode() {
-        let tech = TechModel::new(TechNode::Gp90);
         let stream = ntv_mc::CounterRng::new(404, "engine-batch");
-        for mode in [
-            VariationMode::PaperNormal,
-            VariationMode::SkewedIid,
-            VariationMode::Hierarchical,
+        for node in [
+            TechNode::Gp90,
+            TechNode::Gp45,
+            TechNode::PtmHp32,
+            TechNode::PtmHp22,
         ] {
-            let engine = DatapathEngine::with_mode(&tech, DatapathConfig::paper_default(), mode);
-            for first in [0u64, 1000] {
-                for n in [0usize, 1, 13, 64] {
-                    let mut out = vec![0.0; n];
-                    engine.sample_chip_delays_fo4_batch(Volts(0.55), &stream, first, &mut out);
-                    for (i, &o) in out.iter().enumerate() {
-                        let scalar =
-                            engine.sample_chip_delay_fo4_at(Volts(0.55), &stream, first + i as u64);
-                        assert_eq!(
-                            o.to_bits(),
-                            scalar.to_bits(),
-                            "{mode:?} first={first} i={i}"
-                        );
+            let tech = TechModel::new(node);
+            for mode in [
+                VariationMode::PaperNormal,
+                VariationMode::SkewedIid,
+                VariationMode::Hierarchical,
+            ] {
+                let engine =
+                    DatapathEngine::with_mode(&tech, DatapathConfig::paper_default(), mode);
+                for vdd in [Volts(0.5), Volts(0.55), Volts(0.7), Volts(1.0)] {
+                    for first in [0u64, 31, 1000] {
+                        for n in [0usize, 1, 13, 27, 64, 96] {
+                            let mut out = vec![0.0; n];
+                            engine.sample_chip_delays_fo4_batch(vdd, &stream, first, &mut out);
+                            for (i, &o) in out.iter().enumerate() {
+                                let scalar = engine
+                                    .sample_chip_delay_fo4(vdd, &mut stream.at(first + i as u64));
+                                assert_eq!(
+                                    o.to_bits(),
+                                    scalar.to_bits(),
+                                    "{node:?} {mode:?} {vdd} first={first} n={n} i={i}"
+                                );
+                            }
+                        }
                     }
                 }
             }

@@ -13,7 +13,7 @@ use std::num::NonZeroUsize;
 /// A deterministic fork-join executor over sample-index ranges.
 ///
 /// Cheap to copy and to pass by value; holds no threads of its own (workers
-/// are scoped to each [`Executor::map_indexed`] call).
+/// are scoped to each [`Executor::map_indexed_chunks`] call).
 ///
 /// # Example
 ///
@@ -68,63 +68,26 @@ impl Executor {
     ///
     /// `f` must be a pure function of its index for the output to be
     /// thread-count invariant — which is exactly the contract of the
-    /// counter-based samplers. Chunks are contiguous index ranges, one per
-    /// worker, merged in order, so the result is bit-identical to the
+    /// counter-based samplers. This is [`Self::map_indexed_chunks`] with a
+    /// per-index loop in each chunk, so the result is bit-identical to the
     /// serial loop regardless of `threads`.
     pub fn map_indexed<T, F>(&self, n: u64, f: F) -> Vec<T>
     where
         T: Send,
         F: Fn(u64) -> T + Sync,
     {
-        // Not worth forking for tiny batches (thread spawn ≫ work).
-        const MIN_CHUNK: u64 = 64;
-        let workers = self
-            .threads
-            .min(usize::try_from(n.div_ceil(MIN_CHUNK)).unwrap_or(usize::MAX))
-            .max(1);
-        if workers == 1 {
-            return (0..n).map(f).collect();
-        }
-
-        let workers_u64 = workers as u64;
-        let base = n / workers_u64;
-        let extra = n % workers_u64;
-        // Worker w covers [start_w, start_w + len_w): the first `extra`
-        // workers take one additional index.
-        let mut starts = Vec::with_capacity(workers);
-        let mut cursor = 0u64;
-        for w in 0..workers_u64 {
-            let len = base + u64::from(w < extra);
-            starts.push((cursor, len));
-            cursor += len;
-        }
-
-        let f = &f;
-        let mut chunks: Vec<Vec<T>> = Vec::with_capacity(workers);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = starts
-                .iter()
-                .map(|&(start, len)| scope.spawn(move || (start..start + len).map(f).collect()))
-                .collect();
-            for handle in handles {
-                // ntv:allow(panic-path): re-raises a worker's own panic; join fails no other way
-                chunks.push(handle.join().expect("executor worker panicked"));
-            }
-        });
-        chunks.into_iter().flatten().collect()
+        self.map_indexed_chunks(n, |start, len| (start..start + len).map(&f).collect())
     }
 
-    /// Chunk-granular counterpart of [`Self::map_indexed`]: `f(start, len)`
-    /// produces the outputs for the contiguous index range
-    /// `start..start + len`, and the chunk vectors are concatenated in
-    /// index order.
+    /// Evaluate `f(start, len)` over contiguous chunks of `0..n` and
+    /// concatenate the chunk outputs in index order: `f(start, len)`
+    /// produces the outputs for indexes `start..start + len`.
     ///
-    /// Chunk boundaries are identical to `map_indexed`'s for every
-    /// `(n, threads)` pair, so a batch kernel that is bit-identical to its
-    /// per-index scalar form stays bit-identical here for any thread
-    /// count. This is the entry point the SoA sampling kernels use: one
-    /// `f` call per worker amortises per-sample overhead into fixed-stride
-    /// array passes.
+    /// Chunks are contiguous index ranges, one per worker, merged in order,
+    /// so a batch kernel that is bit-identical to its per-index scalar form
+    /// stays bit-identical here for any thread count. This is the entry
+    /// point the SoA sampling kernels use: one `f` call per worker
+    /// amortises per-sample overhead into fixed-stride array passes.
     ///
     /// # Panics
     ///
@@ -134,6 +97,7 @@ impl Executor {
         T: Send,
         F: Fn(u64, u64) -> Vec<T> + Sync,
     {
+        // Not worth forking for tiny batches (thread spawn ≫ work).
         const MIN_CHUNK: u64 = 64;
         let workers = self
             .threads
@@ -155,6 +119,8 @@ impl Executor {
         let workers_u64 = workers as u64;
         let base = n / workers_u64;
         let extra = n % workers_u64;
+        // Worker w covers [start_w, start_w + len_w): the first `extra`
+        // workers take one additional index.
         let mut starts = Vec::with_capacity(workers);
         let mut cursor = 0u64;
         for w in 0..workers_u64 {

@@ -11,7 +11,7 @@
 //! multiple of the memory clock, frequency margining alone is unattractive.
 
 use ntv_mc::CounterRng;
-use ntv_units::{Hertz, Seconds, Volts};
+use ntv_units::Volts;
 use serde::{Deserialize, Serialize};
 
 use crate::engine::DatapathEngine;
@@ -31,14 +31,6 @@ pub struct FrequencyRow {
     pub perf_drop: f64,
 }
 
-impl FrequencyRow {
-    /// The variation-aware SIMD clock expressed as a frequency.
-    #[must_use]
-    pub fn va_clock(&self) -> Hertz {
-        Seconds::from_ns(self.t_va_clk_ns).frequency()
-    }
-}
-
 /// Compute one Table 4 row.
 #[must_use]
 pub fn frequency_margining(
@@ -52,7 +44,7 @@ pub fn frequency_margining(
     let t_clk_ns = base_fo4 * engine.tech().fo4_delay_ps(vdd) / 1000.0;
     let stream = CounterRng::new(seed, "freq-margin");
     let t_va_clk_ns = engine
-        .chip_delay_distribution_par(vdd, samples, &stream, exec)
+        .chip_delay_distribution(vdd, samples, &stream, exec)
         .q99_ns();
     FrequencyRow {
         vdd,
@@ -118,19 +110,6 @@ mod tests {
         let r = frequency_margining(&engine, Volts(0.5), SAMPLES, 3, Executor::default());
         // ~50 FO4 x 441 ps = 22 ns design period.
         assert!(r.t_clk_ns > 18.0 && r.t_clk_ns < 28.0, "{}", r.t_clk_ns);
-    }
-
-    #[test]
-    fn va_clock_inverts_the_period() {
-        let row = FrequencyRow {
-            vdd: Volts(0.5),
-            t_clk_ns: 20.0,
-            t_va_clk_ns: 25.0,
-            perf_drop: 0.25,
-        };
-        let f = row.va_clock();
-        assert!((f.get() - 4.0e7).abs() < 1e-3, "{f}");
-        assert!((f.period().get() - 25.0e-9).abs() < 1e-20);
     }
 
     #[test]

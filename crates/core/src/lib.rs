@@ -30,18 +30,23 @@
 //! # Example
 //!
 //! ```
-//! use ntv_core::{DatapathConfig, DatapathEngine};
+//! use ntv_core::{DatapathConfig, DatapathEngine, Executor};
 //! use ntv_device::{TechModel, TechNode};
-//! use ntv_mc::StreamRng;
+//! use ntv_mc::CounterRng;
 //! use ntv_units::Volts;
 //!
 //! let tech = TechModel::new(TechNode::Gp90);
 //! let engine = DatapathEngine::new(&tech, DatapathConfig::paper_default());
-//! let mut rng = StreamRng::from_seed(7);
+//! let stream = CounterRng::new(7, "example");
+//! let q99 = |vdd| {
+//!     engine
+//!         .chip_delay_distribution(vdd, 2_000, &stream, Executor::default())
+//!         .q99_fo4()
+//! };
 //!
 //! // 99% chip-delay point at nominal and at 0.5 V, in FO4 units.
-//! let base = engine.chip_delay_distribution(Volts(1.0), 2_000, &mut rng).q99_fo4();
-//! let ntv = engine.chip_delay_distribution(Volts(0.5), 2_000, &mut rng).q99_fo4();
+//! let base = q99(Volts(1.0));
+//! let ntv = q99(Volts(0.5));
 //! let drop = ntv / base - 1.0;
 //! // Fig 4: ~5% performance drop at 0.5 V in 90 nm.
 //! assert!(drop > 0.02 && drop < 0.09);

@@ -117,7 +117,7 @@ impl<'a> MarginStudy<'a> {
             Evaluation::MonteCarlo => {
                 let stream = CounterRng::new(seed, "margin-eval");
                 self.engine
-                    .chip_delay_distribution_par(vdd_effective, samples, &stream, self.exec)
+                    .chip_delay_distribution(vdd_effective, samples, &stream, self.exec)
                     .q99_ns()
             }
             Evaluation::Analytic => ChipQuantileSolver::new(self.engine).q99_ns(vdd_effective),

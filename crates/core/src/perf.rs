@@ -40,7 +40,7 @@ pub fn baseline_q99_fo4(
 ) -> f64 {
     let stream = CounterRng::new(seed, "perf-baseline");
     engine
-        .chip_delay_distribution_par(engine.tech().nominal_vdd(), samples, &stream, exec)
+        .chip_delay_distribution(engine.tech().nominal_vdd(), samples, &stream, exec)
         .q99_fo4()
 }
 
@@ -68,7 +68,7 @@ pub fn performance_drop(
     let base = baseline_q99_fo4(engine, samples, seed, exec);
     let stream = CounterRng::new(seed, "perf-ntv");
     let q99 = engine
-        .chip_delay_distribution_par(vdd, samples, &stream, exec)
+        .chip_delay_distribution(vdd, samples, &stream, exec)
         .q99_fo4();
     PerfDropPoint {
         vdd,
@@ -96,7 +96,7 @@ pub fn performance_drop_sweep(
         .iter()
         .map(|&vdd| {
             let q99 = engine
-                .chip_delay_distribution_par(vdd, samples, &stream, exec)
+                .chip_delay_distribution(vdd, samples, &stream, exec)
                 .q99_fo4();
             PerfDropPoint {
                 vdd,

@@ -108,7 +108,7 @@ pub fn decompose(
         let engine = DatapathEngine::with_mode(&frozen_tech, config, VariationMode::PaperNormal);
         let stream = CounterRng::new(seed, "sensitivity");
         engine
-            .chip_delay_distribution_par(vdd, samples, &stream, exec)
+            .chip_delay_distribution(vdd, samples, &stream, exec)
             .q99_fo4()
             - ideal
     };
@@ -162,7 +162,6 @@ impl std::fmt::Display for SensitivityReport {
 mod tests {
     use super::*;
     use ntv_device::TechNode;
-    use ntv_mc::StreamRng;
 
     #[test]
     fn freezing_everything_removes_the_excess() {
@@ -174,9 +173,9 @@ mod tests {
         p.sigma_k_systematic = 0.0;
         let frozen = TechModel::from_params(p);
         let engine = DatapathEngine::new(&frozen, DatapathConfig::paper_default());
-        let mut rng = StreamRng::from_seed(1);
+        let stream = CounterRng::new(1, "sensitivity-test");
         let q = engine
-            .chip_delay_distribution(Volts(0.55), 500, &mut rng)
+            .chip_delay_distribution(Volts(0.55), 500, &stream, Executor::default())
             .q99_fo4();
         // The mixture variance collapses to numerical dust when every
         // sigma is zero; allow for that cancellation noise.

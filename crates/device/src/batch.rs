@@ -1,5 +1,5 @@
-//! Batch EKV kernels: structure-of-arrays evaluation of on-current and
-//! gate delay over threshold vectors and voltage grids.
+//! Batch EKV kernels: structure-of-arrays evaluation of gate delay over
+//! per-gate variation vectors and voltage grids.
 //!
 //! Every kernel in this module is a *loop-interchanged* form of the scalar
 //! methods on [`TechModel`]: loop-invariant pure subexpressions (the EKV
@@ -12,10 +12,9 @@
 //! it replaces; the tests in this module pin that by `to_bits`.
 //!
 //! The slices are plain `f64`-width lanes (`Volts` is a transparent f64
-//! newtype), so the loops are amenable to autovectorization; the chunked
-//! `portable-simd` paths live one layer down in `ntv_mc` (the erfc
-//! kernel), not here — transcendentals (`powf`, `exp`) dominate these
-//! loops and stay scalar per element.
+//! newtype), so the loops are amenable to autovectorization;
+//! transcendentals (`powf`, `exp`) dominate them and stay scalar per
+//! element.
 
 use ntv_units::Volts;
 
@@ -24,42 +23,6 @@ use crate::params::THERMAL_VOLTAGE;
 use crate::variation::{ChipSample, GateSample};
 
 impl TechModel {
-    /// Batch [`on_current`](TechModel::on_current) over a threshold
-    /// vector: `out[i] = self.on_current(vdd, vths[i])`, bit-identical.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vdd` is outside the supported range or the slices differ
-    /// in length.
-    pub fn on_current_batch(&self, vdd: Volts, vths: &[Volts], out: &mut [f64]) {
-        assert_eq!(vths.len(), out.len(), "batch kernel length mismatch");
-        self.assert_voltage(vdd);
-        let p = self.params();
-        let denom = p.alpha * p.slope_n * THERMAL_VOLTAGE;
-        for (o, &vth) in out.iter_mut().zip(vths) {
-            let x = (vdd - vth) / denom;
-            *o = softplus(x).powf(p.alpha);
-        }
-    }
-
-    /// Batch [`on_current`](TechModel::on_current) over a voltage grid:
-    /// `out[i] = self.on_current(vdds[i], vth)`, bit-identical.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any voltage is outside the supported range or the slices
-    /// differ in length.
-    pub fn on_current_grid(&self, vdds: &[Volts], vth: Volts, out: &mut [f64]) {
-        assert_eq!(vdds.len(), out.len(), "batch kernel length mismatch");
-        let p = self.params();
-        let denom = p.alpha * p.slope_n * THERMAL_VOLTAGE;
-        for (o, &vdd) in out.iter_mut().zip(vdds) {
-            self.assert_voltage(vdd);
-            let x = (vdd - vth) / denom;
-            *o = softplus(x).powf(p.alpha);
-        }
-    }
-
     /// Batch [`gate_delay_ps`](TechModel::gate_delay_ps) over per-gate
     /// variation vectors (SoA): `out[i]` is the delay of the gate with
     /// random offsets `(dvth[i], ln_k[i])` on chip `chip`, bit-identical
@@ -151,24 +114,6 @@ impl TechModel {
             *o = p.delay_scale_ps * vdd.get() / (softplus(x).powf(p.alpha) * kappa);
         }
     }
-
-    /// Batch [`fo4_delay_ps`](TechModel::fo4_delay_ps) over a voltage
-    /// grid: `out[i] = self.fo4_delay_ps(vdds[i])`, bit-identical.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any voltage is outside the supported range or the slices
-    /// differ in length.
-    pub fn fo4_delay_ps_grid(&self, vdds: &[Volts], out: &mut [f64]) {
-        assert_eq!(vdds.len(), out.len(), "batch kernel length mismatch");
-        let p = self.params();
-        let denom = p.alpha * p.slope_n * THERMAL_VOLTAGE;
-        for (o, &vdd) in out.iter_mut().zip(vdds) {
-            self.assert_voltage(vdd);
-            let x = (vdd - p.vth0) / denom;
-            *o = p.delay_scale_ps * vdd.get() / softplus(x).powf(p.alpha);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -190,38 +135,6 @@ mod tests {
                 ln_k: 0.05,
             },
         ]
-    }
-
-    #[test]
-    fn on_current_batch_matches_scalar_bitwise() {
-        for node in TechNode::ALL {
-            let tech = TechModel::new(node);
-            for n in [0usize, 1, 7, 24] {
-                let vths: Vec<Volts> = (0..n)
-                    .map(|i| Volts(0.25 + 0.01 * f64::from(i as i32) - 0.002))
-                    .collect();
-                let mut out = vec![0.0; n];
-                tech.on_current_batch(Volts(0.55), &vths, &mut out);
-                for (i, &vth) in vths.iter().enumerate() {
-                    assert_eq!(
-                        out[i].to_bits(),
-                        tech.on_current(Volts(0.55), vth).to_bits(),
-                        "{node} i={i}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn on_current_grid_matches_scalar_bitwise() {
-        let tech = TechModel::new(TechNode::Gp45);
-        let vdds: Vec<Volts> = (0..33).map(|i| Volts(0.35 + 0.02 * f64::from(i))).collect();
-        let mut out = vec![0.0; vdds.len()];
-        tech.on_current_grid(&vdds, Volts(0.31), &mut out);
-        for (i, &v) in vdds.iter().enumerate() {
-            assert_eq!(out[i].to_bits(), tech.on_current(v, Volts(0.31)).to_bits());
-        }
     }
 
     #[test]
@@ -282,11 +195,6 @@ mod tests {
                 tech.gate_delay_ps(v, &chip, &gate).to_bits()
             );
         }
-
-        tech.fo4_delay_ps_grid(&vdds, &mut out);
-        for (i, &v) in vdds.iter().enumerate() {
-            assert_eq!(out[i].to_bits(), tech.fo4_delay_ps(v).to_bits());
-        }
     }
 
     #[test]
@@ -294,7 +202,13 @@ mod tests {
     fn batch_kernels_reject_length_mismatch() {
         let tech = TechModel::new(TechNode::Gp90);
         let mut out = [0.0; 2];
-        tech.on_current_batch(Volts(0.5), &[Volts(0.3)], &mut out);
+        tech.gate_delay_ps_dvth_batch(
+            Volts(0.5),
+            &ChipSample::nominal(),
+            &[Volts(0.01)],
+            0.0,
+            &mut out,
+        );
     }
 
     #[test]
@@ -302,6 +216,11 @@ mod tests {
     fn grid_kernels_validate_every_voltage() {
         let tech = TechModel::new(TechNode::Gp90);
         let mut out = [0.0; 2];
-        tech.fo4_delay_ps_grid(&[Volts(0.5), Volts(3.0)], &mut out);
+        tech.gate_delay_ps_grid(
+            &[Volts(0.5), Volts(3.0)],
+            &ChipSample::nominal(),
+            &GateSample::nominal(),
+            &mut out,
+        );
     }
 }

@@ -4,7 +4,7 @@
 //! carry sampling noise; the experiment harness reports bootstrap intervals
 //! so paper-vs-measured comparisons in EXPERIMENTS.md are honest about it.
 
-use crate::rng::StreamRng;
+use crate::rng::{SampleStream, StreamRng};
 
 /// A two-sided confidence interval.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -76,19 +76,6 @@ impl Ecdf {
         &self.sorted
     }
 
-    /// Two-sample Kolmogorov–Smirnov statistic `sup |F₁ − F₂|`.
-    #[must_use]
-    pub fn ks_distance(&self, other: &Ecdf) -> f64 {
-        let mut d: f64 = 0.0;
-        for &x in &self.sorted {
-            d = d.max((self.eval(x) - other.eval(x)).abs());
-        }
-        for &x in &other.sorted {
-            d = d.max((self.eval(x) - other.eval(x)).abs());
-        }
-        d
-    }
-
     /// One-sample KS statistic against a reference CDF.
     pub fn ks_distance_to(&self, mut cdf: impl FnMut(f64) -> f64) -> f64 {
         let n = self.sorted.len() as f64;
@@ -106,7 +93,7 @@ impl Ecdf {
 mod tests {
     use super::*;
     use crate::normal;
-    use crate::rng::StreamRng;
+    use crate::rng::{SampleStream, StreamRng};
 
     #[test]
     fn eval_steps() {
@@ -115,20 +102,6 @@ mod tests {
         assert!((e.eval(1.0) - 1.0 / 3.0).abs() < 1e-12);
         assert!((e.eval(2.5) - 2.0 / 3.0).abs() < 1e-12);
         assert_eq!(e.eval(3.0), 1.0);
-    }
-
-    #[test]
-    fn identical_samples_have_zero_ks() {
-        let a = Ecdf::from_samples(vec![1.0, 2.0, 3.0]);
-        let b = a.clone();
-        assert_eq!(a.ks_distance(&b), 0.0);
-    }
-
-    #[test]
-    fn disjoint_samples_have_ks_one() {
-        let a = Ecdf::from_samples(vec![1.0, 2.0]);
-        let b = Ecdf::from_samples(vec![10.0, 20.0]);
-        assert!((a.ks_distance(&b) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -147,13 +120,5 @@ mod tests {
         assert_eq!(r, Err(SampleError::NonFinite { index: 1 }));
         assert_eq!(Ecdf::try_from_samples(vec![]), Err(SampleError::Empty));
         assert!(Ecdf::try_from_samples(vec![0.5, 1.5]).is_ok());
-    }
-
-    #[test]
-    fn ks_is_symmetric() {
-        let mut rng = StreamRng::from_seed(5);
-        let a = Ecdf::from_samples((0..500).map(|_| rng.standard_normal()).collect());
-        let b = Ecdf::from_samples((0..700).map(|_| rng.standard_normal() + 0.2).collect());
-        assert!((a.ks_distance(&b) - b.ks_distance(&a)).abs() < 1e-12);
     }
 }

@@ -34,7 +34,7 @@
 //! # Example
 //!
 //! ```
-//! use ntv_mc::rng::StreamRng;
+//! use ntv_mc::rng::{SampleStream, StreamRng};
 //! use ntv_mc::stats::Summary;
 //!
 //! let mut rng = StreamRng::from_seed_and_label(42, "example");

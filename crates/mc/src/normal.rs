@@ -27,8 +27,7 @@ pub fn pdf(x: f64) -> f64 {
 }
 
 // Chebyshev coefficients for erfc, from W. J. Cody's rational fit as
-// tabulated in Numerical Recipes (3rd ed., §6.2.2). Shared by the scalar
-// and batch evaluators so both run the identical recurrence.
+// tabulated in Numerical Recipes (3rd ed., §6.2.2).
 const COF: [f64; 28] = [
     -1.3026537197817094,
     6.419_697_923_564_902e-1,
@@ -85,73 +84,15 @@ pub fn erfc(x: f64) -> f64 {
     }
 }
 
-/// Lane count of the chunked [`erfc_slice`] kernel: under the
-/// `portable-simd` feature, chunks of this many elements share one pass
-/// over the Chebyshev recurrence, amortizing its serial dependency chain
-/// across independent lanes. Exposed so tests can probe non-multiple
-/// lengths; the default build ignores it (plain elementwise loop).
-pub const ERFC_LANES: usize = 8;
-
-/// One chunk of the batch evaluator: every lane runs exactly the scalar
-/// [`erfc`] operation sequence, only interleaved across lanes, so each
-/// output is bit-identical to `erfc(x[l])`. The per-coefficient inner loop
-/// has no cross-lane dependence and is written fixed-stride so the
-/// compiler can vectorize the `ty·d − dd + c` update.
-#[cfg(feature = "portable-simd")]
-fn erfc_lanes(x: &[f64; ERFC_LANES]) -> [f64; ERFC_LANES] {
-    let mut z = [0.0; ERFC_LANES];
-    let mut t = [0.0; ERFC_LANES];
-    let mut ty = [0.0; ERFC_LANES];
-    for l in 0..ERFC_LANES {
-        z[l] = x[l].abs();
-        t[l] = 2.0 / (2.0 + z[l]);
-        ty[l] = 4.0 * t[l] - 2.0;
-    }
-    let mut d = [0.0; ERFC_LANES];
-    let mut dd = [0.0; ERFC_LANES];
-    for &c in COF.iter().rev().take(COF.len() - 1) {
-        for l in 0..ERFC_LANES {
-            let tmp = d[l];
-            d[l] = ty[l] * d[l] - dd[l] + c;
-            dd[l] = tmp;
-        }
-    }
-    let mut out = [0.0; ERFC_LANES];
-    for l in 0..ERFC_LANES {
-        let ans = t[l] * (-z[l] * z[l] + 0.5 * (COF[0] + ty[l] * d[l]) - dd[l]).exp();
-        out[l] = if x[l] >= 0.0 { ans } else { 2.0 - ans };
-    }
-    out
-}
-
 /// Batch complementary error function: `out[i] = erfc(xs[i])`.
 ///
-/// Bit-identical to the scalar loop in every configuration. The default
-/// build is a plain fixed-stride elementwise loop (autovectorization
-/// friendly); with the `portable-simd` feature the slice is processed in
-/// explicitly chunked lanes of [`ERFC_LANES`], which amortizes the
-/// Chebyshev recurrence's serial dependency chain across independent
-/// lanes — every lane still performs the exact scalar operation sequence,
-/// so the results carry the same bits.
+/// A plain fixed-stride elementwise loop, so every output carries the
+/// scalar [`erfc`]'s bits.
 ///
 /// # Panics
 /// Panics if the slices differ in length.
 pub fn erfc_slice(xs: &[f64], out: &mut [f64]) {
     assert_eq!(xs.len(), out.len(), "erfc batch length mismatch");
-    #[cfg(feature = "portable-simd")]
-    {
-        let chunks = xs.len() / ERFC_LANES;
-        let mut lane = [0.0; ERFC_LANES];
-        for c in 0..chunks {
-            let base = c * ERFC_LANES;
-            lane.copy_from_slice(&xs[base..base + ERFC_LANES]);
-            out[base..base + ERFC_LANES].copy_from_slice(&erfc_lanes(&lane));
-        }
-        for (o, &x) in out.iter_mut().zip(xs).skip(chunks * ERFC_LANES) {
-            *o = erfc(x);
-        }
-    }
-    #[cfg(not(feature = "portable-simd"))]
     for (o, &x) in out.iter_mut().zip(xs) {
         *o = erfc(x);
     }
@@ -178,7 +119,8 @@ pub fn cdf(x: f64) -> f64 {
 /// # Panics
 ///
 /// Panics if `p` is outside `(0, 1)` (the quantile is infinite at the
-/// endpoints; callers sampling maxima use [`crate::rng::StreamRng::uniform_open`]).
+/// endpoints; callers sampling maxima use
+/// [`crate::rng::SampleStream::uniform_open`]).
 ///
 /// # Example
 ///
@@ -246,18 +188,6 @@ pub fn quantile(p: f64) -> f64 {
     x - u / (1.0 + 0.5 * x * u)
 }
 
-/// CDF of a normal with the given mean and standard deviation.
-#[must_use]
-pub fn cdf_with(x: f64, mean: f64, std_dev: f64) -> f64 {
-    cdf((x - mean) / std_dev)
-}
-
-/// Quantile of a normal with the given mean and standard deviation.
-#[must_use]
-pub fn quantile_with(p: f64, mean: f64, std_dev: f64) -> f64 {
-    mean + std_dev * quantile(p)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -318,9 +248,8 @@ mod tests {
 
     #[test]
     fn erfc_slice_is_bit_identical_to_scalar_erfc() {
-        // Lengths straddle the chunk width: empty, single, sub-chunk,
-        // exact multiples, and a ragged tail. Values cover both signs,
-        // zero, and deep tails.
+        // Lengths: empty, single, and several longer slices. Values cover
+        // both signs, zero, and deep tails.
         for n in [0usize, 1, 3, 7, 8, 9, 16, 37] {
             let xs: Vec<f64> = (0..n)
                 .map(|i| {
@@ -379,11 +308,5 @@ mod tests {
     #[should_panic(expected = "quantile requires")]
     fn quantile_rejects_zero() {
         let _ = quantile(0.0);
-    }
-
-    #[test]
-    fn shifted_helpers() {
-        assert!((cdf_with(10.0, 10.0, 3.0) - 0.5).abs() < 1e-12);
-        assert!((quantile_with(0.5, 10.0, 3.0) - 10.0).abs() < 1e-12);
     }
 }

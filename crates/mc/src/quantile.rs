@@ -125,12 +125,6 @@ impl Quantiles {
     pub fn as_sorted_slice(&self) -> &[f64] {
         &self.sorted
     }
-
-    /// Consume and return the sorted sample.
-    #[must_use]
-    pub fn into_sorted_vec(self) -> Vec<f64> {
-        self.sorted
-    }
 }
 
 impl FromIterator<f64> for Quantiles {

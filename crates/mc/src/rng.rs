@@ -189,12 +189,6 @@ impl CounterRng {
         }
     }
 
-    /// Stream from a raw 64-bit key (e.g. a previously derived seed).
-    #[must_use]
-    pub fn from_key(key: u64) -> Self {
-        Self { key }
-    }
-
     /// The stream's key.
     #[must_use]
     pub fn key(&self) -> u64 {
@@ -203,8 +197,8 @@ impl CounterRng {
 
     /// Derive an independent child stream identified by `label`.
     ///
-    /// Unlike [`StreamRng::split`], this is deterministic in `(key, label)`
-    /// alone — no hidden state advances — so repeated calls commute.
+    /// Deterministic in `(key, label)` alone — no hidden state advances —
+    /// so repeated calls commute.
     #[must_use]
     pub fn stream(&self, label: &str) -> Self {
         Self {
@@ -228,24 +222,13 @@ impl CounterRng {
         }
     }
 
-    /// Batch draw: `out[i] = self.at(first + i).uniform()`.
-    ///
-    /// The `SampleStream`-compatible bulk path — each element is the first
-    /// half-open-uniform draw of its own `(key, index)` cell, bit-identical
-    /// to the scalar [`at`](CounterRng::at) path by construction. The
-    /// counter mix is pure integer arithmetic with no cross-element
-    /// dependence, written as a fixed-stride loop.
-    pub fn uniform_batch(&self, first: u64, out: &mut [f64]) {
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = self.at(first.wrapping_add(i as u64)).uniform();
-        }
-    }
-
     /// Batch draw: `out[i] = self.at(first + i).uniform_open()`.
     ///
-    /// Open-interval variant of [`uniform_batch`](CounterRng::uniform_batch);
-    /// this is the draw the engine's batched maximum-sampling kernels
-    /// consume (quantile transforms require `u > 0`).
+    /// Each element is the first open-interval uniform of its own
+    /// `(key, index)` cell, bit-identical to the scalar
+    /// [`at`](CounterRng::at) path by construction. This is the draw the
+    /// engine's batched maximum-sampling kernels consume (quantile
+    /// transforms require `u > 0`).
     pub fn uniform_open_batch(&self, first: u64, out: &mut [f64]) {
         for (i, o) in out.iter_mut().enumerate() {
             *o = self.at(first.wrapping_add(i as u64)).uniform_open();
@@ -288,19 +271,19 @@ impl SampleStream for CounterDraws {
     }
 }
 
-/// A seeded sequential random stream with convenience samplers.
+/// A seeded sequential random stream.
 ///
-/// Wraps [`SmallRng`] (fast, non-cryptographic — appropriate for Monte-Carlo)
-/// and adds Gaussian sampling via the Marsaglia polar method. This is the
-/// *stateful* generator: draws depend on every draw before them, so a
-/// `StreamRng` loop cannot be split across threads without changing results.
-/// Library-level experiment loops use [`CounterRng`] instead; `StreamRng`
-/// remains for gate-level circuit Monte Carlo and harness code.
+/// Wraps [`SmallRng`] (fast, non-cryptographic — appropriate for Monte-Carlo);
+/// its samplers are the [`SampleStream`] trait's. This is the *stateful*
+/// generator: draws depend on every draw before them, so a `StreamRng` loop
+/// cannot be split across threads without changing results. Library-level
+/// experiment loops use [`CounterRng`] instead; `StreamRng` remains for
+/// gate-level circuit Monte Carlo and harness code.
 ///
 /// # Example
 ///
 /// ```
-/// use ntv_mc::rng::StreamRng;
+/// use ntv_mc::rng::{SampleStream, StreamRng};
 /// let mut rng = StreamRng::from_seed(7);
 /// let x = rng.standard_normal();
 /// assert!(x.is_finite());
@@ -329,78 +312,12 @@ impl StreamRng {
     pub fn from_seed_and_label(seed: u64, label: &str) -> Self {
         Self::from_seed(derive_seed(seed, label))
     }
-
-    /// Split off an independent child stream identified by `label`.
-    ///
-    /// The child is derived from fresh entropy drawn from `self`, mixed with
-    /// the label, so repeated splits with distinct labels are decorrelated
-    /// from each other and from the parent's future output.
-    #[must_use]
-    pub fn split(&mut self, label: &str) -> Self {
-        let fresh = self.inner.next_u64();
-        Self::from_seed(derive_seed(fresh, label))
-    }
-
-    /// Uniform sample in `[0, 1)`.
-    pub fn uniform(&mut self) -> f64 {
-        self.inner.gen::<f64>()
-    }
-
-    /// Uniform sample in the open interval `(0, 1)`.
-    ///
-    /// Useful when the value feeds an inverse CDF that is singular at 0 or 1.
-    pub fn uniform_open(&mut self) -> f64 {
-        loop {
-            let u = self.inner.gen::<f64>();
-            if u > 0.0 {
-                return u;
-            }
-        }
-    }
-
-    /// Standard normal sample (Marsaglia polar method).
-    pub fn standard_normal(&mut self) -> f64 {
-        if let Some(z) = self.spare_normal.take() {
-            return z;
-        }
-        loop {
-            let u: f64 = 2.0 * self.inner.gen::<f64>() - 1.0;
-            let v: f64 = 2.0 * self.inner.gen::<f64>() - 1.0;
-            let s: f64 = u * u + v * v;
-            if s > 0.0 && s < 1.0 {
-                let f = (-2.0 * s.ln() / s).sqrt();
-                self.spare_normal = Some(v * f);
-                return u * f;
-            }
-        }
-    }
-
-    /// Normal sample with the given mean and standard deviation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `std_dev` is negative or not finite.
-    pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
-        assert!(
-            std_dev.is_finite() && std_dev >= 0.0,
-            "standard deviation must be finite and non-negative, got {std_dev}"
-        );
-        mean + std_dev * self.standard_normal()
-    }
-
-    /// Uniform integer in `[0, n)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn index(&mut self, n: usize) -> usize {
-        assert!(n > 0, "cannot sample an index from an empty range");
-        self.inner.gen_range(0..n)
-    }
 }
 
-/// `StreamRng` exposes the same sampler interface; the inherent methods are
-/// kept (and delegated to) so existing sequential call sites are untouched.
+/// `StreamRng`'s draws come from `SmallRng`: `uniform` goes through its own
+/// f64 path and `index` through `gen_range`, not the trait defaults over
+/// `next_word` (same distributions, different draws). The open uniform and
+/// the polar normal are the trait's, built on this `uniform`.
 impl SampleStream for StreamRng {
     fn next_word(&mut self) -> u64 {
         self.inner.next_u64()
@@ -410,23 +327,13 @@ impl SampleStream for StreamRng {
         &mut self.spare_normal
     }
 
-    // Keep the trait view bit-identical to the inherent methods: `uniform`
-    // must go through SmallRng's own f64 path, not the default 53-bit
-    // construction over `next_word` (same distribution, different draws).
     fn uniform(&mut self) -> f64 {
-        StreamRng::uniform(self)
-    }
-
-    fn uniform_open(&mut self) -> f64 {
-        StreamRng::uniform_open(self)
-    }
-
-    fn standard_normal(&mut self) -> f64 {
-        StreamRng::standard_normal(self)
+        self.inner.gen::<f64>()
     }
 
     fn index(&mut self, n: usize) -> usize {
-        StreamRng::index(self, n)
+        assert!(n > 0, "cannot sample an index from an empty range");
+        self.inner.gen_range(0..n)
     }
 }
 
@@ -449,16 +356,6 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(a.uniform().to_bits(), b.uniform().to_bits());
         }
-    }
-
-    #[test]
-    fn split_streams_diverge() {
-        let mut parent = StreamRng::from_seed(5);
-        let mut c1 = parent.split("one");
-        let mut c2 = parent.split("two");
-        let x: Vec<f64> = (0..8).map(|_| c1.uniform()).collect();
-        let y: Vec<f64> = (0..8).map(|_| c2.uniform()).collect();
-        assert_ne!(x, y);
     }
 
     #[test]
@@ -571,15 +468,12 @@ mod tests {
         // the wrapping edge near u64::MAX.
         for first in [0u64, 17, u64::MAX - 3] {
             for n in [0usize, 1, 5, 8, 13, 64] {
-                let mut u = vec![0.0; n];
                 let mut uo = vec![0.0; n];
                 let mut z = vec![0.0; n];
-                s.uniform_batch(first, &mut u);
                 s.uniform_open_batch(first, &mut uo);
                 s.standard_normal_batch(first, &mut z);
                 for i in 0..n {
                     let idx = first.wrapping_add(i as u64);
-                    assert_eq!(u[i].to_bits(), s.at(idx).uniform().to_bits());
                     assert_eq!(uo[i].to_bits(), s.at(idx).uniform_open().to_bits());
                     assert_eq!(z[i].to_bits(), s.at(idx).standard_normal().to_bits());
                 }

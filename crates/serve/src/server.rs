@@ -40,15 +40,15 @@
 //! byte-identical across runs for a fixed query set; `/stats` reflects
 //! live counters and is explicitly excluded from that contract.
 
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufReader, Read};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use ntv_core::{Executor, OpPointCache};
 
-use crate::http::{read_request, write_response, Request, RequestError};
+use crate::http::{read_request, write_response, Request, RequestError, MAX_BODY_BYTES};
 use crate::json;
 use crate::shed::McGate;
 use crate::wire;
@@ -198,12 +198,12 @@ fn worker_loop(listener: &TcpListener, shared: &Shared, idle: Duration) {
         }
         let _ = stream.set_read_timeout(Some(idle));
         let _ = stream.set_nodelay(true);
-        handle_connection(stream, shared, &exec);
+        handle_connection(stream, shared, &exec, idle);
     }
 }
 
 /// Serve one connection's keep-alive request sequence.
-fn handle_connection(stream: TcpStream, shared: &Shared, exec: &Executor) {
+fn handle_connection(stream: TcpStream, shared: &Shared, exec: &Executor, idle: Duration) {
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
@@ -220,12 +220,14 @@ fn handle_connection(stream: TcpStream, shared: &Shared, exec: &Executor) {
                 shared.counters.requests.fetch_add(1, Ordering::Relaxed);
                 let body = error_body("request exceeds size caps");
                 let _ = write_response(&mut writer, 413, &body, false);
+                close_refused(&writer, &mut reader, idle);
                 return;
             }
             Err(RequestError::Bad(reason)) => {
                 shared.counters.requests.fetch_add(1, Ordering::Relaxed);
                 let body = error_body(&reason);
                 let _ = write_response(&mut writer, 400, &body, false);
+                close_refused(&writer, &mut reader, idle);
                 return;
             }
         };
@@ -237,6 +239,29 @@ fn handle_connection(stream: TcpStream, shared: &Shared, exec: &Executor) {
         let keep_alive = request.keep_alive;
         if write_response(&mut writer, status, &body, keep_alive).is_err() || !keep_alive {
             return;
+        }
+    }
+}
+
+/// Close a connection after refusing its request. The rest of the request
+/// may still be unread, and closing a socket with unread input makes the
+/// kernel send a reset, which can destroy the error response before the
+/// client reads it. So: send FIN, then read and discard until the client's
+/// EOF — at most `MAX_BODY_BYTES`, for at most `idle` in all.
+fn close_refused(stream: &TcpStream, reader: &mut impl Read, idle: Duration) {
+    let _ = stream.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + idle;
+    let mut left = MAX_BODY_BYTES;
+    let mut buf = [0u8; 8192];
+    while left > 0 {
+        let remaining = deadline.saturating_duration_since(Instant::now());
+        if remaining.is_zero() || stream.set_read_timeout(Some(remaining)).is_err() {
+            return;
+        }
+        let want = left.min(buf.len());
+        match reader.read(&mut buf[..want]) {
+            Ok(0) | Err(_) => return,
+            Ok(n) => left -= n,
         }
     }
 }

@@ -2,6 +2,8 @@
 //! Monte-Carlo shedding, and the double-run byte-identity guarantee with
 //! the bounded cache enabled.
 
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, TcpStream};
 use std::time::Duration;
 
 use ntv_serve::client::{request_once, Connection};
@@ -243,6 +245,51 @@ fn concurrent_clients_get_identical_answers() {
     assert!(
         answers.iter().all(|a| a == reference),
         "all clients must observe identical bytes"
+    );
+    handle.shutdown();
+}
+
+#[test]
+fn a_refused_request_is_answered_then_closed_cleanly() {
+    // A client announces a body over the 1 MiB cap, sends 256 KiB of it and
+    // shuts its write half. The server must answer 413 and then close with
+    // FIN: closing with the request still unread would make the kernel send
+    // a reset, which the client sees as ECONNRESET instead of end-of-stream.
+    let handle = serve(&test_config()).expect("bind");
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    let head = "POST /v1/query HTTP/1.1\r\nHost: t\r\nContent-Length: 2097152\r\n\r\n";
+    let mut request = head.as_bytes().to_vec();
+    request.resize(head.len() + 256 * 1024, b'x');
+    // The server answers after reading only the head, so the shutdown may
+    // fail; what matters is what the client reads afterwards.
+    stream.write_all(&request).expect("send");
+    let _ = stream.shutdown(Shutdown::Write);
+
+    let mut reader = BufReader::new(stream);
+    let mut status = String::new();
+    reader.read_line(&mut status).expect("status line");
+    assert_eq!(status, "HTTP/1.1 413 Payload Too Large\r\n");
+    let mut content_length = 0;
+    loop {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("header line");
+        if line == "\r\n" {
+            break;
+        }
+        if let Some(v) = line.strip_prefix("content-length: ") {
+            content_length = v.trim().parse().expect("length");
+        }
+    }
+    let mut body = vec![0u8; content_length];
+    reader.read_exact(&mut body).expect("body");
+    assert!(String::from_utf8_lossy(&body).contains("size caps"));
+    let mut after = [0u8; 1];
+    assert!(
+        matches!(reader.read(&mut after), Ok(0)),
+        "expected end-of-stream after the 413"
     );
     handle.shutdown();
 }

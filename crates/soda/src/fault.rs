@@ -21,7 +21,7 @@
 //!   residual intermittent errors on healthy lanes remain.
 
 use ntv_core::DatapathEngine;
-use ntv_mc::StreamRng;
+use ntv_mc::{SampleStream, StreamRng};
 use ntv_units::Volts;
 use serde::{Deserialize, Serialize};
 

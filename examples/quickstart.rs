@@ -9,7 +9,7 @@ use ntv_simd::core::compare::compare_at;
 use ntv_simd::core::perf::performance_drop;
 use ntv_simd::core::{DatapathConfig, DatapathEngine, Executor};
 use ntv_simd::device::{TechModel, TechNode};
-use ntv_simd::mc::StreamRng;
+use ntv_simd::mc::CounterRng;
 use ntv_simd::units::Volts;
 
 fn main() {
@@ -31,8 +31,8 @@ fn main() {
     );
 
     // 2. What variation adds on top: the 99% chip-delay point in FO4 units.
-    let mut rng = StreamRng::from_seed(seed);
-    let dist = engine.chip_delay_distribution(Volts(vdd), samples, &mut rng);
+    let stream = CounterRng::new(seed, "quickstart");
+    let dist = engine.chip_delay_distribution(Volts(vdd), samples, &stream, Executor::default());
     println!(
         "  ideal critical path is 50 FO4; the 99% point of the slowest of\n  \
          12,800 paths is {:.1} FO4 ({:.2} ns)",

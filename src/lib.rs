@@ -28,16 +28,16 @@
 //!
 //! ```
 //! use ntv_simd::device::{TechModel, TechNode};
-//! use ntv_simd::core::{DatapathConfig, DatapathEngine};
-//! use ntv_simd::mc::StreamRng;
+//! use ntv_simd::core::{DatapathConfig, DatapathEngine, Executor};
+//! use ntv_simd::mc::CounterRng;
 //! use ntv_simd::units::Volts;
 //!
 //! // 128-wide SIMD datapath in 90nm GP, evaluated at 0.55 V.
 //! let tech = TechModel::new(TechNode::Gp90);
 //! let config = DatapathConfig::paper_default();
 //! let engine = DatapathEngine::new(&tech, config);
-//! let mut rng = StreamRng::from_seed(1);
-//! let dist = engine.chip_delay_distribution(Volts(0.55), 2_000, &mut rng);
+//! let stream = CounterRng::new(1, "quickstart");
+//! let dist = engine.chip_delay_distribution(Volts(0.55), 2_000, &stream, Executor::default());
 //! // The 99% chip-delay point in FO4 units is a little above the ideal
 //! // 50-FO4 critical path because variation makes the slowest of
 //! // 128 lanes x 100 paths slower.

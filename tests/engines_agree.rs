@@ -5,9 +5,9 @@
 use ntv_simd::circuit::chain::ChainMc;
 use ntv_simd::circuit::path_model::PathModel;
 use ntv_simd::core::engine::{PathDistribution, VariationMode};
-use ntv_simd::core::{DatapathConfig, DatapathEngine};
+use ntv_simd::core::{DatapathConfig, DatapathEngine, Executor};
 use ntv_simd::device::{TechModel, TechNode};
-use ntv_simd::mc::{Ecdf, StreamRng, Summary};
+use ntv_simd::mc::{CounterRng, Ecdf, StreamRng, Summary};
 use ntv_simd::units::Volts;
 
 #[test]
@@ -78,13 +78,15 @@ fn paper_normal_and_skewed_modes_share_first_two_moments() {
         DatapathConfig::new(1, 1, 50),
         VariationMode::SkewedIid,
     );
+    // With one lane of one path, a lane delay is the chip delay: the lane
+    // sampler draws exactly what the chip sampler draws.
     let mut rng_a = StreamRng::from_seed(4);
     let mut rng_b = StreamRng::from_seed(5);
     let a: Summary = (0..20_000)
-        .map(|_| normal.sample_chip_delay_fo4(Volts(0.55), &mut rng_a))
+        .map(|_| normal.sample_lane_delays_fo4(Volts(0.55), 1, &mut rng_a)[0])
         .collect();
     let b: Summary = (0..20_000)
-        .map(|_| skewed.sample_chip_delay_fo4(Volts(0.55), &mut rng_b))
+        .map(|_| skewed.sample_lane_delays_fo4(Volts(0.55), 1, &mut rng_b)[0])
         .collect();
     assert!((a.mean() / b.mean() - 1.0).abs() < 0.01);
     assert!((a.std_dev() / b.std_dev() - 1.0).abs() < 0.05);
@@ -105,7 +107,7 @@ fn paper_normal_and_skewed_modes_share_first_two_moments() {
     );
     let mut rng_c = StreamRng::from_seed(6);
     let c: Summary = (0..20_000)
-        .map(|_| skew22.sample_chip_delay_fo4(Volts(0.5), &mut rng_c))
+        .map(|_| skew22.sample_lane_delays_fo4(Volts(0.5), 1, &mut rng_c)[0])
         .collect();
     assert!(c.skewness() > 0.3, "22nm @0.5V skewness {}", c.skewness());
 }
@@ -119,12 +121,12 @@ fn tail_shape_matters_for_extreme_maxima() {
     let config = DatapathConfig::paper_default();
     let normal = DatapathEngine::with_mode(&tech, config, VariationMode::PaperNormal);
     let skewed = DatapathEngine::with_mode(&tech, config, VariationMode::SkewedIid);
-    let mut rng = StreamRng::from_seed(6);
+    let stream = CounterRng::new(6, "tail-shape");
     let qn = normal
-        .chip_delay_distribution(Volts(0.5), 3_000, &mut rng)
+        .chip_delay_distribution(Volts(0.5), 3_000, &stream, Executor::default())
         .q99_fo4();
     let qs = skewed
-        .chip_delay_distribution(Volts(0.5), 3_000, &mut rng)
+        .chip_delay_distribution(Volts(0.5), 3_000, &stream, Executor::default())
         .q99_fo4();
     assert!(qs > 1.05 * qn, "skewed q99 {qs} vs normal q99 {qn}");
 }
@@ -169,24 +171,20 @@ fn fo4_unit_matches_paper_definition() {
 #[test]
 fn common_random_numbers_correlate_across_voltages() {
     // The margining bisection relies on chip draws being shared across
-    // candidate voltages: same seed => near-perfectly correlated chip
-    // delays, so q99 differences are dominated by the voltage, not noise.
+    // candidate voltages: chip i sees the same draws at every voltage =>
+    // near-perfectly correlated chip delays, so q99 differences are
+    // dominated by the voltage, not noise.
     let tech = TechModel::new(TechNode::Gp45);
     let engine = DatapathEngine::new(&tech, DatapathConfig::paper_default());
-    let draw = |vdd: Volts| -> Vec<f64> {
-        let mut rng = StreamRng::from_seed_and_label(9, "crn-check");
-        (0..2_000)
-            .map(|_| engine.sample_chip_delay_fo4(vdd, &mut rng))
-            .collect()
+    let draw = |vdd: Volts, stream: &CounterRng| -> Vec<f64> {
+        engine.sample_batch(vdd, stream, 0..2_000, Executor::default())
     };
-    let a = draw(Volts(0.600));
-    let b = draw(Volts(0.605));
+    let crn = CounterRng::new(9, "crn-check");
+    let a = draw(Volts(0.600), &crn);
+    let b = draw(Volts(0.605), &crn);
     let r = ntv_simd::mc::stats::pearson(&a, &b);
     assert!(r > 0.99, "CRN correlation {r}");
     // Independent seeds are uncorrelated by comparison.
-    let mut rng = StreamRng::from_seed_and_label(10, "other");
-    let c: Vec<f64> = (0..2_000)
-        .map(|_| engine.sample_chip_delay_fo4(Volts(0.605), &mut rng))
-        .collect();
+    let c = draw(Volts(0.605), &CounterRng::new(10, "other"));
     assert!(ntv_simd::mc::stats::pearson(&a, &c).abs() < 0.1);
 }
