@@ -3,27 +3,29 @@
 //! ablations) that go beyond the paper's printed figures.
 
 use ntv_bench::{experiments::extensions, experiments::policies, DEFAULT_SEED};
+use ntv_core::Executor;
 use ntv_device::TechNode;
 use ntv_units::Volts;
 
 fn main() {
     let samples = 5_000;
+    let exec = Executor::default();
     for node in [TechNode::Gp90, TechNode::PtmHp22] {
         println!(
             "{}\n",
-            extensions::width_sweep(node, 0.55, samples, DEFAULT_SEED)
+            extensions::width_sweep_with(node, 0.55, samples, DEFAULT_SEED, exec)
         );
     }
     for node in TechNode::ALL {
         println!(
             "{}",
-            extensions::abb_comparison(node, 0.6, samples, DEFAULT_SEED)
+            extensions::abb_comparison_with(node, 0.6, samples, DEFAULT_SEED, exec)
         );
     }
     println!();
     println!(
         "{}",
-        extensions::yield_curves(TechNode::Gp90, 0.55, samples, DEFAULT_SEED)
+        extensions::yield_curves_with(TechNode::Gp90, 0.55, samples, DEFAULT_SEED, exec)
     );
     println!();
     println!("{}", policies::run(25, DEFAULT_SEED));
@@ -38,7 +40,7 @@ fn main() {
                 Volts(0.55),
                 samples,
                 DEFAULT_SEED,
-                ntv_core::Executor::default(),
+                exec,
             )
         );
     }

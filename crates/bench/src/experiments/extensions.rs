@@ -51,12 +51,6 @@ pub struct WidthSweepResult {
 
 /// Sweep the performance drop against datapath width (16 → 1024 lanes).
 #[must_use]
-pub fn width_sweep(node: TechNode, vdd: f64, samples: usize, seed: u64) -> WidthSweepResult {
-    width_sweep_with(node, vdd, samples, seed, Executor::default())
-}
-
-/// [`width_sweep`] on an explicit executor.
-#[must_use]
 pub fn width_sweep_with(
     node: TechNode,
     vdd: f64,
@@ -120,12 +114,6 @@ pub struct AbbComparison {
 
 /// Compare adaptive body bias against voltage margining.
 #[must_use]
-pub fn abb_comparison(node: TechNode, vdd: f64, samples: usize, seed: u64) -> AbbComparison {
-    abb_comparison_with(node, vdd, samples, seed, Executor::default())
-}
-
-/// [`abb_comparison`] on an explicit executor.
-#[must_use]
 pub fn abb_comparison_with(
     node: TechNode,
     vdd: f64,
@@ -185,12 +173,6 @@ pub struct YieldCurvesResult {
 }
 
 /// Timing-yield curves for 0, 4 and 12 spares.
-#[must_use]
-pub fn yield_curves(node: TechNode, vdd: f64, samples: usize, seed: u64) -> YieldCurvesResult {
-    yield_curves_with(node, vdd, samples, seed, Executor::default())
-}
-
-/// [`yield_curves`] on an explicit executor.
 #[must_use]
 pub fn yield_curves_with(
     node: TechNode,
@@ -395,7 +377,7 @@ mod tests {
 
     #[test]
     fn drop_grows_with_simd_width() {
-        let r = width_sweep(TechNode::Gp90, 0.55, 1500, 40);
+        let r = width_sweep_with(TechNode::Gp90, 0.55, 1500, 40, Executor::default());
         // Absolute chip delay grows decisively with width (more critical
         // paths under the max).
         for w in r.points.windows(2) {
@@ -414,7 +396,7 @@ mod tests {
 
     #[test]
     fn abb_competes_with_margining() {
-        let c = abb_comparison(TechNode::Gp90, 0.6, 1200, 41);
+        let c = abb_comparison_with(TechNode::Gp90, 0.6, 1200, 41, Executor::default());
         // Both knobs land in the same few-millivolt regime and percent-scale
         // power cost.
         assert!(c.vth_shift > 0.0 && c.vth_shift < 0.03, "{c:?}");
@@ -424,7 +406,7 @@ mod tests {
 
     #[test]
     fn spares_shift_yield_curves_left() {
-        let r = yield_curves(TechNode::Gp90, 0.55, 1500, 42);
+        let r = yield_curves_with(TechNode::Gp90, 0.55, 1500, 42, Executor::default());
         // At every clock, more spares -> no worse yield; somewhere strictly
         // better.
         let mut strictly = false;

@@ -39,12 +39,6 @@ pub struct Fig1Result {
     pub chain_hist_05v: Histogram,
 }
 
-/// Regenerate Fig 1 (all available cores).
-#[must_use]
-pub fn run(samples: usize, seed: u64) -> Fig1Result {
-    run_with(samples, seed, Executor::default())
-}
-
 /// Regenerate Fig 1 on an explicit executor.
 ///
 /// Chip `i` is addressed as `(seed, label, i)`, so every voltage row reuses
@@ -133,7 +127,7 @@ mod tests {
 
     #[test]
     fn reproduces_paper_within_tolerance() {
-        let result = run(600, 1);
+        let result = run_with(600, 1, Executor::default());
         assert_eq!(result.rows.len(), 6);
         for r in &result.rows {
             assert!(
@@ -164,7 +158,7 @@ mod tests {
 
     #[test]
     fn display_prints_all_rows() {
-        let result = run(100, 2);
+        let result = run_with(100, 2, Executor::default());
         let text = result.to_string();
         assert!(text.contains("Fig 1"));
         assert!(text.contains("0.50"));

@@ -33,12 +33,6 @@ pub struct Fig11Result {
     pub curves: Vec<Fig11Curve>,
 }
 
-/// Regenerate Fig 11 (all available cores).
-#[must_use]
-pub fn run(samples: usize, seed: u64) -> Fig11Result {
-    run_with(samples, seed, Executor::default())
-}
-
 /// Regenerate Fig 11 on an explicit executor.
 #[must_use]
 pub fn run_with(samples: usize, seed: u64, exec: Executor) -> Fig11Result {
@@ -91,7 +85,7 @@ mod tests {
 
     #[test]
     fn variation_falls_with_diminishing_returns() {
-        let r = run(800, 17);
+        let r = run_with(800, 17, Executor::default());
         for c in &r.curves {
             // Broadly decreasing...
             let first = c.points[0].1;
@@ -109,7 +103,7 @@ mod tests {
 
     #[test]
     fn node_ordering_holds_at_055v() {
-        let r = run(800, 18);
+        let r = run_with(800, 18, Executor::default());
         // At N = 50, 22nm is ~2.5x 90nm (paper §3.1).
         let at = |node: TechNode| {
             r.curves

@@ -41,12 +41,6 @@ impl Fig2Result {
     }
 }
 
-/// Regenerate Fig 2 (all available cores).
-#[must_use]
-pub fn run(samples: usize, seed: u64) -> Fig2Result {
-    run_with(samples, seed, Executor::default())
-}
-
 /// Regenerate Fig 2 on an explicit executor.
 ///
 /// The stream is index-addressed, so every `(node, vdd)` point sees the
@@ -109,7 +103,7 @@ mod tests {
 
     #[test]
     fn curves_match_paper_shape() {
-        let result = run(500, 3);
+        let result = run_with(500, 3, Executor::default());
         assert_eq!(result.curves.len(), 4);
         // Monotone decreasing with voltage for every node.
         for c in &result.curves {
@@ -135,7 +129,7 @@ mod tests {
 
     #[test]
     fn display_includes_all_nodes() {
-        let text = run(60, 4).to_string();
+        let text = run_with(60, 4, Executor::default()).to_string();
         for node in TechNode::ALL {
             assert!(text.contains(&node.to_string()));
         }

@@ -26,12 +26,6 @@ pub struct Fig3Result {
     pub curves: Vec<Fig3Curve>,
 }
 
-/// Regenerate Fig 3 (all available cores).
-#[must_use]
-pub fn run(samples: usize, seed: u64) -> Fig3Result {
-    run_with(samples, seed, Executor::default())
-}
-
 /// Regenerate Fig 3 on an explicit executor.
 ///
 /// Each curve owns a labelled counter stream; the four 128-wide curves
@@ -97,7 +91,7 @@ mod tests {
 
     #[test]
     fn curves_order_as_in_paper() {
-        let r = run(1500, 5);
+        let r = run_with(1500, 5, Executor::default());
         assert_eq!(r.curves.len(), 6);
         let median = |i: usize| r.curves[i].distribution.fo4_quantiles.median();
         // Path@1V < 1-wide@1V < 128-wide@1V (max statistics shift right).
@@ -113,7 +107,7 @@ mod tests {
 
     #[test]
     fn display_lists_every_curve() {
-        let text = run(300, 6).to_string();
+        let text = run_with(300, 6, Executor::default()).to_string();
         assert!(text.contains("critical path @1V"));
         assert!(text.contains("128-wide @0.50V"));
     }

@@ -40,12 +40,6 @@ impl Fig4Result {
     }
 }
 
-/// Regenerate Fig 4 (all available cores).
-#[must_use]
-pub fn run(samples: usize, seed: u64) -> Fig4Result {
-    run_with(samples, seed, Executor::default())
-}
-
 /// Regenerate Fig 4 on an explicit executor.
 #[must_use]
 pub fn run_with(samples: usize, seed: u64, exec: Executor) -> Fig4Result {
@@ -100,7 +94,7 @@ mod tests {
 
     #[test]
     fn matches_paper_anchor_points() {
-        let r = run(3000, 7);
+        let r = run_with(3000, 7, Executor::default());
         for (vdd, want) in calib::FIG4_PERF_DROP_90NM {
             let got = r.drop(TechNode::Gp90, vdd).expect("swept");
             assert!(
@@ -118,7 +112,7 @@ mod tests {
 
     #[test]
     fn drop_decreases_with_voltage_for_every_node() {
-        let r = run(2000, 8);
+        let r = run_with(2000, 8, Executor::default());
         for c in &r.curves {
             for w in c.points.windows(2) {
                 assert!(w[1].drop <= w[0].drop + 0.005, "{:?}", c.node);

@@ -34,12 +34,6 @@ pub struct Fig5Result {
     pub matching_spares: Option<u32>,
 }
 
-/// Regenerate Fig 5 (all available cores).
-#[must_use]
-pub fn run(samples: usize, seed: u64) -> Fig5Result {
-    run_with(samples, seed, Executor::default())
-}
-
 /// Regenerate Fig 5 on an explicit executor.
 #[must_use]
 pub fn run_with(samples: usize, seed: u64, exec: Executor) -> Fig5Result {
@@ -106,7 +100,7 @@ mod tests {
 
     #[test]
     fn spares_shift_left_and_match_baseline() {
-        let r = run(3000, 9);
+        let r = run_with(3000, 9, Executor::default());
         // q99 monotone decreasing with spares.
         for w in r.curves.windows(2) {
             assert!(w[1].distribution.q99_fo4() <= w[0].distribution.q99_fo4() + 1e-9);
@@ -122,7 +116,7 @@ mod tests {
 
     #[test]
     fn display_mentions_baseline() {
-        let text = run(500, 10).to_string();
+        let text = run_with(500, 10, Executor::default()).to_string();
         assert!(text.contains("baseline"));
         assert!(text.contains("spares"));
     }

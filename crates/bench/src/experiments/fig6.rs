@@ -6,8 +6,8 @@
 //! toward the target.
 
 use ntv_core::duplication::DuplicationStudy;
-use ntv_core::margining::MarginStudy;
-use ntv_core::{ChipDelayDistribution, DatapathConfig, DatapathEngine, Executor};
+use ntv_core::perf;
+use ntv_core::{ChipDelayDistribution, DatapathConfig, DatapathEngine, Evaluation, Executor};
 use ntv_device::{TechModel, TechNode};
 use ntv_mc::CounterRng;
 use ntv_units::Volts;
@@ -39,12 +39,6 @@ pub struct Fig6Result {
     pub spare_curves: Vec<Fig6Curve>,
 }
 
-/// Regenerate Fig 6 (all available cores).
-#[must_use]
-pub fn run(samples: usize, seed: u64) -> Fig6Result {
-    run_with(samples, seed, Executor::default())
-}
-
 /// Regenerate Fig 6 on an explicit executor.
 ///
 /// All five voltage-margin curves share one index-addressed stream, so
@@ -55,8 +49,14 @@ pub fn run_with(samples: usize, seed: u64, exec: Executor) -> Fig6Result {
     let vdd = 0.60;
     let tech = TechModel::new(TechNode::Gp45);
     let engine = DatapathEngine::new(&tech, DatapathConfig::paper_default());
-    let margin_study = MarginStudy::new(&engine).with_executor(exec);
-    let target_ns = margin_study.target_delay_ns(Volts(vdd), samples, seed);
+    let target_ns = perf::target_delay_ns(
+        &engine,
+        Evaluation::MonteCarlo,
+        Volts(vdd),
+        samples,
+        seed,
+        exec,
+    );
 
     let stream = CounterRng::new(seed, "fig6-v");
     let mut voltage_curves = Vec::new();
@@ -122,7 +122,7 @@ mod tests {
 
     #[test]
     fn walking_either_axis_approaches_target() {
-        let r = run(2500, 11);
+        let r = run_with(2500, 11, Executor::default());
         // Monotone decreasing q99 along both axes.
         for w in r.voltage_curves.windows(2) {
             assert!(w[1].q99_ns < w[0].q99_ns);
@@ -138,7 +138,7 @@ mod tests {
 
     #[test]
     fn display_shows_target() {
-        let text = run(400, 12).to_string();
+        let text = run_with(400, 12, Executor::default()).to_string();
         assert!(text.contains("target delay"));
         assert!(text.contains("615 mV"));
     }

@@ -42,12 +42,6 @@ pub struct Fig7Result {
     pub panels: Vec<Fig7Panel>,
 }
 
-/// Regenerate Fig 7 (all available cores).
-#[must_use]
-pub fn run(samples: usize, seed: u64) -> Fig7Result {
-    run_with(samples, seed, Executor::default())
-}
-
 /// Regenerate Fig 7 on an explicit executor.
 #[must_use]
 pub fn run_with(samples: usize, seed: u64, exec: Executor) -> Fig7Result {
@@ -105,7 +99,7 @@ mod tests {
 
     #[test]
     fn crossover_structure_matches_paper() {
-        let r = run(2000, 13);
+        let r = run_with(2000, 13, Executor::default());
         // 90nm panel: duplication wins across the high-NTV band.
         let p90 = &r.panels[0];
         let high_ntv: Vec<Technique> = p90
@@ -133,7 +127,7 @@ mod tests {
 
     #[test]
     fn display_renders_all_panels() {
-        let text = run(400, 14).to_string();
+        let text = run_with(400, 14, Executor::default()).to_string();
         for node in TechNode::ALL {
             assert!(text.contains(&node.to_string()));
         }

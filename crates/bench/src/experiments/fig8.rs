@@ -5,7 +5,7 @@
 //! or (8 spares + 5 mV); Table 3 then prices them.
 
 use ntv_core::dse::DseStudy;
-use ntv_core::margining::MarginStudy;
+use ntv_core::perf;
 use ntv_core::{DatapathConfig, DatapathEngine, Evaluation, Executor};
 use ntv_device::{TechModel, TechNode};
 use ntv_units::Volts;
@@ -35,12 +35,6 @@ impl Fig8Result {
     }
 }
 
-/// Regenerate Fig 8 (all available cores).
-#[must_use]
-pub fn run(samples: usize, seed: u64) -> Fig8Result {
-    run_with(samples, seed, Executor::default())
-}
-
 /// Regenerate Fig 8 on an explicit executor.
 #[must_use]
 pub fn run_with(samples: usize, seed: u64, exec: Executor) -> Fig8Result {
@@ -49,10 +43,14 @@ pub fn run_with(samples: usize, seed: u64, exec: Executor) -> Fig8Result {
     let engine = DatapathEngine::new(&tech, DatapathConfig::paper_default());
     // Analytic grid: exact order-statistic quantiles, no MC noise
     // (`samples`/`seed` are accepted for interface uniformity only).
-    let target_ns = MarginStudy::new(&engine)
-        .with_executor(exec)
-        .with_evaluation(Evaluation::Analytic)
-        .target_delay_ns(Volts(vdd), samples, seed);
+    let target_ns = perf::target_delay_ns(
+        &engine,
+        Evaluation::Analytic,
+        Volts(vdd),
+        samples,
+        seed,
+        exec,
+    );
     let dse = DseStudy::new(&engine)
         .with_executor(exec)
         .with_evaluation(Evaluation::Analytic);
@@ -99,7 +97,7 @@ mod tests {
 
     #[test]
     fn grid_is_monotone_in_both_axes() {
-        let r = run(2000, 15);
+        let r = run_with(2000, 15, Executor::default());
         // Fixed spares: q99 falls with margin.
         for &spares in &[0u32, 2, 8] {
             let series: Vec<f64> = (0..5)
@@ -123,7 +121,7 @@ mod tests {
         // Paper: 2 spares + 10 mV, or 8 spares + 5 mV, both reach the target.
         // Our model reproduces the first exactly; the second lands within
         // one percent of the target delay.
-        let r = run(2500, 16);
+        let r = run_with(2500, 16, Executor::default());
         assert!(r.q99_ns(10.0, 2).expect("computed") <= r.target_ns * 1.002);
         assert!(r.q99_ns(5.0, 8).expect("computed") <= r.target_ns * 1.008);
         // The unmitigated point does not.

@@ -51,12 +51,6 @@ pub fn run_for(node: TechNode) -> Fig9Result {
     }
 }
 
-/// Regenerate Fig 9 for the paper's representative 90 nm node.
-#[must_use]
-pub fn run() -> Fig9Result {
-    run_for(TechNode::Gp90)
-}
-
 impl std::fmt::Display for Fig9Result {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let tech = TechModel::new(self.node);
@@ -131,7 +125,7 @@ mod tests {
 
     #[test]
     fn sweep_shows_energy_minimum_interior() {
-        let r = run();
+        let r = run_for(TechNode::Gp90);
         let totals: Vec<f64> = r.sweep.iter().map(|p| p.total_fj).collect();
         let min_idx = totals
             .iter()
@@ -147,7 +141,7 @@ mod tests {
 
     #[test]
     fn display_reports_ratios() {
-        let text = run().to_string();
+        let text = run_for(TechNode::Gp90).to_string();
         assert!(text.contains("minimum energy"));
         assert!(text.contains("NTV (0.5 V) vs nominal"));
     }

@@ -1,9 +1,11 @@
 //! One module per paper table/figure.
 //!
-//! Each module exposes `run(samples, seed) -> …Result` returning structured
-//! data, plus `run_with(samples, seed, exec)` taking an
-//! [`ntv_core::Executor`] so the same experiment parallelises with
-//! bit-identical output (`run` delegates to the serial default). The result
+//! Each Monte-Carlo module exposes one entry point,
+//! `run_with(samples, seed, exec) -> …Result`, returning structured data;
+//! the [`ntv_core::Executor`] sets the thread count, and the output is
+//! bit-identical for any choice. The sample-free experiments take only
+//! what they vary: `fig9::run_for(node)`, `placement::run(seed)` and
+//! `policies::run(chips, seed)`. The result
 //! type implements `Display` to print the paper-style rows. Paper reference
 //! values (where the paper prints them) are carried alongside the measured
 //! values so the output doubles as the EXPERIMENTS.md evidence.

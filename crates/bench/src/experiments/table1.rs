@@ -46,12 +46,6 @@ impl Table1Result {
     }
 }
 
-/// Regenerate Table 1 (all available cores).
-#[must_use]
-pub fn run(samples: usize, seed: u64) -> Table1Result {
-    run_with(samples, seed, Executor::default())
-}
-
 /// Regenerate Table 1 on an explicit executor.
 #[must_use]
 pub fn run_with(samples: usize, seed: u64, exec: Executor) -> Table1Result {
@@ -116,7 +110,7 @@ mod tests {
 
     #[test]
     fn reproduces_90nm_column() {
-        let r = run(4000, 19);
+        let r = run_with(4000, 19, Executor::default());
         for (vdd, paper_spares) in calib::TABLE1_SPARES_90NM {
             let cell = r.cell(TechNode::Gp90, vdd).expect("cell computed");
             let got = cell.spares.expect("90nm is always solvable");
@@ -145,7 +139,7 @@ mod tests {
 
     #[test]
     fn scaled_nodes_exceed_budget_at_half_volt() {
-        let r = run(2500, 20);
+        let r = run_with(2500, 20, Executor::default());
         for node in [TechNode::Gp45, TechNode::PtmHp32, TechNode::PtmHp22] {
             let cell = r.cell(node, 0.50).expect("cell computed");
             assert!(
@@ -157,7 +151,7 @@ mod tests {
 
     #[test]
     fn overheads_follow_budget() {
-        let r = run(2000, 21);
+        let r = run_with(2000, 21, Executor::default());
         let cell = r.cell(TechNode::Gp90, 0.60).expect("computed");
         let (s, a, p) = (
             cell.spares.expect("solvable"),
@@ -171,7 +165,7 @@ mod tests {
 
     #[test]
     fn display_marks_unsolvable_cells() {
-        let r = run(1000, 22);
+        let r = run_with(1000, 22, Executor::default());
         let text = r.to_string();
         assert!(text.contains(">128"));
         assert!(text.contains(">57.8%"));

@@ -43,12 +43,6 @@ impl Table2Result {
     }
 }
 
-/// Regenerate Table 2 (all available cores).
-#[must_use]
-pub fn run(samples: usize, seed: u64) -> Table2Result {
-    run_with(samples, seed, Executor::default())
-}
-
 /// Regenerate Table 2 on an explicit executor.
 #[must_use]
 pub fn run_with(samples: usize, seed: u64, exec: Executor) -> Table2Result {
@@ -105,7 +99,7 @@ mod tests {
 
     #[test]
     fn margins_match_paper_scale() {
-        let r = run(3000, 23);
+        let r = run_with(3000, 23, Executor::default());
         for c in &r.cells {
             let got_mv = c.solution.margin.get() * 1000.0;
             let paper_mv = c.paper_margin * 1000.0;
@@ -120,7 +114,7 @@ mod tests {
 
     #[test]
     fn margins_shrink_with_voltage_within_a_node() {
-        let r = run(2000, 24);
+        let r = run_with(2000, 24, Executor::default());
         for node in TechNode::ALL {
             let series: Vec<f64> = TABLE_VOLTAGES
                 .iter()
@@ -136,7 +130,7 @@ mod tests {
     #[test]
     fn node_ordering_matches_paper() {
         // Table 2 @0.5 V: 90nm smallest; 45nm above 32nm.
-        let r = run(2500, 25);
+        let r = run_with(2500, 25, Executor::default());
         let m = |n: TechNode| r.cell(n, 0.5).expect("cell").solution.margin;
         assert!(m(TechNode::Gp90) < m(TechNode::PtmHp32));
         assert!(m(TechNode::PtmHp32) < m(TechNode::Gp45));
@@ -144,7 +138,7 @@ mod tests {
 
     #[test]
     fn power_overheads_are_percent_scale() {
-        let r = run(1500, 26);
+        let r = run_with(1500, 26, Executor::default());
         for c in &r.cells {
             assert!(
                 c.solution.power_overhead > 0.0 && c.solution.power_overhead < 0.08,

@@ -27,12 +27,6 @@ pub struct Table3Result {
     pub best: DesignChoice,
 }
 
-/// Regenerate Table 3 (all available cores).
-#[must_use]
-pub fn run(samples: usize, seed: u64) -> Table3Result {
-    run_with(samples, seed, Executor::default())
-}
-
 /// Regenerate Table 3 on an explicit executor.
 #[must_use]
 pub fn run_with(samples: usize, seed: u64, exec: Executor) -> Table3Result {
@@ -82,7 +76,7 @@ mod tests {
 
     #[test]
     fn combination_wins_as_in_paper() {
-        let r = run(2000, 27);
+        let r = run_with(2000, 27, Executor::default());
         // The optimum is an interior combination: some spares plus a small
         // residual margin beats both extremes.
         assert!(r.best.spares > 0 && r.best.spares < 26, "{:?}", r.best);
@@ -102,7 +96,7 @@ mod tests {
 
     #[test]
     fn margins_fall_as_spares_rise() {
-        let r = run(1500, 28);
+        let r = run_with(1500, 28, Executor::default());
         for w in r.choices.windows(2) {
             assert!(w[1].margin <= w[0].margin + Volts(2e-4), "{:?}", r.choices);
         }
@@ -110,7 +104,7 @@ mod tests {
 
     #[test]
     fn display_flags_the_best_choice() {
-        let text = run(800, 29).to_string();
+        let text = run_with(800, 29, Executor::default()).to_string();
         assert!(text.contains("<-"));
         assert!(text.contains("design choices"));
     }

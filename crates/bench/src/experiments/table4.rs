@@ -37,12 +37,6 @@ impl Table4Result {
     }
 }
 
-/// Regenerate Table 4 (all available cores).
-#[must_use]
-pub fn run(samples: usize, seed: u64) -> Table4Result {
-    run_with(samples, seed, Executor::default())
-}
-
 /// Regenerate Table 4 on an explicit executor.
 #[must_use]
 pub fn run_with(samples: usize, seed: u64, exec: Executor) -> Table4Result {
@@ -86,7 +80,7 @@ mod tests {
 
     #[test]
     fn variation_aware_clock_is_slower() {
-        let r = run(2500, 30);
+        let r = run_with(2500, 30, Executor::default());
         for c in &r.cells {
             assert!(c.row.t_va_clk_ns > c.row.t_clk_ns, "{c:?}");
             assert!(c.row.perf_drop > 0.0);
@@ -97,7 +91,7 @@ mod tests {
     fn advanced_nodes_approach_twenty_percent() {
         // Appendix E: "required delay margins reach almost 20%", making
         // frequency margining unattractive at scaled nodes.
-        let r = run(2500, 31);
+        let r = run_with(2500, 31, Executor::default());
         let d22 = r.cell(TechNode::PtmHp22, 0.5).expect("cell").row.perf_drop;
         assert!((0.12..0.30).contains(&d22), "{d22}");
         let d90 = r.cell(TechNode::Gp90, 0.5).expect("cell").row.perf_drop;
@@ -106,7 +100,7 @@ mod tests {
 
     #[test]
     fn clock_periods_scale_with_voltage_and_node() {
-        let r = run(1500, 32);
+        let r = run_with(1500, 32, Executor::default());
         // Within a node, lower voltage -> longer clock.
         for node in TechNode::ALL {
             let t05 = r.cell(node, 0.5).expect("cell").row.t_clk_ns;

@@ -19,6 +19,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::engine::DatapathEngine;
 use crate::exec::Executor;
+use crate::margining::min_offset;
 use crate::overhead::DietSodaBudget;
 use crate::perf;
 
@@ -139,40 +140,21 @@ impl<'a> BodyBiasStudy<'a> {
     /// Panics if [`Self::MAX_SHIFT`] cannot reach the target.
     #[must_use]
     pub fn solve(&self, vdd: Volts, samples: usize, seed: u64) -> BodyBiasSolution {
-        const TOLERANCE: Volts = Volts(0.1e-3);
-        let target_ns = {
-            let base_fo4 = perf::baseline_q99_fo4(self.engine, samples, seed, self.exec);
-            base_fo4 * self.engine.fo4_unit_ps(vdd) / 1000.0
-        };
-        if self.q99_ns_with_bias(vdd, Volts::ZERO, samples, seed) <= target_ns {
-            return BodyBiasSolution {
-                vdd,
-                vth_shift: Volts::ZERO,
-                target_ns,
-                achieved_ns: self.q99_ns_with_bias(vdd, Volts::ZERO, samples, seed),
-                power_overhead: 0.0,
-            };
-        }
-        assert!(
-            self.q99_ns_with_bias(vdd, Self::MAX_SHIFT, samples, seed) <= target_ns,
-            "body bias beyond {} required — outside the model's regime",
-            Self::MAX_SHIFT
-        );
-        let (mut lo, mut hi) = (Volts::ZERO, Self::MAX_SHIFT);
-        while hi - lo > TOLERANCE {
-            let mid = 0.5 * (lo + hi);
-            if self.q99_ns_with_bias(vdd, mid, samples, seed) <= target_ns {
-                hi = mid;
-            } else {
-                lo = mid;
-            }
-        }
+        // Scaled by the engine's FO4 unit, not the variation-free one of
+        // `perf::target_delay_ns`: ROADMAP's "One FO4 unit, one target,
+        // one evaluator" item merges the two.
+        let target_ns = perf::baseline_q99_fo4(self.engine, samples, seed, self.exec)
+            * self.engine.fo4_unit_ps(vdd)
+            / 1000.0;
+        let (vth_shift, achieved_ns) = min_offset(Self::MAX_SHIFT, target_ns, |shift| {
+            self.q99_ns_with_bias(vdd, shift, samples, seed)
+        });
         BodyBiasSolution {
             vdd,
-            vth_shift: hi,
+            vth_shift,
             target_ns,
-            achieved_ns: self.q99_ns_with_bias(vdd, hi, samples, seed),
-            power_overhead: self.power_overhead(hi),
+            achieved_ns,
+            power_overhead: self.power_overhead(vth_shift),
         }
     }
 }

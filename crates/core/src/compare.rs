@@ -61,33 +61,11 @@ impl ComparisonPoint {
     }
 }
 
-/// Compare both techniques at one operating point (Monte-Carlo
-/// evaluation, byte-identical to the historical outputs).
+/// Compare both techniques at one operating point. With
+/// [`Evaluation::Analytic`] the solves are exact and `samples`/`seed` are
+/// ignored; [`Evaluation::MonteCarlo`] reproduces the historical outputs.
 #[must_use]
 pub fn compare_at(
-    engine: &DatapathEngine<'_>,
-    vdd: Volts,
-    max_spares: u32,
-    samples: usize,
-    seed: u64,
-    exec: Executor,
-) -> ComparisonPoint {
-    compare_at_with(
-        engine,
-        vdd,
-        max_spares,
-        samples,
-        seed,
-        exec,
-        Evaluation::MonteCarlo,
-    )
-}
-
-/// Compare both techniques at one operating point with an explicit
-/// [`Evaluation`]; with [`Evaluation::Analytic`] the solves are exact and
-/// `samples`/`seed` are ignored.
-#[must_use]
-pub fn compare_at_with(
     engine: &DatapathEngine<'_>,
     vdd: Volts,
     max_spares: u32,
@@ -129,7 +107,7 @@ pub fn compare_sweep_with(
     engine.prefetch(voltages, exec);
     voltages
         .iter()
-        .map(|&v| compare_at_with(engine, v, max_spares, samples, seed, exec, evaluation))
+        .map(|&v| compare_at(engine, v, max_spares, samples, seed, exec, evaluation))
         .collect()
 }
 
@@ -147,7 +125,15 @@ mod tests {
         // than any voltage margin.
         let tech = TechModel::new(TechNode::Gp90);
         let engine = DatapathEngine::new(&tech, DatapathConfig::paper_default());
-        let p = compare_at(&engine, Volts(0.65), 128, SAMPLES, 1, Executor::default());
+        let p = compare_at(
+            &engine,
+            Volts(0.65),
+            128,
+            SAMPLES,
+            1,
+            Executor::default(),
+            Evaluation::MonteCarlo,
+        );
         assert_eq!(p.preferred(), Technique::Duplication, "{p:?}");
     }
 
@@ -156,7 +142,15 @@ mod tests {
         // Fig 7(b)/§4.4: in 45 nm at 0.5-0.6 V margining is cheaper.
         let tech = TechModel::new(TechNode::Gp45);
         let engine = DatapathEngine::new(&tech, DatapathConfig::paper_default());
-        let p = compare_at(&engine, Volts(0.55), 128, SAMPLES, 2, Executor::default());
+        let p = compare_at(
+            &engine,
+            Volts(0.55),
+            128,
+            SAMPLES,
+            2,
+            Executor::default(),
+            Evaluation::MonteCarlo,
+        );
         assert_eq!(p.preferred(), Technique::VoltageMargining, "{p:?}");
     }
 
@@ -164,7 +158,15 @@ mod tests {
     fn unsolvable_duplication_defers_to_margining() {
         let tech = TechModel::new(TechNode::PtmHp22);
         let engine = DatapathEngine::new(&tech, DatapathConfig::paper_default());
-        let p = compare_at(&engine, Volts(0.50), 128, 1000, 3, Executor::default());
+        let p = compare_at(
+            &engine,
+            Volts(0.50),
+            128,
+            1000,
+            3,
+            Executor::default(),
+            Evaluation::MonteCarlo,
+        );
         assert!(p.duplication_power.is_none(), "{p:?}");
         assert_eq!(p.preferred(), Technique::VoltageMargining);
     }
@@ -192,7 +194,7 @@ mod tests {
     fn analytic_comparison_reaches_same_verdicts() {
         let tech90 = TechModel::new(TechNode::Gp90);
         let engine90 = DatapathEngine::new(&tech90, DatapathConfig::paper_default());
-        let hi = compare_at_with(
+        let hi = compare_at(
             &engine90,
             Volts(0.65),
             128,

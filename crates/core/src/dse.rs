@@ -14,6 +14,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::engine::DatapathEngine;
 use crate::exec::Executor;
+use crate::margining::{min_offset, MarginStudy};
 use crate::overhead::DietSodaBudget;
 use crate::perf;
 use crate::quantile::{ChipQuantileSolver, Evaluation};
@@ -106,7 +107,8 @@ impl<'a> DseStudy<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if 200 mV of margin still misses the target.
+    /// Panics if [`MarginStudy::MAX_MARGIN`] (200 mV) still misses the
+    /// target.
     #[must_use]
     pub fn margin_for_spares(
         &self,
@@ -116,25 +118,10 @@ impl<'a> DseStudy<'a> {
         samples: usize,
         seed: u64,
     ) -> Volts {
-        const TOLERANCE: Volts = Volts(0.1e-3);
-        const MAX_MARGIN: Volts = Volts(0.2);
-        if self.q99_ns_with_spares(vdd, spares, samples, seed) <= target_ns {
-            return Volts::ZERO;
-        }
-        assert!(
-            self.q99_ns_with_spares(vdd + MAX_MARGIN, spares, samples, seed) <= target_ns,
-            "margin above {MAX_MARGIN} required — outside the model's regime"
-        );
-        let (mut lo, mut hi) = (Volts::ZERO, MAX_MARGIN);
-        while hi - lo > TOLERANCE {
-            let mid = 0.5 * (lo + hi);
-            if self.q99_ns_with_spares(vdd + mid, spares, samples, seed) <= target_ns {
-                hi = mid;
-            } else {
-                lo = mid;
-            }
-        }
-        hi
+        let (margin, _) = min_offset(MarginStudy::MAX_MARGIN, target_ns, |margin| {
+            self.q99_ns_with_spares(vdd + margin, spares, samples, seed)
+        });
+        margin
     }
 
     /// Explore the (spares, margin) trade-off at `vdd` for the given spare
@@ -147,11 +134,8 @@ impl<'a> DseStudy<'a> {
         samples: usize,
         seed: u64,
     ) -> Vec<DesignChoice> {
-        let base_fo4 = match self.evaluation {
-            Evaluation::MonteCarlo => perf::baseline_q99_fo4(self.engine, samples, seed, self.exec),
-            Evaluation::Analytic => perf::baseline_q99_fo4_analytic(self.engine),
-        };
-        let target_ns = base_fo4 * self.engine.tech().fo4_delay_ps(vdd) / 1000.0;
+        let target_ns =
+            perf::target_delay_ns(self.engine, self.evaluation, vdd, samples, seed, self.exec);
         spare_candidates
             .iter()
             .map(|&spares| {

@@ -146,17 +146,6 @@ impl<'a> DuplicationStudy<'a> {
         }
     }
 
-    /// Study with a custom overhead budget.
-    #[must_use]
-    pub fn with_budget(engine: &'a DatapathEngine<'a>, budget: DietSodaBudget) -> Self {
-        Self {
-            engine,
-            budget,
-            exec: Executor::default(),
-            evaluation: Evaluation::default(),
-        }
-    }
-
     /// Use an explicit executor (thread count) for the Monte-Carlo batches.
     /// Results are bit-identical for any choice.
     #[must_use]
@@ -216,37 +205,14 @@ impl<'a> DuplicationStudy<'a> {
     ) -> Result<u32, SparesExceeded> {
         let lanes = self.engine.config().lanes;
         let max_spares = (matrix.max_lanes() - lanes) as u32;
-        let q99_at = |alpha: u32| matrix.chip_delay_with_spares(lanes, alpha).q99_fo4();
-
-        if q99_at(0) <= target_q99_fo4 {
-            return Ok(0);
-        }
-        let achieved = q99_at(max_spares);
-        if achieved > target_q99_fo4 {
-            return Err(SparesExceeded {
-                max_spares,
-                achieved_q99_fo4: achieved,
-                target_q99_fo4,
-            });
-        }
-        // Invariant: q99(lo) > target >= q99(hi).
-        let (mut lo, mut hi) = (0u32, max_spares);
-        while hi - lo > 1 {
-            let mid = lo + (hi - lo) / 2;
-            if q99_at(mid) <= target_q99_fo4 {
-                hi = mid;
-            } else {
-                lo = mid;
-            }
-        }
-        Ok(hi)
+        min_spares(max_spares, target_q99_fo4, |alpha| {
+            matrix.chip_delay_with_spares(lanes, alpha).q99_fo4()
+        })
     }
 
-    /// Smallest α whose *exact* q99 (FO4) meets `target_q99_fo4`, by binary
-    /// search on the analytic order-statistic quantile — no sampling, no
-    /// matrix. The q99 is strictly decreasing in α (an extra spare can only
-    /// lower the retained order statistic), so the search invariant matches
-    /// [`Self::required_spares`].
+    /// Smallest α whose *exact* q99 (FO4) meets `target_q99_fo4`: the
+    /// search of [`Self::required_spares`] on the analytic order-statistic
+    /// quantile — no sampling, no matrix.
     ///
     /// # Errors
     ///
@@ -258,30 +224,9 @@ impl<'a> DuplicationStudy<'a> {
         max_spares: u32,
     ) -> Result<u32, SparesExceeded> {
         let solver = ChipQuantileSolver::new(self.engine);
-        let q99_at = |alpha: u32| solver.spares_quantile_fo4(vdd, alpha, 0.99);
-
-        if q99_at(0) <= target_q99_fo4 {
-            return Ok(0);
-        }
-        let achieved = q99_at(max_spares);
-        if achieved > target_q99_fo4 {
-            return Err(SparesExceeded {
-                max_spares,
-                achieved_q99_fo4: achieved,
-                target_q99_fo4,
-            });
-        }
-        // Invariant: q99(lo) > target >= q99(hi).
-        let (mut lo, mut hi) = (0u32, max_spares);
-        while hi - lo > 1 {
-            let mid = lo + (hi - lo) / 2;
-            if q99_at(mid) <= target_q99_fo4 {
-                hi = mid;
-            } else {
-                lo = mid;
-            }
-        }
-        Ok(hi)
+        min_spares(max_spares, target_q99_fo4, |alpha| {
+            solver.spares_quantile_fo4(vdd, alpha, 0.99)
+        })
     }
 
     /// Solve one Table 1 cell: spares needed at `vdd` to match the nominal
@@ -298,25 +243,23 @@ impl<'a> DuplicationStudy<'a> {
         samples: usize,
         seed: u64,
     ) -> Result<SpareSolution, SparesExceeded> {
-        if self.evaluation == Evaluation::Analytic {
-            let target = perf::baseline_q99_fo4_analytic(self.engine);
-            let spares = self.min_spares_for(vdd, target, max_spares)?;
-            let q99 = ChipQuantileSolver::new(self.engine).spares_quantile_fo4(vdd, spares, 0.99);
-            return Ok(SpareSolution {
-                vdd,
-                spares,
-                q99_fo4: q99,
-                target_q99_fo4: target,
-                area_overhead: self.budget.duplication_area_overhead(spares),
-                power_overhead: self.budget.duplication_power_overhead(spares),
-            });
-        }
-        let target = perf::baseline_q99_fo4(self.engine, samples, seed, self.exec);
-        let matrix = self.sample_matrix(vdd, max_spares, samples, seed);
-        let spares = self.required_spares(&matrix, target)?;
-        let q99 = matrix
-            .chip_delay_with_spares(self.engine.config().lanes, spares)
-            .q99_fo4();
+        let target =
+            perf::baseline_q99_fo4_with(self.engine, self.evaluation, samples, seed, self.exec);
+        let (spares, q99) = match self.evaluation {
+            Evaluation::Analytic => {
+                let spares = self.min_spares_for(vdd, target, max_spares)?;
+                let solver = ChipQuantileSolver::new(self.engine);
+                let q99 = solver.spares_quantile_fo4(vdd, spares, 0.99);
+                (spares, q99)
+            }
+            Evaluation::MonteCarlo => {
+                let matrix = self.sample_matrix(vdd, max_spares, samples, seed);
+                let spares = self.required_spares(&matrix, target)?;
+                let lanes = self.engine.config().lanes;
+                let q99 = matrix.chip_delay_with_spares(lanes, spares).q99_fo4();
+                (spares, q99)
+            }
+        };
         Ok(SpareSolution {
             vdd,
             spares,
@@ -326,6 +269,38 @@ impl<'a> DuplicationStudy<'a> {
             power_overhead: self.budget.duplication_power_overhead(spares),
         })
     }
+}
+
+/// Smallest α in `[0, max_spares]` whose q99 (FO4) meets `target_q99_fo4`,
+/// by binary search: `q99_at` is non-increasing in α, because an extra
+/// spare can only lower the retained order statistic.
+fn min_spares(
+    max_spares: u32,
+    target_q99_fo4: f64,
+    q99_at: impl Fn(u32) -> f64,
+) -> Result<u32, SparesExceeded> {
+    if q99_at(0) <= target_q99_fo4 {
+        return Ok(0);
+    }
+    let achieved = q99_at(max_spares);
+    if achieved > target_q99_fo4 {
+        return Err(SparesExceeded {
+            max_spares,
+            achieved_q99_fo4: achieved,
+            target_q99_fo4,
+        });
+    }
+    // Invariant: q99(lo) > target >= q99(hi).
+    let (mut lo, mut hi) = (0u32, max_spares);
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if q99_at(mid) <= target_q99_fo4 {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    Ok(hi)
 }
 
 #[cfg(test)]

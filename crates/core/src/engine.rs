@@ -47,13 +47,7 @@ use crate::op_cache::OpPointCache;
 
 /// How process variation is correlated across the datapath, and what tail
 /// shape path delays have.
-///
-/// `Ord` follows declaration order; it exists so the mode can key the
-/// ordered maps of [`crate::op_cache::OpPointCache`] and carries no
-/// semantic meaning.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum VariationMode {
     /// The paper's methodology: every critical path is an independent
     /// normal draw with the chain distribution's mean and σ.
@@ -614,20 +608,21 @@ impl<'a> DatapathEngine<'a> {
     #[must_use]
     pub fn path_distribution(&self, vdd: Volts) -> Arc<PathDistribution> {
         self.cache
-            .get_or_build(self.tech, self.mode, vdd, self.config.path_length)
+            .get_or_build(self.tech, vdd, self.config.path_length)
     }
 
     /// Pre-build the operating points of a voltage sweep in parallel on
-    /// `exec`, so the sweep itself never pays a Gauss–Hermite build or
+    /// `exec`, and warm their survival grids when this mode draws through
+    /// them, so the sweep itself never pays a Gauss–Hermite build or
     /// survival-grid construction inside its timing loop.
     pub fn prefetch(&self, voltages: &[Volts], exec: Executor) {
-        self.cache.prefetch(
-            self.tech,
-            self.mode,
-            self.config.path_length,
-            voltages,
-            exec,
-        );
+        self.cache
+            .prefetch(self.tech, self.config.path_length, voltages, exec);
+        if self.mode != VariationMode::PaperNormal {
+            for &vdd in voltages {
+                self.path_distribution(vdd).warm_grid();
+            }
+        }
     }
 
     /// The distribution at `vdd`, with its survival grid built when this

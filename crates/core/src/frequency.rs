@@ -3,12 +3,13 @@
 //! Instead of adding spares or millivolts, the clock period can simply be
 //! stretched to cover the variation tail. Table 4 compares the *designed*
 //! clock period `Tclk` (the ideally-scaled nominal design: baseline
-//! fo4chipd × FO4(V)) with the *variation-aware* period `Tva-clk` (the q99
-//! chip delay at V). Their ratio minus one is the throughput loss — the
-//! same quantity as Fig 4's performance drop, here expressed in
-//! nanoseconds. The paper's conclusion: at advanced nodes the required
-//! margin approaches 20 %, and because the SIMD clock must stay an integer
-//! multiple of the memory clock, frequency margining alone is unattractive.
+//! fo4chipd × FO4(V), the Monte-Carlo [`perf::target_delay_ns`]) with the
+//! *variation-aware* period `Tva-clk` (the q99 chip delay at V). Their
+//! ratio minus one is the throughput loss — the same quantity as Fig 4's
+//! performance drop, here expressed in nanoseconds. The paper's
+//! conclusion: at advanced nodes the required margin approaches 20 %, and
+//! because the SIMD clock must stay an integer multiple of the memory
+//! clock, frequency margining alone is unattractive.
 
 use ntv_mc::CounterRng;
 use ntv_units::Volts;
@@ -17,6 +18,7 @@ use serde::{Deserialize, Serialize};
 use crate::engine::DatapathEngine;
 use crate::exec::Executor;
 use crate::perf;
+use crate::quantile::Evaluation;
 
 /// One row of Table 4.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -40,8 +42,7 @@ pub fn frequency_margining(
     seed: u64,
     exec: Executor,
 ) -> FrequencyRow {
-    let base_fo4 = perf::baseline_q99_fo4(engine, samples, seed, exec);
-    let t_clk_ns = base_fo4 * engine.tech().fo4_delay_ps(vdd) / 1000.0;
+    let t_clk_ns = perf::target_delay_ns(engine, Evaluation::MonteCarlo, vdd, samples, seed, exec);
     let stream = CounterRng::new(seed, "freq-margin");
     let t_va_clk_ns = engine
         .chip_delay_distribution(vdd, samples, &stream, exec)

@@ -67,17 +67,6 @@ impl<'a> MarginStudy<'a> {
         }
     }
 
-    /// Study with a custom overhead budget.
-    #[must_use]
-    pub fn with_budget(engine: &'a DatapathEngine<'a>, budget: DietSodaBudget) -> Self {
-        Self {
-            engine,
-            budget,
-            exec: Executor::default(),
-            evaluation: Evaluation::default(),
-        }
-    }
-
     /// Use an explicit executor (thread count) for the Monte-Carlo batches.
     /// Results are bit-identical for any choice.
     #[must_use]
@@ -95,17 +84,6 @@ impl<'a> MarginStudy<'a> {
     pub fn with_evaluation(mut self, evaluation: Evaluation) -> Self {
         self.evaluation = evaluation;
         self
-    }
-
-    /// The target chip delay (ns) for NTV operation at `vdd`:
-    /// `fo4chipd@FV × FO4(vdd)`.
-    #[must_use]
-    pub fn target_delay_ns(&self, vdd: Volts, samples: usize, seed: u64) -> f64 {
-        let base_fo4 = match self.evaluation {
-            Evaluation::MonteCarlo => perf::baseline_q99_fo4(self.engine, samples, seed, self.exec),
-            Evaluation::Analytic => perf::baseline_q99_fo4_analytic(self.engine),
-        };
-        base_fo4 * self.engine.tech().fo4_delay_ps(vdd) / 1000.0
     }
 
     /// q99 chip delay (ns) at an effective supply voltage, with chip `i`
@@ -132,49 +110,56 @@ impl<'a> MarginStudy<'a> {
     /// which does not occur for any calibrated node in the studied range.
     #[must_use]
     pub fn solve(&self, vdd: Volts, samples: usize, seed: u64) -> MarginSolution {
-        const TOLERANCE: Volts = Volts(0.1e-3);
-        let target_ns = self.target_delay_ns(vdd, samples, seed);
-
-        // Every probe is a pure function of (seed, voltage), so values
-        // computed during the search are reused instead of re-evaluated.
-        let q0 = self.q99_ns_at(vdd, samples, seed);
-        if q0 <= target_ns {
-            return MarginSolution {
-                vdd,
-                margin: Volts::ZERO,
-                target_ns,
-                achieved_ns: q0,
-                power_overhead: 0.0,
-            };
-        }
-        let q_max = self.q99_ns_at(vdd + Self::MAX_MARGIN, samples, seed);
-        assert!(
-            q_max <= target_ns,
-            "voltage margin above {} required at {vdd} — outside the model's regime",
-            Self::MAX_MARGIN
-        );
-
-        // Invariant: q99(vdd+lo) > target >= q99(vdd+hi) = achieved.
-        let (mut lo, mut hi) = (Volts::ZERO, Self::MAX_MARGIN);
-        let mut achieved = q_max;
-        while hi - lo > TOLERANCE {
-            let mid = 0.5 * (lo + hi);
-            let q_mid = self.q99_ns_at(vdd + mid, samples, seed);
-            if q_mid <= target_ns {
-                hi = mid;
-                achieved = q_mid;
-            } else {
-                lo = mid;
-            }
-        }
+        let target_ns =
+            perf::target_delay_ns(self.engine, self.evaluation, vdd, samples, seed, self.exec);
+        let (margin, achieved_ns) = min_offset(Self::MAX_MARGIN, target_ns, |margin| {
+            self.q99_ns_at(vdd + margin, samples, seed)
+        });
         MarginSolution {
             vdd,
-            margin: hi,
+            margin,
             target_ns,
-            achieved_ns: achieved,
-            power_overhead: self.budget.margin_power_overhead(vdd, hi),
+            achieved_ns,
+            power_overhead: self.budget.margin_power_overhead(vdd, margin),
         }
     }
+}
+
+/// The smallest offset in `[0, cap]`, to 0.1 mV, at which `probe` meets
+/// `target_ns`, and the probe's value there. The margin, DSE and body-bias
+/// solves are all this search over a probe that is non-increasing in the
+/// offset (a supply margin or a threshold shift).
+///
+/// Every probe is a pure function of its offset, so the values computed
+/// during the search are reused instead of re-evaluated.
+///
+/// # Panics
+///
+/// Panics if even `cap` misses the target.
+pub(crate) fn min_offset(cap: Volts, target_ns: f64, probe: impl Fn(Volts) -> f64) -> (Volts, f64) {
+    const TOLERANCE: Volts = Volts(0.1e-3);
+    let at_zero = probe(Volts::ZERO);
+    if at_zero <= target_ns {
+        return (Volts::ZERO, at_zero);
+    }
+    let at_cap = probe(cap);
+    assert!(
+        at_cap <= target_ns,
+        "more than {cap} required to meet the target — outside the model's regime"
+    );
+    // Invariant: probe(lo) > target >= probe(hi) = achieved.
+    let (mut lo, mut hi, mut achieved) = (Volts::ZERO, cap, at_cap);
+    while hi - lo > TOLERANCE {
+        let mid = 0.5 * (lo + hi);
+        let value = probe(mid);
+        if value <= target_ns {
+            hi = mid;
+            achieved = value;
+        } else {
+            lo = mid;
+        }
+    }
+    (hi, achieved)
 }
 
 #[cfg(test)]

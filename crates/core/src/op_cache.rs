@@ -1,7 +1,7 @@
 //! Process-wide operating-point cache for [`PathDistribution`] builds.
 //!
 //! Every sweep in the experiment suite probes the same handful of
-//! `(node, mode, path length, vdd)` operating points — Table 1 and Table 2
+//! `(node, path length, vdd)` operating points — Table 1 and Table 2
 //! alone revisit each voltage across four nodes, and the margining/DSE
 //! bisections land on identical probe voltages across experiment modules.
 //! Before this cache each [`crate::DatapathEngine`] owned a private map, so
@@ -10,15 +10,18 @@
 //!
 //! # Keying and the custom-parameter escape hatch
 //!
-//! Entries are keyed by `(TechNode, VariationMode, path_length,
-//! vdd.to_bits())`. The key deliberately does **not** encode the full
-//! [`DeviceParams`] (hashing 14 floats per lookup would cost more than the
-//! lookup); instead, [`OpPointCache::shared_for`] hands the global cache
-//! only to engines whose parameters are exactly the node's calibrated set,
-//! and gives every custom-parameter engine (σ-scaling ablations, what-if
-//! studies) a private instance. [`OpPointCache::get_or_build`] re-asserts
-//! this invariant on the global instance, so a mis-shared cache panics
-//! rather than silently serving a wrong distribution.
+//! Entries are keyed by `(TechNode, path_length, vdd.to_bits())`. A
+//! distribution does not depend on the [`crate::engine::VariationMode`]
+//! (the mode only decides how an engine samples it), so engines of every
+//! mode share one entry per operating point. The key deliberately does
+//! **not** encode the full [`DeviceParams`] (hashing 14 floats per lookup
+//! would cost more than the lookup); instead, [`OpPointCache::shared_for`]
+//! hands the global cache only to engines whose parameters are exactly the
+//! node's calibrated set, and gives every custom-parameter engine
+//! (σ-scaling ablations, what-if studies) a private instance.
+//! [`OpPointCache::get_or_build`] re-asserts this invariant on the global
+//! instance, so a mis-shared cache panics rather than silently serving a
+//! wrong distribution.
 //!
 //! # Locking discipline
 //!
@@ -68,10 +71,10 @@ use std::sync::{Arc, OnceLock, RwLock};
 use ntv_device::{DeviceParams, TechModel, TechNode};
 use ntv_units::Volts;
 
-use crate::engine::{PathDistribution, VariationMode};
+use crate::engine::PathDistribution;
 use crate::exec::Executor;
 
-type Key = (TechNode, VariationMode, usize, u64);
+type Key = (TechNode, usize, u64);
 
 /// Sentinel for "no resident bound" in the packed capacity word.
 const UNBOUNDED: usize = usize::MAX;
@@ -259,7 +262,7 @@ impl OpPointCache {
         }
     }
 
-    /// The distribution for `(tech.node(), mode, path_length, vdd)`,
+    /// The distribution for `(tech.node(), path_length, vdd)`,
     /// building it exactly once per *residency*: concurrent callers of a
     /// resident key share one build (racers park on the entry's
     /// `OnceLock`), and only eviction can make a later call rebuild — to a
@@ -275,12 +278,11 @@ impl OpPointCache {
     pub fn get_or_build(
         &self,
         tech: &TechModel,
-        mode: VariationMode,
         vdd: Volts,
         path_length: usize,
     ) -> Arc<PathDistribution> {
         self.assert_calibrated(tech);
-        let key = (tech.node(), mode, path_length, vdd.get().to_bits());
+        let key = (tech.node(), path_length, vdd.get().to_bits());
         let tick = self.tick();
         let entry = self
             .entries
@@ -359,9 +361,8 @@ impl OpPointCache {
         }
     }
 
-    /// Pre-build a sweep's operating points, and for grid-sampling modes
-    /// also their survival grids, so the sweep itself never pays a build.
-    /// Idempotent; already-cached points cost a lookup.
+    /// Pre-build a sweep's operating points, so the sweep itself never
+    /// pays a build. Idempotent; already-cached points cost a lookup.
     ///
     /// Unbuilt points go through [`PathDistribution::build_grid`] — the
     /// voltage-grid batch kernel — in `exec`-parallel contiguous chunks
@@ -378,7 +379,6 @@ impl OpPointCache {
     pub fn prefetch(
         &self,
         tech: &TechModel,
-        mode: VariationMode,
         path_length: usize,
         voltages: &[Volts],
         exec: Executor,
@@ -396,7 +396,7 @@ impl OpPointCache {
             let jobs = voltages
                 .iter()
                 .map(|&vdd| {
-                    let key = (tech.node(), mode, path_length, vdd.get().to_bits());
+                    let key = (tech.node(), path_length, vdd.get().to_bits());
                     let entry = Arc::clone(entries.entry(key).or_default());
                     entry.last_use.store(self.tick(), Ordering::Relaxed);
                     (vdd, entry)
@@ -414,21 +414,10 @@ impl OpPointCache {
             let (start, len) = (start as usize, len as usize);
             PathDistribution::build_grid(tech, &vdds[start..start + len], path_length)
         });
-        let warm = mode != VariationMode::PaperNormal;
         for ((_, entry), dist) in jobs.into_iter().zip(built) {
             // A racer may have beaten us to this cell; its value wins and
             // our duplicate is dropped, preserving Arc identity.
-            let dist = entry.cell.get_or_init(move || Arc::new(dist));
-            if warm {
-                dist.warm_grid();
-            }
-        }
-        // Points that were already built (and skipped above) may still
-        // have cold grids if they were first built by a PaperNormal user.
-        if warm {
-            for &vdd in voltages {
-                self.get_or_build(tech, mode, vdd, path_length).warm_grid();
-            }
+            entry.cell.get_or_init(move || Arc::new(dist));
         }
     }
 
@@ -455,16 +444,24 @@ impl OpPointCache {
 mod tests {
     use super::*;
     use crate::config::DatapathConfig;
-    use crate::engine::DatapathEngine;
+    use crate::engine::{DatapathEngine, VariationMode};
 
     #[test]
     fn same_operating_point_is_shared_across_engines() {
         let tech = TechModel::new(TechNode::Gp90);
-        let a = DatapathEngine::new(&tech, DatapathConfig::paper_default());
-        let b = DatapathEngine::new(&tech, DatapathConfig::paper_default());
+        let config = DatapathConfig::paper_default();
+        let a = DatapathEngine::new(&tech, config);
+        let b = DatapathEngine::new(&tech, config);
         let da = a.path_distribution(Volts(0.7125));
         let db = b.path_distribution(Volts(0.7125));
         assert!(Arc::ptr_eq(&da, &db), "engines must share built entries");
+        // The distribution does not depend on the variation mode, so
+        // engines of every mode share the one entry.
+        for mode in [VariationMode::SkewedIid, VariationMode::Hierarchical] {
+            let engine = DatapathEngine::with_mode(&tech, config, mode);
+            let d = engine.path_distribution(Volts(0.7125));
+            assert!(Arc::ptr_eq(&da, &d), "{mode:?} must share the entry");
+        }
     }
 
     #[test]
@@ -513,7 +510,7 @@ mod tests {
                 .expect("valid params"),
         );
         let result = std::panic::catch_unwind(|| {
-            OpPointCache::global().get_or_build(&scaled, VariationMode::PaperNormal, Volts(0.6), 50)
+            OpPointCache::global().get_or_build(&scaled, Volts(0.6), 50)
         });
         assert!(result.is_err(), "mis-shared global cache must panic");
     }
@@ -522,7 +519,7 @@ mod tests {
     fn cached_value_is_bit_identical_to_fresh_build() {
         let tech = TechModel::new(TechNode::PtmHp22);
         let cache = OpPointCache::new();
-        let cached = cache.get_or_build(&tech, VariationMode::SkewedIid, Volts(0.55), 50);
+        let cached = cache.get_or_build(&tech, Volts(0.55), 50);
         let fresh = PathDistribution::build(&tech, Volts(0.55), 50);
         assert_eq!(cached.mean_ps().to_bits(), fresh.mean_ps().to_bits());
         assert_eq!(cached.std_ps().to_bits(), fresh.std_ps().to_bits());
@@ -540,25 +537,13 @@ mod tests {
         let cache = OpPointCache::new();
         assert!(cache.is_empty());
         let volts = [Volts(0.5), Volts(0.55), Volts(0.6), Volts(0.65)];
-        cache.prefetch(
-            &tech,
-            VariationMode::SkewedIid,
-            50,
-            &volts,
-            Executor::new(4),
-        );
+        cache.prefetch(&tech, 50, &volts, Executor::new(4));
         assert_eq!(cache.len(), volts.len());
         // Prefetched entries are returned, not rebuilt: pointer-equal.
-        let d = cache.get_or_build(&tech, VariationMode::SkewedIid, Volts(0.55), 50);
-        let d2 = cache.get_or_build(&tech, VariationMode::SkewedIid, Volts(0.55), 50);
+        let d = cache.get_or_build(&tech, Volts(0.55), 50);
+        let d2 = cache.get_or_build(&tech, Volts(0.55), 50);
         assert!(Arc::ptr_eq(&d, &d2));
-        cache.prefetch(
-            &tech,
-            VariationMode::SkewedIid,
-            50,
-            &volts,
-            Executor::serial(),
-        );
+        cache.prefetch(&tech, 50, &volts, Executor::serial());
         assert_eq!(cache.len(), volts.len());
     }
 
@@ -567,13 +552,12 @@ mod tests {
         let tech = TechModel::new(TechNode::Gp90);
         let cache = OpPointCache::with_bound(2);
         let volts = [Volts(0.52), Volts(0.54), Volts(0.56)];
-        let mode = VariationMode::PaperNormal;
-        let _a = cache.get_or_build(&tech, mode, volts[0], 50);
-        let _b = cache.get_or_build(&tech, mode, volts[1], 50);
+        let _a = cache.get_or_build(&tech, volts[0], 50);
+        let _b = cache.get_or_build(&tech, volts[1], 50);
         assert_eq!(cache.len(), 2);
         // Touch A so B becomes the LRU victim when C is inserted.
-        let _a2 = cache.get_or_build(&tech, mode, volts[0], 50);
-        let _c = cache.get_or_build(&tech, mode, volts[2], 50);
+        let _a2 = cache.get_or_build(&tech, volts[0], 50);
+        let _c = cache.get_or_build(&tech, volts[2], 50);
         assert_eq!(cache.len(), 2);
         let stats = cache.stats();
         assert_eq!(stats.evictions, 1);
@@ -582,10 +566,10 @@ mod tests {
         // B was evicted: rebuilding it is a miss that in turn evicts A
         // (tick 3, now the least recently used); C (tick 4) survives.
         let before = cache.stats().misses;
-        let _b2 = cache.get_or_build(&tech, mode, volts[1], 50);
+        let _b2 = cache.get_or_build(&tech, volts[1], 50);
         assert_eq!(cache.stats().misses, before + 1);
         let hits_before = cache.stats().hits;
-        let _c2 = cache.get_or_build(&tech, mode, volts[2], 50);
+        let _c2 = cache.get_or_build(&tech, volts[2], 50);
         assert_eq!(cache.stats().hits, hits_before + 1);
     }
 
@@ -593,11 +577,10 @@ mod tests {
     fn evicted_and_rebuilt_entries_are_bit_identical() {
         let tech = TechModel::new(TechNode::Gp45);
         let cache = OpPointCache::with_bound(1);
-        let mode = VariationMode::SkewedIid;
-        let first = cache.get_or_build(&tech, mode, Volts(0.58), 50);
+        let first = cache.get_or_build(&tech, Volts(0.58), 50);
         // Force eviction by inserting a second point, then rebuild.
-        let _other = cache.get_or_build(&tech, mode, Volts(0.62), 50);
-        let rebuilt = cache.get_or_build(&tech, mode, Volts(0.58), 50);
+        let _other = cache.get_or_build(&tech, Volts(0.62), 50);
+        let rebuilt = cache.get_or_build(&tech, Volts(0.58), 50);
         assert!(
             !Arc::ptr_eq(&first, &rebuilt),
             "entry must have been evicted and rebuilt"
@@ -617,8 +600,8 @@ mod tests {
         let tech = TechModel::new(TechNode::PtmHp32);
         let cache = OpPointCache::new();
         assert_eq!(cache.stats(), CacheStats::default());
-        let _ = cache.get_or_build(&tech, VariationMode::PaperNormal, Volts(0.6), 50);
-        let _ = cache.get_or_build(&tech, VariationMode::PaperNormal, Volts(0.6), 50);
+        let _ = cache.get_or_build(&tech, Volts(0.6), 50);
+        let _ = cache.get_or_build(&tech, Volts(0.6), 50);
         let stats = cache.stats();
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.hits, 1);

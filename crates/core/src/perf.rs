@@ -17,7 +17,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::engine::DatapathEngine;
 use crate::exec::Executor;
-use crate::quantile::ChipQuantileSolver;
+use crate::quantile::{ChipQuantileSolver, Evaluation};
 
 /// One point of the Fig 4 sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -52,7 +52,41 @@ pub fn baseline_q99_fo4_analytic(engine: &DatapathEngine<'_>) -> f64 {
     ChipQuantileSolver::new(engine).q99_fo4(engine.tech().nominal_vdd())
 }
 
-/// Performance drop at a single voltage.
+/// The nominal-voltage baseline fo4chipd under `evaluation`:
+/// [`baseline_q99_fo4`] or [`baseline_q99_fo4_analytic`] (which ignores
+/// `samples`, `seed` and `exec`).
+pub(crate) fn baseline_q99_fo4_with(
+    engine: &DatapathEngine<'_>,
+    evaluation: Evaluation,
+    samples: usize,
+    seed: u64,
+    exec: Executor,
+) -> f64 {
+    match evaluation {
+        Evaluation::MonteCarlo => baseline_q99_fo4(engine, samples, seed, exec),
+        Evaluation::Analytic => baseline_q99_fo4_analytic(engine),
+    }
+}
+
+/// The target chip delay (ns) of NTV operation at `vdd` (paper §4.2):
+/// `fo4chipd@FV × FO4(vdd)`, the delay the chip would reach at `vdd` if
+/// its variation were no worse than at nominal. The margin, DSE and
+/// Table 4 studies all measure against it.
+#[must_use]
+pub fn target_delay_ns(
+    engine: &DatapathEngine<'_>,
+    evaluation: Evaluation,
+    vdd: Volts,
+    samples: usize,
+    seed: u64,
+    exec: Executor,
+) -> f64 {
+    baseline_q99_fo4_with(engine, evaluation, samples, seed, exec) * engine.tech().fo4_delay_ps(vdd)
+        / 1000.0
+}
+
+/// Performance drop at a single voltage: the one-voltage
+/// [`performance_drop_sweep`].
 ///
 /// Common random numbers by construction: chip `i` of the NTV run is
 /// addressed as `(seed, "perf-ntv", i)` regardless of voltage or thread
@@ -65,16 +99,7 @@ pub fn performance_drop(
     seed: u64,
     exec: Executor,
 ) -> PerfDropPoint {
-    let base = baseline_q99_fo4(engine, samples, seed, exec);
-    let stream = CounterRng::new(seed, "perf-ntv");
-    let q99 = engine
-        .chip_delay_distribution(vdd, samples, &stream, exec)
-        .q99_fo4();
-    PerfDropPoint {
-        vdd,
-        q99_fo4: q99,
-        drop: q99 / base - 1.0,
-    }
+    performance_drop_sweep(engine, &[vdd], samples, seed, exec)[0]
 }
 
 /// Performance-drop sweep over several voltages (one Fig 4 curve).

@@ -7,7 +7,6 @@
 
 use std::sync::Arc;
 
-use ntv_core::engine::VariationMode;
 use ntv_core::OpPointCache;
 use ntv_device::{TechModel, TechNode};
 use ntv_units::Volts;
@@ -48,12 +47,7 @@ fn racing_threads_coalesce_onto_one_build_per_resident_entry() {
             let volts = &volts;
             scope.spawn(move || {
                 for idx in walk(t, STEPS, volts.len()) {
-                    let _ = cache.get_or_build(
-                        tech,
-                        VariationMode::PaperNormal,
-                        volts[idx],
-                        PATH_LENGTH,
-                    );
+                    let _ = cache.get_or_build(tech, volts[idx], PATH_LENGTH);
                 }
             });
         }
@@ -90,7 +84,7 @@ fn bounded_cache_race_is_bit_identical_to_unbounded() {
     let reference = OpPointCache::new();
     let expected: Vec<_> = volts
         .iter()
-        .map(|&v| reference.get_or_build(&tech, VariationMode::PaperNormal, v, PATH_LENGTH))
+        .map(|&v| reference.get_or_build(&tech, v, PATH_LENGTH))
         .collect();
 
     let cache = OpPointCache::with_bound(BOUND);
@@ -105,12 +99,7 @@ fn bounded_cache_race_is_bit_identical_to_unbounded() {
                     walk(t, STEPS, volts.len())
                         .into_iter()
                         .map(|idx| {
-                            let d = cache.get_or_build(
-                                tech,
-                                VariationMode::PaperNormal,
-                                volts[idx],
-                                PATH_LENGTH,
-                            );
+                            let d = cache.get_or_build(tech, volts[idx], PATH_LENGTH);
                             (idx, d.mean_ps().to_bits(), d.std_ps().to_bits())
                         })
                         .collect::<Vec<_>>()
@@ -163,7 +152,7 @@ fn bounded_cache_race_is_bit_identical_to_unbounded() {
 fn arc_identity_between_evictions() {
     let tech = TechModel::new(TechNode::Gp45);
     let cache = OpPointCache::with_bound(2);
-    let a = cache.get_or_build(&tech, VariationMode::SkewedIid, Volts(0.57), PATH_LENGTH);
-    let b = cache.get_or_build(&tech, VariationMode::SkewedIid, Volts(0.57), PATH_LENGTH);
+    let a = cache.get_or_build(&tech, Volts(0.57), PATH_LENGTH);
+    let b = cache.get_or_build(&tech, Volts(0.57), PATH_LENGTH);
     assert!(Arc::ptr_eq(&a, &b));
 }

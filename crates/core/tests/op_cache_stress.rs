@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use ntv_core::engine::{PathDistribution, VariationMode};
+use ntv_core::engine::PathDistribution;
 use ntv_core::{Executor, OpPointCache};
 use ntv_device::{TechModel, TechNode};
 use ntv_units::Volts;
@@ -39,18 +39,10 @@ fn concurrent_prefetches_build_each_point_exactly_once() {
                     let rot = t % volts.len();
                     let mut rotated: Vec<Volts> = volts[rot..].to_vec();
                     rotated.extend_from_slice(&volts[..rot]);
-                    cache.prefetch(
-                        tech,
-                        VariationMode::SkewedIid,
-                        PATH_LENGTH,
-                        &rotated,
-                        Executor::new(1 + t % 3),
-                    );
+                    cache.prefetch(tech, PATH_LENGTH, &rotated, Executor::new(1 + t % 3));
                     volts
                         .iter()
-                        .map(|&v| {
-                            cache.get_or_build(tech, VariationMode::SkewedIid, v, PATH_LENGTH)
-                        })
+                        .map(|&v| cache.get_or_build(tech, v, PATH_LENGTH))
                         .collect()
                 })
             })
@@ -102,9 +94,7 @@ fn racing_get_or_build_on_one_point_yields_one_entry() {
             .map(|_| {
                 let cache = Arc::clone(&cache);
                 let tech = &tech;
-                s.spawn(move || {
-                    cache.get_or_build(tech, VariationMode::PaperNormal, vdd, PATH_LENGTH)
-                })
+                s.spawn(move || cache.get_or_build(tech, vdd, PATH_LENGTH))
             })
             .collect();
         handles

@@ -26,8 +26,10 @@
 //! double-run identity test and CI smoke `cmp` pin.
 //!
 //! The wire schema lives in [`wire`]; the `ntv` CLI's `--json` output
-//! shares the same renderers, so piping `ntv margin --json` and curling
-//! `/v1/query` produce identical result objects.
+//! runs the same [`Query`] values, so `ntv margin --json` prints the result
+//! object `/v1/query` returns for that query sent with
+//! `"evaluation":"mc"` (the CLI evaluates by Monte Carlo; the wire default
+//! is `analytic`).
 //!
 //! # Quickstart
 //!

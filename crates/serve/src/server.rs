@@ -14,7 +14,7 @@
 //! The three perf mechanisms, and where they live:
 //!
 //! * **Coalescing** — concurrent queries needing the same
-//!   `(node, mode, path length, vdd)` operating point attach to one
+//!   `(node, path length, vdd)` operating point attach to one
 //!   in-flight build via [`OpPointCache::get_or_build`]'s single-flight
 //!   cells; the server adds nothing on top, which is the point: the
 //!   mechanism is shared with every offline study.

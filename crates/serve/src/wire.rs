@@ -4,8 +4,11 @@
 //!
 //! This module is the *single* serialization path for analysis results —
 //! the HTTP server and the `ntv` CLI's `--json` mode both call
-//! [`Query::run`] / the `render_*` helpers here, so a margin solve prints
-//! the same bytes whether it travelled over a socket or stdout.
+//! [`Query::run`], so one query prints the same bytes whether it travelled
+//! over a socket or stdout. The CLI's `margin` and `plan` queries evaluate
+//! by Monte Carlo, so `ntv margin --json` prints what `/v1/query` returns
+//! for the same query sent with `"evaluation":"mc"`; the wire default is
+//! `analytic`.
 //!
 //! ## Schema
 //!
@@ -18,7 +21,7 @@
 //! | `quantile`   | `node`, `vdd`, `q` (0.99), `spares` (0), `mode`               |
 //! | `sweep`      | `node`, `vdd_start`, `vdd_stop`, `steps`, `q` (0.99), `mode`  |
 //! | `min_spares` | `node`, `vdd`, `max_spares` (128), `mode`                     |
-//! | `dse`        | `node`, `vdd`, `spares` ([0,1,2,4,8,16,26]), `mode`, `evaluation`, `samples`, `seed` |
+//! | `dse`        | `node`, `vdd`, `spares` (`[0,1,2,4,8,16,26]`), `mode`, `evaluation`, `samples`, `seed` |
 //!
 //! `node` is `90nm | 45nm | 32nm | 22nm`; `mode` is
 //! `paper-normal | skewed-iid | hierarchical`; `evaluation` is
@@ -560,27 +563,14 @@ impl Query {
                 let study = DseStudy::new(engine)
                     .with_executor(*exec)
                     .with_evaluation(evaluation);
-                let choices = study.explore(vdd, spares, samples, seed);
-                let best = DseStudy::best(&choices);
-                json::obj(&[
-                    ("kind", json::str_val("dse")),
-                    ("node", json::str_val(&node_name(node))),
-                    ("mode", json::str_val(mode_name(mode))),
-                    ("vdd", json::num(vdd.get())),
-                    (
-                        "choices",
-                        json::arr(&choices.iter().map(render_choice).collect::<Vec<_>>()),
-                    ),
-                    ("best", render_choice(&best)),
-                ])
+                render_dse(node, mode, vdd, &study.explore(vdd, spares, samples, seed))
             }
         }
     }
 }
 
-/// Render a margin solution — the one serializer for server and CLI.
-#[must_use]
-pub fn render_margin(node: TechNode, mode: VariationMode, sol: &MarginSolution) -> String {
+/// Render a margin solution.
+fn render_margin(node: TechNode, mode: VariationMode, sol: &MarginSolution) -> String {
     json::obj(&[
         ("kind", json::str_val("margin")),
         ("node", json::str_val(&node_name(node))),
@@ -594,8 +584,7 @@ pub fn render_margin(node: TechNode, mode: VariationMode, sol: &MarginSolution) 
 }
 
 /// Render one (spares, margin, power) design choice.
-#[must_use]
-pub fn render_choice(choice: &DesignChoice) -> String {
+fn render_choice(choice: &DesignChoice) -> String {
     json::obj(&[
         ("spares", json::num(f64::from(choice.spares))),
         ("margin", json::num(choice.margin.get())),
@@ -603,15 +592,8 @@ pub fn render_choice(choice: &DesignChoice) -> String {
     ])
 }
 
-/// Render a DSE exploration (choice ladder plus the cheapest pick) — the
-/// serializer behind both `ntv plan --json` and the server's `dse` kind.
-#[must_use]
-pub fn render_dse(
-    node: TechNode,
-    mode: VariationMode,
-    vdd: Volts,
-    choices: &[DesignChoice],
-) -> String {
+/// Render a DSE exploration (choice ladder plus the cheapest pick).
+fn render_dse(node: TechNode, mode: VariationMode, vdd: Volts, choices: &[DesignChoice]) -> String {
     let best = DseStudy::best(choices);
     json::obj(&[
         ("kind", json::str_val("dse")),

@@ -294,7 +294,7 @@ impl XramCrossbar {
     /// # Panics
     ///
     /// Panics if `slot` does not exist or `data` width mismatches; use
-    /// [`XbarRam::try_shuffle`] to handle a missing slot without panicking.
+    /// [`Self::try_shuffle`] to handle a missing slot without panicking.
     pub fn shuffle<T: Copy>(&self, slot: usize, data: &[T]) -> Vec<T> {
         assert!(
             slot < self.configs.len(),

@@ -6,7 +6,7 @@
 //! and the existing semantic rules reason about hold *regions* and
 //! *effects* — never about acquisition order or memory ordering. This
 //! layer closes that gap with three rules, all built on the
-//! [`graph`](crate::graph) symbol table / confidence-tiered call graph and
+//! [`graph`] symbol table / confidence-tiered call graph and
 //! the [`effects`](crate::effects) seed scan:
 //!
 //! * **`ntv::lock-order-cycle`** — every recognised acquisition is

@@ -1,6 +1,6 @@
 //! Workspace call graph and the reachability-powered semantic rules.
 //!
-//! Built on the [`parser`](crate::parser) declaration extraction plus
+//! Built on the [`parser`] declaration extraction plus
 //! [`resolve`](crate::resolve) name resolution, this module answers the
 //! question the per-file rules cannot: *is this panicking operation
 //! reachable from a public API?* Three analyses run over the graph:

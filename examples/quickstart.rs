@@ -7,7 +7,7 @@
 
 use ntv_simd::core::compare::compare_at;
 use ntv_simd::core::perf::performance_drop;
-use ntv_simd::core::{DatapathConfig, DatapathEngine, Executor};
+use ntv_simd::core::{DatapathConfig, DatapathEngine, Evaluation, Executor};
 use ntv_simd::device::{TechModel, TechNode};
 use ntv_simd::mc::CounterRng;
 use ntv_simd::units::Volts;
@@ -46,7 +46,15 @@ fn main() {
     );
 
     // 3. The mitigation menu: spare lanes vs a few millivolts.
-    let point = compare_at(&engine, Volts(vdd), 128, samples, seed, Executor::default());
+    let point = compare_at(
+        &engine,
+        Volts(vdd),
+        128,
+        samples,
+        seed,
+        Executor::default(),
+        Evaluation::MonteCarlo,
+    );
     match (point.spares, point.duplication_power) {
         (Some(spares), Some(power)) => println!(
             "  structural duplication: {spares} spare lanes ({:.1}% power overhead)",

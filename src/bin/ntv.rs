@@ -16,9 +16,11 @@
 //! Nodes: `90nm`, `45nm`, `32nm`, `22nm`. Voltages in volts (e.g. `0.55`).
 //! `--threads N` anywhere on the command line sets the worker count
 //! (default: all hardware threads; results are identical for any value).
-//! `margin`, `plan` and `quantile` accept `--json`, emitting the same
-//! byte-stable result objects the `ntv serve` HTTP endpoint returns (one
-//! serialization path — see `ntv_serve::wire`).
+//! `margin`, `plan` and `quantile` accept `--json`: each runs a
+//! `ntv_serve::wire::Query` and prints the byte-stable result object the
+//! `ntv serve` HTTP endpoint returns for it (one serialization path).
+//! `margin` and `plan` evaluate by Monte Carlo, so their objects match the
+//! endpoint's for the query sent with `"evaluation":"mc"`.
 
 use std::process::ExitCode;
 
@@ -28,7 +30,7 @@ use ntv_simd::core::margining::MarginStudy;
 use ntv_simd::core::perf;
 use ntv_simd::core::sensitivity;
 use ntv_simd::core::yield_model::YieldStudy;
-use ntv_simd::core::{DatapathConfig, DatapathEngine, Executor};
+use ntv_simd::core::{DatapathConfig, DatapathEngine, Evaluation, Executor};
 use ntv_simd::device::energy::EnergyModel;
 use ntv_simd::device::{Corner, TechModel, TechNode};
 use ntv_simd::serve::wire::{self, Query};
@@ -268,22 +270,30 @@ fn main() -> ExitCode {
                 (Ok(n), Ok(v)) => (n, v),
                 (Err(e), _) | (_, Err(e)) => return e,
             };
+            if json {
+                let query = Query::Margin {
+                    node,
+                    mode: Default::default(),
+                    vdd: Volts(vdd),
+                    evaluation: Evaluation::MonteCarlo,
+                    samples: SAMPLES,
+                    seed: SEED,
+                };
+                println!("{}", query.run(&exec));
+                return ExitCode::SUCCESS;
+            }
             let tech = TechModel::new(node);
             let engine = DatapathEngine::new(&tech, DatapathConfig::paper_default());
             let sol =
                 MarginStudy::new(&engine)
                     .with_executor(exec)
                     .solve(Volts(vdd), SAMPLES, SEED);
-            if json {
-                println!("{}", wire::render_margin(node, engine.mode(), &sol));
-            } else {
-                println!(
-                    "{node} @{vdd} V: +{:.1} mV margin ({:.2}% power), target {:.3} ns",
-                    sol.margin.get() * 1000.0,
-                    sol.power_overhead * 100.0,
-                    sol.target_ns
-                );
-            }
+            println!(
+                "{node} @{vdd} V: +{:.1} mV margin ({:.2}% power), target {:.3} ns",
+                sol.margin.get() * 1000.0,
+                sol.power_overhead * 100.0,
+                sol.target_ns
+            );
             ExitCode::SUCCESS
         }
         ("plan", Some(node), Some(vdd), None) => {
@@ -291,17 +301,23 @@ fn main() -> ExitCode {
                 (Ok(n), Ok(v)) => (n, v),
                 (Err(e), _) | (_, Err(e)) => return e,
             };
+            if json {
+                let query = Query::Dse {
+                    node,
+                    mode: Default::default(),
+                    vdd: Volts(vdd),
+                    spares: wire::DEFAULT_SPARE_CANDIDATES.to_vec(),
+                    evaluation: Evaluation::MonteCarlo,
+                    samples: SAMPLES,
+                    seed: SEED,
+                };
+                println!("{}", query.run(&exec));
+                return ExitCode::SUCCESS;
+            }
             let tech = TechModel::new(node);
             let engine = DatapathEngine::new(&tech, DatapathConfig::paper_default());
             let dse = DseStudy::new(&engine).with_executor(exec);
-            let choices = dse.explore(Volts(vdd), &[0, 1, 2, 4, 8, 16, 26], SAMPLES, SEED);
-            if json {
-                println!(
-                    "{}",
-                    wire::render_dse(node, engine.mode(), Volts(vdd), &choices)
-                );
-                return ExitCode::SUCCESS;
-            }
+            let choices = dse.explore(Volts(vdd), &wire::DEFAULT_SPARE_CANDIDATES, SAMPLES, SEED);
             for c in &choices {
                 println!(
                     "  {:>2} spares + {:>5.1} mV -> {:.2}% power",

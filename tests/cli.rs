@@ -99,34 +99,43 @@ fn quantile_reports_fo4_and_ns() {
 
 #[test]
 fn cli_json_matches_the_serve_wire_format() {
-    // One serialization path: `ntv quantile --json` must print byte-for-
-    // byte what the HTTP service returns for the same query.
-    let out = ntv(&["quantile", "45nm", "0.62", "--json"]);
-    assert!(out.status.success());
-    let cli_line = String::from_utf8(out.stdout)
-        .expect("utf8")
-        .trim()
-        .to_string();
-
+    // One serialization path: `ntv <command> --json` must print byte-for-
+    // byte what the HTTP service returns for the same query. The CLI's
+    // margin solve is Monte Carlo, so its query names `"evaluation":"mc"`.
     let server = ServeChild::spawn();
-    let response = request_once(
-        server.addr,
-        "POST",
-        "/v1/query",
-        r#"{"kind":"quantile","node":"45nm","vdd":0.62}"#,
-    )
-    .expect("server query");
-    assert_eq!(response.status, 200, "{}", response.body);
-    let parsed = json::parse(&response.body).expect("valid JSON");
-    let results = parsed
-        .get("results")
-        .and_then(Value::as_arr)
-        .expect("results");
-    assert_eq!(results.len(), 1);
-    // Re-render the parsed result? No — compare raw bytes: the results
-    // array holds exactly the rendered object, so strip the envelope.
-    let envelope = format!(r#"{{"results":[{cli_line}]}}"#);
-    assert_eq!(response.body, envelope, "CLI and server bytes must match");
+    let cases: [(&[&str], &str); 2] = [
+        (
+            &["quantile", "45nm", "0.62", "--json"],
+            r#"{"kind":"quantile","node":"45nm","vdd":0.62}"#,
+        ),
+        (
+            &["margin", "45nm", "0.6", "--json"],
+            r#"{"kind":"margin","node":"45nm","vdd":0.6,"evaluation":"mc"}"#,
+        ),
+    ];
+    for (args, query) in cases {
+        let out = ntv(args);
+        assert!(out.status.success(), "{args:?}");
+        let cli_line = String::from_utf8(out.stdout)
+            .expect("utf8")
+            .trim()
+            .to_string();
+        let response = request_once(server.addr, "POST", "/v1/query", query).expect("server query");
+        assert_eq!(response.status, 200, "{}", response.body);
+        let parsed = json::parse(&response.body).expect("valid JSON");
+        let results = parsed
+            .get("results")
+            .and_then(Value::as_arr)
+            .expect("results");
+        assert_eq!(results.len(), 1);
+        // Compare raw bytes: the results array holds exactly the rendered
+        // object, so strip the envelope.
+        let envelope = format!(r#"{{"results":[{cli_line}]}}"#);
+        assert_eq!(
+            response.body, envelope,
+            "{args:?}: CLI and server bytes must match"
+        );
+    }
 }
 
 #[test]

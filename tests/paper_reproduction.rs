@@ -5,6 +5,7 @@
 //! which runs the `extensions` record's own setup.)
 
 use ntv_bench::experiments::{extensions, fig4, fig7, placement, table1, table2, table3};
+use ntv_simd::core::Executor;
 use ntv_simd::device::TechNode;
 use ntv_simd::units::Volts;
 
@@ -13,7 +14,7 @@ const SEED: u64 = 99;
 
 #[test]
 fn headline_performance_drops() {
-    let r = fig4::run(SAMPLES, SEED);
+    let r = fig4::run_with(SAMPLES, SEED, Executor::default());
     // Paper §3.2: "only 5% at 0.5V in 90nm GP" and "climbs to 18% in 22nm".
     let d90 = r.drop(TechNode::Gp90, 0.5).expect("swept");
     let d22 = r.drop(TechNode::PtmHp22, 0.5).expect("swept");
@@ -27,7 +28,7 @@ fn headline_performance_drops() {
 
 #[test]
 fn duplication_works_at_90nm_but_not_scaled_nodes_at_half_volt() {
-    let r = table1::run(SAMPLES, SEED);
+    let r = table1::run_with(SAMPLES, SEED, Executor::default());
     // Paper conclusion: "in 90nm, timing errors can be handled by only
     // structural duplications".
     for vdd in [0.5, 0.55, 0.6, 0.65, 0.7] {
@@ -44,7 +45,7 @@ fn duplication_works_at_90nm_but_not_scaled_nodes_at_half_volt() {
 
 #[test]
 fn margins_are_millivolt_scale_and_ordered() {
-    let r = table2::run(SAMPLES, SEED);
+    let r = table2::run_with(SAMPLES, SEED, Executor::default());
     for c in &r.cells {
         let mv = c.solution.margin.get() * 1000.0;
         assert!((0.3..40.0).contains(&mv), "margin {mv} mV at {:?}", c.node);
@@ -61,7 +62,7 @@ fn combined_technique_is_cheapest_at_45nm_600mv() {
     // The paper's concluding claim: "a combination of structural
     // duplication and voltage margining results in a solution with the
     // lowest power overhead" for scaled nodes.
-    let r = table3::run(SAMPLES, SEED);
+    let r = table3::run_with(SAMPLES, SEED, Executor::default());
     assert!(r.best.spares > 0, "{:?}", r.best);
     assert!(r.best.margin > Volts::ZERO);
     let pure_margin = &r.choices[0];
@@ -72,7 +73,7 @@ fn combined_technique_is_cheapest_at_45nm_600mv() {
 
 #[test]
 fn technique_crossover_matches_section_4_4() {
-    let r = fig7::run(SAMPLES, SEED);
+    let r = fig7::run_with(SAMPLES, SEED, Executor::default());
     use ntv_simd::core::compare::Technique;
     // "Structural duplication outperforms voltage margining in high
     // near-threshold voltage regions (0.6-0.7V)" — true for 90nm.
