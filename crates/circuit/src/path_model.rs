@@ -57,7 +57,7 @@ pub struct PathMoments {
 pub struct PathModel<'a> {
     tech: &'a TechModel,
     length: usize,
-    quadrature: GaussHermite,
+    quadrature: &'static GaussHermite,
 }
 
 impl<'a> PathModel<'a> {
@@ -76,7 +76,7 @@ impl<'a> PathModel<'a> {
         Self {
             tech,
             length,
-            quadrature: GaussHermite::new(Self::DEFAULT_QUADRATURE_ORDER),
+            quadrature: GaussHermite::shared(Self::DEFAULT_QUADRATURE_ORDER),
         }
     }
 

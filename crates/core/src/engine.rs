@@ -151,8 +151,8 @@ impl PathDistribution {
     pub fn build(tech: &TechModel, vdd: Volts, length: usize) -> Self {
         let params = tech.params();
         let model = PathModel::new(tech, length);
-        let gh_v = GaussHermite::new(Self::GH_VTH);
-        let gh_k = GaussHermite::new(Self::GH_K);
+        let gh_v = GaussHermite::shared(Self::GH_VTH);
+        let gh_k = GaussHermite::shared(Self::GH_K);
         const INV_PI: f64 = 1.0 / std::f64::consts::PI;
 
         // Conditional moments at each systematic-Vth node; the systematic
@@ -198,8 +198,8 @@ impl PathDistribution {
     pub fn build_grid(tech: &TechModel, vdds: &[Volts], length: usize) -> Vec<Self> {
         let params = tech.params();
         let model = PathModel::new(tech, length);
-        let gh_v = GaussHermite::new(Self::GH_VTH);
-        let gh_k = GaussHermite::new(Self::GH_K);
+        let gh_v = GaussHermite::shared(Self::GH_VTH);
+        let gh_k = GaussHermite::shared(Self::GH_K);
         const INV_PI: f64 = 1.0 / std::f64::consts::PI;
         let sqrt2 = std::f64::consts::SQRT_2;
 
@@ -274,11 +274,20 @@ impl PathDistribution {
     ///
     /// The mixture-CDF accumulation is component-major (loop interchange
     /// over the 288 × 1024 term matrix): each component hoists its
-    /// invariants once, evaluates its `erfc` arguments for the whole grid
-    /// with [`normal::erfc_slice`], and folds into the survival vector
-    /// with the ordered batch accumulators — every grid point still sums
-    /// its components left to right, so the result is bit-identical to
-    /// the point-major scalar formulation (pinned by test).
+    /// invariants once, computes its `erfc` arguments `(x − μ)/(σ√2)` for
+    /// the whole grid, and folds its terms into the survival vector with
+    /// the ordered batch accumulators — every grid point still sums its
+    /// components left to right, so the result is bit-identical to the
+    /// point-major scalar formulation (pinned by test).
+    ///
+    /// The arguments ascend with the grid, so the terms `erfc` saturates
+    /// form a prefix at or below [`normal::ERFC_TWO_AT_OR_BELOW`] (exactly
+    /// `2.0`) and a suffix at or above [`normal::ERFC_ZERO_AT_OR_ABOVE`]
+    /// (exactly `0.0`); both cuts are pinned by test over every f64 past
+    /// them. Two `partition_point`s bound the unsaturated window, only the
+    /// window goes through [`normal::erfc_slice`], and the row's ends take
+    /// the constants `erfc` would have returned. NaN arguments stay in the
+    /// window, so `erfc` still propagates them.
     fn grid(&self) -> &SurvivalGrid {
         self.grid.get_or_init(|| {
             let sqrt2 = std::f64::consts::SQRT_2;
@@ -296,7 +305,13 @@ impl PathDistribution {
                     for (a, &x) in args.iter_mut().zip(&xs) {
                         *a = (x - mu) / d;
                     }
-                    normal::erfc_slice(&args, &mut row);
+                    let start = args.partition_point(|&a| a <= normal::ERFC_TWO_AT_OR_BELOW);
+                    let end = start
+                        + args[start..]
+                            .partition_point(|&a| a < normal::ERFC_ZERO_AT_OR_ABOVE || a.is_nan());
+                    row[..start].fill(2.0);
+                    normal::erfc_slice(&args[start..end], &mut row[start..end]);
+                    row[end..].fill(0.0);
                     ntv_mc::reduce::axpy_ordered(&mut sf, w2, &row);
                 } else {
                     for (r, &x) in row.iter_mut().zip(&xs) {
@@ -1161,14 +1176,19 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    /// The component-major `erfc_slice`/`axpy_ordered` survival-grid build
-    /// must reproduce the retired point-major scalar accumulation bit for
-    /// bit at every grid point.
+    /// The component-major survival-grid build — 8-lane `erfc_slice` over
+    /// each component's unsaturated window, saturated ends filled with the
+    /// constants, `axpy_ordered` fold — must reproduce the retired
+    /// point-major scalar accumulation bit for bit at every grid point, on
+    /// every node, at the ends of the serve lattice (0.45 and 0.80 V) and
+    /// beyond. Every case has saturated terms at both ends, so the skip is
+    /// compared, not just the kernel.
     #[test]
     fn vectorized_survival_grid_is_bit_exact() {
-        for node in [TechNode::Gp90, TechNode::PtmHp22] {
+        let sqrt2 = std::f64::consts::SQRT_2;
+        for node in TechNode::ALL {
             let tech = TechModel::new(node);
-            for vdd in [Volts(0.5), Volts(1.0)] {
+            for vdd in [Volts(0.45), Volts(0.5), Volts(0.8), Volts(1.0)] {
                 let dist = PathDistribution::build(&tech, vdd, 50);
                 let reference = dist.survival_sf_reference();
                 let grid = dist.grid();
@@ -1176,6 +1196,15 @@ mod tests {
                 for (i, (a, b)) in grid.sf.iter().zip(&reference).enumerate() {
                     assert_eq!(a.to_bits(), b.to_bits(), "{node:?} {vdd} grid point {i}");
                 }
+                let (mut twos, mut zeros) = (0usize, 0usize);
+                for &(_, mu, s) in &dist.comps {
+                    for &x in &grid.xs {
+                        let a = (x - mu) / (s * sqrt2);
+                        twos += usize::from(a <= normal::ERFC_TWO_AT_OR_BELOW);
+                        zeros += usize::from(a >= normal::ERFC_ZERO_AT_OR_ABOVE);
+                    }
+                }
+                assert!(twos > 0 && zeros > 0, "{node:?} {vdd}: {twos} / {zeros}");
             }
         }
     }

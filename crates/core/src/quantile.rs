@@ -211,8 +211,8 @@ impl<'e, 't> ChipQuantileSolver<'e, 't> {
         let global_share = (1.0 - params.lane_fraction).sqrt();
         let region_share = params.lane_fraction.sqrt();
 
-        let gh_v = GaussHermite::new(PathDistribution::GH_VTH);
-        let gh_k = GaussHermite::new(PathDistribution::GH_K);
+        let gh_v = GaussHermite::shared(PathDistribution::GH_VTH);
+        let gh_k = GaussHermite::shared(PathDistribution::GH_K);
         const INV_PI: f64 = 1.0 / std::f64::consts::PI;
         let sigma_vg = params.sigma_vth_systematic * global_share;
         let sigma_kg = params.sigma_k_systematic * global_share;
@@ -246,7 +246,7 @@ impl<'e, 't> ChipQuantileSolver<'e, 't> {
         let sk = params.sigma_k_systematic * region_share;
         let s_f = (sv * sv + sk * sk).sqrt();
         const INV_SQRT_PI: f64 = 0.564_189_583_547_756_3;
-        let gh_f = GaussHermite::new(GH_REGION);
+        let gh_f = GaussHermite::shared(GH_REGION);
         let factors: Vec<(f64, f64)> = gh_f
             .nodes()
             .iter()
@@ -301,10 +301,11 @@ impl HierMixture {
     /// within an ulp of 1.
     ///
     /// Batch form: the 16 regional `erfc` arguments are evaluated into a
-    /// fixed-stride array and pushed through [`normal::erfc_slice`] in one
-    /// pass; the weighted fold then consumes the precomputed values in the
-    /// same node order with the same per-term operations, so the result is
-    /// bit-identical to the scalar per-node formulation (pinned by test).
+    /// fixed-stride array and pushed through [`normal::erfc_slice`] (two
+    /// full 8-lane chunks); the weighted fold then consumes the
+    /// precomputed values in the same node order with the same per-term
+    /// operations, so the result is bit-identical to the scalar per-node
+    /// formulation (pinned by test).
     fn lane_cdf_sf(&self, x: f64, mu: f64, s: f64, paths: f64) -> (f64, f64) {
         assert_eq!(
             self.factors.len(),
@@ -385,11 +386,13 @@ fn skewed_bracket(dist: &PathDistribution) -> (f64, f64) {
 
 /// The binomial order-statistic tail `P(at least k of m ≤ x)` with its
 /// log-coefficient table `ln C(m, j)`, `j = k..=m`, precomputed once per
-/// solve. The bisection loop evaluates the tail at ~200 probe points (×
-/// 288 mixture components in hierarchical mode); materializing the
-/// coefficient recurrence hoists an O(m) log-space recurrence out of
-/// every probe while keeping each [`eval`](Self::eval) bit-identical to
-/// the retired recompute-per-call formulation (pinned by test).
+/// solve. The bisection evaluates the tail at about 40–45 probe points
+/// (it stops at [`INVERT_REL_TOL`] relative width; 200 halvings is only
+/// its loop cap), × 288 mixture components in hierarchical mode;
+/// materializing the coefficient recurrence hoists an O(m) log-space
+/// recurrence out of every probe while keeping each [`eval`](Self::eval)
+/// bit-identical to the retired recompute-per-call formulation (pinned by
+/// test).
 struct BinomialTail {
     m: usize,
     k: usize,

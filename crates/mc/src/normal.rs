@@ -27,7 +27,8 @@ pub fn pdf(x: f64) -> f64 {
 }
 
 // Chebyshev coefficients for erfc, from W. J. Cody's rational fit as
-// tabulated in Numerical Recipes (3rd ed., §6.2.2).
+// tabulated in Numerical Recipes (3rd ed., §6.2.2). Shared by the scalar
+// and batch evaluators so both run the identical recurrence.
 const COF: [f64; 28] = [
     -1.3026537197817094,
     6.419_697_923_564_902e-1,
@@ -84,16 +85,81 @@ pub fn erfc(x: f64) -> f64 {
     }
 }
 
+/// [`erfc`] returns exactly `2.0` for every `x` at or below this cut,
+/// down to and including `−∞`.
+///
+/// Measured: the last argument whose result is below `2.0` is
+/// `x ≈ −5.863585`; beyond it `erfc(|x|)` is under half an ulp of 2, so
+/// `2 − erfc(|x|)` rounds to 2. `−6` leaves a margin. Pinned by test from
+/// `−6` down to `−f64::MAX` and at `−∞`.
+pub const ERFC_TWO_AT_OR_BELOW: f64 = -6.0;
+
+/// [`erfc`] returns exactly `0.0` for every `x` at or above this cut, up
+/// to and including `+∞`.
+///
+/// Measured: the last argument with a nonzero (subnormal) result is
+/// `x ≈ 27.225537`; beyond it the `exp` underflows (`erfc(27.0)` is still
+/// `5.2e-319`). `27.5` leaves a margin. Pinned by test from `27.5` up to
+/// `f64::MAX` and at `+∞`.
+pub const ERFC_ZERO_AT_OR_ABOVE: f64 = 27.5;
+
+/// Elements per chunk of [`erfc_slice`].
+const LANES: usize = 8;
+
+/// One chunk of [`erfc_slice`]: every lane runs exactly the scalar
+/// [`erfc`] operation sequence, only interleaved across lanes, so each
+/// output carries `erfc(x[l])`'s bits. The per-coefficient inner loop has
+/// no cross-lane dependence, so the lanes' Chebyshev recurrences overlap
+/// instead of each waiting on its own serial chain.
+fn erfc_lanes(x: &[f64; LANES]) -> [f64; LANES] {
+    let mut z = [0.0; LANES];
+    let mut t = [0.0; LANES];
+    let mut ty = [0.0; LANES];
+    for l in 0..LANES {
+        z[l] = x[l].abs();
+        t[l] = 2.0 / (2.0 + z[l]);
+        ty[l] = 4.0 * t[l] - 2.0;
+    }
+    let mut d = [0.0; LANES];
+    let mut dd = [0.0; LANES];
+    for &c in COF.iter().rev().take(COF.len() - 1) {
+        for l in 0..LANES {
+            let tmp = d[l];
+            d[l] = ty[l] * d[l] - dd[l] + c;
+            dd[l] = tmp;
+        }
+    }
+    let mut out = [0.0; LANES];
+    for l in 0..LANES {
+        let ans = t[l] * (-z[l] * z[l] + 0.5 * (COF[0] + ty[l] * d[l]) - dd[l]).exp();
+        out[l] = if x[l] >= 0.0 { ans } else { 2.0 - ans };
+    }
+    out
+}
+
 /// Batch complementary error function: `out[i] = erfc(xs[i])`.
 ///
-/// A plain fixed-stride elementwise loop, so every output carries the
-/// scalar [`erfc`]'s bits.
+/// Runs the slice in chunks of 8 through one interleaved pass of the
+/// Chebyshev recurrence, and the remainder after the last full chunk
+/// through the scalar [`erfc`]. Every lane performs the scalar operation
+/// sequence, so every output carries [`erfc`]'s bits (pinned by test).
 ///
 /// # Panics
 /// Panics if the slices differ in length.
 pub fn erfc_slice(xs: &[f64], out: &mut [f64]) {
     assert_eq!(xs.len(), out.len(), "erfc batch length mismatch");
-    for (o, &x) in out.iter_mut().zip(xs) {
+    let mut x_chunks = xs.chunks_exact(LANES);
+    let mut out_chunks = out.chunks_exact_mut(LANES);
+    let mut lane = [0.0; LANES];
+    for (o, x) in out_chunks.by_ref().zip(x_chunks.by_ref()) {
+        lane.copy_from_slice(x);
+        o.copy_from_slice(&erfc_lanes(&lane));
+    }
+    for (o, &x) in out_chunks
+        .into_remainder()
+        .iter_mut()
+        .zip(x_chunks.remainder())
+    {
         *o = erfc(x);
     }
 }
@@ -248,11 +314,30 @@ mod tests {
 
     #[test]
     fn erfc_slice_is_bit_identical_to_scalar_erfc() {
-        // Lengths: empty, single, and several longer slices. Values cover
-        // both signs, zero, and deep tails.
-        for n in [0usize, 1, 3, 7, 8, 9, 16, 37] {
+        // Lengths straddle the chunk width: empty, single, sub-chunk,
+        // exact multiples, ragged tails, and a survival-grid row (1024)
+        // plus a ragged one (1031). Values cover both signs, both zeros,
+        // deep tails, both saturation cuts and the infinities.
+        let special = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            ERFC_TWO_AT_OR_BELOW,
+            ERFC_ZERO_AT_OR_ABOVE,
+            -5.86,
+            27.2,
+            -40.0,
+            300.0,
+            -f64::MAX,
+            f64::MAX,
+        ];
+        for n in [0usize, 1, 3, 7, 8, 9, 15, 16, 17, 37, 1024, 1031] {
             let xs: Vec<f64> = (0..n)
                 .map(|i| {
+                    if i % 7 == 3 {
+                        return special[(i / 7) % special.len()];
+                    }
                     let v = f64::from(i as i32) * 0.37 - 3.1;
                     if i % 5 == 0 {
                         -v
@@ -271,6 +356,55 @@ mod tests {
                 );
             }
         }
+        // Every special value in every lane position of a full chunk.
+        for &x in &special {
+            for lead in 0..LANES {
+                let mut xs = vec![0.5; LANES + 1];
+                xs[lead] = x;
+                let mut out = vec![0.0; xs.len()];
+                erfc_slice(&xs, &mut out);
+                assert_eq!(out[lead].to_bits(), erfc(x).to_bits(), "x={x} lane={lead}");
+            }
+        }
+    }
+
+    /// Sweep from `from` away from zero: 100 000 steps of `step`, then
+    /// geometric growth by 1.01 out to `±f64::MAX`, then the infinity.
+    fn saturation_sweep(from: f64, step: f64) -> Vec<f64> {
+        let mut xs: Vec<f64> = (0..100_000).map(|i| from + step * f64::from(i)).collect();
+        let mut x = xs[xs.len() - 1];
+        while x.is_finite() {
+            x *= 1.01;
+            xs.push(if x.is_finite() {
+                x
+            } else {
+                f64::MAX.copysign(from)
+            });
+        }
+        xs.push(f64::INFINITY.copysign(from));
+        xs
+    }
+
+    /// The survival grid replaces `erfc` by its saturated value past the
+    /// two cuts (`PathDistribution::grid`), so the cuts must hold for
+    /// every f64 beyond them, not only approximately.
+    #[test]
+    fn erfc_is_exactly_saturated_past_the_cuts() {
+        let below = saturation_sweep(ERFC_TWO_AT_OR_BELOW, -1e-4);
+        assert_eq!(below[0], ERFC_TWO_AT_OR_BELOW);
+        assert_eq!(below[below.len() - 2], -f64::MAX);
+        for &x in &below {
+            assert_eq!(erfc(x).to_bits(), 2.0f64.to_bits(), "erfc({x}) is not 2.0");
+        }
+        let above = saturation_sweep(ERFC_ZERO_AT_OR_ABOVE, 1e-4);
+        assert_eq!(above[0], ERFC_ZERO_AT_OR_ABOVE);
+        assert_eq!(above[above.len() - 2], f64::MAX);
+        for &x in &above {
+            assert_eq!(erfc(x).to_bits(), 0.0f64.to_bits(), "erfc({x}) is not 0.0");
+        }
+        // The cuts sit past the measured onsets, not at them.
+        assert!(erfc(-5.86) < 2.0);
+        assert!(erfc(27.2) > 0.0);
     }
 
     #[test]

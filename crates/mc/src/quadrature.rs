@@ -7,6 +7,11 @@
 //! Gauss–Hermite rule evaluates that to near machine precision at a cost of
 //! 16 delay-model calls, which is what makes 10 000-chip sweeps interactive.
 
+use std::sync::OnceLock;
+
+/// Highest order [`GaussHermite::shared`] keeps a process-wide table for.
+const MAX_SHARED_ORDER: usize = 64;
+
 /// A physicists' Gauss–Hermite rule of order `n`: nodes `xᵢ` and weights
 /// `wᵢ` such that `∫ f(x)·exp(−x²) dx ≈ Σ wᵢ f(xᵢ)`.
 ///
@@ -84,6 +89,39 @@ impl GaussHermite {
             weights[n - 1 - i] = weights[i];
         }
         Self { nodes, weights }
+    }
+
+    /// The process-wide rule of order `n`: built by [`GaussHermite::new`]
+    /// on the first call for that order, then shared, so a constant table
+    /// costs one build per process instead of one per use. The nodes and
+    /// weights equal a fresh `GaussHermite::new(n)` bit for bit (pinned by
+    /// test).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is 0 or above 64.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use ntv_mc::quadrature::GaussHermite;
+    /// assert!(std::ptr::eq(GaussHermite::shared(16), GaussHermite::shared(16)));
+    /// assert_eq!(GaussHermite::shared(16).order(), 16);
+    /// ```
+    #[must_use]
+    pub fn shared(n: usize) -> &'static Self {
+        static RULES: [OnceLock<GaussHermite>; MAX_SHARED_ORDER] =
+            [const { OnceLock::new() }; MAX_SHARED_ORDER];
+        RULES[Self::shared_slot(n)].get_or_init(|| Self::new(n))
+    }
+
+    /// Index of order `n` in [`shared`](Self::shared)'s table.
+    fn shared_slot(n: usize) -> usize {
+        assert!(
+            (1..=MAX_SHARED_ORDER).contains(&n),
+            "shared quadrature order must be in 1..={MAX_SHARED_ORDER}, got {n}"
+        );
+        n - 1
     }
 
     /// Rule order.
@@ -246,6 +284,42 @@ mod tests {
         let gh = GaussHermite::new(8);
         let got = gh.expect_normal(2.5, 0.0, |x| x * x);
         assert!((got - 6.25).abs() < 1e-12);
+    }
+
+    /// Every order the library reads through [`GaussHermite::shared`]
+    /// (12 and 24 for the systematic mixture, 16 for the per-device and
+    /// regional rules): the shared table carries a fresh build's bits, and
+    /// repeated calls return the one table built for the process.
+    #[test]
+    fn shared_tables_equal_fresh_builds_and_are_built_once() {
+        for n in [12, 16, 24] {
+            let shared = GaussHermite::shared(n);
+            let fresh = GaussHermite::new(n);
+            assert_eq!(shared.order(), n);
+            for (a, b) in shared.nodes().iter().zip(fresh.nodes()) {
+                assert_eq!(a.to_bits(), b.to_bits(), "order {n} node");
+            }
+            for (a, b) in shared.weights().iter().zip(fresh.weights()) {
+                assert_eq!(a.to_bits(), b.to_bits(), "order {n} weight");
+            }
+            assert!(std::ptr::eq(shared, GaussHermite::shared(n)), "order {n}");
+        }
+        assert!(!std::ptr::eq(
+            GaussHermite::shared(12),
+            GaussHermite::shared(24)
+        ));
+    }
+
+    #[test]
+    #[should_panic(expected = "shared quadrature order must be in 1..=64, got 0")]
+    fn shared_rejects_zero_order() {
+        let _ = GaussHermite::shared(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "shared quadrature order must be in 1..=64, got 65")]
+    fn shared_rejects_orders_past_the_table() {
+        let _ = GaussHermite::shared(MAX_SHARED_ORDER + 1);
     }
 
     #[test]

@@ -138,11 +138,10 @@ pub enum Query {
 /// `(node, mode)` — 12 entries at most, built on first use and kept for
 /// the life of the process.
 ///
-/// Constructing a `TechModel` + `DatapathEngine` costs ~5 µs (dominated
-/// by the Gauss–Hermite quadrature in `PathModel`), an order of magnitude
-/// more than the closed-form quantile solve itself (~0.4 µs). A
-/// per-query rebuild capped service throughput at ~26 k queries/s; the
-/// table removes it entirely. The deliberate `Box::leak` is bounded by
+/// Constructing a `TechModel` + `DatapathEngine` costs about 40 ns on a
+/// 2-vCPU x86-64 VM (`PathModel` borrows the process-wide Gauss–Hermite
+/// table), so the table is not there for speed: it gives every caller a
+/// `&'static` engine per key. The deliberate `Box::leak` is bounded by
 /// the 12-entry key space.
 #[must_use]
 pub fn paper_engine(node: TechNode, mode: VariationMode) -> &'static DatapathEngine<'static> {
