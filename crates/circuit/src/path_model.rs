@@ -20,7 +20,7 @@
 //! Path delays then live in a conditional-normal world where lane maxima
 //! can be sampled in O(1) via [`ntv_mc::order::sample_max_normal`].
 
-use ntv_device::{ChipSample, GateSample, TechModel};
+use ntv_device::{ChipSample, TechModel};
 use ntv_mc::GaussHermite;
 use ntv_units::Volts;
 use serde::{Deserialize, Serialize};
@@ -93,88 +93,24 @@ impl<'a> PathModel<'a> {
     }
 
     /// Conditional mean and σ of a *single gate's* delay (ps) given `chip`.
-    ///
-    /// Runs as the batch split of the 16-point quadrature — abscissas,
-    /// one [`TechModel::gate_delay_ps_dvth_batch`] call over the whole
-    /// ΔVth vector, ordered fold — bit-identical to the closure-driven
-    /// `moments_normal` path it replaced (pinned by test).
     #[must_use]
     pub fn conditional_gate_moments(&self, vdd: Volts, chip: &ChipSample) -> (f64, f64) {
         let p = self.tech.params();
         // Quadrature over the random Vth deviation with kappa factored out.
-        let n = self.quadrature.order();
-        let mut pts = vec![0.0; n];
-        self.quadrature
-            .abscissas_into(0.0, p.sigma_vth_random.get(), &mut pts);
-        let dvs: Vec<Volts> = pts.iter().map(|&dv| Volts(dv)).collect();
-        let mut delays = vec![0.0; n];
-        self.tech
-            .gate_delay_ps_dvth_batch(vdd, chip, &dvs, 0.0, &mut delays);
-        let (q1, qvar) = self.quadrature.moments_from_values(&delays);
+        let (q1, qvar) = self
+            .quadrature
+            .moments_normal(0.0, p.sigma_vth_random.get(), |dv| {
+                self.tech.gate_delay_ps_at(vdd, chip, Volts(dv), 0.0)
+            });
         let q2 = qvar + q1 * q1; // E[D0^2]
-                                 // Log-normal moments of exp(-eps), eps ~ N(0, sigma_kr).
+
+        // Log-normal moments of exp(-eps), eps ~ N(0, sigma_kr).
         let s2 = p.sigma_k_random * p.sigma_k_random;
         let e_k = (0.5 * s2).exp(); // E[exp(-eps)]
         let e_k2 = (2.0 * s2).exp(); // E[exp(-2 eps)]
         let mean = q1 * e_k;
         let var = (q2 * e_k2 - mean * mean).max(0.0);
         (mean, var.sqrt())
-    }
-
-    /// [`conditional_gate_moments`](Self::conditional_gate_moments) over a
-    /// whole voltage grid in one pass, loop-interchanged: each quadrature
-    /// node evaluates its delay across *all* voltages with the device
-    /// voltage-grid kernel, and every voltage's moment accumulators fold
-    /// nodes in the scalar order — so each element of the result is
-    /// bit-identical to the scalar call at that voltage (pinned by test).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any voltage is outside the supported range.
-    #[must_use]
-    pub fn conditional_gate_moments_grid(
-        &self,
-        vdds: &[Volts],
-        chip: &ChipSample,
-    ) -> Vec<(f64, f64)> {
-        let p = self.tech.params();
-        let nv = vdds.len();
-        let n = self.quadrature.order();
-        let mut pts = vec![0.0; n];
-        self.quadrature
-            .abscissas_into(0.0, p.sigma_vth_random.get(), &mut pts);
-
-        // Interchanged quadrature: node-major evaluation, voltage-major
-        // accumulation in node order (the scalar fold order per voltage).
-        const INV_SQRT_PI: f64 = 0.564_189_583_547_756_3;
-        let mut m1 = vec![0.0; nv];
-        let mut m2 = vec![0.0; nv];
-        let mut row = vec![0.0; nv];
-        for (&dv, &w) in pts.iter().zip(self.quadrature.weights()) {
-            let gate = GateSample {
-                dvth: Volts(dv),
-                ln_k: 0.0,
-            };
-            self.tech.gate_delay_ps_grid(vdds, chip, &gate, &mut row);
-            ntv_mc::reduce::sum2_axpy_ordered(&mut m1, &mut m2, w, &row);
-        }
-
-        // Log-normal moments of exp(-eps) are voltage-invariant.
-        let s2 = p.sigma_k_random * p.sigma_k_random;
-        let e_k = (0.5 * s2).exp();
-        let e_k2 = (2.0 * s2).exp();
-        m1.iter()
-            .zip(&m2)
-            .map(|(&s1, &s2v)| {
-                let q1 = s1 * INV_SQRT_PI;
-                let q2m = s2v * INV_SQRT_PI;
-                let qvar = (q2m - q1 * q1).max(0.0);
-                let q2 = qvar + q1 * q1;
-                let mean = q1 * e_k;
-                let var = (q2 * e_k2 - mean * mean).max(0.0);
-                (mean, var.sqrt())
-            })
-            .collect()
     }
 
     /// Conditional path moments given `chip`: `Normal(L·μ_g, L·σ_g²)`.
@@ -185,23 +121,6 @@ impl<'a> PathModel<'a> {
             mean_ps: self.length as f64 * mu,
             std_ps: (self.length as f64).sqrt() * sigma,
         }
-    }
-
-    /// [`conditional_moments`](Self::conditional_moments) over a voltage
-    /// grid: element `i` is bit-identical to the scalar call at `vdds[i]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any voltage is outside the supported range.
-    #[must_use]
-    pub fn conditional_moments_grid(&self, vdds: &[Volts], chip: &ChipSample) -> Vec<PathMoments> {
-        self.conditional_gate_moments_grid(vdds, chip)
-            .into_iter()
-            .map(|(mu, sigma)| PathMoments {
-                mean_ps: self.length as f64 * mu,
-                std_ps: (self.length as f64).sqrt() * sigma,
-            })
-            .collect()
     }
 }
 
@@ -303,63 +222,5 @@ mod tests {
     fn zero_length_rejected() {
         let tech = TechModel::new(TechNode::Gp90);
         let _ = PathModel::new(&tech, 0);
-    }
-
-    /// The batch split must reproduce the closure-driven quadrature path
-    /// (the pre-batch implementation) bit for bit.
-    #[test]
-    fn batch_gate_moments_match_legacy_closure_quadrature_bitwise() {
-        for node in [TechNode::Gp90, TechNode::PtmHp22] {
-            let tech = TechModel::new(node);
-            let model = PathModel::new(&tech, 50);
-            let mut rng = StreamRng::from_seed(23);
-            for _ in 0..3 {
-                let chip = tech.sample_chip(&mut rng);
-                for vdd in [Volts(0.45), Volts(0.6), Volts(0.9)] {
-                    let (mu, sigma) = model.conditional_gate_moments(vdd, &chip);
-                    // Legacy formulation: closure-driven moments_normal.
-                    let p = tech.params();
-                    let gh = GaussHermite::new(PathModel::DEFAULT_QUADRATURE_ORDER);
-                    let (q1, qvar) = gh.moments_normal(0.0, p.sigma_vth_random.get(), |dv| {
-                        tech.gate_delay_ps_at(vdd, &chip, Volts(dv), 0.0)
-                    });
-                    let q2 = qvar + q1 * q1;
-                    let s2 = p.sigma_k_random * p.sigma_k_random;
-                    let e_k = (0.5 * s2).exp();
-                    let e_k2 = (2.0 * s2).exp();
-                    let mean = q1 * e_k;
-                    let var = (q2 * e_k2 - mean * mean).max(0.0);
-                    assert_eq!(mu.to_bits(), mean.to_bits(), "{node} {vdd}");
-                    assert_eq!(sigma.to_bits(), var.sqrt().to_bits(), "{node} {vdd}");
-                }
-            }
-        }
-    }
-
-    /// Each element of the voltage-grid interchange must carry the same
-    /// bits as the scalar call at that voltage.
-    #[test]
-    fn grid_moments_match_scalar_per_voltage_bitwise() {
-        let tech = TechModel::new(TechNode::Gp45);
-        let model = PathModel::new(&tech, 50);
-        let mut rng = StreamRng::from_seed(31);
-        let chip = tech.sample_chip(&mut rng);
-        for n in [0usize, 1, 7, 24] {
-            let vdds: Vec<Volts> = (0..n)
-                .map(|i| Volts(0.42 + 0.02 * f64::from(i as i32)))
-                .collect();
-            let gate = model.conditional_gate_moments_grid(&vdds, &chip);
-            let path = model.conditional_moments_grid(&vdds, &chip);
-            assert_eq!(gate.len(), n);
-            assert_eq!(path.len(), n);
-            for (i, &v) in vdds.iter().enumerate() {
-                let (mu, sigma) = model.conditional_gate_moments(v, &chip);
-                assert_eq!(gate[i].0.to_bits(), mu.to_bits(), "n={n} i={i}");
-                assert_eq!(gate[i].1.to_bits(), sigma.to_bits(), "n={n} i={i}");
-                let m = model.conditional_moments(v, &chip);
-                assert_eq!(path[i].mean_ps.to_bits(), m.mean_ps.to_bits());
-                assert_eq!(path[i].std_ps.to_bits(), m.std_ps.to_bits());
-            }
-        }
     }
 }

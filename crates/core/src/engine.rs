@@ -181,70 +181,6 @@ impl PathDistribution {
             })
             .collect();
 
-        Self::from_comps(comps)
-    }
-
-    /// Build the distributions of a whole voltage grid in one pass through
-    /// the batch kernels: each systematic-ΔVth node evaluates its
-    /// conditional path moments across *all* voltages with
-    /// [`PathModel::conditional_moments_grid`] (the interchanged
-    /// Gauss–Hermite quadrature over the device voltage-grid kernel), and
-    /// each voltage's mixture components are then assembled in the scalar
-    /// order. Element `i` is **bit-identical** to
-    /// `PathDistribution::build(tech, vdds[i], length)` (pinned by test);
-    /// the win is arithmetic density — one fixed-stride kernel pass per
-    /// quadrature node instead of `vdds.len()` interleaved scalar builds.
-    #[must_use]
-    pub fn build_grid(tech: &TechModel, vdds: &[Volts], length: usize) -> Vec<Self> {
-        let params = tech.params();
-        let model = PathModel::new(tech, length);
-        let gh_v = GaussHermite::shared(Self::GH_VTH);
-        let gh_k = GaussHermite::shared(Self::GH_K);
-        const INV_PI: f64 = 1.0 / std::f64::consts::PI;
-        let sqrt2 = std::f64::consts::SQRT_2;
-
-        // Node-major: one voltage-grid moment pass per systematic-Vth node.
-        let moments: Vec<Vec<PathMoments>> = gh_v
-            .nodes()
-            .iter()
-            .map(|&xv| {
-                let dv = sqrt2 * params.sigma_vth_systematic * xv;
-                model.conditional_moments_grid(
-                    vdds,
-                    &ChipSample {
-                        dvth: dv,
-                        ln_k: 0.0,
-                    },
-                )
-            })
-            .collect();
-
-        // Voltage-major: assemble each operating point's components in the
-        // same (vth-node × k-node) order the scalar build uses.
-        (0..vdds.len())
-            .map(|vi| {
-                let comps: Vec<(f64, f64, f64)> = moments
-                    .iter()
-                    .zip(gh_v.weights())
-                    .flat_map(|(per_voltage, &wv)| {
-                        let m = per_voltage[vi];
-                        gh_k.nodes()
-                            .iter()
-                            .zip(gh_k.weights())
-                            .map(move |(&xk, &wk)| {
-                                let k = (-(sqrt2 * params.sigma_k_systematic * xk)).exp();
-                                (wv * wk * INV_PI, m.mean_ps * k, m.std_ps * k)
-                            })
-                    })
-                    .collect();
-                Self::from_comps(comps)
-            })
-            .collect()
-    }
-
-    /// Shared tail of [`build`](Self::build) / [`build_grid`](Self::build_grid):
-    /// unconditional moments and grid extent from the mixture components.
-    fn from_comps(comps: Vec<(f64, f64, f64)>) -> Self {
         let mean_ps = ntv_mc::reduce::sum_ordered(comps.iter().map(|&(w, mu, _)| w * mu));
         let second =
             ntv_mc::reduce::sum_ordered(comps.iter().map(|&(w, mu, s)| w * (mu * mu + s * s)));
@@ -266,6 +202,13 @@ impl PathDistribution {
             comps,
             grid: OnceLock::new(),
         }
+    }
+
+    /// [`build`](Self::build) at each voltage of `vdds`, in order.
+    /// [`OpPointCache::prefetch`] calls it once per chunk.
+    #[must_use]
+    pub fn build_grid(tech: &TechModel, vdds: &[Volts], length: usize) -> Vec<Self> {
+        vdds.iter().map(|&v| Self::build(tech, v, length)).collect()
     }
 
     /// The lazily built survival grid. Deterministic: the grid is a pure
@@ -431,18 +374,6 @@ impl PathDistribution {
         // Interpolate in log-survival: near-linear for Gaussian-class tails.
         let t = (grid.ln_sf[lo] - g.ln()) / (grid.ln_sf[lo] - grid.ln_sf[hi]);
         grid.xs[lo] + (grid.xs[hi] - grid.xs[lo]) * t.clamp(0.0, 1.0)
-    }
-
-    /// Invert a whole slice of survival targets in place:
-    /// `gs[i] <- quantile_by_survival(gs[i])`. The batched sampling
-    /// kernels use this to turn a vector of order-statistic targets into
-    /// delays without per-element call overhead; each element is the
-    /// scalar inversion, so results are bit-identical to a per-element
-    /// loop by construction.
-    pub fn quantile_by_survival_batch(&self, gs: &mut [f64]) {
-        for g in gs {
-            *g = self.quantile_by_survival(*g);
-        }
     }
 
     /// Reference implementation of [`Self::quantile_by_survival`] as it
@@ -734,7 +665,7 @@ impl<'a> DatapathEngine<'a> {
     /// per-voltage distribution lookup out of the loop and, for the modes
     /// whose chip delay consumes exactly one uniform draw, splits the work
     /// into fixed-stride passes: a batched counter-RNG draw, an
-    /// elementwise order-statistic target map, and a batched quantile
+    /// elementwise order-statistic target map, and an elementwise quantile
     /// inversion. Element `i` is bit-identical to the per-chip scalar
     /// sampler on that cursor (pinned by the unit tests).
     pub fn sample_chip_delays_fo4_batch(
@@ -765,10 +696,14 @@ impl<'a> DatapathEngine<'a> {
             VariationMode::SkewedIid => {
                 assert!(n > 0, "maximum of zero paths is undefined");
                 stream.uniform_open_batch(first, out);
+                // Separate passes: one fused target-invert-scale loop
+                // measured about 30 % slower per 1 000 chips.
                 for o in out.iter_mut() {
                     *o = order::max_survival_target(*o, n);
                 }
-                dist.quantile_by_survival_batch(out);
+                for o in out.iter_mut() {
+                    *o = dist.quantile_by_survival(*o);
+                }
                 for o in out {
                     *o /= fo4;
                 }
@@ -1205,52 +1140,6 @@ mod tests {
                     }
                 }
                 assert!(twos > 0 && zeros > 0, "{node:?} {vdd}: {twos} / {zeros}");
-            }
-        }
-    }
-
-    /// `build_grid` (voltage-grid batch build, the builder behind
-    /// `OpPointCache::prefetch`) must agree bitwise with per-voltage scalar
-    /// builds — moments, extent, every mixture component, the derived
-    /// survival grid, and survival queries over the full clamp range.
-    #[test]
-    fn grid_build_matches_scalar_builds_bitwise() {
-        for (node, n, step) in [
-            (TechNode::Gp45, 0usize, 0.08),
-            (TechNode::Gp45, 1, 0.08),
-            (TechNode::Gp45, 7, 0.08),
-            (TechNode::PtmHp32, 9, 0.07),
-        ] {
-            let tech = TechModel::new(node);
-            let vdds: Vec<Volts> = (0..n).map(|i| Volts(0.45 + step * i as f64)).collect();
-            let batch = PathDistribution::build_grid(&tech, &vdds, 50);
-            assert_eq!(batch.len(), n);
-            for (dist, &vdd) in batch.iter().zip(&vdds) {
-                let scalar = PathDistribution::build(&tech, vdd, 50);
-                assert_eq!(
-                    dist.mean_ps().to_bits(),
-                    scalar.mean_ps().to_bits(),
-                    "{node:?} {vdd}"
-                );
-                assert_eq!(dist.std_ps().to_bits(), scalar.std_ps().to_bits(), "{vdd}");
-                assert_eq!(dist.lo_ps.to_bits(), scalar.lo_ps.to_bits(), "{vdd}");
-                assert_eq!(dist.hi_ps.to_bits(), scalar.hi_ps.to_bits(), "{vdd}");
-                assert_eq!(dist.comps.len(), scalar.comps.len());
-                for (a, b) in dist.comps.iter().zip(&scalar.comps) {
-                    assert_eq!(a.0.to_bits(), b.0.to_bits(), "{vdd}");
-                    assert_eq!(a.1.to_bits(), b.1.to_bits(), "{vdd}");
-                    assert_eq!(a.2.to_bits(), b.2.to_bits(), "{vdd}");
-                }
-                for (a, b) in dist.grid().sf.iter().zip(&scalar.grid().sf) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "{vdd}");
-                }
-                for g in [1e-9, 1e-6, 1e-3, 0.01, 0.5, 0.99, 1.0 - 1e-12] {
-                    assert_eq!(
-                        dist.quantile_by_survival(g).to_bits(),
-                        scalar.quantile_by_survival(g).to_bits(),
-                        "{node:?} {vdd} g={g:e}"
-                    );
-                }
             }
         }
     }

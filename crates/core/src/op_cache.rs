@@ -364,14 +364,14 @@ impl OpPointCache {
     /// Pre-build a sweep's operating points, so the sweep itself never
     /// pays a build. Idempotent; already-cached points cost a lookup.
     ///
-    /// Unbuilt points go through [`PathDistribution::build_grid`] — the
-    /// voltage-grid batch kernel — in `exec`-parallel contiguous chunks
-    /// rather than one scalar build per voltage. Each built value is then
-    /// installed through its entry's `OnceLock`, so racing prefetches and
-    /// scalar [`Self::get_or_build`] calls still observe exactly one
-    /// shared `Arc` per operating point (a raced duplicate build is
-    /// dropped, never handed out), and cached values stay bit-identical
-    /// to fresh scalar builds because `build_grid` is (pinned by test).
+    /// Unbuilt points go through [`PathDistribution::build_grid`], one
+    /// [`PathDistribution::build`] per voltage, in `exec`-parallel
+    /// contiguous chunks. Each built value is then installed through its
+    /// entry's `OnceLock`, so racing prefetches and [`Self::get_or_build`]
+    /// calls still observe exactly one shared `Arc` per operating point (a
+    /// raced duplicate build is dropped, never handed out), and cached
+    /// values carry the same bits as fresh builds (pinned by the op-cache
+    /// stress test).
     ///
     /// On a bounded cache a grid wider than the bound is allowed but
     /// self-defeating — the tail of the grid evicts its head; the serve

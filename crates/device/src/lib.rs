@@ -47,7 +47,6 @@
 //! assert!(d > 0.0);
 //! ```
 
-pub mod batch;
 pub mod calib;
 pub mod corners;
 pub mod energy;

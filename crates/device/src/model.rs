@@ -102,7 +102,7 @@ impl TechModel {
         self.params.vdd_nominal
     }
 
-    pub(crate) fn assert_voltage(&self, vdd: Volts) {
+    fn assert_voltage(&self, vdd: Volts) {
         assert!(
             vdd.is_finite() && vdd > Volts(0.05) && vdd < Volts(2.0),
             "supply voltage {vdd} outside the supported range (0.05 V, 2.0 V)"
@@ -141,6 +141,29 @@ impl TechModel {
         let vth = self.params.vth0 + chip.dvth + gate.dvth;
         let kappa = (chip.ln_k + gate.ln_k).exp();
         self.params.delay_scale_ps * vdd.get() / (self.on_current(vdd, vth) * kappa)
+    }
+
+    /// [`gate_delay_ps`](TechModel::gate_delay_ps) over per-gate variation
+    /// vectors: `out[i]` is the delay of the gate with random offsets
+    /// `(dvth[i], ln_k[i])` on chip `chip`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices differ in length, or if they are non-empty and
+    /// `vdd` is outside the supported range.
+    pub fn gate_delay_ps_batch(
+        &self,
+        vdd: Volts,
+        chip: &ChipSample,
+        dvth: &[Volts],
+        ln_k: &[f64],
+        out: &mut [f64],
+    ) {
+        assert_eq!(dvth.len(), out.len(), "batch kernel length mismatch");
+        assert_eq!(ln_k.len(), out.len(), "batch kernel length mismatch");
+        for ((o, &dvth), &ln_k) in out.iter_mut().zip(dvth).zip(ln_k) {
+            *o = self.gate_delay_ps(vdd, chip, &GateSample { dvth, ln_k });
+        }
     }
 
     /// Delay of a varied device given an explicit conditioning chip and a
@@ -231,9 +254,8 @@ impl TechModel {
     }
 }
 
-/// Numerically-stable `ln(1 + eˣ)`. Shared with the batch kernels in
-/// [`crate::batch`] so scalar and batch paths run the identical branch.
-pub(crate) fn softplus(x: f64) -> f64 {
+/// Numerically-stable `ln(1 + eˣ)`.
+fn softplus(x: f64) -> f64 {
     if x > 30.0 {
         x
     } else if x < -30.0 {
@@ -362,6 +384,20 @@ mod tests {
             .collect();
         assert!(d[0] > d[1] && d[1] > d[2] && d[2] > d[3], "{d:?}");
         assert!(d[0] < 100.0 && d[3] > 5.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "batch kernel length mismatch")]
+    fn batch_kernels_reject_length_mismatch() {
+        let tech = TechModel::new(TechNode::Gp90);
+        let mut out = [0.0; 2];
+        tech.gate_delay_ps_batch(
+            Volts(0.5),
+            &ChipSample::nominal(),
+            &[Volts(0.01)],
+            &[0.0],
+            &mut out,
+        );
     }
 
     #[test]

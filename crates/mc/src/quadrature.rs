@@ -182,48 +182,6 @@ impl GaussHermite {
         m2 *= INV_SQRT_PI;
         (m1, (m2 - m1 * m1).max(0.0))
     }
-
-    /// Evaluation points of the rule under `N(mean, std_dev²)`:
-    /// `out[i] = mean + √2·std_dev·xᵢ` — exactly the arguments
-    /// [`moments_normal`](GaussHermite::moments_normal) hands its closure,
-    /// in node order. The batch-kernel split: compute the abscissas here,
-    /// evaluate the integrand over the whole vector with a batch kernel,
-    /// then fold with [`moments_from_values`](GaussHermite::moments_from_values).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len()` differs from the rule order.
-    pub fn abscissas_into(&self, mean: f64, std_dev: f64, out: &mut [f64]) {
-        assert_eq!(out.len(), self.nodes.len(), "quadrature length mismatch");
-        let scale = std::f64::consts::SQRT_2 * std_dev;
-        for (o, &x) in out.iter_mut().zip(&self.nodes) {
-            *o = mean + scale * x;
-        }
-    }
-
-    /// Fold precomputed integrand values into `(mean, variance)`:
-    /// bit-identical to [`moments_normal`](GaussHermite::moments_normal)
-    /// called with a closure returning `values[i]` at node `i` (pinned by
-    /// test). `values` must be in node order, e.g. the output of a batch
-    /// kernel over [`abscissas_into`](GaussHermite::abscissas_into).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values.len()` differs from the rule order.
-    #[must_use]
-    pub fn moments_from_values(&self, values: &[f64]) -> (f64, f64) {
-        assert_eq!(values.len(), self.nodes.len(), "quadrature length mismatch");
-        const INV_SQRT_PI: f64 = 0.564_189_583_547_756_3;
-        let (mut m1, mut m2) = crate::reduce::sum2_ordered(
-            values
-                .iter()
-                .zip(&self.weights)
-                .map(|(&v, &w)| (w * v, w * v * v)),
-        );
-        m1 *= INV_SQRT_PI;
-        m2 *= INV_SQRT_PI;
-        (m1, (m2 - m1 * m1).max(0.0))
-    }
 }
 
 #[cfg(test)]
@@ -360,22 +318,5 @@ mod tests {
         let got = gh.moments_normal(mean, std_dev, f);
         assert_eq!(got.0.to_bits(), legacy_moments.0.to_bits());
         assert_eq!(got.1.to_bits(), legacy_moments.1.to_bits());
-    }
-
-    /// The batch split (abscissas → bulk evaluate → fold) must agree with
-    /// the closure-driven path bit for bit.
-    #[test]
-    fn batch_split_is_bit_identical_to_moments_normal() {
-        let gh = GaussHermite::new(16);
-        let (mean, std_dev) = (-0.12, 0.031);
-        let f = |x: f64| (1.0 + x * x).ln() + 3.7 * x;
-
-        let mut pts = vec![0.0; gh.order()];
-        gh.abscissas_into(mean, std_dev, &mut pts);
-        let values: Vec<f64> = pts.iter().map(|&x| f(x)).collect();
-        let batch = gh.moments_from_values(&values);
-        let scalar = gh.moments_normal(mean, std_dev, f);
-        assert_eq!(batch.0.to_bits(), scalar.0.to_bits());
-        assert_eq!(batch.1.to_bits(), scalar.1.to_bits());
     }
 }

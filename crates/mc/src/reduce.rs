@@ -22,14 +22,13 @@
 //!
 //! All three are allocation-free single passes over any `f64` iterator.
 //!
-//! The `*_ordered` batch variants ([`add_assign_ordered`], [`axpy_ordered`],
-//! [`sum2_axpy_ordered`]) are the structure-of-arrays counterparts: each
-//! call adds *one term* to every element of an accumulator slice, so a
-//! loop over terms calling a batch helper is the loop-interchanged form of
-//! N independent scalar folds. Element `i` still sees its terms strictly
+//! The batch variants [`add_assign_ordered`] and [`axpy_ordered`] are the
+//! structure-of-arrays counterparts, used by the survival grid: each call
+//! adds *one term* to every element of an accumulator slice, so a loop
+//! over terms calling a batch helper is the loop-interchanged form of N
+//! independent scalar folds. Element `i` still sees its terms strictly
 //! left-to-right, which makes the interchange bit-identical to calling
-//! [`sum_ordered`] / [`sum2_ordered`] per element — the transform SIMD
-//! batch kernels rely on. The inner loops are fixed-stride with no
+//! [`sum_ordered`] per element. The inner loops are fixed-stride with no
 //! cross-element dependence, so the compiler is free to vectorize them.
 
 /// Left-to-right ordered sum: exactly `iter.fold(0.0, |a, x| a + x)`.
@@ -90,23 +89,6 @@ pub fn axpy_ordered(acc: &mut [f64], w: f64, xs: &[f64]) {
     assert_eq!(acc.len(), xs.len(), "batch accumulator length mismatch");
     for (a, &x) in acc.iter_mut().zip(xs) {
         *a += w * x;
-    }
-}
-
-/// Batch first/second-moment accumulate: `m1[i] += w * xs[i]` and
-/// `m2[i] += (w * xs[i]) * xs[i]`, the interchanged form of the
-/// [`sum2_ordered`] quadrature-moment fold over `(w·v, w·v·v)` pairs
-/// (note `w * v * v` parses as `(w * v) * v`, which is reproduced here).
-///
-/// # Panics
-/// Panics if the slices differ in length.
-pub fn sum2_axpy_ordered(m1: &mut [f64], m2: &mut [f64], w: f64, xs: &[f64]) {
-    assert_eq!(m1.len(), xs.len(), "batch accumulator length mismatch");
-    assert_eq!(m2.len(), xs.len(), "batch accumulator length mismatch");
-    for i in 0..xs.len() {
-        let t = w * xs[i];
-        m1[i] += t;
-        m2[i] += t * xs[i];
     }
 }
 
@@ -235,20 +217,6 @@ mod tests {
             let scalar = sum_ordered(matrix.iter().zip(&weights).map(|(row, &w)| w * row[i]));
             assert_eq!(acc[i].to_bits(), scalar.to_bits());
         }
-
-        // sum2_axpy_ordered vs per-element sum2_ordered over (w·v, w·v·v).
-        let (mut m1, mut m2) = (vec![0.0; n], vec![0.0; n]);
-        for (row, &w) in matrix.iter().zip(&weights) {
-            sum2_axpy_ordered(&mut m1, &mut m2, w, row);
-        }
-        for i in 0..n {
-            let (a, b) = sum2_ordered(matrix.iter().zip(&weights).map(|(row, &w)| {
-                let v = row[i];
-                (w * v, w * v * v)
-            }));
-            assert_eq!(m1[i].to_bits(), a.to_bits());
-            assert_eq!(m2[i].to_bits(), b.to_bits());
-        }
     }
 
     #[test]
@@ -256,8 +224,6 @@ mod tests {
         let mut acc: Vec<f64> = Vec::new();
         add_assign_ordered(&mut acc, &[]);
         axpy_ordered(&mut acc, 2.0, &[]);
-        let mut m2: Vec<f64> = Vec::new();
-        sum2_axpy_ordered(&mut acc, &mut m2, 2.0, &[]);
         assert!(acc.is_empty());
     }
 

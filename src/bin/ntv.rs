@@ -344,29 +344,27 @@ fn main() -> ExitCode {
                 eprintln!("--q expects a quantile level in (0, 1)");
                 return ExitCode::FAILURE;
             }
-            // The CLI goes through the same query object the HTTP service
-            // executes, so `--json` output is the serve wire format by
-            // construction.
-            let query = Query::Quantile {
-                node,
-                mode: Default::default(),
-                vdd: Volts(vdd),
-                q: q_level,
-                spares,
-            };
-            let body = query.run(&exec);
             if json {
-                println!("{body}");
-            } else {
-                let engine = wire::paper_engine(node, Default::default());
-                let solver = ntv_simd::core::ChipQuantileSolver::new(engine);
-                let fo4 = solver.spares_quantile_fo4(Volts(vdd), spares, q_level);
-                let ns = fo4 * engine.fo4_unit_ps(Volts(vdd)) / 1000.0;
-                println!(
-                    "{node} @{vdd} V: q{:.4} = {fo4:.2} FO4 ({ns:.3} ns) with {spares} spares",
-                    q_level * 100.0
-                );
+                // The same query object the HTTP service executes, so the
+                // output is the serve wire format by construction.
+                let query = Query::Quantile {
+                    node,
+                    mode: Default::default(),
+                    vdd: Volts(vdd),
+                    q: q_level,
+                    spares,
+                };
+                println!("{}", query.run(&exec));
+                return ExitCode::SUCCESS;
             }
+            let engine = wire::paper_engine(node, Default::default());
+            let solver = ntv_simd::core::ChipQuantileSolver::new(engine);
+            let fo4 = solver.spares_quantile_fo4(Volts(vdd), spares, q_level);
+            let ns = fo4 * engine.fo4_unit_ps(Volts(vdd)) / 1000.0;
+            println!(
+                "{node} @{vdd} V: q{:.4} = {fo4:.2} FO4 ({ns:.3} ns) with {spares} spares",
+                q_level * 100.0
+            );
             ExitCode::SUCCESS
         }
         ("yield", Some(node), Some(vdd), Some(t_clk)) => {

@@ -5,12 +5,16 @@
 //! experiment level, not just for raw RNG streams.
 
 use ntv_bench::experiments::{fig4, fig5, placement, table2, table3};
+use ntv_simd::circuit::chain::ChainMc;
+use ntv_simd::circuit::path_model::PathModel;
 use ntv_simd::core::body_bias::BodyBiasStudy;
 use ntv_simd::core::dse::DseStudy;
 use ntv_simd::core::duplication::DuplicationStudy;
+use ntv_simd::core::engine::PathDistribution;
 use ntv_simd::core::margining::MarginStudy;
 use ntv_simd::core::{DatapathConfig, DatapathEngine, Executor};
-use ntv_simd::device::{TechModel, TechNode};
+use ntv_simd::device::{ChipSample, TechModel, TechNode};
+use ntv_simd::mc::{reduce, StreamRng};
 use ntv_simd::units::Volts;
 
 const SAMPLES: usize = 500;
@@ -154,6 +158,73 @@ fn monte_carlo_study_bits_are_pinned() {
             0x3f77_3ac8_b7af_5345,
         ),
     ];
+    for (name, value, bits) in cases {
+        assert_eq!(
+            value.to_bits(),
+            bits,
+            "{name} = {value} ({:#018x}), pinned {}",
+            value.to_bits(),
+            f64::from_bits(bits)
+        );
+    }
+}
+
+/// The L0/L1 model chain under every table and serve answer, pinned to
+/// recorded bits at fixed inputs: the EKV gate delay over a gate vector,
+/// one gate-level chain sample, the Gauss–Hermite path moments, and the
+/// operating-point build with its survival grid. The digests see these
+/// values only through whole tables; a refactor of one layer that moves
+/// a bit fails here, at that layer.
+#[test]
+fn operating_point_bits_are_pinned() {
+    // `PathDistribution::build` at 50 stages: (mean_ps, std_ps,
+    // quantile_by_survival(1e-6)) per node at 0.45 V, then 0.60 V. The
+    // 1e-6 quantile reads the survival grid.
+    const BUILDS: [[u64; 3]; 8] = [
+        [0x40e67fb39ada47da, 0x409c6cf2698e8801, 0x40eb2520925cd574],
+        [0x40c220158cd91d31, 0x406afa9a0ecd88a2, 0x40c43dd8bd20b6ff],
+        [0x40c556039c702cb5, 0x409056fcc4b08135, 0x40d133dc3e563f76],
+        [0x40a737682637961e, 0x405f2e38947290b5, 0x40ac88311166e90f],
+        [0x40ba0d1d8d55aeb0, 0x407b6e97dd76a03d, 0x40c2057ca834b0f5],
+        [0x409d50554d6d536b, 0x404ba8a2de7543bb, 0x40a0e8f4ccabe579],
+        [0x40b4b873f720f5ee, 0x408410131d0853e0, 0x40c2f244a3c4e348],
+        [0x40948cbcb06519bd, 0x40517a798df41588, 0x409aad28d4335941],
+    ];
+    let mut cases: Vec<(String, f64, u64)> = Vec::new();
+    let points = TechNode::ALL.iter().flat_map(|&n| [(n, 0.45), (n, 0.60)]);
+    for ((node, vdd), bits) in points.zip(BUILDS) {
+        let dist = PathDistribution::build(&TechModel::new(node), Volts(vdd), 50);
+        cases.push((format!("{node} {vdd} V mean_ps"), dist.mean_ps(), bits[0]));
+        cases.push((format!("{node} {vdd} V std_ps"), dist.std_ps(), bits[1]));
+        let q = dist.quantile_by_survival(1e-6);
+        cases.push((format!("{node} {vdd} V q(1e-6)"), q, bits[2]));
+    }
+
+    let chip = ChipSample {
+        dvth: Volts(0.012),
+        ln_k: -0.03,
+    };
+    let gp45 = TechModel::new(TechNode::Gp45);
+    let m = PathModel::new(&gp45, 50).conditional_moments(Volts(0.55), &chip);
+    cases.push(("path mean_ps".into(), m.mean_ps, 0x40b1c811480aac44));
+    cases.push(("path std_ps".into(), m.std_ps, 0x405c9dcc7ed94ed8));
+
+    let gp90 = TechModel::new(TechNode::Gp90);
+    let chain = ChainMc::new(&gp90, 50).sample_ps(Volts(0.5), &mut StreamRng::from_seed(2012));
+    cases.push(("chain sample_ps".into(), chain, 0x40d5a20f5fd15b8b));
+
+    let hp32 = TechModel::new(TechNode::PtmHp32);
+    let dvth: Vec<Volts> = (0..64)
+        .map(|i| Volts(0.03 * (f64::from(i) - 31.5) / 32.0))
+        .collect();
+    let ln_k: Vec<f64> = (0..64)
+        .map(|i| 0.05 * (f64::from(i * 7 % 64) - 32.0) / 32.0)
+        .collect();
+    let mut delays = [0.0; 64];
+    hp32.gate_delay_ps_batch(Volts(0.55), &chip, &dvth, &ln_k, &mut delays);
+    let total = reduce::sum_ordered(delays);
+    cases.push(("gate_delay_ps_batch sum".into(), total, 0x40acb9aa2b834939));
+
     for (name, value, bits) in cases {
         assert_eq!(
             value.to_bits(),
