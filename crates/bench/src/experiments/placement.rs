@@ -8,7 +8,7 @@
 //! bypass on the Diet SODA simulator.
 
 use ntv_core::placement::{repair_probability, SparePlacement};
-use ntv_mc::StreamRng;
+use ntv_mc::CounterRng;
 use ntv_soda::isa::{Instr, VBinOp, VReg};
 use ntv_soda::{ErrorPolicy, FaultModel, ProcessingElement, SIMD_WIDTH};
 use serde::{Deserialize, Serialize};
@@ -77,7 +77,7 @@ pub fn run(seed: u64) -> PlacementResult {
     pe.set_error_policy(ErrorPolicy::SpareRemap);
     pe.set_fault_model(
         FaultModel::from_probabilities(probs),
-        StreamRng::from_seed_and_label(seed, "placement-demo"),
+        CounterRng::new(seed, "placement-demo").at(0),
     );
     let repaired = pe.repair(0.5).is_ok();
 

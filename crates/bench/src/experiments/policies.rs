@@ -9,7 +9,7 @@
 
 use ntv_core::{DatapathConfig, DatapathEngine};
 use ntv_device::{TechModel, TechNode};
-use ntv_mc::{Quantiles, StreamRng};
+use ntv_mc::{CounterRng, Quantiles};
 use ntv_soda::kernels::{self, golden};
 use ntv_soda::pe::ProcessingElement;
 use ntv_soda::{ErrorPolicy, FaultModel};
@@ -76,7 +76,7 @@ pub fn run(chips: usize, seed: u64) -> PolicyResult {
     let clean_energy = clean.stats().total_energy_pj();
 
     // Clock grid from the lane-delay distribution.
-    let mut rng = StreamRng::from_seed_and_label(seed, "policy-lanes");
+    let mut rng = CounterRng::new(seed, "policy-lanes").at(0);
     let lane_q =
         Quantiles::from_samples(engine.sample_lane_delays_fo4(Volts(vdd), 4_000, &mut rng));
     let fo4_ns = engine.fo4_unit_ps(Volts(vdd)) / 1000.0;
@@ -93,22 +93,20 @@ pub fn run(chips: usize, seed: u64) -> PolicyResult {
             let mut energy_over = 0.0;
             let mut correct = 0usize;
             let mut unrepairable = 0usize;
-            let mut fab_rng = StreamRng::from_seed_and_label(seed, "policy-chips");
-            for chip in 0..chips {
+            let fab = CounterRng::new(seed, "policy-chips");
+            let run = CounterRng::new(seed, "policy-run");
+            for chip in 0..chips as u64 {
                 let fault = FaultModel::from_engine(
                     &engine,
                     Volts(vdd),
                     t_clk_ns,
                     SPARES,
                     0.0,
-                    &mut fab_rng,
+                    &mut fab.at(chip),
                 );
                 let mut pe = ProcessingElement::new();
                 pe.set_error_policy(policy);
-                pe.set_fault_model(
-                    fault,
-                    StreamRng::from_seed_and_label(seed, &format!("policy-run-{chip}")),
-                );
+                pe.set_fault_model(fault, run.at(chip));
                 if policy == ErrorPolicy::SpareRemap && pe.repair(0.5).is_err() {
                     unrepairable += 1;
                     continue;

@@ -9,8 +9,8 @@
 
 use ntv_device::{ChipSample, TechModel};
 #[cfg(test)]
-use ntv_mc::StreamRng;
-use ntv_mc::{SampleStream, Summary};
+use ntv_mc::CounterRng;
+use ntv_mc::{CounterDraws, Summary};
 use ntv_units::Volts;
 
 /// Gate-level Monte-Carlo engine for an `N`-stage FO4 inverter chain.
@@ -20,13 +20,13 @@ use ntv_units::Volts;
 /// ```
 /// use ntv_circuit::chain::ChainMc;
 /// use ntv_device::{TechModel, TechNode};
-/// use ntv_mc::StreamRng;
+/// use ntv_mc::CounterRng;
 /// use ntv_units::Volts;
 ///
 /// let tech = TechModel::new(TechNode::Gp90);
 /// let single = ChainMc::new(&tech, 1);
 /// let chain = ChainMc::new(&tech, 50);
-/// let mut rng = StreamRng::from_seed(3);
+/// let mut rng = CounterRng::new(3, "example").at(0);
 /// let s1 = single.summary(Volts(0.5), 400, &mut rng);
 /// let s50 = chain.summary(Volts(0.5), 400, &mut rng);
 /// // Uncorrelated per-gate variation averages out along the chain (Fig 1).
@@ -76,12 +76,7 @@ impl<'a> ChainMc<'a> {
     /// [`TechModel::gate_delay_ps_batch`] call, and the chain sum keeps
     /// the stage order. Bit-identical to the draw-evaluate-accumulate
     /// loop it replaced (pinned by test).
-    pub fn sample_on_chip_ps<R: SampleStream + ?Sized>(
-        &self,
-        vdd: Volts,
-        chip: &ChipSample,
-        rng: &mut R,
-    ) -> f64 {
+    pub fn sample_on_chip_ps(&self, vdd: Volts, chip: &ChipSample, rng: &mut CounterDraws) -> f64 {
         let mut dvth = Vec::with_capacity(self.length);
         let mut ln_k = Vec::with_capacity(self.length);
         for _ in 0..self.length {
@@ -97,41 +92,26 @@ impl<'a> ChainMc<'a> {
 
     /// Sample the chain delay (ps), drawing a fresh chip (cross-chip
     /// Monte Carlo, as in Fig 1).
-    pub fn sample_ps<R: SampleStream + ?Sized>(&self, vdd: Volts, rng: &mut R) -> f64 {
+    pub fn sample_ps(&self, vdd: Volts, rng: &mut CounterDraws) -> f64 {
         let chip = self.tech.sample_chip(rng);
         self.sample_on_chip_ps(vdd, &chip, rng)
     }
 
     /// Draw `samples` cross-chip delays (ps).
     #[must_use]
-    pub fn distribution_ps<R: SampleStream + ?Sized>(
-        &self,
-        vdd: Volts,
-        samples: usize,
-        rng: &mut R,
-    ) -> Vec<f64> {
+    pub fn distribution_ps(&self, vdd: Volts, samples: usize, rng: &mut CounterDraws) -> Vec<f64> {
         (0..samples).map(|_| self.sample_ps(vdd, rng)).collect()
     }
 
     /// Summary statistics of `samples` cross-chip delays.
     #[must_use]
-    pub fn summary<R: SampleStream + ?Sized>(
-        &self,
-        vdd: Volts,
-        samples: usize,
-        rng: &mut R,
-    ) -> Summary {
+    pub fn summary(&self, vdd: Volts, samples: usize, rng: &mut CounterDraws) -> Summary {
         (0..samples).map(|_| self.sample_ps(vdd, rng)).collect()
     }
 
     /// The paper's variation metric 3σ/μ for this chain at `vdd`.
     #[must_use]
-    pub fn three_sigma_over_mu<R: SampleStream + ?Sized>(
-        &self,
-        vdd: Volts,
-        samples: usize,
-        rng: &mut R,
-    ) -> f64 {
+    pub fn three_sigma_over_mu(&self, vdd: Volts, samples: usize, rng: &mut CounterDraws) -> f64 {
         self.summary(vdd, samples, rng).three_sigma_over_mu()
     }
 }
@@ -156,7 +136,7 @@ mod tests {
     fn mean_tracks_nominal_delay() {
         let tech = TechModel::new(TechNode::Gp90);
         let chain = ChainMc::new(&tech, 50);
-        let mut rng = StreamRng::from_seed(21);
+        let mut rng = CounterRng::new(21, "mean_tracks_nominal_delay").at(0);
         let s = chain.summary(Volts(0.7), 2000, &mut rng);
         // The nonlinear Vth dependence introduces a small positive bias;
         // the mean must stay within a few percent of nominal.
@@ -172,7 +152,8 @@ mod tests {
     fn variation_shrinks_with_chain_length_at_fixed_voltage() {
         // Fig 11: 3 sigma/mu falls with N (with diminishing returns).
         let tech = TechModel::new(TechNode::Gp90);
-        let mut rng = StreamRng::from_seed(5);
+        let mut rng =
+            CounterRng::new(5, "variation_shrinks_with_chain_length_at_fixed_voltage").at(0);
         let v = Volts(0.55);
         let s1 = ChainMc::new(&tech, 1).three_sigma_over_mu(v, 3000, &mut rng);
         let s10 = ChainMc::new(&tech, 10).three_sigma_over_mu(v, 3000, &mut rng);
@@ -188,7 +169,7 @@ mod tests {
     fn variation_grows_as_voltage_drops() {
         let tech = TechModel::new(TechNode::PtmHp22);
         let chain = ChainMc::new(&tech, 50);
-        let mut rng = StreamRng::from_seed(6);
+        let mut rng = CounterRng::new(6, "variation_grows_as_voltage_drops").at(0);
         let hi = chain.three_sigma_over_mu(Volts(0.8), 2000, &mut rng);
         let lo = chain.three_sigma_over_mu(Volts(0.5), 2000, &mut rng);
         assert!(lo > 1.5 * hi, "0.5V: {lo}, 0.8V: {hi}");
@@ -199,7 +180,7 @@ mod tests {
         // Fig 1a histograms at 0.5 V have a long right tail.
         let tech = TechModel::new(TechNode::Gp90);
         let chain = ChainMc::new(&tech, 1);
-        let mut rng = StreamRng::from_seed(9);
+        let mut rng = CounterRng::new(9, "distribution_is_right_skewed_at_low_voltage").at(0);
         let s = chain.summary(Volts(0.5), 4000, &mut rng);
         assert!(s.skewness() > 0.2, "skewness {}", s.skewness());
     }
@@ -208,8 +189,16 @@ mod tests {
     fn deterministic_given_seed() {
         let tech = TechModel::new(TechNode::Gp90);
         let chain = ChainMc::new(&tech, 5);
-        let a = chain.distribution_ps(Volts(0.6), 10, &mut StreamRng::from_seed(1));
-        let b = chain.distribution_ps(Volts(0.6), 10, &mut StreamRng::from_seed(1));
+        let a = chain.distribution_ps(
+            Volts(0.6),
+            10,
+            &mut CounterRng::new(1, "deterministic_given_seed").at(0),
+        );
+        let b = chain.distribution_ps(
+            Volts(0.6),
+            10,
+            &mut CounterRng::new(1, "deterministic_given_seed").at(0),
+        );
         assert_eq!(a, b);
     }
 
@@ -227,8 +216,10 @@ mod tests {
         let tech = TechModel::new(TechNode::Gp45);
         let chain = ChainMc::new(&tech, 50);
         let vdd = Volts(0.55);
-        let mut rng_soa = StreamRng::from_seed(77);
-        let mut rng_legacy = StreamRng::from_seed(77);
+        let mut rng_soa =
+            CounterRng::new(77, "soa_sampling_matches_legacy_interleaved_loop_bitwise").at(0);
+        let mut rng_legacy =
+            CounterRng::new(77, "soa_sampling_matches_legacy_interleaved_loop_bitwise").at(0);
         for _ in 0..20 {
             let batch = chain.sample_ps(vdd, &mut rng_soa);
             // Legacy formulation: draw chip, then per stage draw a gate and

@@ -7,7 +7,7 @@
 //! letting netlists mix cell types.
 
 use ntv_device::{ChipSample, GateSample, TechModel};
-use ntv_mc::SampleStream;
+use ntv_mc::CounterDraws;
 use ntv_units::Volts;
 use serde::{Deserialize, Serialize};
 
@@ -71,12 +71,12 @@ impl GateKind {
     ///
     /// Inputs are delay-free sources; every other cell scales a freshly
     /// varied FO4 delay by its logical-effort factor.
-    pub fn sample_delay_ps<R: SampleStream + ?Sized>(
+    pub fn sample_delay_ps(
         self,
         tech: &TechModel,
         vdd: Volts,
         chip: &ChipSample,
-        rng: &mut R,
+        rng: &mut CounterDraws,
     ) -> f64 {
         if self == GateKind::Input {
             return 0.0;
@@ -107,7 +107,7 @@ impl std::fmt::Display for GateKind {
 mod tests {
     use super::*;
     use ntv_device::TechNode;
-    use ntv_mc::{SampleStream, StreamRng};
+    use ntv_mc::CounterRng;
 
     #[test]
     fn inverter_is_the_reference() {
@@ -134,7 +134,7 @@ mod tests {
     fn sampled_delay_tracks_factor() {
         let tech = TechModel::new(TechNode::Gp90);
         let chip = ChipSample::nominal();
-        let mut rng = StreamRng::from_seed(2);
+        let mut rng = CounterRng::new(2, "sampled_delay_tracks_factor").at(0);
         let mut inv = 0.0;
         let mut nand = 0.0;
         for _ in 0..2000 {
@@ -149,8 +149,8 @@ mod tests {
     fn input_sampling_is_free_and_consumes_no_randomness() {
         let tech = TechModel::new(TechNode::Gp45);
         let chip = ChipSample::nominal();
-        let mut a = StreamRng::from_seed(9);
-        let mut b = StreamRng::from_seed(9);
+        let mut a = CounterRng::new(9, "input_sampling_is_free_and_consumes_no_randomness").at(0);
+        let mut b = CounterRng::new(9, "input_sampling_is_free_and_consumes_no_randomness").at(0);
         assert_eq!(
             GateKind::Input.sample_delay_ps(&tech, Volts(0.6), &chip, &mut a),
             0.0

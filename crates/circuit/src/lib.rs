@@ -32,12 +32,12 @@
 //! ```
 //! use ntv_circuit::chain::ChainMc;
 //! use ntv_device::{TechModel, TechNode};
-//! use ntv_mc::StreamRng;
+//! use ntv_mc::CounterRng;
 //! use ntv_units::Volts;
 //!
 //! let tech = TechModel::new(TechNode::Gp90);
 //! let chain = ChainMc::new(&tech, 50);
-//! let mut rng = StreamRng::from_seed(7);
+//! let mut rng = CounterRng::new(7, "example").at(0);
 //! let summary = chain.summary(Volts(0.5), 500, &mut rng);
 //! // Chain-of-50 delay variation at 0.5 V is ≈9.4% in the paper (Fig 1b).
 //! assert!(summary.three_sigma_over_mu() > 0.05);

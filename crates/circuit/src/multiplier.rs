@@ -99,7 +99,7 @@ mod tests {
     use crate::adder::kogge_stone;
     use crate::sta;
     use ntv_device::{TechModel, TechNode};
-    use ntv_mc::{StreamRng, Summary};
+    use ntv_mc::{CounterRng, Summary};
     use ntv_units::Volts;
 
     #[test]
@@ -143,7 +143,7 @@ mod tests {
     fn multiplier_variation_sits_in_the_chain_band() {
         let tech = TechModel::new(TechNode::Gp90);
         let m = array_multiplier(16);
-        let mut rng = StreamRng::from_seed(3);
+        let mut rng = CounterRng::new(3, "multiplier_variation_sits_in_the_chain_band").at(0);
         let s: Summary = sta::mc_critical_delays(&m, &tech, Volts(0.5), 100, &mut rng)
             .into_iter()
             .collect();

@@ -129,13 +129,13 @@ mod tests {
     use super::*;
     use crate::chain::ChainMc;
     use ntv_device::TechNode;
-    use ntv_mc::{SampleStream, StreamRng, Summary};
+    use ntv_mc::{CounterRng, Summary};
 
     #[test]
     fn gate_moments_match_direct_monte_carlo() {
         let tech = TechModel::new(TechNode::Gp90);
         let model = PathModel::new(&tech, 1);
-        let mut rng = StreamRng::from_seed(17);
+        let mut rng = CounterRng::new(17, "gate_moments_match_direct_monte_carlo").at(0);
         let chip = tech.sample_chip(&mut rng);
         for vdd in [Volts(0.5), Volts(0.7), Volts(1.0)] {
             let (mu, sigma) = model.conditional_gate_moments(vdd, &chip);
@@ -168,7 +168,7 @@ mod tests {
         let vdd = Volts(0.55);
         let n = 4000;
 
-        let mut rng_fast = StreamRng::from_seed(100);
+        let mut rng_fast = CounterRng::new(100, "path_distribution_matches_gate_level_chain").at(0);
         let fast: Summary = (0..n)
             .map(|_| {
                 let chip = tech.sample_chip(&mut rng_fast);
@@ -177,7 +177,7 @@ mod tests {
             })
             .collect();
 
-        let mut rng_slow = StreamRng::from_seed(200);
+        let mut rng_slow = CounterRng::new(200, "path_distribution_matches_gate_level_chain").at(0);
         let slow = chain.summary(vdd, n, &mut rng_slow);
 
         assert!(

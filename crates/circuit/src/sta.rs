@@ -14,7 +14,7 @@
 //! paths per SIMD lane).
 
 use ntv_device::{ChipSample, TechModel};
-use ntv_mc::SampleStream;
+use ntv_mc::CounterDraws;
 use ntv_units::Volts;
 
 use crate::gate::GateKind;
@@ -36,12 +36,12 @@ pub struct StaResult {
 /// The returned vector is indexed by [`GateId::index`]; primary inputs get
 /// delay 0.
 #[must_use]
-pub fn sample_delays<R: SampleStream + ?Sized>(
+pub fn sample_delays(
     netlist: &Netlist,
     tech: &TechModel,
     vdd: Volts,
     chip: &ChipSample,
-    rng: &mut R,
+    rng: &mut CounterDraws,
 ) -> Vec<f64> {
     netlist
         .nodes()
@@ -122,12 +122,12 @@ pub fn analyze(netlist: &Netlist, delays: &[f64]) -> StaResult {
 /// Monte-Carlo critical-path delays (ps) for a netlist: each sample draws a
 /// fresh chip and fresh per-gate delays.
 #[must_use]
-pub fn mc_critical_delays<R: SampleStream + ?Sized>(
+pub fn mc_critical_delays(
     netlist: &Netlist,
     tech: &TechModel,
     vdd: Volts,
     samples: usize,
-    rng: &mut R,
+    rng: &mut CounterDraws,
 ) -> Vec<f64> {
     (0..samples)
         .map(|_| {
@@ -142,7 +142,7 @@ pub fn mc_critical_delays<R: SampleStream + ?Sized>(
 mod tests {
     use super::*;
     use ntv_device::TechNode;
-    use ntv_mc::StreamRng;
+    use ntv_mc::CounterRng;
 
     fn chain_netlist(len: usize) -> Netlist {
         let mut n = Netlist::new("chain");
@@ -192,7 +192,7 @@ mod tests {
     fn mc_critical_delay_is_at_least_nominal_shaped() {
         let tech = TechModel::new(TechNode::Gp90);
         let n = chain_netlist(20);
-        let mut rng = StreamRng::from_seed(4);
+        let mut rng = CounterRng::new(4, "mc_critical_delay_is_at_least_nominal_shaped").at(0);
         let samples = mc_critical_delays(&n, &tech, Volts(0.6), 200, &mut rng);
         assert_eq!(samples.len(), 200);
         assert!(samples.iter().all(|&d| d > 0.0));
@@ -205,7 +205,7 @@ mod tests {
     fn critical_path_is_connected() {
         let tech = TechModel::new(TechNode::Gp45);
         let n = crate::adder::kogge_stone(16);
-        let mut rng = StreamRng::from_seed(77);
+        let mut rng = CounterRng::new(77, "critical_path_is_connected").at(0);
         let chip = tech.sample_chip(&mut rng);
         let delays = sample_delays(&n, &tech, Volts(0.6), &chip, &mut rng);
         let r = analyze(&n, &delays);

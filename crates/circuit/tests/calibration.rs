@@ -8,14 +8,14 @@
 use ntv_circuit::chain::ChainMc;
 use ntv_device::calib;
 use ntv_device::{TechModel, TechNode};
-use ntv_mc::StreamRng;
+use ntv_mc::CounterRng;
 use ntv_units::Volts;
 
 const SAMPLES: usize = 4000;
 
 fn chain_3s(tech: &TechModel, len: usize, vdd: f64, seed: u64) -> f64 {
     let chain = ChainMc::new(tech, len);
-    let mut rng = StreamRng::from_seed_and_label(seed, "calibration");
+    let mut rng = CounterRng::new(seed, "calibration").at(0);
     chain.three_sigma_over_mu(Volts(vdd), SAMPLES, &mut rng)
 }
 

@@ -35,9 +35,7 @@ use std::sync::{Arc, OnceLock};
 
 use ntv_circuit::path_model::{PathModel, PathMoments};
 use ntv_device::{ChipSample, TechModel};
-#[cfg(test)]
-use ntv_mc::StreamRng;
-use ntv_mc::{normal, order, CounterRng, GaussHermite, Histogram, Quantiles, SampleStream};
+use ntv_mc::{normal, order, CounterDraws, CounterRng, GaussHermite, Histogram, Quantiles};
 use ntv_units::Volts;
 use serde::{Deserialize, Serialize};
 
@@ -409,7 +407,7 @@ impl PathDistribution {
     }
 
     /// Sample one path delay (ps).
-    pub fn sample<R: SampleStream + ?Sized>(&self, rng: &mut R) -> f64 {
+    pub fn sample(&self, rng: &mut CounterDraws) -> f64 {
         let u = rng.uniform_open();
         self.quantile_by_survival((1.0 - u).max(f64::MIN_POSITIVE))
     }
@@ -419,7 +417,7 @@ impl PathDistribution {
     /// # Panics
     ///
     /// Panics if `n == 0`.
-    pub fn sample_max<R: SampleStream + ?Sized>(&self, n: usize, rng: &mut R) -> f64 {
+    pub fn sample_max(&self, n: usize, rng: &mut CounterDraws) -> f64 {
         assert!(n > 0, "maximum of zero paths is undefined");
         let u = rng.uniform_open();
         self.quantile_by_survival(order::max_survival_target(u, n))
@@ -589,11 +587,11 @@ impl<'a> DatapathEngine<'a> {
     /// of `(stream key, i)`, so any subset of chips can be sampled on any
     /// thread without changing a value.
     #[must_use]
-    pub fn sample_lane_delays_fo4<R: SampleStream + ?Sized>(
+    pub fn sample_lane_delays_fo4(
         &self,
         vdd: Volts,
         n_lanes: usize,
-        rng: &mut R,
+        rng: &mut CounterDraws,
     ) -> Vec<f64> {
         let dist = self.path_distribution(vdd);
         let fo4 = dist.mean_ps() / self.config.path_length as f64;
@@ -634,7 +632,7 @@ impl<'a> DatapathEngine<'a> {
     /// chip delay (FO4 units), the slowest lane of the datapath. The oracle
     /// the batch kernel is pinned against.
     #[cfg(test)]
-    fn sample_chip_delay_fo4<R: SampleStream + ?Sized>(&self, vdd: Volts, rng: &mut R) -> f64 {
+    fn sample_chip_delay_fo4(&self, vdd: Volts, rng: &mut CounterDraws) -> f64 {
         let dist = self.path_distribution(vdd);
         let fo4 = dist.mean_ps() / self.config.path_length as f64;
         match self.mode {
@@ -837,7 +835,7 @@ mod tests {
         for vdd in [Volts(0.5), Volts(1.0)] {
             let dist = engine.path_distribution(vdd);
             let chain = ntv_circuit::chain::ChainMc::new(&tech, 50);
-            let mut rng = StreamRng::from_seed(31);
+            let mut rng = CounterRng::new(31, "path_distribution_matches_gate_level_chain").at(0);
             let mc: Vec<f64> = chain.distribution_ps(vdd, 6000, &mut rng);
             let s: Summary = mc.iter().copied().collect();
             assert!(
@@ -863,7 +861,7 @@ mod tests {
         let tech = TechModel::new(TechNode::Gp90);
         let engine = engine_default(&tech);
         let dist = engine.path_distribution(Volts(0.55));
-        let mut rng = StreamRng::from_seed(9);
+        let mut rng = CounterRng::new(9, "sample_max_matches_brute_force").at(0);
         let fast: Summary = (0..20_000).map(|_| dist.sample_max(32, &mut rng)).collect();
         let slow: Summary = (0..20_000)
             .map(|_| {
@@ -923,8 +921,8 @@ mod tests {
     fn lane_sampling_matches_whole_chip_reduction() {
         let tech = TechModel::new(TechNode::Gp90);
         let engine = engine_default(&tech);
-        let mut rng_a = StreamRng::from_seed(10);
-        let mut rng_b = StreamRng::from_seed(20);
+        let mut rng_a = CounterRng::new(10, "lane_sampling_matches_whole_chip_reduction").at(0);
+        let mut rng_b = CounterRng::new(20, "lane_sampling_matches_whole_chip_reduction").at(0);
         let n = 3000;
         let via_lanes: Vec<f64> = (0..n)
             .map(|_| {
@@ -1072,7 +1070,7 @@ mod tests {
                 let g = (f64::MIN_POSITIVE.ln() * (1.0 - t) - f64::EPSILON * t).exp();
                 check(g.min(1.0 - f64::EPSILON));
             }
-            let mut rng = StreamRng::from_seed(77);
+            let mut rng = CounterRng::new(77, "inverse_cdf_fast_path_is_bit_exact").at(0);
             for _ in 0..4000 {
                 let u = rng.uniform_open();
                 check((1.0 - u).max(f64::MIN_POSITIVE));
@@ -1089,8 +1087,8 @@ mod tests {
         let tech = TechModel::new(TechNode::Gp90);
         let engine = engine_default(&tech);
         let dist = engine.path_distribution(Volts(0.55));
-        let mut a = StreamRng::from_seed(123);
-        let mut b = StreamRng::from_seed(123);
+        let mut a = CounterRng::new(123, "sample_max_routes_through_shared_survival_target").at(0);
+        let mut b = CounterRng::new(123, "sample_max_routes_through_shared_survival_target").at(0);
         for &n in &[1usize, 100, 12_800] {
             let direct = dist.sample_max(n, &mut a);
             let manual = dist.quantile_by_survival(order::max_survival_target(b.uniform_open(), n));

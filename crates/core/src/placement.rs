@@ -9,7 +9,7 @@
 //! probabilities are exact binomial expressions, computed here and checked
 //! by Monte Carlo.
 
-use ntv_mc::SampleStream;
+use ntv_mc::CounterDraws;
 use ntv_units::Volts;
 use serde::{Deserialize, Serialize};
 
@@ -128,12 +128,12 @@ pub fn repair_probability(placement: SparePlacement, lanes: u32, p_fail: f64) ->
 
 /// Monte-Carlo estimate of [`repair_probability`] (validation helper).
 #[must_use]
-pub fn mc_repair_probability<R: SampleStream + ?Sized>(
+pub fn mc_repair_probability(
     placement: SparePlacement,
     lanes: u32,
     p_fail: f64,
     trials: usize,
-    rng: &mut R,
+    rng: &mut CounterDraws,
 ) -> f64 {
     assert!((0.0..=1.0).contains(&p_fail), "probability out of range");
     let mut ok = 0usize;
@@ -166,12 +166,12 @@ pub fn mc_repair_probability<R: SampleStream + ?Sized>(
 /// Per-lane timing-failure probability at `vdd` for a given clock period:
 /// the fraction of lanes whose delay exceeds `t_clk_ns`.
 #[must_use]
-pub fn lane_failure_probability<R: SampleStream + ?Sized>(
+pub fn lane_failure_probability(
     engine: &DatapathEngine<'_>,
     vdd: Volts,
     t_clk_ns: f64,
     samples: usize,
-    rng: &mut R,
+    rng: &mut CounterDraws,
 ) -> f64 {
     let fo4_ps = engine.tech().fo4_delay_ps(vdd);
     let t_clk_fo4 = t_clk_ns * 1000.0 / fo4_ps;
@@ -191,7 +191,7 @@ mod tests {
     use super::*;
     use crate::config::DatapathConfig;
     use ntv_device::{TechModel, TechNode};
-    use ntv_mc::StreamRng;
+    use ntv_mc::CounterRng;
 
     #[test]
     fn binomial_cdf_known_values() {
@@ -221,7 +221,7 @@ mod tests {
 
     #[test]
     fn analytic_matches_monte_carlo() {
-        let mut rng = StreamRng::from_seed(8);
+        let mut rng = CounterRng::new(8, "analytic_matches_monte_carlo").at(0);
         for placement in [
             SparePlacement::Global { spares: 8 },
             SparePlacement::Local {
@@ -259,7 +259,7 @@ mod tests {
     fn lane_failure_probability_behaves() {
         let tech = TechModel::new(TechNode::Gp90);
         let engine = DatapathEngine::new(&tech, DatapathConfig::paper_default());
-        let mut rng = StreamRng::from_seed(15);
+        let mut rng = CounterRng::new(15, "lane_failure_probability_behaves").at(0);
         // A generous clock fails almost never; a tight one often.
         let fo4_ns = tech.fo4_delay_ps(Volts(0.55)) / 1000.0;
         let loose = lane_failure_probability(&engine, Volts(0.55), 70.0 * fo4_ns, 200, &mut rng);

@@ -12,14 +12,14 @@
 use ntv_core::engine::VariationMode;
 use ntv_core::{ChipQuantileSolver, DatapathConfig, DatapathEngine, Executor};
 use ntv_device::{TechModel, TechNode};
-use ntv_mc::{bootstrap, order, CounterRng, StreamRng};
+use ntv_mc::{bootstrap, order, CounterDraws, CounterRng};
 use ntv_units::Volts;
 
 const SAMPLES: usize = 50_000;
 const RESAMPLES: usize = 200;
 
 /// Monte-Carlo quantile estimate with a bootstrapped standard error.
-fn mc_quantile(samples: &[f64], p: f64, rng: &mut StreamRng) -> (f64, f64) {
+fn mc_quantile(samples: &[f64], p: f64, rng: &mut CounterDraws) -> (f64, f64) {
     let idx = (p * (samples.len() - 1) as f64).round() as usize;
     let ci = bootstrap::bootstrap_ci(samples, RESAMPLES, 0.95, rng, |v| {
         order::kth_smallest(v, idx)
@@ -36,7 +36,7 @@ fn check_mode_node_voltage(mode: VariationMode, node: TechNode, vdd: Volts, seed
     let stream = CounterRng::new(seed, "equivalence");
     let samples = engine.sample_batch(vdd, &stream, 0..SAMPLES as u64, Executor::default());
 
-    let mut boot = StreamRng::from_seed(seed ^ 0x5eed);
+    let mut boot = CounterRng::new(seed ^ 0x5eed, "check_mode_node_voltage").at(0);
     for p in [0.5, 0.99] {
         let (mc, se) = mc_quantile(&samples, p, &mut boot);
         let analytic = solver.chip_quantile_fo4(vdd, p);

@@ -32,7 +32,7 @@
 //!
 //! ```
 //! use ntv_device::{TechModel, TechNode};
-//! use ntv_mc::StreamRng;
+//! use ntv_mc::CounterRng;
 //! use ntv_units::Volts;
 //!
 //! let tech = TechModel::new(TechNode::Gp90);
@@ -40,7 +40,7 @@
 //! assert!(tech.fo4_delay_ps(Volts(0.5)) > 3.0 * tech.fo4_delay_ps(Volts(0.7)));
 //!
 //! // Sample one chip and one device, and evaluate a varied gate delay.
-//! let mut rng = StreamRng::from_seed(1);
+//! let mut rng = CounterRng::new(1, "example").at(0);
 //! let chip = tech.sample_chip(&mut rng);
 //! let gate = tech.sample_gate(&mut rng);
 //! let d = tech.gate_delay_ps(Volts(0.5), &chip, &gate);

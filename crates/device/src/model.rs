@@ -1,6 +1,6 @@
 //! The technology model: transregional current and FO4 delay.
 
-use ntv_mc::SampleStream;
+use ntv_mc::CounterDraws;
 use ntv_units::Volts;
 use serde::{Deserialize, Serialize};
 
@@ -221,23 +221,23 @@ impl TechModel {
 
     /// Draw one chip's total systematic variation (what a single-region
     /// circuit such as a chain or adder experiences).
-    pub fn sample_chip<R: SampleStream + ?Sized>(&self, rng: &mut R) -> ChipSample {
+    pub fn sample_chip(&self, rng: &mut CounterDraws) -> ChipSample {
         variation::sample_chip(&self.params, rng)
     }
 
     /// Draw the chip-global share of systematic variation (see
     /// [`crate::variation::sample_chip_global`]).
-    pub fn sample_chip_global<R: SampleStream + ?Sized>(&self, rng: &mut R) -> ChipSample {
+    pub fn sample_chip_global(&self, rng: &mut CounterDraws) -> ChipSample {
         variation::sample_chip_global(&self.params, rng)
     }
 
     /// Draw one lane's regional variation offset.
-    pub fn sample_region<R: SampleStream + ?Sized>(&self, rng: &mut R) -> RegionSample {
+    pub fn sample_region(&self, rng: &mut CounterDraws) -> RegionSample {
         variation::sample_region(&self.params, rng)
     }
 
     /// Draw one device's random variation.
-    pub fn sample_gate<R: SampleStream + ?Sized>(&self, rng: &mut R) -> GateSample {
+    pub fn sample_gate(&self, rng: &mut CounterDraws) -> GateSample {
         variation::sample_gate(&self.params, rng)
     }
 

@@ -16,7 +16,7 @@
 //! * **per-device random** ([`GateSample`]) — independent per gate; averages
 //!   out along a logic chain.
 
-use ntv_mc::SampleStream;
+use ntv_mc::CounterDraws;
 use ntv_units::Volts;
 use serde::{Deserialize, Serialize};
 
@@ -80,7 +80,7 @@ impl GateSample {
 /// regional offset) — what a single-region circuit such as an inverter
 /// chain or an adder experiences. Cross-chip Monte Carlo over chains
 /// (Fig 1/2) uses this.
-pub fn sample_chip<R: SampleStream + ?Sized>(params: &DeviceParams, rng: &mut R) -> ChipSample {
+pub fn sample_chip(params: &DeviceParams, rng: &mut CounterDraws) -> ChipSample {
     ChipSample {
         dvth: Volts(rng.normal(0.0, params.sigma_vth_systematic.get())),
         ln_k: rng.normal(0.0, params.sigma_k_systematic),
@@ -90,10 +90,7 @@ pub fn sample_chip<R: SampleStream + ?Sized>(params: &DeviceParams, rng: &mut R)
 /// Draw the chip-global share of systematic variation (variance fraction
 /// `1 − lane_fraction`). Combine with per-lane [`sample_region`] draws to
 /// model a multi-lane die.
-pub fn sample_chip_global<R: SampleStream + ?Sized>(
-    params: &DeviceParams,
-    rng: &mut R,
-) -> ChipSample {
+pub fn sample_chip_global(params: &DeviceParams, rng: &mut CounterDraws) -> ChipSample {
     let f = (1.0 - params.lane_fraction).sqrt();
     ChipSample {
         dvth: Volts(rng.normal(0.0, params.sigma_vth_systematic.get() * f)),
@@ -103,7 +100,7 @@ pub fn sample_chip_global<R: SampleStream + ?Sized>(
 
 /// Draw one lane's regional offset (variance fraction `lane_fraction` of
 /// the systematic budget).
-pub fn sample_region<R: SampleStream + ?Sized>(params: &DeviceParams, rng: &mut R) -> RegionSample {
+pub fn sample_region(params: &DeviceParams, rng: &mut CounterDraws) -> RegionSample {
     let f = params.lane_fraction.sqrt();
     RegionSample {
         dvth: Volts(rng.normal(0.0, params.sigma_vth_systematic.get() * f)),
@@ -112,7 +109,7 @@ pub fn sample_region<R: SampleStream + ?Sized>(params: &DeviceParams, rng: &mut 
 }
 
 /// Draw one device's random variation.
-pub fn sample_gate<R: SampleStream + ?Sized>(params: &DeviceParams, rng: &mut R) -> GateSample {
+pub fn sample_gate(params: &DeviceParams, rng: &mut CounterDraws) -> GateSample {
     GateSample {
         dvth: Volts(rng.normal(0.0, params.sigma_vth_random.get())),
         ln_k: rng.normal(0.0, params.sigma_k_random),
@@ -123,7 +120,7 @@ pub fn sample_gate<R: SampleStream + ?Sized>(params: &DeviceParams, rng: &mut R)
 mod tests {
     use super::*;
     use crate::node::TechNode;
-    use ntv_mc::{StreamRng, Summary};
+    use ntv_mc::{CounterRng, Summary};
 
     #[test]
     fn nominal_samples_are_zero() {
@@ -134,7 +131,7 @@ mod tests {
     #[test]
     fn sampled_sigmas_match_parameters() {
         let params = DeviceParams::for_node(TechNode::PtmHp22);
-        let mut rng = StreamRng::from_seed(8);
+        let mut rng = CounterRng::new(8, "sampled_sigmas_match_parameters").at(0);
         let chips: Summary = (0..50_000)
             .map(|_| sample_chip(&params, &mut rng).dvth.get())
             .collect();
@@ -156,7 +153,11 @@ mod tests {
     #[test]
     fn global_and_regional_variances_partition_the_systematic_budget() {
         let params = DeviceParams::for_node(TechNode::Gp45);
-        let mut rng = StreamRng::from_seed(4);
+        let mut rng = CounterRng::new(
+            4,
+            "global_and_regional_variances_partition_the_systematic_budget",
+        )
+        .at(0);
         let combined: Summary = (0..50_000)
             .map(|_| {
                 (sample_chip_global(&params, &mut rng).dvth + sample_region(&params, &mut rng).dvth)
@@ -175,7 +176,7 @@ mod tests {
             .sigma_scale(0.0)
             .build()
             .unwrap();
-        let mut rng = StreamRng::from_seed(3);
+        let mut rng = CounterRng::new(3, "zero_sigma_params_give_deterministic_samples").at(0);
         for _ in 0..10 {
             assert_eq!(sample_chip(&params, &mut rng), ChipSample::nominal());
             assert_eq!(sample_gate(&params, &mut rng), GateSample::nominal());

@@ -4,7 +4,7 @@
 //! carry sampling noise; the experiment harness reports bootstrap intervals
 //! so paper-vs-measured comparisons in EXPERIMENTS.md are honest about it.
 
-use crate::rng::{SampleStream, StreamRng};
+use crate::rng::CounterDraws;
 
 /// A two-sided confidence interval.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -46,9 +46,9 @@ impl ConfidenceInterval {
 ///
 /// ```
 /// use ntv_mc::bootstrap::bootstrap_ci;
-/// use ntv_mc::rng::StreamRng;
+/// use ntv_mc::rng::CounterRng;
 /// let data: Vec<f64> = (0..200).map(|i| f64::from(i % 10)).collect();
-/// let mut rng = StreamRng::from_seed(9);
+/// let mut rng = CounterRng::new(9, "example").at(0);
 /// let ci = bootstrap_ci(&data, 500, 0.95, &mut rng, |s| {
 ///     s.iter().sum::<f64>() / s.len() as f64
 /// });
@@ -58,7 +58,7 @@ pub fn bootstrap_ci(
     samples: &[f64],
     resamples: usize,
     level: f64,
-    rng: &mut StreamRng,
+    rng: &mut CounterDraws,
     mut statistic: impl FnMut(&[f64]) -> f64,
 ) -> ConfidenceInterval {
     assert!(!samples.is_empty(), "bootstrap requires samples");
@@ -91,6 +91,7 @@ pub fn bootstrap_ci(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::CounterRng;
 
     fn mean(s: &[f64]) -> f64 {
         s.iter().sum::<f64>() / s.len() as f64
@@ -98,7 +99,7 @@ mod tests {
 
     #[test]
     fn interval_brackets_true_mean() {
-        let mut rng = StreamRng::from_seed(42);
+        let mut rng = CounterRng::new(42, "interval_brackets_true_mean").at(0);
         let data: Vec<f64> = (0..1000).map(|_| 5.0 + rng.standard_normal()).collect();
         let ci = bootstrap_ci(&data, 400, 0.99, &mut rng, mean);
         assert!(ci.contains(5.0), "{ci:?}");
@@ -107,7 +108,7 @@ mod tests {
 
     #[test]
     fn width_shrinks_with_sample_size() {
-        let mut rng = StreamRng::from_seed(7);
+        let mut rng = CounterRng::new(7, "width_shrinks_with_sample_size").at(0);
         let small: Vec<f64> = (0..50).map(|_| rng.standard_normal()).collect();
         let large: Vec<f64> = (0..5000).map(|_| rng.standard_normal()).collect();
         let ci_small = bootstrap_ci(&small, 300, 0.95, &mut rng, mean);
@@ -117,7 +118,7 @@ mod tests {
 
     #[test]
     fn degenerate_sample_gives_point_interval() {
-        let mut rng = StreamRng::from_seed(1);
+        let mut rng = CounterRng::new(1, "degenerate_sample_gives_point_interval").at(0);
         let ci = bootstrap_ci(&[3.0; 20], 100, 0.9, &mut rng, mean);
         assert_eq!(ci.lo, 3.0);
         assert_eq!(ci.hi, 3.0);
@@ -127,7 +128,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "requires samples")]
     fn empty_sample_rejected() {
-        let mut rng = StreamRng::from_seed(0);
+        let mut rng = CounterRng::new(0, "empty_sample_rejected").at(0);
         let _ = bootstrap_ci(&[], 10, 0.9, &mut rng, mean);
     }
 }

@@ -93,7 +93,7 @@ impl Ecdf {
 mod tests {
     use super::*;
     use crate::normal;
-    use crate::rng::{SampleStream, StreamRng};
+    use crate::rng::CounterRng;
 
     #[test]
     fn eval_steps() {
@@ -106,7 +106,7 @@ mod tests {
 
     #[test]
     fn normal_sample_matches_normal_cdf() {
-        let mut rng = StreamRng::from_seed(31);
+        let mut rng = CounterRng::new(31, "normal_sample_matches_normal_cdf").at(0);
         let e = Ecdf::from_samples((0..20_000).map(|_| rng.standard_normal()).collect());
         let d = e.ks_distance_to(normal::cdf);
         // KS critical value at alpha=0.001 for n=20000 is ~1.95/sqrt(n)=0.0138.

@@ -10,10 +10,11 @@
 //! current-factor deviations, propagate them through a gate-delay model, and
 //! look at extreme quantiles of maxima over many critical paths and SIMD
 //! lanes. This crate provides the numerical machinery for that, implemented
-//! from scratch on top of [`rand`]:
+//! from scratch:
 //!
-//! * [`rng`] — deterministic seeding, labelled stream splitting and the
-//!   counter-based [`CounterRng`] (index-addressed draws) so every experiment
+//! * [`rng`] — the one generator family: deterministic seeding, labelled
+//!   stream splitting and the counter-based [`CounterRng`], whose
+//!   [`CounterDraws`] cursors every sampler draws from, so every experiment
 //!   is reproducible and parallelizable without changing results,
 //! * [`normal`] — the standard normal pdf/CDF/quantile function,
 //! * [`quadrature`] — Gauss–Hermite rules for expectations under a normal,
@@ -34,10 +35,10 @@
 //! # Example
 //!
 //! ```
-//! use ntv_mc::rng::{SampleStream, StreamRng};
+//! use ntv_mc::rng::CounterRng;
 //! use ntv_mc::stats::Summary;
 //!
-//! let mut rng = StreamRng::from_seed_and_label(42, "example");
+//! let mut rng = CounterRng::new(42, "example").at(0);
 //! let summary: Summary = (0..10_000).map(|_| 3.0 + rng.standard_normal()).collect();
 //! assert!((summary.mean() - 3.0).abs() < 0.05);
 //! assert!((summary.std_dev() - 1.0).abs() < 0.05);
@@ -62,5 +63,5 @@ pub use histogram::Histogram;
 pub use quadrature::GaussHermite;
 pub use quantile::Quantiles;
 pub use reduce::{sum2_ordered, sum_compensated, sum_ordered};
-pub use rng::{CounterDraws, CounterRng, SampleStream, StreamRng};
+pub use rng::{CounterDraws, CounterRng};
 pub use stats::Summary;

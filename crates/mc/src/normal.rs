@@ -186,7 +186,7 @@ pub fn cdf(x: f64) -> f64 {
 ///
 /// Panics if `p` is outside `(0, 1)` (the quantile is infinite at the
 /// endpoints; callers sampling maxima use
-/// [`crate::rng::SampleStream::uniform_open`]).
+/// [`crate::rng::CounterDraws::uniform_open`]).
 ///
 /// # Example
 ///

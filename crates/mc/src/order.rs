@@ -13,16 +13,14 @@
 //!   sanity checks and analytic comparisons).
 
 use crate::normal;
-use crate::rng::SampleStream;
+use crate::rng::CounterDraws;
 #[cfg(test)]
-use crate::rng::StreamRng;
+use crate::rng::CounterRng;
 
 /// Sample the maximum of `n` i.i.d. `N(mean, std_dev²)` variables in O(1).
 ///
 /// Exact in distribution: if `U ~ Uniform(0,1)` then `Φ⁻¹(U^{1/n})` has the
-/// distribution of the maximum of `n` standard normals. Generic over the
-/// draw source, so it works with both a sequential [`crate::rng::StreamRng`]
-/// and the per-index draws of a [`crate::rng::CounterRng`].
+/// distribution of the maximum of `n` standard normals.
 ///
 /// # Panics
 ///
@@ -31,17 +29,12 @@ use crate::rng::StreamRng;
 /// # Example
 ///
 /// ```
-/// use ntv_mc::{order, rng::StreamRng};
-/// let mut rng = StreamRng::from_seed(1);
+/// use ntv_mc::{order, rng::CounterRng};
+/// let mut rng = CounterRng::new(1, "example").at(0);
 /// let m = order::sample_max_normal(&mut rng, 100, 0.0, 1.0);
 /// assert!(m.is_finite());
 /// ```
-pub fn sample_max_normal<R: SampleStream + ?Sized>(
-    rng: &mut R,
-    n: usize,
-    mean: f64,
-    std_dev: f64,
-) -> f64 {
+pub fn sample_max_normal(rng: &mut CounterDraws, n: usize, mean: f64, std_dev: f64) -> f64 {
     assert!(n > 0, "maximum of zero variables is undefined");
     assert!(std_dev >= 0.0, "standard deviation must be non-negative");
     if std_dev == 0.0 {
@@ -150,8 +143,8 @@ mod tests {
 
     #[test]
     fn sample_max_matches_brute_force_distribution() {
-        let mut fast = StreamRng::from_seed(10);
-        let mut slow = StreamRng::from_seed(11);
+        let mut fast = CounterRng::new(10, "sample_max_matches_brute_force_distribution").at(0);
+        let mut slow = CounterRng::new(11, "sample_max_matches_brute_force_distribution").at(0);
         let n = 50;
         let fast_stats: Summary = (0..20_000)
             .map(|_| sample_max_normal(&mut fast, n, 0.0, 1.0))
@@ -174,7 +167,7 @@ mod tests {
 
     #[test]
     fn sample_max_of_one_is_plain_normal() {
-        let mut rng = StreamRng::from_seed(3);
+        let mut rng = CounterRng::new(3, "sample_max_of_one_is_plain_normal").at(0);
         let s: Summary = (0..50_000)
             .map(|_| sample_max_normal(&mut rng, 1, 2.0, 3.0))
             .collect();
@@ -184,7 +177,7 @@ mod tests {
 
     #[test]
     fn sample_max_zero_sigma() {
-        let mut rng = StreamRng::from_seed(4);
+        let mut rng = CounterRng::new(4, "sample_max_zero_sigma").at(0);
         assert_eq!(sample_max_normal(&mut rng, 10, 5.0, 0.0), 5.0);
     }
 
@@ -223,7 +216,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "maximum of zero")]
     fn max_of_zero_vars_rejected() {
-        let mut rng = StreamRng::from_seed(0);
+        let mut rng = CounterRng::new(0, "max_of_zero_vars_rejected").at(0);
         let _ = sample_max_normal(&mut rng, 0, 0.0, 1.0);
     }
 

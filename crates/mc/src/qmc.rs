@@ -86,7 +86,7 @@ impl Halton {
 mod tests {
     use super::*;
     use crate::quantile::Quantiles;
-    use crate::rng::StreamRng;
+    use crate::rng::CounterRng;
 
     #[test]
     fn base2_prefix_is_the_van_der_corput_sequence() {
@@ -125,7 +125,7 @@ mod tests {
         let mut worst_mc_err = 0.0_f64;
         let mut mean_mc_err = 0.0;
         for seed in 0..5 {
-            let mut rng = StreamRng::from_seed(seed);
+            let mut rng = CounterRng::new(seed, "qmc_quantile_beats_mc_at_equal_budget").at(0);
             let mc: Vec<f64> = (0..n)
                 .map(|_| crate::order::sample_max_normal(&mut rng, 100, 0.0, 1.0))
                 .collect();

@@ -11,21 +11,13 @@
 //! * adding a new consumer of randomness does not perturb existing streams
 //!   (each consumer derives its own labelled stream).
 //!
-//! Two generator families implement the shared [`SampleStream`] sampler
-//! interface:
-//!
-//! * [`CounterRng`] — the **counter-based** generator every library-level
-//!   Monte-Carlo loop must use. It maps `(seed, stream label, sample index)`
-//!   to an independent draw sequence, so sample *i* is a pure function of the
-//!   seed and *i*: samplers can be evaluated in any order, split across
-//!   threads, and paired across configurations (CRN) *by construction*.
-//! * [`StreamRng`] — the legacy sequential stream (a seeded [`SmallRng`]).
-//!   Kept for gate-level circuit Monte Carlo and exploratory harness code;
-//!   new index-addressed sampling paths should take a [`CounterRng`].
-
-// ntv:allow(stateful-rng): `StreamRng` is the one sanctioned stateful-generator wrapper
-use rand::rngs::SmallRng;
-use rand::{Rng, RngCore, SeedableRng};
+//! There is one generator family, and it is counter-based: a [`CounterRng`]
+//! maps `(seed, stream label, sample index)` to a [`CounterDraws`] cursor
+//! whose draw sequence is a pure function of the seed and the index, so
+//! samplers can be evaluated in any order, split across threads, and paired
+//! across configurations (CRN) *by construction*. Every sampler in the
+//! workspace takes `&mut CounterDraws`; a loop that needs one long sequential
+//! stream draws from a single cursor (`CounterRng::new(seed, label).at(0)`).
 
 /// Derive a child seed from a parent seed and a label using the FNV-1a hash.
 ///
@@ -67,86 +59,6 @@ fn splitmix_finalize(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The common sampler interface over a uniform `u64` source.
-///
-/// Implemented by both [`StreamRng`] (sequential) and [`CounterDraws`]
-/// (counter-based), so Monte-Carlo code can be written once and driven
-/// either by a legacy stream or by index-addressed draws.
-pub trait SampleStream {
-    /// Next raw uniform 64-bit word.
-    fn next_word(&mut self) -> u64;
-
-    /// Access the cached second output of the polar normal method.
-    fn spare_normal_slot(&mut self) -> &mut Option<f64>;
-
-    /// Uniform sample in `[0, 1)` with 53-bit resolution.
-    fn uniform(&mut self) -> f64 {
-        // 53 high bits — the standard IEEE-double uniform construction.
-        (self.next_word() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
-    /// Uniform sample in the open interval `(0, 1)`.
-    ///
-    /// Useful when the value feeds an inverse CDF that is singular at 0 or 1.
-    fn uniform_open(&mut self) -> f64 {
-        loop {
-            let u = self.uniform();
-            if u > 0.0 {
-                return u;
-            }
-        }
-    }
-
-    /// Standard normal sample (Marsaglia polar method).
-    fn standard_normal(&mut self) -> f64 {
-        if let Some(z) = self.spare_normal_slot().take() {
-            return z;
-        }
-        loop {
-            let u: f64 = 2.0 * self.uniform() - 1.0;
-            let v: f64 = 2.0 * self.uniform() - 1.0;
-            let s: f64 = u * u + v * v;
-            if s > 0.0 && s < 1.0 {
-                let f = (-2.0 * s.ln() / s).sqrt();
-                *self.spare_normal_slot() = Some(v * f);
-                return u * f;
-            }
-        }
-    }
-
-    /// Normal sample with the given mean and standard deviation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `std_dev` is negative or not finite.
-    fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
-        assert!(
-            std_dev.is_finite() && std_dev >= 0.0,
-            "standard deviation must be finite and non-negative, got {std_dev}"
-        );
-        mean + std_dev * self.standard_normal()
-    }
-
-    /// Uniform integer in `[0, n)` (Lemire's unbiased multiply-shift).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    fn index(&mut self, n: usize) -> usize {
-        assert!(n > 0, "cannot sample an index from an empty range");
-        let n = n as u64;
-        // Rejection threshold: 2^64 mod n, computed as (-n) mod n.
-        let threshold = n.wrapping_neg() % n;
-        loop {
-            let m = u128::from(self.next_word()) * u128::from(n);
-            if (m as u64) >= threshold {
-                #[allow(clippy::cast_possible_truncation)]
-                return (m >> 64) as usize;
-            }
-        }
-    }
-}
-
 /// A counter-based random generator: `(key, sample index) → draw sequence`.
 ///
 /// `CounterRng` itself is an immutable *stream descriptor* (a 64-bit key
@@ -167,7 +79,7 @@ pub trait SampleStream {
 /// # Example
 ///
 /// ```
-/// use ntv_mc::rng::{CounterRng, SampleStream};
+/// use ntv_mc::rng::CounterRng;
 /// let stream = CounterRng::new(2012, "chip-delay");
 /// let a = stream.at(17).standard_normal();
 /// let b = stream.at(17).standard_normal();
@@ -180,8 +92,7 @@ pub struct CounterRng {
 }
 
 impl CounterRng {
-    /// Stream for `(seed, label)` — the labelled-stream scheme shared with
-    /// [`StreamRng::from_seed_and_label`].
+    /// Stream for `(seed, label)`: its key is [`derive_seed`]`(seed, label)`.
     #[must_use]
     pub fn new(seed: u64, label: &str) -> Self {
         Self {
@@ -259,81 +170,79 @@ pub struct CounterDraws {
     spare_normal: Option<f64>,
 }
 
-impl SampleStream for CounterDraws {
-    fn next_word(&mut self) -> u64 {
+impl CounterDraws {
+    /// Next raw uniform 64-bit word.
+    pub fn next_word(&mut self) -> u64 {
         // splitmix64: Weyl sequence through the finalizer.
         self.state = self.state.wrapping_add(GOLDEN_GAMMA);
         splitmix_finalize(self.state)
     }
 
-    fn spare_normal_slot(&mut self) -> &mut Option<f64> {
-        &mut self.spare_normal
+    /// Uniform sample in `[0, 1)` with 53-bit resolution.
+    pub fn uniform(&mut self) -> f64 {
+        // 53 high bits — the standard IEEE-double uniform construction.
+        (self.next_word() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
-}
 
-/// A seeded sequential random stream.
-///
-/// Wraps [`SmallRng`] (fast, non-cryptographic — appropriate for Monte-Carlo);
-/// its samplers are the [`SampleStream`] trait's. This is the *stateful*
-/// generator: draws depend on every draw before them, so a `StreamRng` loop
-/// cannot be split across threads without changing results. Library-level
-/// experiment loops use [`CounterRng`] instead; `StreamRng` remains for
-/// gate-level circuit Monte Carlo and harness code.
-///
-/// # Example
-///
-/// ```
-/// use ntv_mc::rng::{SampleStream, StreamRng};
-/// let mut rng = StreamRng::from_seed(7);
-/// let x = rng.standard_normal();
-/// assert!(x.is_finite());
-/// ```
-#[derive(Debug, Clone)]
-pub struct StreamRng {
-    // ntv:allow(stateful-rng): the sequential stream this type exists to wrap
-    inner: SmallRng,
-    /// Cached second output of the polar method.
-    spare_normal: Option<f64>,
-}
-
-impl StreamRng {
-    /// Create a stream from a raw seed.
-    #[must_use]
-    pub fn from_seed(seed: u64) -> Self {
-        Self {
-            // ntv:allow(stateful-rng): seeding the wrapped sequential stream
-            inner: SmallRng::seed_from_u64(seed),
-            spare_normal: None,
+    /// Uniform sample in the open interval `(0, 1)`.
+    ///
+    /// Useful when the value feeds an inverse CDF that is singular at 0 or 1.
+    pub fn uniform_open(&mut self) -> f64 {
+        loop {
+            let u = self.uniform();
+            if u > 0.0 {
+                return u;
+            }
         }
     }
 
-    /// Create a stream from a seed and a purpose label (see [`derive_seed`]).
-    #[must_use]
-    pub fn from_seed_and_label(seed: u64, label: &str) -> Self {
-        Self::from_seed(derive_seed(seed, label))
-    }
-}
-
-/// `StreamRng`'s draws come from `SmallRng`: `uniform` goes through its own
-/// f64 path and `index` through `gen_range`, not the trait defaults over
-/// `next_word` (same distributions, different draws). The open uniform and
-/// the polar normal are the trait's, built on this `uniform`.
-impl SampleStream for StreamRng {
-    fn next_word(&mut self) -> u64 {
-        self.inner.next_u64()
-    }
-
-    fn spare_normal_slot(&mut self) -> &mut Option<f64> {
-        &mut self.spare_normal
+    /// Standard normal sample (Marsaglia polar method).
+    pub fn standard_normal(&mut self) -> f64 {
+        if let Some(z) = self.spare_normal.take() {
+            return z;
+        }
+        loop {
+            let u: f64 = 2.0 * self.uniform() - 1.0;
+            let v: f64 = 2.0 * self.uniform() - 1.0;
+            let s: f64 = u * u + v * v;
+            if s > 0.0 && s < 1.0 {
+                let f = (-2.0 * s.ln() / s).sqrt();
+                self.spare_normal = Some(v * f);
+                return u * f;
+            }
+        }
     }
 
-    fn uniform(&mut self) -> f64 {
-        self.inner.gen::<f64>()
+    /// Normal sample with the given mean and standard deviation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `std_dev` is negative or not finite.
+    pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
+        assert!(
+            std_dev.is_finite() && std_dev >= 0.0,
+            "standard deviation must be finite and non-negative, got {std_dev}"
+        );
+        mean + std_dev * self.standard_normal()
     }
 
-    fn index(&mut self, n: usize) -> usize {
+    /// Uniform integer in `[0, n)` (Lemire's unbiased multiply-shift).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0`.
+    pub fn index(&mut self, n: usize) -> usize {
         assert!(n > 0, "cannot sample an index from an empty range");
-        self.inner.gen_range(0..n)
+        let n = n as u64;
+        // Rejection threshold: 2^64 mod n, computed as (-n) mod n.
+        let threshold = n.wrapping_neg() % n;
+        loop {
+            let m = u128::from(self.next_word()) * u128::from(n);
+            if (m as u64) >= threshold {
+                #[allow(clippy::cast_possible_truncation)]
+                return (m >> 64) as usize;
+            }
+        }
     }
 }
 
@@ -350,17 +259,8 @@ mod tests {
     }
 
     #[test]
-    fn streams_are_reproducible() {
-        let mut a = StreamRng::from_seed(99);
-        let mut b = StreamRng::from_seed(99);
-        for _ in 0..100 {
-            assert_eq!(a.uniform().to_bits(), b.uniform().to_bits());
-        }
-    }
-
-    #[test]
     fn standard_normal_moments() {
-        let mut rng = StreamRng::from_seed(1234);
+        let mut rng = CounterRng::new(1234, "standard_normal_moments").at(0);
         let s: Summary = (0..200_000).map(|_| rng.standard_normal()).collect();
         assert!(s.mean().abs() < 0.01, "mean {}", s.mean());
         assert!((s.std_dev() - 1.0).abs() < 0.01, "std {}", s.std_dev());
@@ -369,7 +269,7 @@ mod tests {
 
     #[test]
     fn normal_scales_and_shifts() {
-        let mut rng = StreamRng::from_seed(77);
+        let mut rng = CounterRng::new(77, "normal_scales_and_shifts").at(0);
         let s: Summary = (0..100_000).map(|_| rng.normal(10.0, 2.0)).collect();
         assert!((s.mean() - 10.0).abs() < 0.05);
         assert!((s.std_dev() - 2.0).abs() < 0.05);
@@ -377,7 +277,7 @@ mod tests {
 
     #[test]
     fn uniform_open_never_zero() {
-        let mut rng = StreamRng::from_seed(2);
+        let mut rng = CounterRng::new(2, "uniform_open_never_zero").at(0);
         for _ in 0..10_000 {
             let u = rng.uniform_open();
             assert!(u > 0.0 && u < 1.0);
@@ -387,21 +287,19 @@ mod tests {
     #[test]
     #[should_panic(expected = "standard deviation")]
     fn normal_rejects_negative_sigma() {
-        let mut rng = StreamRng::from_seed(0);
+        let mut rng = CounterRng::new(0, "normal_rejects_negative_sigma").at(0);
         let _ = rng.normal(0.0, -1.0);
     }
 
     #[test]
     fn index_covers_range() {
-        let mut rng = StreamRng::from_seed(11);
+        let mut rng = CounterRng::new(11, "index_covers_range").at(0);
         let mut seen = [false; 7];
         for _ in 0..1_000 {
             seen[rng.index(7)] = true;
         }
         assert!(seen.iter().all(|&s| s));
     }
-
-    // ---- CounterRng ----
 
     #[test]
     fn counter_draws_are_pure_in_seed_label_index() {

@@ -13,7 +13,7 @@
 //!    values, so the generator can never silently change (which would
 //!    invalidate every recorded experiment table).
 
-use ntv_mc::rng::{CounterRng, SampleStream};
+use ntv_mc::rng::CounterRng;
 use ntv_mc::Summary;
 
 /// Pearson correlation of two equal-length samples.

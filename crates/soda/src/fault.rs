@@ -21,7 +21,7 @@
 //!   residual intermittent errors on healthy lanes remain.
 
 use ntv_core::DatapathEngine;
-use ntv_mc::{SampleStream, StreamRng};
+use ntv_mc::CounterDraws;
 use ntv_units::Volts;
 use serde::{Deserialize, Serialize};
 
@@ -117,7 +117,7 @@ impl FaultModel {
         t_clk_ns: f64,
         spares: usize,
         guard_band: f64,
-        rng: &mut StreamRng,
+        rng: &mut CounterDraws,
     ) -> Self {
         let physical = engine.config().lanes + spares;
         let delays = engine.sample_lane_delays_fo4(vdd, physical, rng);
@@ -155,7 +155,7 @@ impl FaultModel {
     }
 
     /// Draw the set of physical lanes that err on one operation.
-    pub fn sample_errors(&self, rng: &mut StreamRng) -> Vec<usize> {
+    pub fn sample_errors(&self, rng: &mut CounterDraws) -> Vec<usize> {
         self.error_prob
             .iter()
             .enumerate()
@@ -176,6 +176,7 @@ mod tests {
     use super::*;
     use ntv_core::DatapathConfig;
     use ntv_device::{TechModel, TechNode};
+    use ntv_mc::CounterRng;
 
     #[test]
     fn delays_map_to_probabilities() {
@@ -197,7 +198,7 @@ mod tests {
     #[test]
     fn sample_errors_respects_probabilities() {
         let fm = FaultModel::from_probabilities(vec![0.0, 1.0, 0.5]);
-        let mut rng = StreamRng::from_seed(5);
+        let mut rng = CounterRng::new(5, "sample_errors_respects_probabilities").at(0);
         let mut hits = [0u32; 3];
         for _ in 0..2000 {
             for l in fm.sample_errors(&mut rng) {
@@ -219,7 +220,7 @@ mod tests {
     fn from_engine_produces_faults_at_tight_clocks() {
         let tech = TechModel::new(TechNode::Gp90);
         let engine = DatapathEngine::new(&tech, DatapathConfig::paper_default());
-        let mut rng = StreamRng::from_seed(3);
+        let mut rng = CounterRng::new(3, "from_engine_produces_faults_at_tight_clocks").at(0);
         // A clock barely above the ideal 50-FO4 path at 0.5 V: many lanes miss it.
         let tight_ns = 51.0 * engine.fo4_unit_ps(Volts(0.5)) / 1000.0;
         let fm = FaultModel::from_engine(&engine, Volts(0.5), tight_ns, 6, 0.0, &mut rng);

@@ -2,7 +2,7 @@
 //! accounting, fault handling.
 
 use ntv_device::TechModel;
-use ntv_mc::StreamRng;
+use ntv_mc::{CounterDraws, CounterRng};
 use ntv_units::Volts;
 use serde::{Deserialize, Serialize};
 
@@ -189,7 +189,7 @@ pub struct ProcessingElement {
     xram: XramCrossbar,
     fault: FaultModel,
     policy: ErrorPolicy,
-    fault_rng: StreamRng,
+    fault_rng: CounterDraws,
     energy: EnergyConfig,
     stats: PeStats,
 }
@@ -213,7 +213,7 @@ impl ProcessingElement {
             xram: XramCrossbar::new(SIMD_WIDTH),
             fault: FaultModel::none(SIMD_WIDTH),
             policy: ErrorPolicy::default(),
-            fault_rng: StreamRng::from_seed(0),
+            fault_rng: CounterRng::new(0, "pe-fault").at(0),
             energy: EnergyConfig::default(),
             stats: PeStats::default(),
         }
@@ -241,7 +241,7 @@ impl ProcessingElement {
     /// # Panics
     ///
     /// Panics if the model covers fewer physical lanes than the SIMD width.
-    pub fn set_fault_model(&mut self, fault: FaultModel, rng: StreamRng) {
+    pub fn set_fault_model(&mut self, fault: FaultModel, rng: CounterDraws) {
         assert!(
             fault.physical_lanes() >= SIMD_WIDTH,
             "fault model must cover at least {SIMD_WIDTH} physical lanes"
@@ -794,7 +794,7 @@ mod tests {
         probs[3] = 1.0;
         pe.set_fault_model(
             FaultModel::from_probabilities(probs),
-            StreamRng::from_seed(1),
+            CounterRng::new(1, "corrupt_policy_leaves_stale_lanes").at(0),
         );
         pe.set_vreg(v(0), &[1; 128]);
         pe.set_vreg(v(1), &[1; 128]);
@@ -820,7 +820,7 @@ mod tests {
         probs[7] = 1.0;
         pe.set_fault_model(
             FaultModel::from_probabilities(probs),
-            StreamRng::from_seed(2),
+            CounterRng::new(2, "stall_retry_recovers_at_a_cost").at(0),
         );
         pe.set_vreg(v(0), &[1; 128]);
         pe.set_vreg(v(1), &[1; 128]);
@@ -847,7 +847,7 @@ mod tests {
         probs[60] = 1.0;
         pe.set_fault_model(
             FaultModel::from_probabilities(probs),
-            StreamRng::from_seed(3),
+            CounterRng::new(3, "spare_remap_bypasses_faulty_lane").at(0),
         );
         let spares_used = pe.repair(0.5).unwrap();
         assert_eq!(spares_used, 2);
@@ -873,7 +873,7 @@ mod tests {
         probs[1] = 1.0;
         pe.set_fault_model(
             FaultModel::from_probabilities(probs),
-            StreamRng::from_seed(4),
+            CounterRng::new(4, "repair_fails_without_enough_spares").at(0),
         );
         let err = pe.repair(0.5).unwrap_err();
         assert!(matches!(err, PeError::Unrepairable(_)));

@@ -39,7 +39,7 @@
 //! through differently-named locals unifies on the path; the same static
 //! referenced from another file does not), symbols are visited in
 //! ascending id order, and the `--report concurrency` inventory
-//! (`ntv-concurrency/1`) is byte-identical across runs.
+//! (`ntv-concurrency/2`) is byte-identical across runs.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -164,7 +164,7 @@ struct BlockSite {
 
 /// The complete concurrency analysis result: raw rule hits (file-index
 /// keyed, like every other semantic pass) plus the rendered
-/// `ntv-concurrency/1` report.
+/// `ntv-concurrency/2` report.
 pub struct Concurrency {
     hits: Vec<(usize, Hit)>,
     report: String,
@@ -496,7 +496,7 @@ impl Concurrency {
         self.hits
     }
 
-    /// The rendered `ntv-concurrency/1` report (byte-identical across
+    /// The rendered `ntv-concurrency/2` report (byte-identical across
     /// runs over the same inputs).
     #[must_use]
     pub fn report(&self) -> &str {
@@ -749,10 +749,13 @@ fn cycle_hits(
     }
 }
 
-/// Render the `ntv-concurrency/1` inventory: every lock class with its
+/// Render the `ntv-concurrency/2` inventory: every lock class with its
 /// acquisition sites, every order edge with its witness, every atomic
 /// class with its per-op orderings and handshake flag. Sorted at every
-/// level, so the output is byte-identical across runs.
+/// level, so the output is byte-identical across runs. A site is keyed by
+/// its function and `nth`, its 0-based position among that function's
+/// sites in the same list, never by line, so an edit that only shifts
+/// lines leaves the report unchanged.
 fn render_report(
     files: &[SemFile],
     syms: &[Symbol],
@@ -768,15 +771,13 @@ fn render_report(
         .map(|(c, (name, kind))| {
             let mut sites: Vec<String> = Vec::new();
             for (id, sym) in syms.iter().enumerate() {
-                for a in &acqs[id] {
-                    if a.class == c {
-                        sites.push(format!(
-                            "{{\"fn\": \"{}\", \"file\": \"{}\", \"line\": {}}}",
-                            json::escape(&sym.fq),
-                            json::escape(&rel(sym.file)),
-                            a.line
-                        ));
-                    }
+                let here = acqs[id].iter().filter(|a| a.class == c).count();
+                for nth in 0..here {
+                    sites.push(format!(
+                        "{{\"fn\": \"{}\", \"file\": \"{}\", \"nth\": {nth}}}",
+                        json::escape(&sym.fq),
+                        json::escape(&rel(sym.file)),
+                    ));
                 }
             }
             format!(
@@ -793,13 +794,11 @@ fn render_report(
                 format!(", \"via\": \"{}\"", json::escape(&syms[t].fq))
             });
             format!(
-                "{{\"from\": \"{}\", \"to\": \"{}\", \"fn\": \"{}\", \"file\": \"{}\", \
-                 \"line\": {}{via}}}",
+                "{{\"from\": \"{}\", \"to\": \"{}\", \"fn\": \"{}\", \"file\": \"{}\"{via}}}",
                 json::escape(&classes[a].0),
                 json::escape(&classes[b].0),
                 json::escape(&syms[e.sym].fq),
                 json::escape(&rel(syms[e.sym].file)),
-                e.line
             )
         })
         .collect();
@@ -819,13 +818,14 @@ fn render_report(
             let ops: Vec<String> = ac
                 .ops
                 .iter()
-                .map(|o| {
+                .enumerate()
+                .map(|(i, o)| {
+                    let nth = ac.ops[..i].iter().filter(|p| p.sym == o.sym).count();
                     format!(
-                        "{{\"fn\": \"{}\", \"file\": \"{}\", \"line\": {}, \"op\": \"{}\", \
+                        "{{\"fn\": \"{}\", \"file\": \"{}\", \"nth\": {nth}, \"op\": \"{}\", \
                          \"orderings\": {}}}",
                         json::escape(&syms[o.sym].fq),
                         json::escape(&rel(syms[o.sym].file)),
-                        o.line,
                         o.op,
                         json::string_array(&o.orderings)
                     )
@@ -841,7 +841,7 @@ fn render_report(
         })
         .collect();
     format!(
-        "{{\n  \"schema\": \"ntv-concurrency/1\",\n  \"locks\": {},\n  \"order\": {},\n  \
+        "{{\n  \"schema\": \"ntv-concurrency/2\",\n  \"locks\": {},\n  \"order\": {},\n  \
          \"atomics\": {}\n}}\n",
         json::array(&lock_items, 4, 2),
         json::array(&order_items, 4, 2),
@@ -1080,14 +1080,31 @@ impl Cache {
     fn report_is_deterministic_and_shaped() {
         let (_, report) = analyze(&[("crates/core/src/pair.rs", CYCLE_SRC)]);
         assert!(
-            report.starts_with("{\n  \"schema\": \"ntv-concurrency/1\","),
+            report.starts_with("{\n  \"schema\": \"ntv-concurrency/2\","),
             "{report}"
         );
         assert!(report.contains("\"locks\": ["), "{report}");
         assert!(report.contains("\"kind\": \"mutex\""), "{report}");
         assert!(report.contains("\"order\": ["), "{report}");
         assert!(report.ends_with("\"atomics\": []\n}\n"), "{report}");
+        // Sites are keyed by function and per-function position, not line;
+        // `replay` takes REGISTRY second, after its JOURNAL acquisition.
+        assert!(!report.contains("\"line\""), "{report}");
+        assert!(
+            report.contains("\"fn\": \"ntv_core::pair::replay\", \"file\": \"crates/core/src/pair.rs\", \"nth\": 0}"),
+            "{report}"
+        );
         let (_, again) = analyze(&[("crates/core/src/pair.rs", CYCLE_SRC)]);
         assert_eq!(report, again);
+    }
+
+    #[test]
+    fn report_is_unchanged_when_lines_shift() {
+        let (hits, report) = analyze(&[("crates/core/src/pair.rs", CYCLE_SRC)]);
+        let shifted = format!("\n\n\n{CYCLE_SRC}");
+        let (shifted_hits, shifted_report) = analyze(&[("crates/core/src/pair.rs", &shifted)]);
+        assert_eq!(report, shifted_report);
+        // Diagnostics keep their source lines.
+        assert_eq!(shifted_hits[0].1.line, hits[0].1.line + 3);
     }
 }

@@ -92,11 +92,11 @@ impl FileClass {
             // live, tests and benches included; a rotted waiver is likewise
             // a lie wherever it lives.
             RuleId::PartialCmpUnwrap | RuleId::BadWaiver | RuleId::DeadWaiver => true,
-            // Stateful generators are a library-crate concern: harnesses may
-            // hold a `StreamRng` for legacy sequential checks, but result
-            // code must go through the counter-based API. Environment and
-            // host reads are likewise library-only (harnesses may take
-            // CLI/env knobs and size thread pools).
+            // Stateful generators are a library-crate concern: result code
+            // must draw through the counter-based API (harnesses do too,
+            // by convention only). Environment and host reads are likewise
+            // library-only (harnesses may take CLI/env knobs and size
+            // thread pools).
             // Unit newtypes likewise police the cross-crate API surface
             // only: harness and bench code deliberately holds raw `f64`
             // grids and wraps at the call boundary. The call-graph rules

@@ -26,9 +26,9 @@ use crate::parser::ParsedFile;
 /// Identity of a lint rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RuleId {
-    /// Direct stateful-generator use (`SmallRng`, `rand::rngs`) outside
-    /// `ntv_mc::rng` — library code must draw through the index-addressed
-    /// counter streams so sample *i* never depends on draw history.
+    /// Direct stateful-generator use (`SmallRng`, `rand::rngs`) — library
+    /// code must draw through the index-addressed counter streams so
+    /// sample *i* never depends on draw history.
     StatefulRng,
     /// Wall-clock reads: `Instant::now`, `SystemTime::now`.
     WallClock,
@@ -187,9 +187,8 @@ impl RuleId {
         match self {
             RuleId::StatefulRng => {
                 "draw through `ntv_mc::CounterRng` index-addressed streams \
-                 (or the `SampleStream` trait); only `ntv_mc::rng` may wrap \
-                 a stateful generator, because sequential draw history \
-                 breaks thread-count invariance"
+                 and their `CounterDraws` cursors; a stateful generator's \
+                 sequential draw history breaks thread-count invariance"
             }
             RuleId::WallClock => {
                 "wall-clock reads make results run-dependent; take time spans \
@@ -323,7 +322,7 @@ pub fn scan(tokens: &[Token]) -> Vec<Hit> {
             "SmallRng" => hits.push(Hit {
                 rule: RuleId::StatefulRng,
                 line: tok.line,
-                message: "stateful generator `SmallRng` outside `ntv_mc::rng`".to_string(),
+                message: "stateful generator `SmallRng`".to_string(),
             }),
             "rand" if path_call(tokens, i, "rngs") => hits.push(Hit {
                 rule: RuleId::StatefulRng,

@@ -1,6 +1,6 @@
 // Fixture: direct stateful-generator use in library code must trigger
-// ntv::stateful-rng — the counter-based API is the only sanctioned entry
-// point outside `ntv_mc::rng`.
+// ntv::stateful-rng — the counter-based API (`CounterRng` streams and
+// their `CounterDraws` cursors) is the only sanctioned entry point.
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 

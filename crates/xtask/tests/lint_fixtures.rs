@@ -348,9 +348,11 @@ fn concurrency_report_is_stable_and_covers_the_serve_stack() {
     assert_eq!(a.stdout, b.stdout, "report must be byte-identical");
     let report = String::from_utf8(a.stdout).expect("utf-8 report");
     assert!(
-        report.contains("\"schema\": \"ntv-concurrency/1\""),
+        report.contains("\"schema\": \"ntv-concurrency/2\""),
         "{report}"
     );
+    // Sites are keyed by function and `nth`, so moving code leaves it alone.
+    assert!(!report.contains("\"line\""), "{report}");
     // The op-point cache's entry map is the workspace's one real lock.
     assert!(
         report.contains("\"class\": \"OpPointCache.entries\", \"kind\": \"rwlock\""),

@@ -12,13 +12,13 @@ use ntv_simd::circuit::multiplier::array_multiplier;
 use ntv_simd::circuit::report::{to_dot, NetlistStats};
 use ntv_simd::circuit::{sta, Netlist};
 use ntv_simd::device::{TechModel, TechNode};
-use ntv_simd::mc::{StreamRng, Summary};
+use ntv_simd::mc::{CounterRng, Summary};
 use ntv_simd::units::Volts;
 
 fn survey(tech: &TechModel, name: &str, netlist: &Netlist, samples: usize) {
     let stats = NetlistStats::of(netlist);
     let nominal = sta::analyze(netlist, &sta::nominal_delays(netlist, tech, Volts(1.0)));
-    let mut rng = StreamRng::from_seed(7);
+    let mut rng = CounterRng::new(7, "survey").at(0);
     let mc: Summary = sta::mc_critical_delays(netlist, tech, Volts(0.5), samples, &mut rng)
         .into_iter()
         .collect();

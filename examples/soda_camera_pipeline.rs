@@ -9,7 +9,7 @@
 
 use ntv_simd::core::{DatapathConfig, DatapathEngine};
 use ntv_simd::device::{TechModel, TechNode};
-use ntv_simd::mc::StreamRng;
+use ntv_simd::mc::CounterRng;
 use ntv_simd::soda::kernels::{self, golden};
 use ntv_simd::soda::pe::{EnergyConfig, ProcessingElement};
 use ntv_simd::soda::{ErrorPolicy, FaultModel};
@@ -24,7 +24,7 @@ fn main() {
 
     // Clock the SIMD domain aggressively: at the lane-delay quantile where
     // ~2 of the 134 lanes on a typical chip miss timing.
-    let mut rng = StreamRng::from_seed(2012);
+    let mut rng = CounterRng::new(2012, "main").at(0);
     let lane_q = ntv_simd::mc::Quantiles::from_samples(engine.sample_lane_delays_fo4(
         Volts(vdd),
         4_000,
@@ -78,7 +78,7 @@ fn main() {
         let mut pe = ProcessingElement::new();
         pe.set_energy_config(EnergyConfig::for_tech(&tech, Volts(vdd)));
         pe.set_error_policy(policy);
-        pe.set_fault_model(fault.clone(), StreamRng::from_seed(99));
+        pe.set_fault_model(fault.clone(), CounterRng::new(99, "main").at(0));
         if policy == ErrorPolicy::SpareRemap {
             pe.repair(0.5).expect("enough spares for this chip");
         }

@@ -11,14 +11,14 @@ use ntv_simd::core::placement::{
 };
 use ntv_simd::core::{DatapathConfig, DatapathEngine};
 use ntv_simd::device::{TechModel, TechNode};
-use ntv_simd::mc::StreamRng;
+use ntv_simd::mc::CounterRng;
 use ntv_simd::soda::LaneMap;
 use ntv_simd::units::Volts;
 
 fn main() {
     let tech = TechModel::new(TechNode::PtmHp22);
     let engine = DatapathEngine::new(&tech, DatapathConfig::paper_default());
-    let mut rng = StreamRng::from_seed(5);
+    let mut rng = CounterRng::new(5, "main").at(0);
 
     // Derive a realistic per-lane failure probability from the variation
     // model: 22 nm at 0.55 V, clocked at the lane-delay 90% quantile

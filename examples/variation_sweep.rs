@@ -10,7 +10,7 @@ use ntv_simd::circuit::chain::ChainMc;
 use ntv_simd::core::perf::performance_drop;
 use ntv_simd::core::{DatapathConfig, DatapathEngine, Executor};
 use ntv_simd::device::{TechModel, TechNode};
-use ntv_simd::mc::StreamRng;
+use ntv_simd::mc::CounterRng;
 use ntv_simd::units::Volts;
 
 fn main() {
@@ -28,7 +28,7 @@ fn main() {
         let tech = TechModel::new(node);
         let engine = DatapathEngine::new(&tech, DatapathConfig::paper_default());
         for vdd in [tech.nominal_vdd(), Volts(0.6), Volts(0.5)] {
-            let mut rng = StreamRng::from_seed(seed);
+            let mut rng = CounterRng::new(seed, "main").at(0);
             let single = ChainMc::new(&tech, 1).three_sigma_over_mu(vdd, circuit_samples, &mut rng);
             let chain = ChainMc::new(&tech, 50).three_sigma_over_mu(vdd, circuit_samples, &mut rng);
             // A prefix-adder critical path is ~8 levels of complex gates;

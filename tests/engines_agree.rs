@@ -7,7 +7,7 @@ use ntv_simd::circuit::path_model::PathModel;
 use ntv_simd::core::engine::{PathDistribution, VariationMode};
 use ntv_simd::core::{DatapathConfig, DatapathEngine, Executor};
 use ntv_simd::device::{TechModel, TechNode};
-use ntv_simd::mc::{CounterRng, Ecdf, StreamRng, Summary};
+use ntv_simd::mc::{CounterRng, Ecdf, Summary};
 use ntv_simd::units::Volts;
 
 #[test]
@@ -18,7 +18,8 @@ fn path_distribution_matches_gate_level_chain_across_nodes() {
         for vdd in [Volts(0.5), tech.nominal_vdd()] {
             let dist = PathDistribution::build(&tech, vdd, 50);
             let chain = ChainMc::new(&tech, 50);
-            let mut rng = StreamRng::from_seed(1);
+            let mut rng =
+                CounterRng::new(1, "path_distribution_matches_gate_level_chain_across_nodes").at(0);
             let mc = chain.summary(vdd, 5_000, &mut rng);
             assert!(
                 (dist.mean_ps() / mc.mean() - 1.0).abs() < 0.015,
@@ -40,7 +41,7 @@ fn path_distribution_matches_gate_level_chain_across_nodes() {
 fn skewed_sampler_reproduces_the_mixture_cdf() {
     let tech = TechModel::new(TechNode::Gp45);
     let dist = PathDistribution::build(&tech, Volts(0.55), 50);
-    let mut rng = StreamRng::from_seed(2);
+    let mut rng = CounterRng::new(2, "skewed_sampler_reproduces_the_mixture_cdf").at(0);
     let samples: Vec<f64> = (0..20_000).map(|_| dist.sample(&mut rng)).collect();
     let ecdf = Ecdf::from_samples(samples);
     // KS distance between sampled and analytic survival.
@@ -52,7 +53,7 @@ fn skewed_sampler_reproduces_the_mixture_cdf() {
 fn conditional_moments_match_on_chip_monte_carlo() {
     let tech = TechModel::new(TechNode::PtmHp32);
     let model = PathModel::new(&tech, 50);
-    let mut rng = StreamRng::from_seed(3);
+    let mut rng = CounterRng::new(3, "conditional_moments_match_on_chip_monte_carlo").at(0);
     for _ in 0..3 {
         let chip = tech.sample_chip(&mut rng);
         let m = model.conditional_moments(Volts(0.6), &chip);
@@ -80,8 +81,10 @@ fn paper_normal_and_skewed_modes_share_first_two_moments() {
     );
     // With one lane of one path, a lane delay is the chip delay: the lane
     // sampler draws exactly what the chip sampler draws.
-    let mut rng_a = StreamRng::from_seed(4);
-    let mut rng_b = StreamRng::from_seed(5);
+    let mut rng_a =
+        CounterRng::new(4, "paper_normal_and_skewed_modes_share_first_two_moments").at(0);
+    let mut rng_b =
+        CounterRng::new(5, "paper_normal_and_skewed_modes_share_first_two_moments").at(0);
     let a: Summary = (0..20_000)
         .map(|_| normal.sample_lane_delays_fo4(Volts(0.55), 1, &mut rng_a)[0])
         .collect();
@@ -105,7 +108,8 @@ fn paper_normal_and_skewed_modes_share_first_two_moments() {
         DatapathConfig::new(1, 1, 50),
         VariationMode::SkewedIid,
     );
-    let mut rng_c = StreamRng::from_seed(6);
+    let mut rng_c =
+        CounterRng::new(6, "paper_normal_and_skewed_modes_share_first_two_moments").at(0);
     let c: Summary = (0..20_000)
         .map(|_| skew22.sample_lane_delays_fo4(Volts(0.5), 1, &mut rng_c)[0])
         .collect();

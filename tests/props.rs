@@ -16,7 +16,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use ntv_simd::circuit::chain::ChainMc;
 use ntv_simd::core::placement::{binomial_cdf, repair_probability, SparePlacement};
 use ntv_simd::device::{DeviceParams, TechModel, TechNode};
-use ntv_simd::mc::{normal, order, CounterDraws, CounterRng, Quantiles, SampleStream, Summary};
+use ntv_simd::mc::{normal, order, CounterDraws, CounterRng, Quantiles, Summary};
 use ntv_simd::soda::kernels::{self, golden};
 use ntv_simd::soda::pe::ProcessingElement;
 use ntv_simd::soda::xram::{LaneMap, ShuffleConfig};

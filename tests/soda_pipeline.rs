@@ -3,7 +3,7 @@
 
 use ntv_simd::core::{DatapathConfig, DatapathEngine};
 use ntv_simd::device::{TechModel, TechNode};
-use ntv_simd::mc::StreamRng;
+use ntv_simd::mc::CounterRng;
 use ntv_simd::soda::kernels::{self, golden};
 use ntv_simd::soda::pe::{EnergyConfig, ProcessingElement};
 use ntv_simd::soda::{ErrorPolicy, FaultModel, SIMD_WIDTH};
@@ -15,7 +15,7 @@ use ntv_simd::units::Volts;
 fn faulty_chip(spares: usize) -> FaultModel {
     let tech = TechModel::new(TechNode::Gp90);
     let engine = DatapathEngine::new(&tech, DatapathConfig::paper_default());
-    let mut rng = StreamRng::from_seed(17);
+    let mut rng = CounterRng::new(17, "faulty_chip").at(0);
     let lanes = engine.sample_lane_delays_fo4(Volts(0.55), 4_000, &mut rng);
     let q = ntv_simd::mc::Quantiles::from_samples(lanes);
     let t_clk_fo4 = q.quantile(1.0 - 3.0 / (128.0 + spares as f64));
@@ -65,7 +65,10 @@ fn corrupt_policy_produces_wrong_data_on_a_faulty_chip() {
     let fault = faulty_chip(8);
     let mut pe = ProcessingElement::new();
     pe.set_error_policy(ErrorPolicy::Corrupt);
-    pe.set_fault_model(fault, StreamRng::from_seed(1));
+    pe.set_fault_model(
+        fault,
+        CounterRng::new(1, "corrupt_policy_produces_wrong_data_on_a_faulty_chip").at(0),
+    );
     let (conv, _) = run_pipeline(&mut pe);
     let (golden_conv, _) = golden_pipeline();
     assert_ne!(conv, golden_conv, "hard lane faults must corrupt results");
@@ -84,7 +87,10 @@ fn stall_retry_is_correct_but_expensive() {
 
     let mut pe = ProcessingElement::new();
     pe.set_error_policy(ErrorPolicy::StallRetry);
-    pe.set_fault_model(fault, StreamRng::from_seed(2));
+    pe.set_fault_model(
+        fault,
+        CounterRng::new(2, "stall_retry_is_correct_but_expensive").at(0),
+    );
     let (conv, fir) = run_pipeline(&mut pe);
     let (golden_conv, golden_fir) = golden_pipeline();
     assert_eq!(conv, golden_conv, "retry recovers correctness");
@@ -109,7 +115,10 @@ fn spare_remap_is_correct_and_free_at_runtime() {
 
     let mut pe = ProcessingElement::new();
     pe.set_error_policy(ErrorPolicy::SpareRemap);
-    pe.set_fault_model(fault, StreamRng::from_seed(3));
+    pe.set_fault_model(
+        fault,
+        CounterRng::new(3, "spare_remap_is_correct_and_free_at_runtime").at(0),
+    );
     let spares_used = pe.repair(0.5).expect("enough spares");
     assert!(spares_used >= 1);
     let (conv, fir) = run_pipeline(&mut pe);
@@ -134,7 +143,7 @@ fn fft_survives_spare_remap() {
 
     let mut pe = ProcessingElement::new();
     pe.set_error_policy(ErrorPolicy::SpareRemap);
-    pe.set_fault_model(fault, StreamRng::from_seed(4));
+    pe.set_fault_model(fault, CounterRng::new(4, "fft_survives_spare_remap").at(0));
     pe.repair(0.5).expect("repairable");
     let got = kernels::fft128(&mut pe, &tone, &zeros).expect("runs");
     assert_eq!(got, want, "remapped FFT is bit-exact vs the fault-free run");
@@ -169,7 +178,7 @@ fn intermittent_faults_trigger_occasional_replays() {
     pe.set_error_policy(ErrorPolicy::StallRetry);
     pe.set_fault_model(
         FaultModel::from_probabilities(probs),
-        StreamRng::from_seed(5),
+        CounterRng::new(5, "intermittent_faults_trigger_occasional_replays").at(0),
     );
     let (conv, _) = run_pipeline(&mut pe);
     let (golden_conv, _) = golden_pipeline();
