@@ -28,7 +28,7 @@ fn main() {
         extensions::yield_curves_with(TechNode::Gp90, 0.55, samples, DEFAULT_SEED, exec)
     );
     println!();
-    println!("{}", policies::run(25, DEFAULT_SEED));
+    println!("{}", policies::run(400, DEFAULT_SEED));
     println!();
     for node in [TechNode::Gp90, TechNode::PtmHp22] {
         let tech = ntv_device::TechModel::new(node);

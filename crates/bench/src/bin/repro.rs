@@ -2,148 +2,36 @@
 //! the data behind EXPERIMENTS.md.
 //!
 //! ```text
-//! cargo run --release -p ntv-bench --bin repro [-- OPTIONS]
+//! cargo run --release -p ntv-bench --bin repro [-- --threads N]
 //! ```
 //!
-//! Options:
-//!
-//! * `--quick` — reduced sample counts (useful in CI);
-//! * `--threads N` — worker threads (default: all hardware threads;
-//!   results are bit-identical for any value);
-//! * `--samples-arch N` — architecture-level sample count (default 10 000);
-//! * `--samples-circuit N` — circuit-level sample count (default 1 000).
+//! `--threads N` sets the worker threads (default: all hardware threads;
+//! results are bit-identical for any value). The run itself is
+//! [`ntv_bench::repro`].
 
 use std::process::ExitCode;
 use std::time::Instant;
 
-use ntv_bench::experiments::{
-    fig1, fig11, fig2, fig3, fig4, fig5, fig6, fig7, fig8, fig9, placement, table1, table2, table3,
-    table4,
-};
-use ntv_bench::{ARCH_SAMPLES, CIRCUIT_SAMPLES, DEFAULT_SEED};
 use ntv_core::Executor;
-use ntv_device::TechNode;
-
-struct Options {
-    arch: usize,
-    circuit: usize,
-    threads: usize,
-}
-
-fn usage(bad: &str) -> ExitCode {
-    eprintln!(
-        "unrecognised argument `{bad}`\n\
-         usage: repro [--quick] [--threads N] [--samples-arch N] [--samples-circuit N]"
-    );
-    ExitCode::FAILURE
-}
-
-fn parse_options() -> Result<Options, ExitCode> {
-    let mut quick = false;
-    let mut threads = 0usize;
-    let mut arch: Option<usize> = None;
-    let mut circuit: Option<usize> = None;
-
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut number = |name: &str| -> Result<usize, ExitCode> {
-            match args.next().map(|v| v.parse::<usize>()) {
-                Some(Ok(n)) => Ok(n),
-                _ => {
-                    eprintln!("{name} expects a positive integer");
-                    Err(ExitCode::FAILURE)
-                }
-            }
-        };
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--threads" => threads = number("--threads")?,
-            "--samples-arch" => arch = Some(number("--samples-arch")?),
-            "--samples-circuit" => circuit = Some(number("--samples-circuit")?),
-            other => return Err(usage(other)),
-        }
-    }
-
-    let (arch_default, circuit_default) = if quick {
-        (1_000, 300)
-    } else {
-        (ARCH_SAMPLES, CIRCUIT_SAMPLES)
-    };
-    Ok(Options {
-        arch: arch.unwrap_or(arch_default),
-        circuit: circuit.unwrap_or(circuit_default),
-        threads,
-    })
-}
 
 fn main() -> ExitCode {
-    let opts = match parse_options() {
-        Ok(o) => o,
-        Err(code) => return code,
+    let started = Instant::now();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let threads = match args.as_slice() {
+        [] => Some(0),
+        [flag, n] if flag == "--threads" => n.parse::<usize>().ok(),
+        _ => None,
     };
-    let (arch, circuit) = (opts.arch, opts.circuit);
-    let exec = Executor::new(opts.threads);
-    let seed = DEFAULT_SEED;
-    let t0 = Instant::now();
-
-    let section = |name: &str| {
-        println!("\n{}", "=".repeat(72));
-        println!("{name}  [t = {:.1}s]", t0.elapsed().as_secs_f64());
-        println!("{}", "=".repeat(72));
+    let Some(threads) = threads else {
+        eprintln!("usage: repro [--threads N]  (got `{}`)", args.join(" "));
+        return ExitCode::FAILURE;
     };
-
-    section("Fig 1 — circuit-level delay variation (90nm)");
-    println!("{}", fig1::run_with(circuit, seed, exec));
-
-    section("Fig 2 — chain-of-50 variation vs Vdd (4 nodes)");
-    println!("{}", fig2::run_with(circuit, seed, exec));
-
-    section("Fig 3 — 128-wide delay distributions (90nm)");
-    println!("{}", fig3::run_with(arch, seed, exec));
-
-    section("Fig 4 — performance drop (4 nodes)");
-    println!("{}", fig4::run_with(arch, seed, exec));
-
-    section("Fig 5 — duplicated systems @0.55V (90nm)");
-    println!("{}", fig5::run_with(arch, seed, exec));
-
-    section("Fig 6 — voltage margining distributions (45nm @600mV)");
-    println!("{}", fig6::run_with(arch, seed, exec));
-
-    section("Fig 7 — duplication vs margining power (4 nodes)");
-    println!("{}", fig7::run_with(arch, seed, exec));
-
-    section("Fig 8 — chip delay vs margin and spares (45nm @600mV)");
-    println!("{}", fig8::run_with(arch, seed, exec));
-
-    section("Fig 9 — energy/delay regions");
-    for node in TechNode::ALL {
-        println!("{}", fig9::run_for(node));
+    let exec = Executor::new(threads);
+    // Stdout is line-buffered, so each header reaches the pipe before its
+    // body is computed: perf's repro `setup_s` is the time to the first byte.
+    if let Err(e) = ntv_bench::repro::write(&mut std::io::stdout().lock(), exec, started) {
+        eprintln!("repro: {e}");
+        return ExitCode::FAILURE;
     }
-
-    section("Fig 11 — variation vs chain length @0.55V");
-    println!("{}", fig11::run_with(circuit, seed, exec));
-
-    section("Table 1 — structural duplication");
-    println!("{}", table1::run_with(arch, seed, exec));
-
-    section("Table 2 — voltage margining");
-    println!("{}", table2::run_with(arch, seed, exec));
-
-    section("Table 3 — combined design choices (45nm @600mV)");
-    println!("{}", table3::run_with(arch, seed, exec));
-
-    section("Table 4 — frequency margining");
-    println!("{}", table4::run_with(arch, seed, exec));
-
-    section("Appendix D — spare placement & XRAM bypass");
-    println!("{}", placement::run(seed));
-
-    println!(
-        "\nall experiments regenerated in {:.1}s (samples: arch {arch}, circuit {circuit}, \
-         seed {seed}, threads {})",
-        t0.elapsed().as_secs_f64(),
-        exec.threads()
-    );
     ExitCode::SUCCESS
 }

@@ -23,12 +23,11 @@ use ntv_device::{ChipSample, TechModel, TechNode};
 use ntv_mc::qmc::Halton;
 use ntv_mc::{normal, order, sum_ordered, CounterRng, GaussHermite, Quantiles, Summary};
 use ntv_units::Volts;
-use serde::{Deserialize, Serialize};
 
 use crate::table::TextTable;
 
 /// One width point of the SIMD-width sweep.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct WidthPoint {
     /// SIMD lanes.
     pub lanes: usize,
@@ -39,7 +38,7 @@ pub struct WidthPoint {
 }
 
 /// SIMD-width sweep result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WidthSweepResult {
     /// Technology node.
     pub node: TechNode,
@@ -96,7 +95,7 @@ impl std::fmt::Display for WidthSweepResult {
 }
 
 /// Body-bias vs voltage-margin comparison at one operating point.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct AbbComparison {
     /// Technology node.
     pub node: TechNode,
@@ -162,7 +161,7 @@ impl std::fmt::Display for AbbComparison {
 }
 
 /// Yield curves with and without spares at one operating point.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct YieldCurvesResult {
     /// Technology node.
     pub node: TechNode,

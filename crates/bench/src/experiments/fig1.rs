@@ -7,12 +7,11 @@ use ntv_device::calib;
 use ntv_device::{TechModel, TechNode};
 use ntv_mc::{CounterRng, Histogram, Summary};
 use ntv_units::Volts;
-use serde::{Deserialize, Serialize};
 
 use crate::table::TextTable;
 
 /// One voltage point of Fig 1.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig1Row {
     /// Supply voltage (V).
     pub vdd: f64,
@@ -29,7 +28,7 @@ pub struct Fig1Row {
 }
 
 /// Full Fig 1 result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig1Result {
     /// Per-voltage rows, nominal voltage first (paper order).
     pub rows: Vec<Fig1Row>,

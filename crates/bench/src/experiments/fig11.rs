@@ -7,7 +7,6 @@ use ntv_core::Executor;
 use ntv_device::{TechModel, TechNode};
 use ntv_mc::{CounterRng, Summary};
 use ntv_units::Volts;
-use serde::{Deserialize, Serialize};
 
 use crate::table::TextTable;
 
@@ -18,7 +17,7 @@ pub const CHAIN_LENGTHS: [usize; 9] = [1, 2, 5, 10, 20, 50, 100, 200, 400];
 pub const VDD: f64 = 0.55;
 
 /// One node's curve.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig11Curve {
     /// Technology node.
     pub node: TechNode,
@@ -27,7 +26,7 @@ pub struct Fig11Curve {
 }
 
 /// Full Fig 11 result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig11Result {
     /// One curve per node, paper order.
     pub curves: Vec<Fig11Curve>,

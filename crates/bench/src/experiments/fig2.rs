@@ -6,13 +6,12 @@ use ntv_core::Executor;
 use ntv_device::{TechModel, TechNode};
 use ntv_mc::{CounterRng, Summary};
 use ntv_units::Volts;
-use serde::{Deserialize, Serialize};
 
 use crate::experiments::voltage_grid;
 use crate::table::TextTable;
 
 /// One node's curve.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig2Curve {
     /// Technology node.
     pub node: TechNode,
@@ -21,7 +20,7 @@ pub struct Fig2Curve {
 }
 
 /// Full Fig 2 result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig2Result {
     /// One curve per node, paper order.
     pub curves: Vec<Fig2Curve>,

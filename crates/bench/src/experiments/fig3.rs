@@ -6,12 +6,11 @@ use ntv_core::{ChipDelayDistribution, DatapathConfig, DatapathEngine, Executor};
 use ntv_device::{TechModel, TechNode};
 use ntv_mc::CounterRng;
 use ntv_units::Volts;
-use serde::{Deserialize, Serialize};
 
 use crate::table::TextTable;
 
 /// One curve of Fig 3.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig3Curve {
     /// Curve label as in the paper's legend.
     pub label: String,
@@ -20,7 +19,7 @@ pub struct Fig3Curve {
 }
 
 /// Full Fig 3 result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig3Result {
     /// Curves in the paper's legend order.
     pub curves: Vec<Fig3Curve>,

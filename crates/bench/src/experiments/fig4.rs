@@ -5,13 +5,12 @@ use ntv_core::perf::{performance_drop_sweep, PerfDropPoint};
 use ntv_core::{DatapathConfig, DatapathEngine, Executor};
 use ntv_device::{TechModel, TechNode};
 use ntv_units::Volts;
-use serde::{Deserialize, Serialize};
 
 use crate::experiments::voltage_grid;
 use crate::table::TextTable;
 
 /// One node's performance-drop curve.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig4Curve {
     /// Technology node.
     pub node: TechNode,
@@ -20,7 +19,7 @@ pub struct Fig4Curve {
 }
 
 /// Full Fig 4 result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig4Result {
     /// One curve per node, paper order.
     pub curves: Vec<Fig4Curve>,

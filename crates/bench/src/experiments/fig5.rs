@@ -7,12 +7,11 @@ use ntv_core::{ChipDelayDistribution, DatapathConfig, DatapathEngine, Executor};
 use ntv_device::{TechModel, TechNode};
 use ntv_mc::CounterRng;
 use ntv_units::Volts;
-use serde::{Deserialize, Serialize};
 
 use crate::table::TextTable;
 
 /// One duplicated-system curve.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig5Curve {
     /// Number of spare lanes.
     pub spares: u32,
@@ -22,7 +21,7 @@ pub struct Fig5Curve {
 }
 
 /// Full Fig 5 result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig5Result {
     /// NTV operating voltage.
     pub vdd: f64,

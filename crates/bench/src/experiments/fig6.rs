@@ -11,12 +11,11 @@ use ntv_core::{ChipDelayDistribution, DatapathConfig, DatapathEngine, Evaluation
 use ntv_device::{TechModel, TechNode};
 use ntv_mc::CounterRng;
 use ntv_units::Volts;
-use serde::{Deserialize, Serialize};
 
 use crate::table::TextTable;
 
 /// A labelled distribution of Fig 6.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig6Curve {
     /// Legend label.
     pub label: String,
@@ -27,7 +26,7 @@ pub struct Fig6Curve {
 }
 
 /// Full Fig 6 result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig6Result {
     /// Base NTV voltage (0.6 V).
     pub vdd: f64,

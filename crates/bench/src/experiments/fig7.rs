@@ -10,13 +10,12 @@ use ntv_core::compare::{compare_sweep_with, ComparisonPoint, Technique};
 use ntv_core::{DatapathConfig, DatapathEngine, Evaluation, Executor};
 use ntv_device::{TechModel, TechNode};
 use ntv_units::Volts;
-use serde::{Deserialize, Serialize};
 
 use crate::experiments::TABLE_VOLTAGES;
 use crate::table::TextTable;
 
 /// One node's comparison panel.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig7Panel {
     /// Technology node.
     pub node: TechNode,
@@ -36,7 +35,7 @@ impl Fig7Panel {
 }
 
 /// Full Fig 7 result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig7Result {
     /// One panel per node, paper order.
     pub panels: Vec<Fig7Panel>,

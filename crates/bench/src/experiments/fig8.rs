@@ -9,12 +9,11 @@ use ntv_core::perf;
 use ntv_core::{DatapathConfig, DatapathEngine, Evaluation, Executor};
 use ntv_device::{TechModel, TechNode};
 use ntv_units::Volts;
-use serde::{Deserialize, Serialize};
 
 use crate::table::TextTable;
 
 /// Full Fig 8 result: q99 chip delay on a (margin, spares) grid.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig8Result {
     /// Base NTV voltage (0.6 V).
     pub vdd: f64,

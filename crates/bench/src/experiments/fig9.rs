@@ -5,12 +5,11 @@
 use ntv_device::energy::{EnergyModel, EnergyPoint};
 use ntv_device::{TechModel, TechNode};
 use ntv_units::Volts;
-use serde::{Deserialize, Serialize};
 
 use crate::table::TextTable;
 
 /// Full Fig 9 result for one node.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig9Result {
     /// Technology node (the paper's figure is generic; 90 nm is shown).
     pub node: TechNode,

@@ -11,12 +11,11 @@ use ntv_core::placement::{repair_probability, SparePlacement};
 use ntv_mc::CounterRng;
 use ntv_soda::isa::{Instr, VBinOp, VReg};
 use ntv_soda::{ErrorPolicy, FaultModel, ProcessingElement, SIMD_WIDTH};
-use serde::{Deserialize, Serialize};
 
 use crate::table::TextTable;
 
 /// One failure-rate row of the comparison.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct PlacementRow {
     /// Per-lane failure probability.
     pub p_fail: f64,
@@ -27,7 +26,7 @@ pub struct PlacementRow {
 }
 
 /// Result of the functional XRAM bypass demo.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BypassDemo {
     /// Physical lanes fabricated (128 + spares).
     pub physical_lanes: usize,
@@ -40,7 +39,7 @@ pub struct BypassDemo {
 }
 
 /// Full placement study.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PlacementResult {
     /// Analytic comparison rows.
     pub rows: Vec<PlacementRow>,

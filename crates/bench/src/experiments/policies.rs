@@ -14,7 +14,6 @@ use ntv_soda::kernels::{self, golden};
 use ntv_soda::pe::ProcessingElement;
 use ntv_soda::{ErrorPolicy, FaultModel};
 use ntv_units::Volts;
-use serde::{Deserialize, Serialize};
 
 use crate::table::TextTable;
 
@@ -22,7 +21,7 @@ use crate::table::TextTable;
 pub const SPARES: usize = 8;
 
 /// One (clock, policy) cell.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct PolicyCell {
     /// Lane-delay quantile the clock was set at.
     pub clock_quantile: f64,
@@ -39,7 +38,7 @@ pub struct PolicyCell {
 }
 
 /// Full policy study.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PolicyResult {
     /// Technology node.
     pub node: TechNode,

@@ -9,13 +9,12 @@ use ntv_core::duplication::DuplicationStudy;
 use ntv_core::{DatapathConfig, DatapathEngine, Evaluation, Executor};
 use ntv_device::{TechModel, TechNode};
 use ntv_units::Volts;
-use serde::{Deserialize, Serialize};
 
 use crate::experiments::TABLE_VOLTAGES;
 use crate::table::TextTable;
 
 /// One Table 1 cell.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Table1Cell {
     /// Technology node.
     pub node: TechNode,
@@ -30,7 +29,7 @@ pub struct Table1Cell {
 }
 
 /// Full Table 1.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table1Result {
     /// Cells in node-major, descending-voltage order.
     pub cells: Vec<Table1Cell>,

@@ -10,13 +10,12 @@ use ntv_core::{DatapathConfig, DatapathEngine, Evaluation, Executor};
 use ntv_device::calib;
 use ntv_device::{TechModel, TechNode};
 use ntv_units::Volts;
-use serde::{Deserialize, Serialize};
 
 use crate::experiments::TABLE_VOLTAGES;
 use crate::table::TextTable;
 
 /// One Table 2 cell.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Table2Cell {
     /// Technology node.
     pub node: TechNode,
@@ -27,7 +26,7 @@ pub struct Table2Cell {
 }
 
 /// Full Table 2.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table2Result {
     /// Cells in node-major order.
     pub cells: Vec<Table2Cell>,

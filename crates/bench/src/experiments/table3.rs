@@ -9,7 +9,6 @@ use ntv_core::dse::{DesignChoice, DseStudy};
 use ntv_core::{DatapathConfig, DatapathEngine, Evaluation, Executor};
 use ntv_device::{TechModel, TechNode};
 use ntv_units::Volts;
-use serde::{Deserialize, Serialize};
 
 use crate::table::TextTable;
 
@@ -17,7 +16,7 @@ use crate::table::TextTable;
 pub const SPARE_CANDIDATES: [u32; 7] = [0, 1, 2, 4, 8, 16, 26];
 
 /// Full Table 3.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table3Result {
     /// Operating voltage (0.6 V).
     pub vdd: f64,

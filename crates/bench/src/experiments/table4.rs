@@ -6,13 +6,12 @@ use ntv_core::frequency::{frequency_margining, FrequencyRow};
 use ntv_core::{DatapathConfig, DatapathEngine, Executor};
 use ntv_device::{TechModel, TechNode};
 use ntv_units::Volts;
-use serde::{Deserialize, Serialize};
 
 use crate::experiments::TABLE_VOLTAGES;
 use crate::table::TextTable;
 
 /// One Table 4 cell.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Table4Cell {
     /// Technology node.
     pub node: TechNode,
@@ -21,7 +20,7 @@ pub struct Table4Cell {
 }
 
 /// Full Table 4.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table4Result {
     /// Cells in node-major order.
     pub cells: Vec<Table4Cell>,

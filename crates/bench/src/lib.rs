@@ -5,9 +5,10 @@
 //! Experiment harness for the DAC 2012 reproduction.
 //!
 //! Every table and figure of the paper's evaluation has a module under
-//! [`experiments`] that regenerates it and returns structured results. The
-//! `repro` binary prints them all in the paper's layout, one section each
-//! (`cargo run --release -p ntv-bench --bin repro`), and the `extensions`
+//! [`experiments`] that regenerates it and returns structured results.
+//! [`repro`] prints them all in the paper's layout, one section each, and
+//! digests that output; the `repro` binary is its command-line wrapper
+//! (`cargo run --release -p ntv-bench --bin repro`). The `extensions`
 //! binary prints the studies beyond the paper and the modelling ablations.
 //! Timing lives in the separate `perf/` benchmark package.
 //!
@@ -30,6 +31,7 @@
 //! | Table 4 (frequency margining) | [`experiments::table4`] | Table 4 |
 
 pub mod experiments;
+pub mod repro;
 pub mod table;
 
 /// Default Monte-Carlo sample count for architecture-level experiments

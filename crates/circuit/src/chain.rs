@@ -8,9 +8,7 @@
 //! `N` inverters.
 
 use ntv_device::{ChipSample, TechModel};
-#[cfg(test)]
-use ntv_mc::CounterRng;
-use ntv_mc::{CounterDraws, Summary};
+use ntv_mc::{CounterDraws, CounterRng, Summary};
 use ntv_units::Volts;
 
 /// Gate-level Monte-Carlo engine for an `N`-stage FO4 inverter chain.
@@ -26,9 +24,9 @@ use ntv_units::Volts;
 /// let tech = TechModel::new(TechNode::Gp90);
 /// let single = ChainMc::new(&tech, 1);
 /// let chain = ChainMc::new(&tech, 50);
-/// let mut rng = CounterRng::new(3, "example").at(0);
-/// let s1 = single.summary(Volts(0.5), 400, &mut rng);
-/// let s50 = chain.summary(Volts(0.5), 400, &mut rng);
+/// let stream = CounterRng::new(3, "example");
+/// let s1 = single.summary(Volts(0.5), 400, &stream);
+/// let s50 = chain.summary(Volts(0.5), 400, &stream);
 /// // Uncorrelated per-gate variation averages out along the chain (Fig 1).
 /// assert!(s50.three_sigma_over_mu() < 0.6 * s1.three_sigma_over_mu());
 /// ```
@@ -97,22 +95,28 @@ impl<'a> ChainMc<'a> {
         self.sample_on_chip_ps(vdd, &chip, rng)
     }
 
-    /// Draw `samples` cross-chip delays (ps).
+    /// Draw `samples` cross-chip delays (ps), chip `i` from `stream.at(i)`,
+    /// so calls that share a stream see the same chips.
     #[must_use]
-    pub fn distribution_ps(&self, vdd: Volts, samples: usize, rng: &mut CounterDraws) -> Vec<f64> {
-        (0..samples).map(|_| self.sample_ps(vdd, rng)).collect()
+    pub fn distribution_ps(&self, vdd: Volts, samples: usize, stream: &CounterRng) -> Vec<f64> {
+        (0..samples as u64)
+            .map(|i| self.sample_ps(vdd, &mut stream.at(i)))
+            .collect()
     }
 
-    /// Summary statistics of `samples` cross-chip delays.
+    /// Summary statistics of [`Self::distribution_ps`].
     #[must_use]
-    pub fn summary(&self, vdd: Volts, samples: usize, rng: &mut CounterDraws) -> Summary {
-        (0..samples).map(|_| self.sample_ps(vdd, rng)).collect()
+    pub fn summary(&self, vdd: Volts, samples: usize, stream: &CounterRng) -> Summary {
+        self.distribution_ps(vdd, samples, stream)
+            .into_iter()
+            .collect()
     }
 
-    /// The paper's variation metric 3σ/μ for this chain at `vdd`.
+    /// The paper's variation metric 3σ/μ for this chain at `vdd`, over
+    /// chips `0..samples` of `stream`.
     #[must_use]
-    pub fn three_sigma_over_mu(&self, vdd: Volts, samples: usize, rng: &mut CounterDraws) -> f64 {
-        self.summary(vdd, samples, rng).three_sigma_over_mu()
+    pub fn three_sigma_over_mu(&self, vdd: Volts, samples: usize, stream: &CounterRng) -> f64 {
+        self.summary(vdd, samples, stream).three_sigma_over_mu()
     }
 }
 
@@ -136,8 +140,8 @@ mod tests {
     fn mean_tracks_nominal_delay() {
         let tech = TechModel::new(TechNode::Gp90);
         let chain = ChainMc::new(&tech, 50);
-        let mut rng = CounterRng::new(21, "mean_tracks_nominal_delay").at(0);
-        let s = chain.summary(Volts(0.7), 2000, &mut rng);
+        let stream = CounterRng::new(21, "mean_tracks_nominal_delay");
+        let s = chain.summary(Volts(0.7), 2000, &stream);
         // The nonlinear Vth dependence introduces a small positive bias;
         // the mean must stay within a few percent of nominal.
         let nominal = chain.nominal_delay_ps(Volts(0.7));
@@ -152,12 +156,11 @@ mod tests {
     fn variation_shrinks_with_chain_length_at_fixed_voltage() {
         // Fig 11: 3 sigma/mu falls with N (with diminishing returns).
         let tech = TechModel::new(TechNode::Gp90);
-        let mut rng =
-            CounterRng::new(5, "variation_shrinks_with_chain_length_at_fixed_voltage").at(0);
+        let stream = CounterRng::new(5, "variation_shrinks_with_chain_length_at_fixed_voltage");
         let v = Volts(0.55);
-        let s1 = ChainMc::new(&tech, 1).three_sigma_over_mu(v, 3000, &mut rng);
-        let s10 = ChainMc::new(&tech, 10).three_sigma_over_mu(v, 3000, &mut rng);
-        let s100 = ChainMc::new(&tech, 100).three_sigma_over_mu(v, 1500, &mut rng);
+        let s1 = ChainMc::new(&tech, 1).three_sigma_over_mu(v, 3000, &stream);
+        let s10 = ChainMc::new(&tech, 10).three_sigma_over_mu(v, 3000, &stream);
+        let s100 = ChainMc::new(&tech, 100).three_sigma_over_mu(v, 1500, &stream);
         assert!(s1 > s10, "{s1} vs {s10}");
         assert!(s10 > s100, "{s10} vs {s100}");
         // ...but not with the 1/sqrt(N) of a purely random model: the
@@ -169,9 +172,9 @@ mod tests {
     fn variation_grows_as_voltage_drops() {
         let tech = TechModel::new(TechNode::PtmHp22);
         let chain = ChainMc::new(&tech, 50);
-        let mut rng = CounterRng::new(6, "variation_grows_as_voltage_drops").at(0);
-        let hi = chain.three_sigma_over_mu(Volts(0.8), 2000, &mut rng);
-        let lo = chain.three_sigma_over_mu(Volts(0.5), 2000, &mut rng);
+        let stream = CounterRng::new(6, "variation_grows_as_voltage_drops");
+        let hi = chain.three_sigma_over_mu(Volts(0.8), 2000, &stream);
+        let lo = chain.three_sigma_over_mu(Volts(0.5), 2000, &stream);
         assert!(lo > 1.5 * hi, "0.5V: {lo}, 0.8V: {hi}");
     }
 
@@ -180,8 +183,8 @@ mod tests {
         // Fig 1a histograms at 0.5 V have a long right tail.
         let tech = TechModel::new(TechNode::Gp90);
         let chain = ChainMc::new(&tech, 1);
-        let mut rng = CounterRng::new(9, "distribution_is_right_skewed_at_low_voltage").at(0);
-        let s = chain.summary(Volts(0.5), 4000, &mut rng);
+        let stream = CounterRng::new(9, "distribution_is_right_skewed_at_low_voltage");
+        let s = chain.summary(Volts(0.5), 4000, &stream);
         assert!(s.skewness() > 0.2, "skewness {}", s.skewness());
     }
 
@@ -192,12 +195,12 @@ mod tests {
         let a = chain.distribution_ps(
             Volts(0.6),
             10,
-            &mut CounterRng::new(1, "deterministic_given_seed").at(0),
+            &CounterRng::new(1, "deterministic_given_seed"),
         );
         let b = chain.distribution_ps(
             Volts(0.6),
             10,
-            &mut CounterRng::new(1, "deterministic_given_seed").at(0),
+            &CounterRng::new(1, "deterministic_given_seed"),
         );
         assert_eq!(a, b);
     }

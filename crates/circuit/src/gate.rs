@@ -9,10 +9,9 @@
 use ntv_device::{ChipSample, GateSample, TechModel};
 use ntv_mc::CounterDraws;
 use ntv_units::Volts;
-use serde::{Deserialize, Serialize};
 
 /// Combinational cell types available to netlists.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GateKind {
     /// Primary input / source node (zero delay).
     Input,

@@ -37,8 +37,8 @@
 //!
 //! let tech = TechModel::new(TechNode::Gp90);
 //! let chain = ChainMc::new(&tech, 50);
-//! let mut rng = CounterRng::new(7, "example").at(0);
-//! let summary = chain.summary(Volts(0.5), 500, &mut rng);
+//! let stream = CounterRng::new(7, "example");
+//! let summary = chain.summary(Volts(0.5), 500, &stream);
 //! // Chain-of-50 delay variation at 0.5 V is ≈9.4% in the paper (Fig 1b).
 //! assert!(summary.three_sigma_over_mu() > 0.05);
 //! assert!(summary.three_sigma_over_mu() < 0.16);

@@ -6,12 +6,10 @@
 //! the substrate for the static-timing-analysis engine ([`crate::sta`]) and
 //! the adder generators ([`crate::adder`]).
 
-use serde::{Deserialize, Serialize};
-
 use crate::gate::GateKind;
 
 /// Handle to a gate inside a [`Netlist`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct GateId(pub(crate) usize);
 
 impl GateId {
@@ -23,7 +21,7 @@ impl GateId {
 }
 
 /// One instantiated gate.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GateNode {
     kind: GateKind,
     fanin: Vec<GateId>,
@@ -60,7 +58,7 @@ impl GateNode {
 /// assert_eq!(n.gate_count(), 2);
 /// assert_eq!(n.logic_depth(), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Netlist {
     name: String,
     gates: Vec<GateNode>,

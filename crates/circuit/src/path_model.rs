@@ -23,11 +23,10 @@
 use ntv_device::{ChipSample, TechModel};
 use ntv_mc::GaussHermite;
 use ntv_units::Volts;
-use serde::{Deserialize, Serialize};
 
 /// Conditional mean/σ of a critical-path delay given one chip's systematic
 /// variation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PathMoments {
     /// Conditional mean path delay (ps).
     pub mean_ps: f64,
@@ -177,8 +176,8 @@ mod tests {
             })
             .collect();
 
-        let mut rng_slow = CounterRng::new(200, "path_distribution_matches_gate_level_chain").at(0);
-        let slow = chain.summary(vdd, n, &mut rng_slow);
+        let slow_stream = CounterRng::new(200, "path_distribution_matches_gate_level_chain");
+        let slow = chain.summary(vdd, n, &slow_stream);
 
         assert!(
             (fast.mean() / slow.mean() - 1.0).abs() < 0.01,

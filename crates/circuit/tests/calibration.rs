@@ -15,8 +15,8 @@ const SAMPLES: usize = 4000;
 
 fn chain_3s(tech: &TechModel, len: usize, vdd: f64, seed: u64) -> f64 {
     let chain = ChainMc::new(tech, len);
-    let mut rng = CounterRng::new(seed, "calibration").at(0);
-    chain.three_sigma_over_mu(Volts(vdd), SAMPLES, &mut rng)
+    let stream = CounterRng::new(seed, "calibration");
+    chain.three_sigma_over_mu(Volts(vdd), SAMPLES, &stream)
 }
 
 #[test]

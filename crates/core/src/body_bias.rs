@@ -15,7 +15,6 @@
 use ntv_device::{DeviceParams, TechModel};
 use ntv_mc::{order, CounterRng, Quantiles};
 use ntv_units::Volts;
-use serde::{Deserialize, Serialize};
 
 use crate::engine::DatapathEngine;
 use crate::exec::Executor;
@@ -24,7 +23,7 @@ use crate::overhead::DietSodaBudget;
 use crate::perf;
 
 /// A solved body-bias design point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BodyBiasSolution {
     /// NTV operating voltage.
     pub vdd: Volts,
@@ -59,24 +58,24 @@ pub struct BodyBiasStudy<'a> {
     engine: &'a DatapathEngine<'a>,
     budget: DietSodaBudget,
     exec: Executor,
-    /// Fraction of NTV-domain power that is leakage at zero bias (sets the
-    /// cost of exp-growing it). Diet SODA-class near-threshold logic runs
-    /// around 15 % leakage share.
-    leakage_share: f64,
 }
 
 impl<'a> BodyBiasStudy<'a> {
     /// Largest threshold shift considered.
     pub const MAX_SHIFT: Volts = Volts(0.1);
 
-    /// Study with the paper budget and a 15 % NTV leakage share.
+    /// Fraction of NTV-domain power that is leakage at zero bias (sets the
+    /// cost of exp-growing it). Diet SODA-class near-threshold logic runs
+    /// around 15 % leakage share.
+    pub const LEAKAGE_SHARE: f64 = 0.15;
+
+    /// Study with the paper budget and [`Self::LEAKAGE_SHARE`].
     #[must_use]
     pub fn new(engine: &'a DatapathEngine<'a>) -> Self {
         Self {
             engine,
             budget: DietSodaBudget::paper(),
             exec: Executor::default(),
-            leakage_share: 0.15,
         }
     }
 
@@ -85,18 +84,6 @@ impl<'a> BodyBiasStudy<'a> {
     #[must_use]
     pub fn with_executor(mut self, exec: Executor) -> Self {
         self.exec = exec;
-        self
-    }
-
-    /// Override the zero-bias leakage share of NTV-domain power.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `share` is outside `(0, 1)`.
-    #[must_use]
-    pub fn with_leakage_share(mut self, share: f64) -> Self {
-        assert!(share > 0.0 && share < 1.0, "leakage share must be in (0,1)");
-        self.leakage_share = share;
         self
     }
 
@@ -129,7 +116,7 @@ impl<'a> BodyBiasStudy<'a> {
     pub fn power_overhead(&self, shift: Volts) -> f64 {
         let p = self.engine.tech().params();
         let growth = (shift / (p.slope_n * ntv_device::params::THERMAL_VOLTAGE)).exp();
-        self.budget.ntv_power_fraction * self.leakage_share * (growth - 1.0)
+        self.budget.ntv_power_fraction * Self::LEAKAGE_SHARE * (growth - 1.0)
     }
 
     /// Solve for the minimum threshold shift (to 0.1 mV) meeting the
@@ -225,14 +212,5 @@ mod tests {
         let p40 = study.power_overhead(Volts(0.040));
         assert!(p40 > 3.0 * p10, "{p40} vs {p10}");
         assert_eq!(study.power_overhead(Volts::ZERO), 0.0);
-    }
-
-    #[test]
-    fn custom_leakage_share_scales_cost() {
-        let tech = TechModel::new(TechNode::Gp90);
-        let engine = DatapathEngine::new(&tech, DatapathConfig::paper_default());
-        let cheap = BodyBiasStudy::new(&engine).with_leakage_share(0.05);
-        let dear = BodyBiasStudy::new(&engine).with_leakage_share(0.40);
-        assert!(dear.power_overhead(Volts(0.02)) > 5.0 * cheap.power_overhead(Volts(0.02)));
     }
 }

@@ -8,7 +8,6 @@
 //! spare count explodes.
 
 use ntv_units::Volts;
-use serde::{Deserialize, Serialize};
 
 use crate::duplication::DuplicationStudy;
 use crate::engine::DatapathEngine;
@@ -17,7 +16,7 @@ use crate::margining::MarginStudy;
 use crate::quantile::Evaluation;
 
 /// Which mitigation technique a comparison favours.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Technique {
     /// Structural duplication (spare lanes).
     Duplication,
@@ -35,7 +34,7 @@ impl std::fmt::Display for Technique {
 }
 
 /// One voltage point of a Fig 7 panel.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComparisonPoint {
     /// Supply voltage.
     pub vdd: Volts,

@@ -1,14 +1,12 @@
 //! SIMD datapath configuration.
 
-use serde::{Deserialize, Serialize};
-
 /// Shape of the modelled SIMD datapath.
 ///
 /// The paper's configuration (§3.2) is 128 lanes × 100 critical paths per
 /// lane × 50 FO4 stages per path: a synthesis report for Diet SODA showed
 /// ~50 true critical paths per lane, doubled to account for near-critical
 /// paths that become critical under near-threshold variation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DatapathConfig {
     /// Number of SIMD lanes (datapath width).
     pub lanes: usize,

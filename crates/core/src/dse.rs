@@ -10,7 +10,6 @@
 
 use ntv_mc::CounterRng;
 use ntv_units::Volts;
-use serde::{Deserialize, Serialize};
 
 use crate::engine::DatapathEngine;
 use crate::exec::Executor;
@@ -20,7 +19,7 @@ use crate::perf;
 use crate::quantile::{ChipQuantileSolver, Evaluation};
 
 /// One row of Table 3: a (spares, margin) design choice and its cost.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DesignChoice {
     /// Spare lanes.
     pub spares: u32,

@@ -15,7 +15,6 @@
 
 use ntv_mc::{order, CounterRng, Quantiles};
 use ntv_units::Volts;
-use serde::{Deserialize, Serialize};
 
 use crate::engine::{ChipDelayDistribution, DatapathEngine};
 use crate::exec::Executor;
@@ -27,7 +26,7 @@ use crate::quantile::{ChipQuantileSolver, Evaluation};
 ///
 /// Row `i` holds conditionally i.i.d. lane delays for chip `i`; any prefix
 /// is a valid sample of a narrower physical array.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LaneDelayMatrix {
     vdd: Volts,
     fo4_unit_ps: f64,
@@ -109,7 +108,7 @@ impl std::fmt::Display for SparesExceeded {
 impl std::error::Error for SparesExceeded {}
 
 /// A solved duplication design point (one Table 1 cell).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpareSolution {
     /// Supply voltage.
     pub vdd: Volts,

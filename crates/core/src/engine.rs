@@ -37,7 +37,6 @@ use ntv_circuit::path_model::{PathModel, PathMoments};
 use ntv_device::{ChipSample, TechModel};
 use ntv_mc::{normal, order, CounterDraws, CounterRng, GaussHermite, Histogram, Quantiles};
 use ntv_units::Volts;
-use serde::{Deserialize, Serialize};
 
 use crate::config::DatapathConfig;
 use crate::exec::Executor;
@@ -45,7 +44,7 @@ use crate::op_cache::OpPointCache;
 
 /// How process variation is correlated across the datapath, and what tail
 /// shape path delays have.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum VariationMode {
     /// The paper's methodology: every critical path is an independent
     /// normal draw with the chain distribution's mean and σ.
@@ -425,7 +424,7 @@ impl PathDistribution {
 }
 
 /// Monte-Carlo distribution of the chip delay at one operating point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChipDelayDistribution {
     /// Supply voltage this distribution was sampled at.
     pub vdd: Volts,
@@ -835,8 +834,8 @@ mod tests {
         for vdd in [Volts(0.5), Volts(1.0)] {
             let dist = engine.path_distribution(vdd);
             let chain = ntv_circuit::chain::ChainMc::new(&tech, 50);
-            let mut rng = CounterRng::new(31, "path_distribution_matches_gate_level_chain").at(0);
-            let mc: Vec<f64> = chain.distribution_ps(vdd, 6000, &mut rng);
+            let stream = CounterRng::new(31, "path_distribution_matches_gate_level_chain");
+            let mc: Vec<f64> = chain.distribution_ps(vdd, 6000, &stream);
             let s: Summary = mc.iter().copied().collect();
             assert!(
                 (dist.mean_ps() / s.mean() - 1.0).abs() < 0.01,

@@ -13,7 +13,6 @@
 
 use ntv_mc::CounterRng;
 use ntv_units::Volts;
-use serde::{Deserialize, Serialize};
 
 use crate::engine::DatapathEngine;
 use crate::exec::Executor;
@@ -21,7 +20,7 @@ use crate::perf;
 use crate::quantile::Evaluation;
 
 /// One row of Table 4.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FrequencyRow {
     /// Supply voltage.
     pub vdd: Volts,

@@ -20,7 +20,6 @@
 
 use ntv_mc::CounterRng;
 use ntv_units::Volts;
-use serde::{Deserialize, Serialize};
 
 use crate::engine::DatapathEngine;
 use crate::exec::Executor;
@@ -29,7 +28,7 @@ use crate::perf;
 use crate::quantile::{ChipQuantileSolver, Evaluation};
 
 /// A solved voltage-margin design point (one Table 2 cell).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MarginSolution {
     /// NTV operating voltage.
     pub vdd: Volts,

@@ -17,7 +17,6 @@
 //!   full-voltage memory system does not.
 
 use ntv_units::Volts;
-use serde::{Deserialize, Serialize};
 
 /// Area/power budget of the Diet SODA processing element.
 ///
@@ -33,7 +32,7 @@ use serde::{Deserialize, Serialize};
 /// // Table 2, 90nm @0.50V: 5.8mV margin -> 1.0% power.
 /// assert!((budget.margin_power_overhead(Volts(0.5), Volts(5.8e-3)) - 0.010).abs() < 0.002);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DietSodaBudget {
     /// Fraction of PE area occupied by the SIMD FU array.
     pub fu_area_fraction: f64,

@@ -13,14 +13,13 @@
 
 use ntv_mc::CounterRng;
 use ntv_units::Volts;
-use serde::{Deserialize, Serialize};
 
 use crate::engine::DatapathEngine;
 use crate::exec::Executor;
 use crate::quantile::{ChipQuantileSolver, Evaluation};
 
 /// One point of the Fig 4 sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PerfDropPoint {
     /// Supply voltage.
     pub vdd: Volts,

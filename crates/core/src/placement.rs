@@ -11,12 +11,11 @@
 
 use ntv_mc::CounterDraws;
 use ntv_units::Volts;
-use serde::{Deserialize, Serialize};
 
 use crate::engine::DatapathEngine;
 
 /// A spare-placement scheme for a `lanes`-wide array.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SparePlacement {
     /// All spares pooled; any ≤ `spares` failures are repairable
     /// (requires crossbar bypass — Appendix D).

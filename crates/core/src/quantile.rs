@@ -35,7 +35,6 @@
 //! [`Evaluation::MonteCarlo`] (byte-identical to the pre-solver outputs)
 //! and opt into [`Evaluation::Analytic`] explicitly.
 
-use serde::{Deserialize, Serialize};
 use std::f64::consts::SQRT_2;
 
 use ntv_device::ChipSample;
@@ -45,7 +44,7 @@ use ntv_units::Volts;
 use crate::engine::{DatapathEngine, PathDistribution, VariationMode};
 
 /// How a study evaluates the chip-delay quantile its search loop probes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Evaluation {
     /// Counter-addressed Monte-Carlo sampling — the default, byte-identical
     /// to the historical outputs, and required wherever the empirical

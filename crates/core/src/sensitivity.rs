@@ -12,14 +12,13 @@
 use ntv_device::{DeviceParams, TechModel};
 use ntv_mc::CounterRng;
 use ntv_units::Volts;
-use serde::{Deserialize, Serialize};
 
 use crate::config::DatapathConfig;
 use crate::engine::{DatapathEngine, VariationMode};
 use crate::exec::Executor;
 
 /// One variation source of the device model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VariationSource {
     /// Per-device random threshold variation (RDF + LER).
     RandomVth,
@@ -67,7 +66,7 @@ impl std::fmt::Display for VariationSource {
 }
 
 /// One source's attribution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SourceContribution {
     /// The frozen source.
     pub source: VariationSource,
@@ -78,7 +77,7 @@ pub struct SourceContribution {
 }
 
 /// Full decomposition at one operating point.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SensitivityReport {
     /// Operating voltage.
     pub vdd: Volts,

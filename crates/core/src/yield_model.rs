@@ -9,14 +9,13 @@
 
 use ntv_mc::CounterRng;
 use ntv_units::Volts;
-use serde::{Deserialize, Serialize};
 
 use crate::duplication::LaneDelayMatrix;
 use crate::engine::DatapathEngine;
 use crate::exec::Executor;
 
 /// One point of a yield curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct YieldPoint {
     /// Clock period (ns).
     pub t_clk_ns: f64,

@@ -8,13 +8,12 @@
 //! delay sensitivity `S(V)` explodes near threshold.
 
 use ntv_units::Volts;
-use serde::{Deserialize, Serialize};
 
 use crate::model::TechModel;
 use crate::variation::ChipSample;
 
 /// A systematic process corner, in units of the systematic σ.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Corner {
     /// Fast-fast: threshold 3σ low, current factor 3σ strong.
     FastFast,

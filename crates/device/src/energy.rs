@@ -20,7 +20,6 @@
 //! minimum-energy point.
 
 use ntv_units::Volts;
-use serde::{Deserialize, Serialize};
 
 use crate::model::TechModel;
 use crate::params::THERMAL_VOLTAGE;
@@ -30,7 +29,7 @@ use crate::params::THERMAL_VOLTAGE;
 pub const OP_CHAIN_LENGTH: usize = 50;
 
 /// One point of an energy/delay sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyPoint {
     /// Supply voltage.
     pub vdd: Volts,

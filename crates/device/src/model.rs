@@ -2,14 +2,13 @@
 
 use ntv_mc::CounterDraws;
 use ntv_units::Volts;
-use serde::{Deserialize, Serialize};
 
 use crate::node::TechNode;
 use crate::params::{DeviceParams, THERMAL_VOLTAGE};
 use crate::variation::{self, ChipSample, GateSample, RegionSample};
 
 /// Operating-voltage region (paper §2 and Fig 9).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OperatingRegion {
     /// `Vdd` well below `Vth`: exponential delay, leakage-energy dominated.
     SubThreshold,
@@ -57,7 +56,7 @@ impl std::fmt::Display for OperatingRegion {
 /// let chain_ns = 50.0 * tech.fo4_delay_ps(Volts(0.5)) / 1000.0;
 /// assert!((chain_ns - 22.05).abs() < 1.5);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TechModel {
     params: DeviceParams,
 }

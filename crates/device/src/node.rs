@@ -4,7 +4,6 @@ use std::fmt;
 use std::str::FromStr;
 
 use ntv_units::Volts;
-use serde::{Deserialize, Serialize};
 
 /// The four technology nodes studied in the paper (§3, Fig 2).
 ///
@@ -12,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// 32 nm and 22 nm use Predictive Technology Model (PTM) high-performance
 /// (HP) calibrations, simulated only up to their nominal voltages (0.9 V and
 /// 0.8 V respectively — paper §3.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum TechNode {
     /// 90 nm general-purpose (commercial model), nominal 1.0 V.
     Gp90,

@@ -23,15 +23,12 @@
 //! nonlinear model (which also produces the right-skewed histograms of
 //! Fig 1).
 
-use ntv_units::{Kelvin, Volts};
-use serde::{Deserialize, Serialize};
+use ntv_units::Volts;
 
 use crate::node::TechNode;
 
-/// Reference junction temperature for the calibrated parameter sets.
-pub const ROOM_TEMPERATURE: Kelvin = Kelvin(300.0);
-
-/// Thermal voltage kT/q at [`ROOM_TEMPERATURE`].
+/// Thermal voltage kT/q at the calibrated parameter sets' reference junction
+/// temperature, 300 K.
 pub const THERMAL_VOLTAGE: Volts = Volts(0.02585);
 
 /// Complete analytical device model for one technology node.
@@ -39,7 +36,7 @@ pub const THERMAL_VOLTAGE: Volts = Volts(0.02585);
 /// Construct via [`DeviceParams::for_node`] for the calibrated paper nodes,
 /// or build a custom value with [`DeviceParams::builder`] for what-if
 /// studies (e.g. variation-scaling ablations).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeviceParams {
     /// Which node this parameter set describes.
     pub node: TechNode,

@@ -18,7 +18,6 @@
 
 use ntv_mc::CounterDraws;
 use ntv_units::Volts;
-use serde::{Deserialize, Serialize};
 
 use crate::params::DeviceParams;
 
@@ -26,7 +25,7 @@ use crate::params::DeviceParams;
 /// variation that differs between SIMD lanes (spatial correlation falls off
 /// with distance, so a lane — a compact column of the array — shares one
 /// regional offset, while different lanes see different ones).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RegionSample {
     /// Regional threshold-voltage shift ΔVth.
     pub dvth: Volts,
@@ -43,7 +42,7 @@ impl RegionSample {
 }
 
 /// Systematic (per-chip) variation draw, shared by all gates on a die.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ChipSample {
     /// Systematic threshold-voltage shift ΔVth.
     pub dvth: Volts,
@@ -60,7 +59,7 @@ impl ChipSample {
 }
 
 /// Random (per-device) variation draw, independent for each gate.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct GateSample {
     /// Random threshold-voltage shift ΔVth.
     pub dvth: Volts,

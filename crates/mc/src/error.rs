@@ -1,10 +1,10 @@
 //! Errors for sample-based constructors.
 //!
-//! [`Quantiles`](crate::Quantiles) and [`Ecdf`](crate::Ecdf) both require a
-//! non-empty, all-finite sample; the fallible `try_from_samples`
-//! constructors report violations through [`SampleError`] instead of
-//! panicking, so Monte-Carlo pipelines can surface a bad batch (a NaN from
-//! a degenerate delay model, an empty sweep) as a recoverable error.
+//! [`Quantiles`](crate::Quantiles) requires a non-empty, all-finite sample;
+//! its fallible `try_from_samples` constructor reports violations through
+//! [`SampleError`] instead of panicking, so Monte-Carlo pipelines can
+//! surface a bad batch (a NaN from a degenerate delay model, an empty
+//! sweep) as a recoverable error.
 
 /// Why a sample was rejected by a statistics constructor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

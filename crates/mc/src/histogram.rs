@@ -5,8 +5,6 @@
 //! range, counts per bin, and a text rendering used by the `ntv-bench`
 //! figure binaries.
 
-use serde::{Deserialize, Serialize};
-
 /// A uniform-bin histogram over `[lo, hi)`.
 ///
 /// Samples outside the range are counted in saturating under/overflow
@@ -23,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(h.counts(), &[2, 2, 0, 0, 1]);
 /// assert_eq!(h.overflow(), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     lo: f64,
     hi: f64,

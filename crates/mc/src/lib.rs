@@ -19,9 +19,9 @@
 //! * [`normal`] — the standard normal pdf/CDF/quantile function,
 //! * [`quadrature`] — Gauss–Hermite rules for expectations under a normal,
 //! * [`stats`] — streaming summary statistics (mean, σ, 3σ/μ, skewness),
-//! * [`quantile`] — empirical quantiles of a sample,
+//! * [`quantile`] — empirical quantiles and CDF of a sample, and the
+//!   Kolmogorov–Smirnov distance to a reference CDF,
 //! * [`histogram`] — fixed-bin histograms for distribution plots,
-//! * [`ecdf`] — empirical CDFs and Kolmogorov–Smirnov distance,
 //! * [`error`] — the [`SampleError`] type returned by the fallible
 //!   sample-based constructors,
 //! * [`order`] — order-statistics helpers (sampling the maximum of *n*
@@ -45,7 +45,6 @@
 //! ```
 
 pub mod bootstrap;
-pub mod ecdf;
 pub mod error;
 pub mod histogram;
 pub mod normal;
@@ -57,7 +56,6 @@ pub mod reduce;
 pub mod rng;
 pub mod stats;
 
-pub use ecdf::Ecdf;
 pub use error::SampleError;
 pub use histogram::Histogram;
 pub use quadrature::GaussHermite;

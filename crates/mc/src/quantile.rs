@@ -1,16 +1,17 @@
-//! Empirical quantiles.
+//! Empirical quantiles and CDFs.
 //!
 //! The architecture study compares distributions at their **99 % point**
 //! ("fo4chipd" in the paper): the number of spares (Table 1) and the voltage
 //! margin (Table 2) are both defined by matching q99 of a mitigated system to
 //! q99 of the nominal-voltage baseline. [`Quantiles`] owns a sorted copy of a
-//! sample and answers interpolated quantile queries.
-
-use serde::{Deserialize, Serialize};
+//! sample and answers interpolated quantile queries. The same sorted sample
+//! is the empirical CDF the validation tests compare against a closed-form
+//! distribution with the Kolmogorov–Smirnov distance.
 
 use crate::error::SampleError;
 
-/// A sorted sample supporting interpolated quantile queries.
+/// A sorted sample supporting interpolated quantile queries and its
+/// empirical CDF.
 ///
 /// Uses the common linear-interpolation definition (type 7 in the
 /// Hyndman–Fan taxonomy, the default of R and NumPy).
@@ -24,8 +25,11 @@ use crate::error::SampleError;
 /// assert_eq!(q.quantile(1.0), 4.0);
 /// assert_eq!(q.quantile(0.5), 2.5);
 /// assert_eq!(q.median(), 2.5);
+/// assert_eq!(q.cdf(0.0), 0.0);
+/// assert_eq!(q.cdf(2.0), 0.5);
+/// assert_eq!(q.cdf(10.0), 1.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Quantiles {
     sorted: Vec<f64>,
 }
@@ -125,6 +129,25 @@ impl Quantiles {
     pub fn as_sorted_slice(&self) -> &[f64] {
         &self.sorted
     }
+
+    /// Empirical CDF `F(x)` — fraction of samples `<= x`.
+    #[must_use]
+    pub fn cdf(&self, x: f64) -> f64 {
+        let idx = self.sorted.partition_point(|&s| s <= x);
+        idx as f64 / self.sorted.len() as f64
+    }
+
+    /// One-sample KS statistic against a reference CDF.
+    pub fn ks_distance_to(&self, mut cdf: impl FnMut(f64) -> f64) -> f64 {
+        let n = self.sorted.len() as f64;
+        let mut d: f64 = 0.0;
+        for (i, &x) in self.sorted.iter().enumerate() {
+            let f = cdf(x);
+            d = d.max((f - i as f64 / n).abs());
+            d = d.max(((i + 1) as f64 / n - f).abs());
+        }
+        d
+    }
 }
 
 impl FromIterator<f64> for Quantiles {
@@ -136,6 +159,8 @@ impl FromIterator<f64> for Quantiles {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::normal;
+    use crate::rng::CounterRng;
 
     #[test]
     fn single_sample() {
@@ -202,5 +227,23 @@ mod tests {
     fn out_of_range_p_rejected() {
         let q = Quantiles::from_samples(vec![1.0]);
         let _ = q.quantile(1.5);
+    }
+
+    #[test]
+    fn cdf_steps() {
+        let q = Quantiles::from_samples(vec![2.0, 1.0, 3.0]);
+        assert_eq!(q.cdf(0.5), 0.0);
+        assert!((q.cdf(1.0) - 1.0 / 3.0).abs() < 1e-12);
+        assert!((q.cdf(2.5) - 2.0 / 3.0).abs() < 1e-12);
+        assert_eq!(q.cdf(3.0), 1.0);
+    }
+
+    #[test]
+    fn normal_sample_matches_normal_cdf() {
+        let mut rng = CounterRng::new(31, "normal_sample_matches_normal_cdf").at(0);
+        let q: Quantiles = (0..20_000).map(|_| rng.standard_normal()).collect();
+        let d = q.ks_distance_to(normal::cdf);
+        // KS critical value at alpha=0.001 for n=20000 is ~1.95/sqrt(n)=0.0138.
+        assert!(d < 0.0138, "ks distance {d}");
     }
 }

@@ -5,8 +5,6 @@
 //! near-constant delay streams this workspace produces). The paper's headline
 //! circuit-level metric, the relative spread **3σ/μ**, is provided directly.
 
-use serde::{Deserialize, Serialize};
-
 /// Single-pass summary statistics over a stream of `f64` samples.
 ///
 /// # Example
@@ -18,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// assert!((s.mean() - 5.0).abs() < 1e-12);
 /// assert!((s.std_dev() - 2.138089935299395).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     count: u64,
     mean: f64,

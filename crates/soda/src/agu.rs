@@ -6,12 +6,10 @@
 //! access, off the critical SIMD path. Here an [`AccessPattern`] is an
 //! iterator-style generator of `[usize; 4]` row tuples.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{BANKS, BANK_ROWS};
 
 /// A vector-access address pattern.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessPattern {
     /// `count` accesses at rows `base`, `base + stride`, … (all four banks
     /// share the row index — the layout produced by

@@ -23,10 +23,9 @@
 use ntv_core::DatapathEngine;
 use ntv_mc::CounterDraws;
 use ntv_units::Volts;
-use serde::{Deserialize, Serialize};
 
 /// How the PE responds to variation-induced timing errors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ErrorPolicy {
     /// Errors propagate into results.
     Corrupt,
@@ -50,7 +49,7 @@ impl std::fmt::Display for ErrorPolicy {
 
 /// Per-physical-lane timing-error probabilities for one fabricated chip at
 /// one operating point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultModel {
     error_prob: Vec<f64>,
 }

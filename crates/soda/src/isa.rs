@@ -9,12 +9,10 @@
 //! is therefore subject to timing-fault injection; loads, stores and
 //! shuffles run in the full-voltage domain (memory system + XRAM).
 
-use serde::{Deserialize, Serialize};
-
 use crate::{BANKS, SCALAR_REGS, SIMD_REGS};
 
 /// A SIMD register-file index (0..32).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct VReg(u8);
 
 impl VReg {
@@ -40,7 +38,7 @@ impl VReg {
 }
 
 /// A scalar register index (0..16).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SReg(u8);
 
 impl SReg {
@@ -66,7 +64,7 @@ impl SReg {
 }
 
 /// Two-operand vector ALU/multiplier operations (element-wise, 16-bit).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VBinOp {
     /// Saturating add.
     Add,
@@ -113,7 +111,7 @@ impl VBinOp {
 }
 
 /// One-operand vector operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VUnOp {
     /// Saturating absolute value.
     Abs,
@@ -142,7 +140,7 @@ impl VUnOp {
 }
 
 /// One Diet SODA instruction.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Instr {
     /// Load a 128-wide vector: bank `b` reads its row `rows[b]`.
     VLoad {

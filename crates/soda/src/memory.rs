@@ -9,8 +9,6 @@
 //! full-voltage domain (data-retention limits preclude near-threshold
 //! SRAM), which matters for the energy accounting.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{BANKS, BANK_ROWS, BANK_WIDTH, SCALAR_WORDS, SIMD_WIDTH};
 
 /// Error type for out-of-range memory accesses.
@@ -46,7 +44,7 @@ impl std::error::Error for AccessOutOfRange {}
 /// assert_eq!(mem.read_bank_row(0, 3)?[31], 31);
 /// # Ok::<(), ntv_soda::memory::AccessOutOfRange>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimdMemory {
     /// `banks[b][row][lane]`.
     banks: Vec<Vec<[i16; BANK_WIDTH]>>,
@@ -208,7 +206,7 @@ impl SimdMemory {
 }
 
 /// The 4 KB scalar memory.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScalarMemory {
     words: Vec<i16>,
 }

@@ -4,7 +4,6 @@
 use ntv_device::TechModel;
 use ntv_mc::{CounterDraws, CounterRng};
 use ntv_units::Volts;
-use serde::{Deserialize, Serialize};
 
 use crate::fault::{ErrorPolicy, FaultModel};
 use crate::isa::{Instr, VReg};
@@ -22,7 +21,7 @@ pub const REPLAY_FLUSH_CYCLES: u64 = 4;
 /// The defaults follow the Diet SODA power story: the SIMD datapath runs
 /// near threshold (cheap per-op energy), while the memory system and the
 /// XRAM shuffle network stay at full voltage.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyConfig {
     /// Energy per lane per SIMD FU operation (NTV domain).
     pub fu_lane_pj: f64,
@@ -80,7 +79,7 @@ impl Default for EnergyConfig {
 }
 
 /// Execution statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PeStats {
     /// Total cycles (including replay penalties).
     pub cycles: u64,

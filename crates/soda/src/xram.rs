@@ -8,13 +8,11 @@
 //! functional units identified at test time are simply never selected as
 //! crossbar outputs.
 
-use serde::{Deserialize, Serialize};
-
 /// One stored shuffle configuration: `output[i] = input[select[i]]`.
 ///
 /// Multicast is allowed (several outputs may select the same input), as in
 /// the real XRAM.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShuffleConfig {
     select: Vec<usize>,
 }
@@ -117,7 +115,7 @@ impl ShuffleConfig {
 /// A datapath fabricated with `physical` lanes of which some are marked
 /// faulty at test time exposes `physical − faulty` usable lanes; the map
 /// routes logical lane `l` to the `l`-th healthy physical lane.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LaneMap {
     to_physical: Vec<usize>,
     physical: usize,
@@ -217,7 +215,7 @@ impl std::error::Error for NotEnoughLanes {}
 
 /// The crossbar: a bank of stored [`ShuffleConfig`]s plus the active lane
 /// map.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct XramCrossbar {
     width: usize,
     configs: Vec<ShuffleConfig>,

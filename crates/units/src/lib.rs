@@ -36,16 +36,13 @@
 //! W·s, …) are out of scope until a result type exists to receive them —
 //! unwrap with `.0` at such sites and document the unit of the result.
 
-use serde::{Deserialize, Serialize};
-
 /// Implements a transparent `f64` unit newtype with dimension-aware
 /// arithmetic.
 macro_rules! unit {
     ($(#[$meta:meta])* $name:ident, $symbol:literal) => {
         $(#[$meta])*
-        #[derive(Debug, Clone, Copy, Default, PartialEq, PartialOrd, Serialize, Deserialize)]
+        #[derive(Debug, Clone, Copy, Default, PartialEq, PartialOrd)]
         #[repr(transparent)]
-        #[serde(transparent)]
         pub struct $name(pub f64);
 
         impl $name {
@@ -237,48 +234,17 @@ unit!(
     /// The Monte-Carlo delay plumbing keeps its historical ps/ns `f64`
     /// fields (named `*_ps` / `*_ns`) for bit-compatibility with the
     /// paper's tables; `Seconds` is for genuinely SI-scaled time such as
-    /// period/frequency conversions.
+    /// a clock period.
     Seconds,
     "s"
 );
-unit!(
-    /// A frequency in hertz (SI base-derived, no scaling).
-    Hertz,
-    "Hz"
-);
-unit!(
-    /// A power in watts (SI base-derived, no scaling).
-    Watts,
-    "W"
-);
-unit!(
-    /// A thermodynamic temperature in kelvin (SI base, no scaling).
-    Kelvin,
-    "K"
-);
 
 impl Seconds {
-    /// The corresponding frequency `1/T`.
-    #[must_use]
-    #[inline]
-    pub fn frequency(self) -> Hertz {
-        Hertz(self.0.recip())
-    }
-
     /// A period from a nanosecond magnitude (explicit scaling: `ns × 1e-9`).
     #[must_use]
     #[inline]
     pub fn from_ns(ns: f64) -> Self {
         Self(ns * 1e-9)
-    }
-}
-
-impl Hertz {
-    /// The corresponding period `1/f`.
-    #[must_use]
-    #[inline]
-    pub fn period(self) -> Seconds {
-        Seconds(self.0.recip())
     }
 }
 
@@ -361,9 +327,7 @@ mod tests {
     fn display_carries_the_si_symbol() {
         assert_eq!(Volts(0.55).to_string(), "0.55 V");
         assert_eq!(format!("{:.2}", Volts(0.5)), "0.50 V");
-        assert_eq!(Hertz(5e8).to_string(), "500000000 Hz");
-        assert_eq!(Watts(1.5).to_string(), "1.5 W");
-        assert_eq!(Kelvin(300.0).to_string(), "300 K");
+        assert_eq!(Seconds(2.5).to_string(), "2.5 s");
         assert_eq!(Seconds(1e-9).to_string(), "0.000000001 s");
     }
 
@@ -371,24 +335,23 @@ mod tests {
     fn from_str_accepts_bare_and_suffixed() {
         assert_eq!("0.55".parse::<Volts>().expect("bare"), Volts(0.55));
         assert_eq!("0.55 V".parse::<Volts>().expect("suffixed"), Volts(0.55));
-        assert_eq!("300K".parse::<Kelvin>().expect("tight"), Kelvin(300.0));
+        assert_eq!("2.5s".parse::<Seconds>().expect("tight"), Seconds(2.5));
         assert!("volts".parse::<Volts>().is_err());
     }
 
     #[test]
-    fn period_frequency_roundtrip() {
+    fn from_ns_scales_explicitly() {
         let t = Seconds::from_ns(2.0);
         assert!((t.get() - 2e-9).abs() < 1e-24);
-        let f = t.frequency();
-        assert!((f.get() - 5e8).abs() < 1.0);
-        assert!((f.period().get() - t.get()).abs() < 1e-24);
+        assert!((Seconds::from_ns(0.5) / t - 0.25).abs() < 1e-15);
     }
 
     #[test]
     fn parse_rejects_wrong_symbol() {
-        // "0.5 V" is not a Kelvin; the suffix strip only removes this
+        // "0.5 V" is not a time span; the suffix strip only removes this
         // type's own symbol, so foreign symbols fail float parsing.
-        assert!("0.5 V".parse::<Kelvin>().is_err());
+        assert!("0.5 V".parse::<Seconds>().is_err());
+        assert!("0.5 s".parse::<Volts>().is_err());
         assert!("NaN".parse::<Volts>().map(|v| v.get().is_nan()) == Ok(true));
     }
 }

@@ -43,7 +43,7 @@ use crate::resolve::SymbolId;
 use crate::rules::{Hit, RuleId};
 
 /// The `ntv-units` newtype idents whose `.0` projection is tracked.
-const UNIT_TYPES: &[&str] = &["Volts", "Seconds", "Hertz", "Watts", "Kelvin"];
+const UNIT_TYPES: &[&str] = &["Volts", "Seconds"];
 
 /// Integer cast targets (a float operand makes the cast lossy).
 const INT_TARGETS: &[&str] = &[

@@ -215,9 +215,9 @@ impl RuleId {
             }
             RuleId::BareUnit => {
                 "physical quantities in public signatures must use the \
-                 `ntv-units` newtypes (`Volts`, `Seconds`, `Hertz`, `Watts`, \
-                 `Kelvin`) so unit mix-ups fail to compile; scale-suffixed \
-                 names (`_ps`, `_mv`, `_fo4`, ...) stay `f64` by convention"
+                 `ntv-units` newtypes (`Volts`, `Seconds`) so unit mix-ups \
+                 fail to compile; scale-suffixed names (`_ps`, `_mv`, \
+                 `_fo4`, ...) stay `f64` by convention"
             }
             RuleId::UncachedBuild => {
                 "obtain path distributions through `ntv_core::OpPointCache` \

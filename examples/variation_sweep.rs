@@ -28,12 +28,12 @@ fn main() {
         let tech = TechModel::new(node);
         let engine = DatapathEngine::new(&tech, DatapathConfig::paper_default());
         for vdd in [tech.nominal_vdd(), Volts(0.6), Volts(0.5)] {
-            let mut rng = CounterRng::new(seed, "main").at(0);
-            let single = ChainMc::new(&tech, 1).three_sigma_over_mu(vdd, circuit_samples, &mut rng);
-            let chain = ChainMc::new(&tech, 50).three_sigma_over_mu(vdd, circuit_samples, &mut rng);
+            let stream = CounterRng::new(seed, "main");
+            let single = ChainMc::new(&tech, 1).three_sigma_over_mu(vdd, circuit_samples, &stream);
+            let chain = ChainMc::new(&tech, 50).three_sigma_over_mu(vdd, circuit_samples, &stream);
             // A prefix-adder critical path is ~8 levels of complex gates;
             // emulate with a 12-stage chain (cheap proxy for the STA run).
-            let adder = ChainMc::new(&tech, 12).three_sigma_over_mu(vdd, circuit_samples, &mut rng);
+            let adder = ChainMc::new(&tech, 12).three_sigma_over_mu(vdd, circuit_samples, &stream);
             let drop = performance_drop(&engine, vdd, arch_samples, seed, Executor::default()).drop;
             println!(
                 "{:<12} {:>6.2}V {:>11.1}% {:>11.1}% {:>11.1}% {:>11.1}%",

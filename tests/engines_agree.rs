@@ -7,7 +7,7 @@ use ntv_simd::circuit::path_model::PathModel;
 use ntv_simd::core::engine::{PathDistribution, VariationMode};
 use ntv_simd::core::{DatapathConfig, DatapathEngine, Executor};
 use ntv_simd::device::{TechModel, TechNode};
-use ntv_simd::mc::{CounterRng, Ecdf, Summary};
+use ntv_simd::mc::{CounterRng, Quantiles, Summary};
 use ntv_simd::units::Volts;
 
 #[test]
@@ -18,9 +18,9 @@ fn path_distribution_matches_gate_level_chain_across_nodes() {
         for vdd in [Volts(0.5), tech.nominal_vdd()] {
             let dist = PathDistribution::build(&tech, vdd, 50);
             let chain = ChainMc::new(&tech, 50);
-            let mut rng =
-                CounterRng::new(1, "path_distribution_matches_gate_level_chain_across_nodes").at(0);
-            let mc = chain.summary(vdd, 5_000, &mut rng);
+            let stream =
+                CounterRng::new(1, "path_distribution_matches_gate_level_chain_across_nodes");
+            let mc = chain.summary(vdd, 5_000, &stream);
             assert!(
                 (dist.mean_ps() / mc.mean() - 1.0).abs() < 0.015,
                 "{node} @{vdd}: mean {} vs {}",
@@ -43,9 +43,9 @@ fn skewed_sampler_reproduces_the_mixture_cdf() {
     let dist = PathDistribution::build(&tech, Volts(0.55), 50);
     let mut rng = CounterRng::new(2, "skewed_sampler_reproduces_the_mixture_cdf").at(0);
     let samples: Vec<f64> = (0..20_000).map(|_| dist.sample(&mut rng)).collect();
-    let ecdf = Ecdf::from_samples(samples);
+    let sampled = Quantiles::from_samples(samples);
     // KS distance between sampled and analytic survival.
-    let d = ecdf.ks_distance_to(|x| 1.0 - dist.survival(x));
+    let d = sampled.ks_distance_to(|x| 1.0 - dist.survival(x));
     assert!(d < 0.015, "KS distance {d}");
 }
 

@@ -217,10 +217,10 @@ fn sigma_scale_scales_measured_variation() {
                 .build()
                 .unwrap(),
         );
-        // Common random numbers: both chains see the same draws.
-        let (mut rng_a, mut rng_b) = (d.clone(), d.clone());
-        let sa = ChainMc::new(&base, 10).summary(Volts(0.6), 800, &mut rng_a);
-        let sb = ChainMc::new(&scaled, 10).summary(Volts(0.6), 800, &mut rng_b);
+        // Common random numbers: both chains see the same chips.
+        let stream = CounterRng::new(d.next_word(), "sigma_scale_scales_measured_variation");
+        let sa = ChainMc::new(&base, 10).summary(Volts(0.6), 800, &stream);
+        let sb = ChainMc::new(&scaled, 10).summary(Volts(0.6), 800, &stream);
         let ratio = sb.cv() / sa.cv();
         // cv scales roughly linearly with sigma (first order).
         assert!(

@@ -4,10 +4,13 @@
 //! of `(seed, stream label, i)`), so the [`Executor`]'s chunk-and-merge
 //! schedule produces bit-identical output for **any** worker count. This
 //! file pins that contract end-to-end — raw sample batches, experiment
-//! tables and solver outputs at 1, 2 and 8 threads — which is what makes
-//! `repro --threads N` a pure speed knob.
+//! tables, solver outputs and the whole paper run at 1, 2 and 8 threads —
+//! which is what makes `repro --threads N` a pure speed knob.
+
+use std::time::Instant;
 
 use ntv_bench::experiments::{fig2, fig4, fig6, table1};
+use ntv_bench::repro;
 use ntv_mc::CounterRng;
 use ntv_simd::core::margining::MarginStudy;
 use ntv_simd::core::{DatapathConfig, DatapathEngine, Executor};
@@ -131,5 +134,39 @@ fn margin_solver_bisection_is_thread_invariant() {
             &format!("margin at {threads} threads"),
         );
         assert_bits(reference.power_overhead, sol.power_overhead, "power");
+    }
+}
+
+/// Digest of the paper run's 15 section titles, one per line, without
+/// their `[t = …]` stamps. The golden digest drops the header lines with
+/// their stamps, so this is what pins the titles.
+const TITLES_DIGEST: &str = "ed21da09adf51fa0";
+
+#[test]
+fn paper_run_matches_the_golden_digest_at_any_thread_count() {
+    let golden = include_str!("../perf/golden.txt")
+        .lines()
+        .find_map(|l| l.strip_prefix("repro stdout "))
+        .and_then(|rest| rest.split_whitespace().last())
+        .expect("perf/golden.txt has a `repro stdout` line");
+    for threads in THREADS {
+        let mut out = Vec::new();
+        repro::write(&mut out, Executor::new(threads), Instant::now()).expect("a Vec accepts");
+        let stdout = String::from_utf8(out).expect("the paper run prints UTF-8");
+        assert_eq!(
+            format!("{:016x}", repro::digest(&stdout)),
+            golden,
+            "paper run at {threads} threads"
+        );
+        let titles: Vec<&str> = stdout
+            .lines()
+            .filter_map(|l| l.split_once("  [t = ").map(|(title, _)| title))
+            .collect();
+        assert_eq!(titles.len(), repro::SECTIONS.len());
+        assert_eq!(
+            format!("{:016x}", repro::digest(&titles.join("\n"))),
+            TITLES_DIGEST,
+            "section titles at {threads} threads"
+        );
     }
 }
