@@ -2,9 +2,8 @@
 //! voltage margining across the NTV band, for all four technology nodes.
 //!
 //! Solved on the analytic quantile path (exact order statistics, no MC
-//! noise); the sweep's operating points are prefetched in parallel.
-//! `samples`/`seed` are accepted for interface uniformity but do not
-//! affect the result.
+//! noise); `samples`/`seed` are accepted for interface uniformity but do
+//! not affect the result.
 
 use ntv_core::compare::{compare_sweep_with, ComparisonPoint, Technique};
 use ntv_core::{DatapathConfig, DatapathEngine, Evaluation, Executor};

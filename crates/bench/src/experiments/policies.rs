@@ -7,9 +7,9 @@
 //! of clock aggressiveness, execute an FIR workload under each policy and
 //! account cycles, energy, correctness and repairability.
 
-use ntv_core::{DatapathConfig, DatapathEngine};
+use ntv_core::{ChipQuantileSolver, DatapathConfig, DatapathEngine};
 use ntv_device::{TechModel, TechNode};
-use ntv_mc::{CounterRng, Quantiles};
+use ntv_mc::CounterRng;
 use ntv_soda::kernels::{self, golden};
 use ntv_soda::pe::ProcessingElement;
 use ntv_soda::{ErrorPolicy, FaultModel};
@@ -74,15 +74,14 @@ pub fn run(chips: usize, seed: u64) -> PolicyResult {
     let clean_cycles = clean.stats().cycles as f64;
     let clean_energy = clean.stats().total_energy_pj();
 
-    // Clock grid from the lane-delay distribution.
-    let mut rng = CounterRng::new(seed, "policy-lanes").at(0);
-    let lane_q =
-        Quantiles::from_samples(engine.sample_lane_delays_fo4(Volts(vdd), 4_000, &mut rng));
-    let fo4_ns = engine.fo4_unit_ps(Volts(vdd)) / 1000.0;
+    // Clock grid at exact lane-delay quantiles: a one-lane datapath's chip
+    // delay is one lane's delay, so its chip quantile is the lane quantile.
+    let lane = DatapathEngine::new(&tech, DatapathConfig::paper_default().with_lanes(1));
+    let lane_q = ChipQuantileSolver::new(&lane);
 
     let mut cells = Vec::new();
     for &clock_quantile in &[0.95, 0.97, 0.999] {
-        let t_clk_ns = lane_q.quantile(clock_quantile) * fo4_ns;
+        let t_clk_ns = lane_q.chip_quantile_ns(Volts(vdd), clock_quantile);
         for policy in [
             ErrorPolicy::Corrupt,
             ErrorPolicy::StallRetry,

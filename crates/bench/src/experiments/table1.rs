@@ -52,7 +52,6 @@ pub fn run_with(samples: usize, seed: u64, exec: Executor) -> Table1Result {
     for &node in &TechNode::ALL {
         let tech = TechModel::new(node);
         let engine = DatapathEngine::new(&tech, DatapathConfig::paper_default());
-        engine.prefetch(&TABLE_VOLTAGES.map(Volts), exec);
         let study = DuplicationStudy::new(&engine)
             .with_executor(exec)
             .with_evaluation(Evaluation::Analytic);

@@ -96,9 +96,10 @@ impl<'a> BodyBiasStudy<'a> {
         let biased = biased_tech(self.engine.tech(), shift);
         let config = *self.engine.config();
         // Unconditional normal fit of the biased path distribution, as in
-        // VariationMode::PaperNormal (quadrature over systematic draws).
-        // ntv:allow(uncached-build): each bias probe rebuilds DeviceParams, and the shift is not part of the cache key
-        let dist = crate::engine::PathDistribution::build(&biased, vdd, config.path_length);
+        // VariationMode::PaperNormal (quadrature over systematic draws). A
+        // shifted parameter set gets a private cache; a zero shift is the
+        // calibrated set, so the global cache serves it.
+        let dist = DatapathEngine::new(&biased, config).path_distribution(vdd);
         let stream = CounterRng::new(seed, "abb-eval");
         let n = config.critical_path_count();
         let samples_ns: Vec<f64> = self.exec.map_indexed(samples as u64, |i| {

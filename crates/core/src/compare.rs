@@ -90,9 +90,8 @@ pub fn compare_at(
     }
 }
 
-/// One Fig 7 panel with an explicit [`Evaluation`]. The sweep's operating
-/// points are prefetched in parallel first, so even the analytic path
-/// never pays a Gauss–Hermite build inside its solve loops.
+/// One Fig 7 panel with an explicit [`Evaluation`]: [`compare_at`] at each
+/// voltage of the sweep, in order.
 #[must_use]
 pub fn compare_sweep_with(
     engine: &DatapathEngine<'_>,
@@ -103,7 +102,6 @@ pub fn compare_sweep_with(
     exec: Executor,
     evaluation: Evaluation,
 ) -> Vec<ComparisonPoint> {
-    engine.prefetch(voltages, exec);
     voltages
         .iter()
         .map(|&v| compare_at(engine, v, max_spares, samples, seed, exec, evaluation))

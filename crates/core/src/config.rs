@@ -55,8 +55,8 @@ impl DatapathConfig {
         }
     }
 
-    /// Same shape with a different lane count (used by width sweeps and by
-    /// the duplication study, which widens the array by α spares).
+    /// Same shape with a different lane count (the error-policy study sets
+    /// its clocks from a one-lane datapath's chip quantiles).
     #[must_use]
     pub fn with_lanes(self, lanes: usize) -> Self {
         Self::new(lanes, self.paths_per_lane, self.path_length)

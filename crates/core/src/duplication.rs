@@ -41,12 +41,6 @@ impl LaneDelayMatrix {
         self.vdd
     }
 
-    /// Number of chips sampled.
-    #[must_use]
-    pub fn chip_count(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Lanes sampled per chip (the largest supported `lanes + spares`).
     #[must_use]
     pub fn max_lanes(&self) -> usize {

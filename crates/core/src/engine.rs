@@ -201,8 +201,9 @@ impl PathDistribution {
         }
     }
 
-    /// [`build`](Self::build) at each voltage of `vdds`, in order.
-    /// [`OpPointCache::prefetch`] calls it once per chunk.
+    /// [`build`](Self::build) at each voltage of `vdds`, in order,
+    /// bypassing the operating-point cache. No library code calls it: its
+    /// only caller is the `perf` benchmark's `core.engine.build_grid` row.
     #[must_use]
     pub fn build_grid(tech: &TechModel, vdds: &[Volts], length: usize) -> Vec<Self> {
         vdds.iter().map(|&v| Self::build(tech, v, length)).collect()
@@ -552,20 +553,6 @@ impl<'a> DatapathEngine<'a> {
     pub fn path_distribution(&self, vdd: Volts) -> Arc<PathDistribution> {
         self.cache
             .get_or_build(self.tech, vdd, self.config.path_length)
-    }
-
-    /// Pre-build the operating points of a voltage sweep in parallel on
-    /// `exec`, and warm their survival grids when this mode draws through
-    /// them, so the sweep itself never pays a Gauss–Hermite build or
-    /// survival-grid construction inside its timing loop.
-    pub fn prefetch(&self, voltages: &[Volts], exec: Executor) {
-        self.cache
-            .prefetch(self.tech, self.config.path_length, voltages, exec);
-        if self.mode != VariationMode::PaperNormal {
-            for &vdd in voltages {
-                self.path_distribution(vdd).warm_grid();
-            }
-        }
     }
 
     /// The distribution at `vdd`, with its survival grid built when this

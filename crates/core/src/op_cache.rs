@@ -72,7 +72,6 @@ use ntv_device::{DeviceParams, TechModel, TechNode};
 use ntv_units::Volts;
 
 use crate::engine::PathDistribution;
-use crate::exec::Executor;
 
 type Key = (TechNode, usize, u64);
 
@@ -361,66 +360,6 @@ impl OpPointCache {
         }
     }
 
-    /// Pre-build a sweep's operating points, so the sweep itself never
-    /// pays a build. Idempotent; already-cached points cost a lookup.
-    ///
-    /// Unbuilt points go through [`PathDistribution::build_grid`], one
-    /// [`PathDistribution::build`] per voltage, in `exec`-parallel
-    /// contiguous chunks. Each built value is then installed through its
-    /// entry's `OnceLock`, so racing prefetches and [`Self::get_or_build`]
-    /// calls still observe exactly one shared `Arc` per operating point (a
-    /// raced duplicate build is dropped, never handed out), and cached
-    /// values carry the same bits as fresh builds (pinned by the op-cache
-    /// stress test).
-    ///
-    /// On a bounded cache a grid wider than the bound is allowed but
-    /// self-defeating — the tail of the grid evicts its head; the serve
-    /// layer sizes prefetches under the bound.
-    pub fn prefetch(
-        &self,
-        tech: &TechModel,
-        path_length: usize,
-        voltages: &[Volts],
-        exec: Executor,
-    ) {
-        self.assert_calibrated(tech);
-        // Resolve every entry cell up front (one write-lock pass), keeping
-        // only the voltages whose distribution is not yet built.
-        let jobs: Vec<(Volts, Arc<CacheEntry>)> = {
-            let mut entries = self
-                .entries
-                .write() // map lock guards a pure memo; never held across a build
-                // ntv:allow(panic-path): poisoned only if a writer panicked; propagating is correct
-                .expect("op-point cache lock");
-            let len_before = entries.len();
-            let jobs = voltages
-                .iter()
-                .map(|&vdd| {
-                    let key = (tech.node(), path_length, vdd.get().to_bits());
-                    let entry = Arc::clone(entries.entry(key).or_default());
-                    entry.last_use.store(self.tick(), Ordering::Relaxed);
-                    (vdd, entry)
-                })
-                .filter(|(_, entry)| entry.cell.get().is_none())
-                .collect();
-            if entries.len() > len_before {
-                self.evict_over_bound(&mut entries);
-            }
-            jobs
-        };
-
-        let vdds: Vec<Volts> = jobs.iter().map(|&(vdd, _)| vdd).collect();
-        let built = exec.map_indexed_chunks(vdds.len() as u64, |start, len| {
-            let (start, len) = (start as usize, len as usize);
-            PathDistribution::build_grid(tech, &vdds[start..start + len], path_length)
-        });
-        for ((_, entry), dist) in jobs.into_iter().zip(built) {
-            // A racer may have beaten us to this cell; its value wins and
-            // our duplicate is dropped, preserving Arc identity.
-            entry.cell.get_or_init(move || Arc::new(dist));
-        }
-    }
-
     /// Number of cached operating points (fully built entries only).
     #[must_use]
     pub fn len(&self) -> usize {
@@ -529,22 +468,6 @@ mod tests {
                 fresh.quantile_by_survival(g).to_bits()
             );
         }
-    }
-
-    #[test]
-    fn prefetch_builds_every_operating_point_once() {
-        let tech = TechModel::new(TechNode::PtmHp32);
-        let cache = OpPointCache::new();
-        assert!(cache.is_empty());
-        let volts = [Volts(0.5), Volts(0.55), Volts(0.6), Volts(0.65)];
-        cache.prefetch(&tech, 50, &volts, Executor::new(4));
-        assert_eq!(cache.len(), volts.len());
-        // Prefetched entries are returned, not rebuilt: pointer-equal.
-        let d = cache.get_or_build(&tech, Volts(0.55), 50);
-        let d2 = cache.get_or_build(&tech, Volts(0.55), 50);
-        assert!(Arc::ptr_eq(&d, &d2));
-        cache.prefetch(&tech, 50, &volts, Executor::serial());
-        assert_eq!(cache.len(), volts.len());
     }
 
     #[test]

@@ -2,10 +2,11 @@
 //! period at a given operating point.
 //!
 //! The paper's fixed statistic is the 99 % chip-delay point (a 99 % yield
-//! target); this module generalizes it into full yield-vs-frequency
-//! curves, which is what a design team actually sweeps when choosing the
-//! shipping bin. Also provides the inverse query (the clock achieving a
-//! yield target) and yield under structural duplication.
+//! target); this module generalizes it into the timing yield at any clock
+//! period — the points of the yield-vs-frequency curve a design team
+//! sweeps when choosing the shipping bin. Also provides the inverse query
+//! (the clock achieving a yield target) and yield under structural
+//! duplication.
 
 use ntv_mc::CounterRng;
 use ntv_units::Volts;
@@ -70,27 +71,6 @@ impl<'a> YieldStudy<'a> {
         ok as f64 / samples as f64
     }
 
-    /// A full yield-vs-clock curve over `grid` (periods in ns).
-    #[must_use]
-    pub fn yield_curve(
-        &self,
-        vdd: Volts,
-        grid: &[f64],
-        samples: usize,
-        seed: u64,
-    ) -> Vec<YieldPoint> {
-        // One set of chip samples serves every grid point (common random
-        // numbers make the curve monotone by construction).
-        let delays_ns = self.chip_delays_ns(vdd, samples, seed);
-        grid.iter()
-            .map(|&t_clk_ns| YieldPoint {
-                t_clk_ns,
-                timing_yield: delays_ns.iter().filter(|&&d| d <= t_clk_ns).count() as f64
-                    / samples as f64,
-            })
-            .collect()
-    }
-
     /// The smallest clock period (ns) achieving `target` yield.
     ///
     /// # Panics
@@ -130,21 +110,6 @@ mod tests {
     use ntv_device::{TechModel, TechNode};
 
     const SAMPLES: usize = 2000;
-
-    #[test]
-    fn yield_is_monotone_in_clock_period() {
-        let tech = TechModel::new(TechNode::Gp90);
-        let engine = DatapathEngine::new(&tech, DatapathConfig::paper_default());
-        let study = YieldStudy::new(&engine);
-        let fo4_ns = engine.fo4_unit_ps(Volts(0.55)) / 1000.0;
-        let grid: Vec<f64> = (50..60).map(|k| f64::from(k) * fo4_ns).collect();
-        let curve = study.yield_curve(Volts(0.55), &grid, SAMPLES, 1);
-        for w in curve.windows(2) {
-            assert!(w[1].timing_yield >= w[0].timing_yield);
-        }
-        assert!(curve[0].timing_yield < 0.01, "50 FO4 clock fails everyone");
-        assert!(curve.last().expect("points").timing_yield > 0.99);
-    }
 
     #[test]
     fn q99_point_has_99_percent_yield() {

@@ -55,12 +55,6 @@ impl TechNode {
             TechNode::PtmHp22 => Volts(0.8),
         }
     }
-
-    /// Whether the node uses a predictive (PTM) rather than commercial model.
-    #[must_use]
-    pub fn is_predictive(self) -> bool {
-        matches!(self, TechNode::PtmHp32 | TechNode::PtmHp22)
-    }
 }
 
 impl fmt::Display for TechNode {
@@ -142,13 +136,5 @@ mod tests {
         assert_eq!("90nm".parse::<TechNode>().unwrap(), TechNode::Gp90);
         assert_eq!("22".parse::<TechNode>().unwrap(), TechNode::PtmHp22);
         assert!("65nm".parse::<TechNode>().is_err());
-    }
-
-    #[test]
-    fn predictive_flag() {
-        assert!(!TechNode::Gp90.is_predictive());
-        assert!(!TechNode::Gp45.is_predictive());
-        assert!(TechNode::PtmHp32.is_predictive());
-        assert!(TechNode::PtmHp22.is_predictive());
     }
 }

@@ -25,7 +25,7 @@
 //! * [`error`] — the [`SampleError`] type returned by the fallible
 //!   sample-based constructors,
 //! * [`order`] — order-statistics helpers (sampling the maximum of *n*
-//!   i.i.d. normals in O(1), Blom scores),
+//!   i.i.d. normals in O(1), k-th smallest selection),
 //! * [`qmc`] — a Halton low-discrepancy stream for variance-reduced
 //!   quantile estimation,
 //! * [`bootstrap`] — percentile-bootstrap confidence intervals,

@@ -8,9 +8,7 @@
 //!
 //! * O(1) sampling of `max(X₁..Xₙ)` for i.i.d. normal `Xᵢ` via the inverse
 //!   CDF (`F_max = Φⁿ` ⇒ `max = Φ⁻¹(U^{1/n})`),
-//! * k-th order statistic selection from a sample,
-//! * Blom's approximation to expected normal order statistics (used for
-//!   sanity checks and analytic comparisons).
+//! * k-th order statistic selection from a sample.
 
 use crate::normal;
 use crate::rng::CounterDraws;
@@ -118,24 +116,6 @@ pub fn max(samples: &[f64]) -> f64 {
     samples.iter().copied().fold(f64::NEG_INFINITY, f64::max)
 }
 
-/// Blom's approximation to the expected i-th order statistic (1-based,
-/// ascending) of `n` standard normals: `Φ⁻¹((i − 3/8) / (n + 1/4))`.
-///
-/// # Panics
-///
-/// Panics if `i == 0` or `i > n`.
-#[must_use]
-pub fn blom_score(i: usize, n: usize) -> f64 {
-    assert!(i >= 1 && i <= n, "order statistic index {i} out of 1..={n}");
-    normal::quantile((i as f64 - 0.375) / (n as f64 + 0.25))
-}
-
-/// Expected maximum of `n` standard normals (Blom approximation).
-#[must_use]
-pub fn expected_max_normal(n: usize) -> f64 {
-    blom_score(n, n)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,18 +162,6 @@ mod tests {
     }
 
     #[test]
-    fn expected_max_grows_with_n() {
-        let mut prev = f64::NEG_INFINITY;
-        for n in [1, 2, 10, 100, 1000, 12_800] {
-            let e = expected_max_normal(n);
-            assert!(e > prev, "n={n}");
-            prev = e;
-        }
-        // Known value: E[max of 100 std normals] ~ 2.50.
-        assert!((expected_max_normal(100) - 2.50).abs() < 0.03);
-    }
-
-    #[test]
     fn kth_smallest_selects_correctly() {
         let v = [5.0, 1.0, 4.0, 2.0, 3.0];
         assert_eq!(kth_smallest(&v, 0), 1.0);
@@ -204,13 +172,6 @@ mod tests {
     #[test]
     fn max_helper() {
         assert_eq!(max(&[1.0, 9.0, -3.0]), 9.0);
-    }
-
-    #[test]
-    fn blom_median_is_zero() {
-        // For odd n, the middle order statistic has expectation ~0.
-        let mid = blom_score(51, 101);
-        assert!(mid.abs() < 1e-10);
     }
 
     #[test]

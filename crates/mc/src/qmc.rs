@@ -59,14 +59,6 @@ impl Halton {
         self.at(self.index)
     }
 
-    /// Next standard-normal variate via the inverse CDF.
-    pub fn next_normal(&mut self) -> f64 {
-        let u = self
-            .next_point()
-            .clamp(f64::MIN_POSITIVE, 1.0 - f64::EPSILON);
-        normal::quantile(u)
-    }
-
     /// Next maximum-of-`n` standard normals (inverse-CDF of `Φⁿ`).
     ///
     /// # Panics
@@ -138,14 +130,6 @@ mod tests {
             "QMC err {qmc_err} vs mean MC err {mean_mc_err} (worst {worst_mc_err})"
         );
         assert!(qmc_err < 0.03, "QMC err {qmc_err}");
-    }
-
-    #[test]
-    fn normal_stream_has_unit_moments() {
-        let mut h = Halton::new(2);
-        let s: crate::stats::Summary = (0..20_000).map(|_| h.next_normal()).collect();
-        assert!(s.mean().abs() < 0.01);
-        assert!((s.std_dev() - 1.0).abs() < 0.01);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! DLP kernels for the Diet SODA PE, with golden reference models.
 //!
 //! Diet SODA targets digital-camera signal processing; these kernels cover
-//! that domain's staples — element-wise vector arithmetic, dot products,
-//! FIR filtering, 2-D convolution and a 128-point fixed-point FFT — built
+//! that domain's staples — element-wise vector arithmetic, FIR filtering,
+//! 2-D convolution and a 128-point fixed-point FFT — built
 //! from the PE's instruction set the way a kernel compiler would emit
 //! them (unrolled, with addresses and constants resolved at build time).
 //!
@@ -11,7 +11,7 @@
 //! under fault injection and compare against these references.
 
 use crate::agu::AccessPattern;
-use crate::isa::{Instr, SReg, VBinOp, VReg};
+use crate::isa::{Instr, VBinOp, VReg};
 use crate::pe::{PeError, ProcessingElement};
 use crate::xram::ShuffleConfig;
 use crate::SIMD_WIDTH;
@@ -25,17 +25,6 @@ pub mod golden {
             .zip(b)
             .map(|(&x, &y)| x.saturating_add(y))
             .collect()
-    }
-
-    /// Dot product with 32-bit accumulation, shifted and saturated to i16.
-    #[must_use]
-    pub fn dot(a: &[i16], b: &[i16], shift: u8) -> i16 {
-        let acc: i32 = a
-            .iter()
-            .zip(b)
-            .map(|(&x, &y)| i32::from(x) * i32::from(y))
-            .sum();
-        (acc >> shift).clamp(i32::from(i16::MIN), i32::from(i16::MAX)) as i16
     }
 
     /// FIR filter: `out[i] = sat16((Σ_k c[k]·x[i+k]) >> shift)`.
@@ -101,10 +90,6 @@ fn v(i: u8) -> VReg {
     VReg::new(i)
 }
 
-fn s(i: u8) -> SReg {
-    SReg::new(i)
-}
-
 /// Element-wise saturating vector addition of two 128-element vectors,
 /// through memory (stage → load → add → store → unstage).
 ///
@@ -141,46 +126,6 @@ pub fn vector_add(pe: &mut ProcessingElement, a: &[i16], b: &[i16]) -> Result<Ve
         },
     ])?;
     Ok(pe.mem().unstage(2, 1)?)
-}
-
-/// Dot product of two 128-element vectors via the MAC units and the adder
-/// tree: `sat16((Σ aᵢ·bᵢ·2⁻ᵐᵃᶜ) collapsed through the tree)`.
-///
-/// `mac_shift` scales the per-lane products before the 16-bit tree;
-/// `tree_shift` scales the final sum.
-///
-/// # Errors
-///
-/// Propagates any [`PeError`] from execution.
-///
-/// # Panics
-///
-/// Panics if the inputs are not 128 elements each.
-pub fn dot_product(
-    pe: &mut ProcessingElement,
-    a: &[i16],
-    b: &[i16],
-    mac_shift: u8,
-    tree_shift: u8,
-) -> Result<i16, PeError> {
-    assert_eq!(a.len(), SIMD_WIDTH, "inputs must be 128 wide");
-    assert_eq!(b.len(), SIMD_WIDTH, "inputs must be 128 wide");
-    pe.set_vreg(v(0), a);
-    pe.set_vreg(v(1), b);
-    pe.run(&[
-        Instr::VMacClear,
-        Instr::VMac { va: v(0), vb: v(1) },
-        Instr::VMacRead {
-            vd: v(2),
-            shift: mac_shift,
-        },
-        Instr::Reduce {
-            sd: s(0),
-            va: v(2),
-            shift: tree_shift,
-        },
-    ])?;
-    Ok(pe.sreg(0))
 }
 
 /// FIR filter over a staged signal using the prefetcher's unaligned loads.
@@ -328,240 +273,6 @@ pub fn conv2d_3x3(
     (0..out_rows)
         .map(|r| Ok(pe.mem().unstage(out_base + r, 1)?))
         .collect()
-}
-
-/// Matrix–vector product through the MAC units and the adder tree:
-/// `y[r] = sat16((Σ_c m[r][c]·x[c]) >> shift)` for an `R × 128` matrix.
-///
-/// Each output element is one MAC pass over a matrix row followed by a
-/// full 128-lane adder-tree reduction — the access pattern of the
-/// beamforming/color-transform stages in Diet SODA's target workloads.
-///
-/// # Errors
-///
-/// Propagates any [`PeError`] from execution.
-///
-/// # Panics
-///
-/// Panics if any matrix row or the vector is not 128 elements, or the
-/// matrix has more than 64 rows (staging layout limit).
-pub fn matvec(
-    pe: &mut ProcessingElement,
-    matrix: &[Vec<i16>],
-    x: &[i16],
-    mac_shift: u8,
-    tree_shift: u8,
-) -> Result<Vec<i16>, PeError> {
-    assert_eq!(x.len(), SIMD_WIDTH, "vector must be 128 wide");
-    assert!(matrix.len() <= 64, "at most 64 matrix rows supported");
-    assert!(
-        matrix.iter().all(|r| r.len() == SIMD_WIDTH),
-        "rows must be 128 wide"
-    );
-
-    for (r, row) in matrix.iter().enumerate() {
-        pe.mem_mut().stage(r, row)?;
-    }
-    pe.set_vreg(v(0), x);
-
-    // Row addresses come from one AGU linear pattern.
-    let pattern = AccessPattern::Linear {
-        base: 0,
-        stride: 1,
-        count: matrix.len(),
-    };
-    debug_assert!(pattern.validate().is_ok());
-    let mut out = Vec::with_capacity(matrix.len());
-    for rows in pattern.iter() {
-        pe.run(&[
-            Instr::VLoad { vd: v(1), rows },
-            Instr::VMacClear,
-            Instr::VMac { va: v(0), vb: v(1) },
-            Instr::VMacRead {
-                vd: v(2),
-                shift: mac_shift,
-            },
-            Instr::Reduce {
-                sd: s(0),
-                va: v(2),
-                shift: tree_shift,
-            },
-        ])?;
-        out.push(pe.sreg(0));
-    }
-    Ok(out)
-}
-
-/// Golden matrix–vector reference matching [`matvec`]'s two-stage rounding.
-#[must_use]
-pub fn golden_matvec(matrix: &[Vec<i16>], x: &[i16], mac_shift: u8, tree_shift: u8) -> Vec<i16> {
-    matrix
-        .iter()
-        .map(|row| {
-            let per_lane: i64 = row
-                .iter()
-                .zip(x)
-                .map(|(&m, &v)| {
-                    i64::from((i32::from(m) * i32::from(v)) >> mac_shift).clamp(-32768, 32767)
-                })
-                .sum();
-            ((per_lane >> tree_shift).clamp(-32768, 32767)) as i16
-        })
-        .collect()
-}
-
-/// Bilinear green-channel interpolation for one Bayer RG row (the
-/// demosaic inner loop of Diet SODA's digital-camera pipeline).
-///
-/// Input is a 128-pixel raw row with the RGGB pattern's `R G R G …`
-/// layout: green samples sit at odd lanes. The kernel reconstructs a full
-/// green row — pass-through where green was sampled, the average of the
-/// circular left/right neighbours where it was not — using mask
-/// predication (0/1 mask vectors and `Mul`/`Add`) plus rotation shuffles
-/// through the crossbar.
-///
-/// # Errors
-///
-/// Propagates any [`PeError`] from execution.
-///
-/// # Panics
-///
-/// Panics if the row is not 128 pixels.
-pub fn bayer_green_interp(pe: &mut ProcessingElement, raw: &[i16]) -> Result<Vec<i16>, PeError> {
-    assert_eq!(raw.len(), SIMD_WIDTH, "rows must be 128 pixels");
-    // Masks: 1 where green is sampled (odd lanes), 0 elsewhere.
-    let gmask: Vec<i16> = (0..SIMD_WIDTH).map(|i| i16::from(i % 2 == 1)).collect();
-    let rmask: Vec<i16> = (0..SIMD_WIDTH).map(|i| i16::from(i % 2 == 0)).collect();
-    pe.mem_mut().stage(0, raw)?;
-    pe.mem_mut().stage(1, &gmask)?;
-    pe.mem_mut().stage(2, &rmask)?;
-    let left = pe.store_shuffle(ShuffleConfig::rotate(SIMD_WIDTH, SIMD_WIDTH - 1));
-    let right = pe.store_shuffle(ShuffleConfig::rotate(SIMD_WIDTH, 1));
-
-    pe.run(&[
-        Instr::VLoad {
-            vd: v(0),
-            rows: [0; 4],
-        }, // raw
-        Instr::VLoad {
-            vd: v(1),
-            rows: [1; 4],
-        }, // gmask
-        Instr::VLoad {
-            vd: v(2),
-            rows: [2; 4],
-        }, // rmask
-        // Neighbour average: (raw<<1 + raw>>1) / 2, valid at non-green lanes
-        // because both circular neighbours of a red lane are green.
-        Instr::Shuffle {
-            vd: v(3),
-            va: v(0),
-            slot: left,
-        },
-        Instr::Shuffle {
-            vd: v(4),
-            va: v(0),
-            slot: right,
-        },
-        Instr::VBin {
-            op: VBinOp::Add,
-            vd: v(5),
-            va: v(3),
-            vb: v(4),
-        },
-        Instr::VUn {
-            op: crate::isa::VUnOp::SarImm(1),
-            vd: v(5),
-            va: v(5),
-        },
-        // Predicated select: out = raw*gmask + avg*rmask.
-        Instr::VBin {
-            op: VBinOp::Mul,
-            vd: v(6),
-            va: v(0),
-            vb: v(1),
-        },
-        Instr::VBin {
-            op: VBinOp::Mul,
-            vd: v(7),
-            va: v(5),
-            vb: v(2),
-        },
-        Instr::VBin {
-            op: VBinOp::Add,
-            vd: v(8),
-            va: v(6),
-            vb: v(7),
-        },
-        Instr::VStore {
-            vs: v(8),
-            rows: [3; 4],
-        },
-    ])?;
-    Ok(pe.mem().unstage(3, 1)?)
-}
-
-/// Golden reference for [`bayer_green_interp`] (circular neighbours).
-#[must_use]
-pub fn golden_bayer_green(raw: &[i16]) -> Vec<i16> {
-    let n = raw.len();
-    (0..n)
-        .map(|i| {
-            if i % 2 == 1 {
-                raw[i]
-            } else {
-                let l = raw[(i + n - 1) % n];
-                let r = raw[(i + 1) % n];
-                ((i32::from(l) + i32::from(r)) >> 1) as i16
-            }
-        })
-        .collect()
-}
-
-/// Per-pixel binary threshold: `out[l] = if x[l] > t { hi } else { lo }` —
-/// the predication pattern (CmpGt mask + VSel) used by feature-detection
-/// stages, exercised on the SIMD FUs without branches.
-///
-/// # Errors
-///
-/// Propagates any [`PeError`] from execution.
-///
-/// # Panics
-///
-/// Panics if the input is not 128 elements.
-pub fn threshold(
-    pe: &mut ProcessingElement,
-    x: &[i16],
-    t: i16,
-    hi: i16,
-    lo: i16,
-) -> Result<Vec<i16>, PeError> {
-    assert_eq!(x.len(), SIMD_WIDTH, "input must be 128 wide");
-    pe.set_vreg(v(0), x);
-    pe.run(&[
-        Instr::BroadcastImm { vd: v(1), value: t },
-        Instr::VBin {
-            op: VBinOp::CmpGt,
-            vd: v(2),
-            va: v(0),
-            vb: v(1),
-        },
-        Instr::BroadcastImm {
-            vd: v(3),
-            value: hi,
-        },
-        Instr::BroadcastImm {
-            vd: v(4),
-            value: lo,
-        },
-        Instr::VSel {
-            vd: v(5),
-            mask: v(2),
-            va: v(3),
-            vb: v(4),
-        },
-    ])?;
-    Ok(pe.vreg(v(5)).to_vec())
 }
 
 /// Convert a float in `[-1, 1]` to Q15.
@@ -772,40 +483,6 @@ mod tests {
     }
 
     #[test]
-    fn dot_product_matches_golden() {
-        let mut pe = ProcessingElement::new();
-        let a = ramp(128, 1, -64);
-        let b = ramp(128, 2, 5);
-        // Per-lane products fit 16 bits after >>6; tree sum uses shift 0.
-        let got = dot_product(&mut pe, &a, &b, 6, 0).unwrap();
-        // Golden: same two-stage rounding as the hardware path.
-        let per_lane: Vec<i32> = a
-            .iter()
-            .zip(&b)
-            .map(|(&x, &y)| (i32::from(x) * i32::from(y)) >> 6)
-            .collect();
-        let want = per_lane.iter().sum::<i32>().clamp(-32768, 32767) as i16;
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn matvec_matches_golden() {
-        let mut pe = ProcessingElement::new();
-        let matrix: Vec<Vec<i16>> = (0..8)
-            .map(|r| {
-                (0..128)
-                    .map(|c| ((r * 37 + c * 5) % 61) as i16 - 30)
-                    .collect()
-            })
-            .collect();
-        let x: Vec<i16> = (0..128).map(|c| (c % 17) as i16 - 8).collect();
-        let got = matvec(&mut pe, &matrix, &x, 4, 3).unwrap();
-        let want = golden_matvec(&matrix, &x, 4, 3);
-        assert_eq!(got, want);
-        assert_eq!(got.len(), 8);
-    }
-
-    #[test]
     fn fir_matches_golden() {
         let mut pe = ProcessingElement::new();
         let signal: Vec<i16> = (0..384).map(|i| ((i * 37) % 199) as i16 - 99).collect();
@@ -831,33 +508,6 @@ mod tests {
         let got = conv2d_3x3(&mut pe, &image, &kernel, 4).unwrap();
         let want = golden::conv2d_3x3(&image, &kernel, 4);
         assert_eq!(got, want);
-    }
-
-    #[test]
-    fn bayer_green_matches_golden() {
-        let mut pe = ProcessingElement::new();
-        let raw: Vec<i16> = (0..128).map(|i| ((i * 83 + 11) % 1021) as i16).collect();
-        let got = bayer_green_interp(&mut pe, &raw).unwrap();
-        assert_eq!(got, golden_bayer_green(&raw));
-        // Green lanes pass through untouched.
-        assert_eq!(got[13], raw[13]);
-        // Red lanes are interpolated.
-        assert_eq!(
-            got[12],
-            ((i32::from(raw[11]) + i32::from(raw[13])) >> 1) as i16
-        );
-        // Exercised the crossbar twice.
-        assert_eq!(pe.stats().shuffles, 2);
-    }
-
-    #[test]
-    fn threshold_matches_scalar_semantics() {
-        let mut pe = ProcessingElement::new();
-        let x: Vec<i16> = (0..128).map(|i| (i as i16 - 64) * 100).collect();
-        let got = threshold(&mut pe, &x, 0, 1000, -1000).unwrap();
-        for (l, &g) in got.iter().enumerate() {
-            assert_eq!(g, if x[l] > 0 { 1000 } else { -1000 }, "lane {l}");
-        }
     }
 
     #[test]

@@ -26,8 +26,8 @@
 //!   corruption, SIMD-wide stall-and-retry, and test-time spare remapping
 //!   through the crossbar ([`fault`]),
 //! * DLP kernels from the digital-camera domain Diet SODA targets: vector
-//!   ops, dot product, FIR filter, 2-D convolution and a 128-point
-//!   fixed-point FFT, each validated against a golden model ([`kernels`]).
+//!   ops, FIR filter, 2-D convolution and a 128-point fixed-point FFT,
+//!   each validated against a golden model ([`kernels`]).
 //!
 //! # Example
 //!

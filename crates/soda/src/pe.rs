@@ -228,12 +228,6 @@ impl ProcessingElement {
         self.policy = policy;
     }
 
-    /// The active error-handling policy.
-    #[must_use]
-    pub fn error_policy(&self) -> ErrorPolicy {
-        self.policy
-    }
-
     /// Install a fault model (and the RNG stream that drives intermittent
     /// errors).
     ///
@@ -321,11 +315,6 @@ impl ProcessingElement {
     #[must_use]
     pub fn stats(&self) -> &PeStats {
         &self.stats
-    }
-
-    /// Zero the statistics (state and configuration are kept).
-    pub fn reset_stats(&mut self) {
-        self.stats = PeStats::default();
     }
 
     /// Execute one instruction.
@@ -876,15 +865,5 @@ mod tests {
         );
         let err = pe.repair(0.5).unwrap_err();
         assert!(matches!(err, PeError::Unrepairable(_)));
-    }
-
-    #[test]
-    fn reset_stats_clears_counters() {
-        let mut pe = ProcessingElement::new();
-        pe.execute(&Instr::BroadcastImm { vd: v(0), value: 1 })
-            .unwrap();
-        assert!(pe.stats().instructions > 0);
-        pe.reset_stats();
-        assert_eq!(pe.stats(), &PeStats::default());
     }
 }

@@ -80,12 +80,6 @@ impl ShuffleConfig {
         self.select.len()
     }
 
-    /// The per-output source table.
-    #[must_use]
-    pub fn as_select_table(&self) -> &[usize] {
-        &self.select
-    }
-
     /// Whether the configuration is a permutation (no multicast).
     #[must_use]
     pub fn is_permutation(&self) -> bool {
@@ -184,12 +178,6 @@ impl LaneMap {
         // ntv:allow(panic-path): documented panic (see `# Panics`); map width equals logical_lanes()
         self.to_physical[l]
     }
-
-    /// Whether any remapping is in effect.
-    #[must_use]
-    pub fn is_identity(&self) -> bool {
-        self.to_physical.iter().enumerate().all(|(l, &p)| l == p)
-    }
 }
 
 /// Error: not enough healthy lanes to satisfy the logical width.
@@ -252,12 +240,6 @@ impl XramCrossbar {
         self.configs.len() - 1
     }
 
-    /// Number of stored configurations.
-    #[must_use]
-    pub fn config_count(&self) -> usize {
-        self.configs.len()
-    }
-
     /// Stored configuration by slot.
     #[must_use]
     pub fn config(&self, slot: usize) -> Option<&ShuffleConfig> {
@@ -280,25 +262,19 @@ impl XramCrossbar {
         &self.lane_map
     }
 
-    /// Apply stored configuration `slot` to `data`, or `None` if the slot
-    /// holds no configuration.
-    #[must_use]
-    pub fn try_shuffle<T: Copy>(&self, slot: usize, data: &[T]) -> Option<Vec<T>> {
-        Some(self.configs.get(slot)?.apply(data))
-    }
-
     /// Apply stored configuration `slot` to `data`.
     ///
     /// # Panics
     ///
-    /// Panics if `slot` does not exist or `data` width mismatches; use
-    /// [`Self::try_shuffle`] to handle a missing slot without panicking.
+    /// Panics if `slot` does not exist or `data` width mismatches; check
+    /// the slot with [`Self::config`] to handle a missing one without
+    /// panicking.
     pub fn shuffle<T: Copy>(&self, slot: usize, data: &[T]) -> Vec<T> {
         assert!(
             slot < self.configs.len(),
             "no stored shuffle configuration in slot {slot}"
         );
-        // ntv:allow(panic-path): slot bound asserted just above; `try_shuffle` is the total API
+        // ntv:allow(panic-path): slot bound asserted just above; `config` is the total lookup
         self.configs[slot].apply(data)
     }
 }
@@ -346,7 +322,6 @@ mod tests {
         assert_eq!(map.logical_lanes(), 8);
         let backing: Vec<usize> = (0..8).map(|l| map.physical(l)).collect();
         assert_eq!(backing, vec![0, 1, 4, 5, 6, 7, 8, 9]);
-        assert!(!map.is_identity());
     }
 
     #[test]
@@ -362,7 +337,6 @@ mod tests {
         let mut x = XramCrossbar::new(4);
         let rot = x.store(ShuffleConfig::rotate(4, 2));
         let bcast = x.store(ShuffleConfig::broadcast(4, 0));
-        assert_eq!(x.config_count(), 2);
         assert_eq!(x.shuffle(rot, &[1, 2, 3, 4]), vec![3, 4, 1, 2]);
         assert_eq!(x.shuffle(bcast, &[7, 2, 3, 4]), vec![7, 7, 7, 7]);
     }

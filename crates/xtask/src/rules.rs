@@ -15,10 +15,10 @@
 //!   macros (bare `unwrap()` is clippy's `unwrap_used`, denied workspace-wide);
 //!   propagate errors or use `expect` with a documented invariant.
 //! * **Unit safety** — public library APIs must not pass physical quantities
-//!   (volts, seconds, hertz, watts, kelvin) as bare `f64`; use the
-//!   `ntv-units` newtypes so the compiler rejects a voltage where a time is
-//!   expected. This family is signature-aware: it runs on the
-//!   [`parser`](crate::parser) extraction, not the raw token stream.
+//!   (volts, seconds) as bare `f64`; use the `ntv-units` newtypes so the
+//!   compiler rejects a voltage where a time is expected. This family is
+//!   signature-aware: it runs on the [`parser`](crate::parser) extraction,
+//!   not the raw token stream.
 
 use crate::lexer::Token;
 use crate::parser::ParsedFile;
@@ -48,7 +48,7 @@ pub enum RuleId {
     BareUnit,
     /// Direct `PathDistribution::build` outside the operating-point cache —
     /// identical Gauss–Hermite builds must be shared via
-    /// `ntv_core::OpPointCache` (`get_or_build` / `prefetch`).
+    /// `ntv_core::OpPointCache::get_or_build`.
     UncachedBuild,
     /// Malformed `ntv:allow(..)` waiver comment (missing rule or reason).
     BadWaiver,
@@ -221,10 +221,10 @@ impl RuleId {
             }
             RuleId::UncachedBuild => {
                 "obtain path distributions through `ntv_core::OpPointCache` \
-                 (`get_or_build`, or `DatapathEngine::path_distribution` / \
-                 `prefetch`) so identical Gauss–Hermite builds are shared \
-                 process-wide; direct `PathDistribution::build` repeats the \
-                 quadrature per call site"
+                 (`get_or_build`, or `DatapathEngine::path_distribution`) so \
+                 identical Gauss–Hermite builds are shared process-wide; \
+                 direct `PathDistribution::build` repeats the quadrature per \
+                 call site"
             }
             RuleId::BadWaiver => {
                 "waivers must name a rule and give a reason: \
@@ -462,10 +462,7 @@ fn is_bare_f64(ty: &str) -> bool {
 
 /// Snake-case segments that *are* a physical quantity: a parameter named
 /// `vdd` or `half_life_seconds` holds volts/seconds and must be typed so.
-const UNIT_SEGMENTS: &[&str] = &[
-    "vdd", "vth", "volt", "volts", "voltage", "kelvin", "hertz", "hz", "watt", "watts", "seconds",
-    "secs",
-];
+const UNIT_SEGMENTS: &[&str] = &["vdd", "vth", "volt", "volts", "voltage", "seconds", "secs"];
 
 /// Scale-suffix segments exempting a name: by workspace convention these are
 /// plain numbers in a *stated* scale (`t_clk_ns`, `margin_mv`,
@@ -494,7 +491,7 @@ fn has_scale_segment(name: &str) -> bool {
 /// voltage (e.g. "at the given supply") does not flag dimensionless returns.
 fn doc_names_unit(doc: &str) -> Option<&'static str> {
     let doc = doc.to_lowercase();
-    ["volts", "seconds", "hertz", "watts", "kelvin"]
+    ["volts", "seconds"]
         .into_iter()
         .find(|unit| doc.contains(&format!("in {unit}")))
 }
@@ -703,6 +700,8 @@ mod tests {
         assert!(sig_hits("pub fn delay(vdd: Volts) -> Seconds { Seconds(0.0) }").is_empty());
         // Slices/containers of f64 are aggregates, not a single quantity.
         assert!(sig_hits("pub fn vdd_grid() -> Vec<f64> { vec![] }").is_empty());
+        // A quantity `ntv-units` has no newtype for has nothing to be typed as.
+        assert!(sig_hits("pub fn f(freq_hz: f64) {}").is_empty());
     }
 
     #[test]
