@@ -14,6 +14,10 @@ use std::time::Instant;
 
 use ntv_core::Executor;
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the front end stamps the start time and reads `--threads`"
+)]
 fn main() -> ExitCode {
     let started = Instant::now();
     let args: Vec<String> = std::env::args().skip(1).collect();

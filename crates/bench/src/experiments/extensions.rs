@@ -17,7 +17,7 @@ use ntv_core::duplication::DuplicationStudy;
 use ntv_core::engine::VariationMode;
 use ntv_core::margining::MarginStudy;
 use ntv_core::perf;
-use ntv_core::yield_model::{YieldPoint, YieldStudy};
+use ntv_core::yield_model::YieldStudy;
 use ntv_core::{DatapathConfig, DatapathEngine, Executor};
 use ntv_device::{ChipSample, TechModel, TechNode};
 use ntv_mc::qmc::Halton;
@@ -158,6 +158,15 @@ impl std::fmt::Display for AbbComparison {
             self.margin_power * 100.0
         )
     }
+}
+
+/// One point of a yield curve.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct YieldPoint {
+    /// Clock period (ns).
+    pub t_clk_ns: f64,
+    /// Fraction of chips whose slowest used lane meets the period.
+    pub timing_yield: f64,
 }
 
 /// Yield curves with and without spares at one operating point.

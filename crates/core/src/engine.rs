@@ -141,9 +141,9 @@ impl PathDistribution {
     /// CLT evaluation per Gauss–Hermite node); the 1024-point survival
     /// grid is deferred until a grid-backed query first needs it. Callers
     /// outside the operating-point cache should obtain distributions via
-    /// [`crate::op_cache::OpPointCache`] (enforced by the
-    /// `ntv::uncached-build` lint) so identical builds are shared
-    /// process-wide.
+    /// [`crate::op_cache::OpPointCache`] (enforced by clippy's
+    /// `disallowed_methods` list in `crates/clippy.toml`) so identical
+    /// builds are shared process-wide.
     #[must_use]
     pub fn build(tech: &TechModel, vdd: Volts, length: usize) -> Self {
         let params = tech.params();
@@ -205,6 +205,10 @@ impl PathDistribution {
     /// bypassing the operating-point cache. No library code calls it: its
     /// only caller is the `perf` benchmark's `core.engine.build_grid` row.
     #[must_use]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "perf's `core.engine.build_grid` row times uncached builds on purpose"
+    )]
     pub fn build_grid(tech: &TechModel, vdds: &[Volts], length: usize) -> Vec<Self> {
         vdds.iter().map(|&v| Self::build(tech, v, length)).collect()
     }
@@ -1108,6 +1112,10 @@ mod tests {
         for node in TechNode::ALL {
             let tech = TechModel::new(node);
             for vdd in [Volts(0.45), Volts(0.5), Volts(0.8), Volts(1.0)] {
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "each case needs its own fresh survival grid"
+                )]
                 let dist = PathDistribution::build(&tech, vdd, 50);
                 let reference = dist.survival_sf_reference();
                 let grid = dist.grid();

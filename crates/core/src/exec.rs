@@ -41,8 +41,12 @@ impl Executor {
     /// hardware parallelism".
     #[must_use]
     pub fn new(threads: usize) -> Self {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "worker count only sizes chunks; results are identical for any count"
+        )]
         let threads = if threads == 0 {
-            std::thread::available_parallelism() // ntv:allow(env-read): worker count only sizes chunks; results are identical for any count
+            std::thread::available_parallelism()
                 .map(NonZeroUsize::get)
                 .unwrap_or(1)
         } else {

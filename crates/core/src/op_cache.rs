@@ -311,9 +311,12 @@ impl OpPointCache {
         // Build outside both map locks; same-key racers park on this
         // entry's OnceLock only.
         let mut built_here = false;
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the cache's own build site; every other caller shares it"
+        )]
         let dist = Arc::clone(entry.cell.get_or_init(|| {
             built_here = true;
-            // ntv:allow(uncached-build): the cache's own build site — every other caller shares it
             Arc::new(PathDistribution::build(tech, vdd, path_length))
         }));
         let counter = if built_here {
@@ -459,6 +462,10 @@ mod tests {
         let tech = TechModel::new(TechNode::PtmHp22);
         let cache = OpPointCache::new();
         let cached = cache.get_or_build(&tech, Volts(0.55), 50);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the cached value is compared with a fresh build"
+        )]
         let fresh = PathDistribution::build(&tech, Volts(0.55), 50);
         assert_eq!(cached.mean_ps().to_bits(), fresh.mean_ps().to_bits());
         assert_eq!(cached.std_ps().to_bits(), fresh.std_ps().to_bits());

@@ -15,15 +15,6 @@ use crate::duplication::LaneDelayMatrix;
 use crate::engine::DatapathEngine;
 use crate::exec::Executor;
 
-/// One point of a yield curve.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct YieldPoint {
-    /// Clock period (ns).
-    pub t_clk_ns: f64,
-    /// Fraction of chips whose slowest used lane meets the period.
-    pub timing_yield: f64,
-}
-
 /// Timing-yield queries for one engine.
 #[derive(Debug, Clone)]
 pub struct YieldStudy<'a> {

@@ -69,6 +69,10 @@ fn racing_lookups_build_each_point_exactly_once() {
 
     // Cached values are bit-identical to a fresh serial build.
     for (i, &vdd) in volts.iter().enumerate() {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the cached values are compared with a fresh build"
+        )]
         let fresh = PathDistribution::build(&tech, vdd, PATH_LENGTH);
         let cached = &first[i];
         assert_eq!(cached.mean_ps().to_bits(), fresh.mean_ps().to_bits());

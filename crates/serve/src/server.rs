@@ -248,6 +248,10 @@ fn handle_connection(stream: TcpStream, shared: &Shared, exec: &Executor, idle: 
 /// kernel send a reset, which can destroy the error response before the
 /// client reads it. So: send FIN, then read and discard until the client's
 /// EOF — at most `MAX_BODY_BYTES`, for at most `idle` in all.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the drain deadline is wall-clock time by design; no response byte depends on it"
+)]
 fn close_refused(stream: &TcpStream, reader: &mut impl Read, idle: Duration) {
     let _ = stream.shutdown(Shutdown::Write);
     let deadline = Instant::now() + idle;

@@ -411,11 +411,14 @@ impl ProcessingElement {
             Instr::VMacClear => {
                 self.accs = [0; SIMD_WIDTH];
             }
+            #[expect(
+                clippy::unreachable,
+                reason = "execute() routes every FU instruction to apply_fu first"
+            )]
             Instr::VBin { .. }
             | Instr::VUn { .. }
             | Instr::VSel { .. }
             | Instr::VMac { .. }
-            // ntv:allow(panic-path): execute() routes every FU instruction to apply_fu first
             | Instr::VMacRead { .. } => unreachable!("FU instructions handled above"),
         }
         Ok(())
@@ -538,7 +541,10 @@ impl ProcessingElement {
                     }
                 }
             }
-            // ntv:allow(panic-path): apply_fu's only caller filters to FU instructions
+            #[expect(
+                clippy::unreachable,
+                reason = "apply_fu's only caller filters to FU instructions"
+            )]
             _ => unreachable!("only FU instructions reach apply_fu"),
         }
     }

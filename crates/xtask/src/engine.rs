@@ -21,15 +21,12 @@ pub enum FileClass {
     /// Result-producing library code (`crates/*/src`, root `src/lib.rs`):
     /// every rule applies.
     Library,
-    /// The bench/experiment crate: exempt from wall-clock, env, hash and
-    /// panic-hygiene rules (it times things and prints tables), but still
-    /// barred from NaN-unsafe orderings and uncached builds.
-    Bench,
     /// Test / example / bin-target code: determinism of the underlying
     /// libraries is what matters; panics are the idiomatic failure mode.
     Harness,
-    /// The xtask tool itself: held to panic hygiene and determinism, but
-    /// allowed to read files and processes as it pleases.
+    /// The experiment crate (`crates/bench`) and the xtask tool: they
+    /// print tables and read files, so only the rules that hold everywhere
+    /// (NaN-unsafe orderings, waiver hygiene) apply.
     Tool,
     /// Not lint targets at all (vendored stubs, fixtures, generated output).
     Skip,
@@ -41,14 +38,13 @@ impl FileClass {
     pub fn classify(rel: &Path) -> FileClass {
         let p = rel.to_string_lossy().replace('\\', "/");
         // Lint fixtures opt into a class by directory name
-        // (`tests/fixtures/library/bad_panic.rs` lints as Library code), so
-        // `cargo xtask lint <fixture>` exercises the real policy; the
-        // workspace walker never descends into fixtures.
+        // (`tests/fixtures/library/bad_lossy_cast.rs` lints as Library
+        // code), so `cargo xtask lint <fixture>` exercises the real policy;
+        // the workspace walker never descends into fixtures.
         if let Some(idx) = p.find("tests/fixtures/") {
             let rest = &p[idx + "tests/fixtures/".len()..];
             return match rest.split('/').next() {
                 Some("library") => FileClass::Library,
-                Some("bench") => FileClass::Bench,
                 Some("harness") => FileClass::Harness,
                 Some("tool") => FileClass::Tool,
                 _ => FileClass::Skip,
@@ -61,15 +57,12 @@ impl FileClass {
         {
             return FileClass::Skip;
         }
-        if p.starts_with("crates/bench/") {
-            return FileClass::Bench;
-        }
-        if p.starts_with("crates/xtask/") {
+        if p.starts_with("crates/bench/") || p.starts_with("crates/xtask/") {
             return FileClass::Tool;
         }
         // The query service is deliberately effectful — sockets, wall-clock
-        // idle timeouts, stderr logging — so the library-only purity rules
-        // (hidden-io, env-read) do not apply to it.
+        // idle timeouts, stderr logging — so the library-only purity rule
+        // hidden-io does not apply to it.
         if p.starts_with("crates/serve/") {
             return FileClass::Harness;
         }
@@ -83,7 +76,7 @@ impl FileClass {
     /// Does `rule` apply to files of this class at all?
     #[must_use]
     pub fn rule_applies(self, rule: RuleId) -> bool {
-        use FileClass::{Library, Skip, Tool};
+        use FileClass::{Harness, Library, Skip};
         if self == Skip {
             return false;
         }
@@ -94,9 +87,7 @@ impl FileClass {
             RuleId::PartialCmpUnwrap | RuleId::BadWaiver | RuleId::DeadWaiver => true,
             // Stateful generators are a library-crate concern: result code
             // must draw through the counter-based API (harnesses do too,
-            // by convention only). Environment and host reads are likewise
-            // library-only (harnesses may take CLI/env knobs and size
-            // thread pools).
+            // by convention only).
             // Unit newtypes likewise police the cross-crate API surface
             // only: harness and bench code deliberately holds raw `f64`
             // grids and wraps at the call boundary. The call-graph rules
@@ -109,7 +100,6 @@ impl FileClass {
             // the same surface: what a harness prints is its own business;
             // what a library drags in is every consumer's.
             RuleId::StatefulRng
-            | RuleId::EnvRead
             | RuleId::BareUnit
             | RuleId::PanicPath
             | RuleId::LockDiscipline
@@ -122,15 +112,8 @@ impl FileClass {
             // under a guard are exactly where harness code bites, so
             // Library and Harness files are analysed as one topology.
             RuleId::LockOrderCycle | RuleId::AtomicOrdering | RuleId::BlockingUnderLock => {
-                matches!(self, Library | FileClass::Harness)
+                matches!(self, Library | Harness)
             }
-            RuleId::WallClock => matches!(self, Library | Tool),
-            RuleId::HashContainer => matches!(self, Library | Tool),
-            RuleId::Panic => matches!(self, Library | Tool),
-            // Result-producing code (library and experiment crates) must
-            // share Gauss–Hermite builds through the operating-point cache;
-            // harnesses may construct throwaway distributions.
-            RuleId::UncachedBuild => matches!(self, Library | FileClass::Bench),
         }
     }
 }
@@ -345,16 +328,12 @@ fn apply_hit(st: &mut FileState, hit: rules::Hit) {
     if !st.class.rule_applies(hit.rule) {
         return;
     }
-    // Test modules inside library crates follow harness rules for
-    // panic hygiene and hash containers (assertions are the point).
+    // Test modules inside library crates follow harness rules: their
+    // signatures, panics and sums are assertions, not results.
     if st.regions.contains(hit.line)
         && matches!(
             hit.rule,
-            RuleId::Panic
-                | RuleId::HashContainer
-                | RuleId::WallClock
-                | RuleId::BareUnit
-                | RuleId::UncachedBuild
+            RuleId::BareUnit
                 | RuleId::PanicPath
                 | RuleId::LockDiscipline
                 | RuleId::ReductionOrder
@@ -661,7 +640,7 @@ mod tests {
         assert_eq!(c("tests/determinism.rs"), FileClass::Harness);
         assert_eq!(c("crates/circuit/tests/calibration.rs"), FileClass::Harness);
         assert_eq!(c("examples/quickstart.rs"), FileClass::Harness);
-        assert_eq!(c("crates/bench/src/experiments/fig1.rs"), FileClass::Bench);
+        assert_eq!(c("crates/bench/src/experiments/fig1.rs"), FileClass::Tool);
         assert_eq!(c("crates/serve/src/server.rs"), FileClass::Harness);
         assert_eq!(c("crates/serve/tests/http.rs"), FileClass::Harness);
         assert_eq!(c("crates/xtask/src/engine.rs"), FileClass::Tool);
@@ -680,9 +659,9 @@ mod tests {
     }
 
     #[test]
-    fn harness_files_may_panic_but_not_partial_cmp_unwrap() {
+    fn harness_files_may_cast_but_not_partial_cmp_unwrap() {
         let p = PathBuf::from("tests/determinism.rs");
-        assert!(lint_source(&p, "panic!(\"boom\");").is_empty());
+        assert!(lint_source(&p, "pub fn f(x: f64) -> usize { x as usize }").is_empty());
         let d = lint_source(&p, "let o = a.partial_cmp(&b).unwrap();");
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].rule, RuleId::PartialCmpUnwrap);
@@ -695,12 +674,12 @@ pub fn lib_code() -> u32 { 1 }
 
 #[cfg(test)]
 mod tests {
+    pub fn solve(vdd: f64) -> f64 { vdd }
+
     #[test]
     fn t() {
-        let m = std::collections::HashMap::<u32, u32>::new();
-        if !m.is_empty() {
-            panic!(\"map starts empty\");
-        }
+        let n = 2.5_f64 as usize;
+        assert_eq!(n, 2);
     }
 }
 ";
@@ -708,47 +687,48 @@ mod tests {
     }
 
     #[test]
-    fn panic_outside_test_module_still_fires() {
+    fn cast_outside_test_module_still_fires() {
         let src = "
-pub fn lib_code() -> u32 { todo!() }
+pub fn lib_code(x: f64) -> usize { x as usize }
 
 #[cfg(test)]
 mod tests {}
 ";
         let d = lint_source(&lib_path(), src);
         assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].rule, RuleId::Panic);
+        assert_eq!(d[0].rule, RuleId::LossyCast);
         assert_eq!(d[0].line, 2);
     }
 
     #[test]
     fn waiver_with_reason_suppresses_same_and_next_line() {
-        let trailing = "todo!(); // ntv:allow(panic): stub unreachable until the caller lands";
-        assert!(lint_source(&lib_path(), trailing).is_empty());
-        let above = "// ntv:allow(panic): stub unreachable until the caller lands\ntodo!();";
-        assert!(lint_source(&lib_path(), above).is_empty());
+        let cmp = "let o = a.partial_cmp(&b).unwrap();";
+        let trailing = format!("{cmp} // ntv:allow(partial-cmp-unwrap): inputs are NaN-free");
+        assert!(lint_source(&lib_path(), &trailing).is_empty());
+        let above = format!("// ntv:allow(partial-cmp-unwrap): inputs are NaN-free\n{cmp}");
+        assert!(lint_source(&lib_path(), &above).is_empty());
     }
 
     #[test]
     fn waiver_without_reason_is_itself_a_violation() {
-        let src = "todo!(); // ntv:allow(panic)";
+        let src = "let o = a.partial_cmp(&b).unwrap(); // ntv:allow(partial-cmp-unwrap)";
         let d = lint_source(&lib_path(), src);
-        // The panic still fires AND the waiver is flagged.
+        // The ordering still fires AND the waiver is flagged.
         assert_eq!(d.len(), 2, "{d:?}");
         assert!(d.iter().any(|x| x.rule == RuleId::BadWaiver));
-        assert!(d.iter().any(|x| x.rule == RuleId::Panic));
+        assert!(d.iter().any(|x| x.rule == RuleId::PartialCmpUnwrap));
     }
 
     #[test]
     fn waiver_only_covers_named_rule() {
-        let src = "let t = Instant::now(); // ntv:allow(panic): wrong rule named";
+        let src = "let o = a.partial_cmp(&b).unwrap(); // ntv:allow(bare-unit): wrong rule named";
         let d = lint_source(&lib_path(), src);
         assert_eq!(d.len(), 1);
-        assert_eq!(d[0].rule, RuleId::WallClock);
+        assert_eq!(d[0].rule, RuleId::PartialCmpUnwrap);
     }
 
     #[test]
-    fn bare_unit_fires_in_library_but_not_harness_or_bench() {
+    fn bare_unit_fires_in_library_but_not_harness_or_tool() {
         let src = "pub fn solve(vdd: f64) -> f64 { vdd }";
         let d = lint_source(&lib_path(), src);
         assert_eq!(d.len(), 1, "{d:?}");
@@ -779,7 +759,7 @@ mod tests {}
         };
         r.diagnostics = vec![
             diag("b.rs", 1, RuleId::PartialCmpUnwrap),
-            diag("a.rs", 9, RuleId::Panic),
+            diag("a.rs", 9, RuleId::LossyCast),
             diag("a.rs", 9, RuleId::PartialCmpUnwrap),
             diag("a.rs", 2, RuleId::PartialCmpUnwrap),
         ];
@@ -799,14 +779,14 @@ mod tests {}
             ]
         );
         assert_eq!(r.diagnostics[1].rule, RuleId::PartialCmpUnwrap);
-        assert_eq!(r.diagnostics[2].rule, RuleId::Panic);
+        assert_eq!(r.diagnostics[2].rule, RuleId::LossyCast);
     }
 
     #[test]
     fn diagnostics_render_with_file_and_line() {
-        let d = lint_source(&lib_path(), "\n\nlet t = Instant::now();");
+        let d = lint_source(&lib_path(), "\n\nlet o = a.partial_cmp(&b).unwrap();");
         let text = d[0].to_string();
-        assert!(text.contains("error[ntv::wall-clock]"), "{text}");
+        assert!(text.contains("error[ntv::partial-cmp-unwrap]"), "{text}");
         assert!(text.contains("crates/mc/src/order.rs:3"), "{text}");
         assert!(text.contains("help:"), "{text}");
     }

@@ -5,13 +5,14 @@
 //! question the per-file rules cannot: *is this panicking operation
 //! reachable from a public API?* Three analyses run over the graph:
 //!
-//! * **`ntv::panic-path`** — documented-invariant panic forms (`.expect(..)`,
-//!   message-carrying `unreachable!(..)`) and slice indexing by a
-//!   caller-supplied parameter, flagged only when the enclosing function is
-//!   reachable from a `pub` function of a Library-class file. Bare
-//!   `unwrap()` stays with clippy's `unwrap_used` and the `panic!` family
-//!   with the always-on `ntv::panic` rule — this rule covers the forms
-//!   those deliberately allow, once they sit on a public path.
+//! * **`ntv::panic-path`** — the documented-invariant panic form
+//!   `.expect(..)` and slice indexing by a caller-supplied parameter,
+//!   flagged only when the enclosing function is reachable from a `pub`
+//!   function of a Library-class file. Bare `unwrap()` stays with clippy's
+//!   `unwrap_used` and the `panic!` family (with `unreachable!`) with
+//!   clippy's `panic`, `todo`, `unimplemented` and `unreachable` — this
+//!   rule covers the forms those deliberately allow, once they sit on a
+//!   public path.
 //! * **`ntv::lock-discipline`** — `RwLock`/`Mutex` guards (recognized by the
 //!   workspace idiom `.read()/.write()/.lock()` + `.unwrap()/.expect(..)`)
 //!   held across calls into functions that themselves (transitively)
@@ -54,8 +55,6 @@ pub struct SemFile<'a> {
 enum PanicOp {
     /// `.expect(..)` method call.
     Expect,
-    /// `unreachable!(..)` with a message (argument-less is `ntv::panic`).
-    UnreachableMsg,
     /// Slice/array indexing whose index uses the named fn parameter raw.
     ParamIndex(String),
 }
@@ -269,7 +268,6 @@ impl Graph {
             for (line, op) in &self.panic_ops[id] {
                 let what = match op {
                     PanicOp::Expect => "`.expect(..)`".to_string(),
-                    PanicOp::UnreachableMsg => "`unreachable!(..)`".to_string(),
                     PanicOp::ParamIndex(p) => {
                         format!("slice indexing by caller-supplied `{p}`")
                     }
@@ -423,22 +421,12 @@ fn scan_panic_ops(
         }
         let t = &tokens[i];
         if let Some(id) = t.ident() {
-            match id {
-                "expect"
-                    if i > 0
-                        && tokens[i - 1].is_punct('.')
-                        && tokens.get(i + 1).is_some_and(|n| n.is_punct('(')) =>
-                {
-                    out.push((t.line, PanicOp::Expect));
-                }
-                "unreachable"
-                    if tokens.get(i + 1).is_some_and(|n| n.is_punct('!'))
-                        && tokens.get(i + 2).is_some_and(|n| n.is_punct('('))
-                        && !tokens.get(i + 3).is_some_and(|n| n.is_punct(')')) =>
-                {
-                    out.push((t.line, PanicOp::UnreachableMsg));
-                }
-                _ => {}
+            if id == "expect"
+                && i > 0
+                && tokens[i - 1].is_punct('.')
+                && tokens.get(i + 1).is_some_and(|n| n.is_punct('('))
+            {
+                out.push((t.line, PanicOp::Expect));
             }
             continue;
         }
@@ -693,17 +681,6 @@ pub fn local(xs: &[f64]) -> f64 { let k = 0; xs[k] }
         assert_eq!(pp.len(), 1, "{pp:?}");
         assert_eq!(pp[0].1.line, 2);
         assert!(pp[0].1.message.contains('i'), "{}", pp[0].1.message);
-    }
-
-    #[test]
-    fn messaged_unreachable_is_flagged_when_reachable() {
-        let src =
-            "pub fn f(n: usize) -> usize { match n { 0 => 1, _ => unreachable!(\"n is 0\") } }";
-        let (_, pp, _) = analyze_one(src);
-        assert_eq!(pp.len(), 1, "{pp:?}");
-        // Argument-less unreachable!() stays with ntv::panic.
-        let (_, pp2, _) = analyze_one("pub fn f() { unreachable!() }");
-        assert!(pp2.is_empty(), "{pp2:?}");
     }
 
     #[test]

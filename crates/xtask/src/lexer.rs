@@ -433,7 +433,7 @@ mod tests {
 
     #[test]
     fn comments_are_captured_with_lines() {
-        let out = lex("let a = 1; // ntv:allow(panic): trailing\n// standalone\nlet b = 2;");
+        let out = lex("let a = 1; // ntv:allow(panic-path): trailing\n// standalone\nlet b = 2;");
         assert_eq!(out.comments.len(), 2);
         assert_eq!(out.comments[0].line, 1);
         assert!(out.comments[0].text.contains("ntv:allow"));

@@ -19,7 +19,7 @@
 //!   and return types, struct/impl headers and `pub` visibility — still no
 //!   expression parsing, so it inherits the lexer's totality.
 //! * Rules ([`rules`]) produce raw hits; the policy layer ([`engine`])
-//!   decides where they apply (library vs bench vs harness vs tool code),
+//!   decides where they apply (library vs harness vs tool code),
 //!   applies `#[cfg(test)]` carve-outs and waivers, and renders
 //!   diagnostics (human-readable, `--format json`, or `--format sarif` for
 //!   code-scanning upload). There is no allowlist: every exception is an
@@ -36,6 +36,10 @@
 //! * Fixtures under `tests/fixtures/` pin every rule's behaviour — one bad
 //!   fixture per rule in [`RuleId::ALL`] must keep tripping its diagnostic,
 //!   and the clean fixture plus the real workspace must stay quiet.
+//! * Bans that a resolved path can express (clocks, host reads, hash-order
+//!   containers, uncached builds, the `panic!` family) are clippy's, not
+//!   this tool's: `crates/clippy.toml` holds the lists, and
+//!   `tests/fixtures/clippy/ban_canary.rs` is their firing canary.
 
 pub mod concurrency;
 pub mod dataflow;

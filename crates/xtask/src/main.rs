@@ -39,6 +39,7 @@ lint options:
 exit status: 0 clean, 1 deny-level diagnostics found, 2 usage or I/O error";
 
 fn main() -> ExitCode {
+    #[expect(clippy::disallowed_methods, reason = "the CLI reads its own arguments")]
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("lint") => lint(&args[1..]),
@@ -129,7 +130,10 @@ fn lint(args: &[String]) -> ExitCode {
         concurrency,
     };
     let root = xtask::workspace_root();
-    // ntv:allow(wall-clock): timing the linter itself is --bench-out's job
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "timing the linter itself is --bench-out's job"
+    )]
     let t0 = Instant::now();
     let report = if paths.is_empty() {
         match engine::lint_workspace(&root, &options) {

@@ -4,16 +4,14 @@
 //! Three families, mirroring the repo's correctness contract:
 //!
 //! * **Determinism** — every figure is a Monte-Carlo statistic, so all
-//!   randomness must flow through `ntv_mc::rng` labelled seed streams and no
-//!   result-producing path may depend on wall-clock time, the host
-//!   environment, or hash-map iteration order.
+//!   randomness must flow through `ntv_mc::rng` labelled seed streams. The
+//!   path-level bans (clocks, host reads, hash-order containers, uncached
+//!   builds, the `panic!` family) are clippy's, on resolved paths: see
+//!   `crates/clippy.toml` and `[workspace.lints.clippy]`.
 //! * **Float totality** — order statistics must be NaN-safe:
 //!   `partial_cmp(..).unwrap()` is a latent panic on the exact inputs
 //!   (NaN-bearing samples) the pipeline must reject gracefully; use
 //!   `f64::total_cmp` or an explicit NaN-rejecting constructor.
-//! * **Panic hygiene** — library crates must not contain `panic!`-family
-//!   macros (bare `unwrap()` is clippy's `unwrap_used`, denied workspace-wide);
-//!   propagate errors or use `expect` with a documented invariant.
 //! * **Unit safety** — public library APIs must not pass physical quantities
 //!   (volts, seconds) as bare `f64`; use the `ntv-units` newtypes so the
 //!   compiler rejects a voltage where a time is expected. This family is
@@ -30,31 +28,15 @@ pub enum RuleId {
     /// code must draw through the index-addressed counter streams so
     /// sample *i* never depends on draw history.
     StatefulRng,
-    /// Wall-clock reads: `Instant::now`, `SystemTime::now`.
-    WallClock,
-    /// Host-environment reads: any `std::env::` path, or
-    /// `available_parallelism`.
-    EnvRead,
-    /// `HashMap` / `HashSet` in result-producing code (iteration order is
-    /// nondeterministic with the default RandomState hasher).
-    HashContainer,
     /// `partial_cmp(..).unwrap()` / `.expect(..)` float orderings.
     PartialCmpUnwrap,
-    /// `panic!` / `todo!` / `unimplemented!` (and argument-less
-    /// `unreachable!()`) in library code.
-    Panic,
     /// Bare `f64` (or f64 tuple) carrying a physical unit in a public
     /// library signature — use the `ntv-units` newtypes instead.
     BareUnit,
-    /// Direct `PathDistribution::build` outside the operating-point cache —
-    /// identical Gauss–Hermite builds must be shared via
-    /// `ntv_core::OpPointCache::get_or_build`.
-    UncachedBuild,
     /// Malformed `ntv:allow(..)` waiver comment (missing rule or reason).
     BadWaiver,
-    /// Panicking operation (`.expect(..)`, message-carrying
-    /// `unreachable!(..)`, slice indexing by a caller-supplied parameter)
-    /// reachable from a public Library-class API — found by the
+    /// Panicking operation (`.expect(..)`, slice indexing by a
+    /// caller-supplied parameter) reachable from a public Library-class API — found by the
     /// [`graph`](crate::graph) call-graph pass, not token scanning.
     PanicPath,
     /// Lock guard held across a call into lock-acquiring code, a second
@@ -102,13 +84,8 @@ impl RuleId {
     /// Every rule, in diagnostic-name order.
     pub const ALL: &'static [RuleId] = &[
         RuleId::StatefulRng,
-        RuleId::WallClock,
-        RuleId::EnvRead,
-        RuleId::HashContainer,
         RuleId::PartialCmpUnwrap,
-        RuleId::Panic,
         RuleId::BareUnit,
-        RuleId::UncachedBuild,
         RuleId::BadWaiver,
         RuleId::PanicPath,
         RuleId::LockDiscipline,
@@ -122,18 +99,13 @@ impl RuleId {
         RuleId::DeadWaiver,
     ];
 
-    /// Full diagnostic name, e.g. `ntv::panic`.
+    /// Full diagnostic name, e.g. `ntv::panic-path`.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
             RuleId::StatefulRng => "ntv::stateful-rng",
-            RuleId::WallClock => "ntv::wall-clock",
-            RuleId::EnvRead => "ntv::env-read",
-            RuleId::HashContainer => "ntv::hash-container",
             RuleId::PartialCmpUnwrap => "ntv::partial-cmp-unwrap",
-            RuleId::Panic => "ntv::panic",
             RuleId::BareUnit => "ntv::bare-unit",
-            RuleId::UncachedBuild => "ntv::uncached-build",
             RuleId::BadWaiver => "ntv::bad-waiver",
             RuleId::PanicPath => "ntv::panic-path",
             RuleId::LockDiscipline => "ntv::lock-discipline",
@@ -153,13 +125,8 @@ impl RuleId {
     pub fn short_name(self) -> &'static str {
         match self {
             RuleId::StatefulRng => "stateful-rng",
-            RuleId::WallClock => "wall-clock",
-            RuleId::EnvRead => "env-read",
-            RuleId::HashContainer => "hash-container",
             RuleId::PartialCmpUnwrap => "partial-cmp-unwrap",
-            RuleId::Panic => "panic",
             RuleId::BareUnit => "bare-unit",
-            RuleId::UncachedBuild => "uncached-build",
             RuleId::BadWaiver => "bad-waiver",
             RuleId::PanicPath => "panic-path",
             RuleId::LockDiscipline => "lock-discipline",
@@ -174,7 +141,7 @@ impl RuleId {
         }
     }
 
-    /// Resolve a waiver name (`panic` or `ntv::panic`) to a rule.
+    /// Resolve a waiver name (`panic-path` or `ntv::panic-path`) to a rule.
     #[must_use]
     pub fn from_waiver_name(name: &str) -> Option<RuleId> {
         let name = name.trim().trim_start_matches("ntv::");
@@ -190,41 +157,15 @@ impl RuleId {
                  and their `CounterDraws` cursors; a stateful generator's \
                  sequential draw history breaks thread-count invariance"
             }
-            RuleId::WallClock => {
-                "wall-clock reads make results run-dependent; take time spans \
-                 as parameters or move the timing into `crates/bench`"
-            }
-            RuleId::EnvRead => {
-                "environment and host probes (`std::env`, \
-                 `available_parallelism`) make library results \
-                 host-dependent; pass configuration explicitly through \
-                 `DatapathConfig` or function arguments, or waive with the \
-                 invariant that keeps results independent of it"
-            }
-            RuleId::HashContainer => {
-                "HashMap/HashSet iteration order is randomized per process; \
-                 use BTreeMap/BTreeSet or sort before iterating into results"
-            }
             RuleId::PartialCmpUnwrap => {
                 "panics on NaN; order floats with `f64::total_cmp`, or reject \
                  NaN at the boundary and document it"
-            }
-            RuleId::Panic => {
-                "library code must return `Result`; reserve panics for \
-                 documented invariants via `expect`/`assert!` with a message"
             }
             RuleId::BareUnit => {
                 "physical quantities in public signatures must use the \
                  `ntv-units` newtypes (`Volts`, `Seconds`) so unit mix-ups \
                  fail to compile; scale-suffixed names (`_ps`, `_mv`, \
                  `_fo4`, ...) stay `f64` by convention"
-            }
-            RuleId::UncachedBuild => {
-                "obtain path distributions through `ntv_core::OpPointCache` \
-                 (`get_or_build`, or `DatapathEngine::path_distribution`) so \
-                 identical Gauss–Hermite builds are shared process-wide; \
-                 direct `PathDistribution::build` repeats the quadrature per \
-                 call site"
             }
             RuleId::BadWaiver => {
                 "waivers must name a rule and give a reason: \
@@ -307,7 +248,7 @@ pub struct Hit {
     pub rule: RuleId,
     /// 1-based source line of the violation.
     pub line: u32,
-    /// What was found, e.g. ``wall-clock read via `Instant::now` ``.
+    /// What was found, e.g. ``stateful generator `SmallRng` ``.
     pub message: String,
 }
 
@@ -329,29 +270,6 @@ pub fn scan(tokens: &[Token]) -> Vec<Hit> {
                 line: tok.line,
                 message: "stateful generator via `rand::rngs`".to_string(),
             }),
-            "Instant" | "SystemTime" if path_call(tokens, i, "now") => hits.push(Hit {
-                rule: RuleId::WallClock,
-                line: tok.line,
-                message: format!("wall-clock read via `{ident}::now`"),
-            }),
-            "env" if double_colon(tokens, i) => {
-                let what = tokens.get(i + 3).and_then(Token::ident).unwrap_or("..");
-                hits.push(Hit {
-                    rule: RuleId::EnvRead,
-                    line: tok.line,
-                    message: format!("environment read via `env::{what}`"),
-                });
-            }
-            "available_parallelism" => hits.push(Hit {
-                rule: RuleId::EnvRead,
-                line: tok.line,
-                message: "host probe via `available_parallelism`".to_string(),
-            }),
-            "HashMap" | "HashSet" => hits.push(Hit {
-                rule: RuleId::HashContainer,
-                line: tok.line,
-                message: format!("`{ident}` has nondeterministic iteration order"),
-            }),
             "partial_cmp" => {
                 if let Some(method) = partial_cmp_then_unwrap(tokens, i) {
                     hits.push(Hit {
@@ -360,26 +278,6 @@ pub fn scan(tokens: &[Token]) -> Vec<Hit> {
                         message: format!("`partial_cmp(..).{method}(..)` panics on NaN"),
                     });
                 }
-            }
-            "panic" | "todo" | "unimplemented" if is_macro_invocation(tokens, i) => {
-                hits.push(Hit {
-                    rule: RuleId::Panic,
-                    line: tok.line,
-                    message: format!("`{ident}!` in library code"),
-                });
-            }
-            "PathDistribution" if path_call(tokens, i, "build") => hits.push(Hit {
-                rule: RuleId::UncachedBuild,
-                line: tok.line,
-                message: "direct `PathDistribution::build` outside the operating-point cache"
-                    .to_string(),
-            }),
-            "unreachable" if is_macro_invocation(tokens, i) && macro_args_empty(tokens, i) => {
-                hits.push(Hit {
-                    rule: RuleId::Panic,
-                    line: tok.line,
-                    message: "argument-less `unreachable!()` (document the invariant)".to_string(),
-                });
             }
             _ => {}
         }
@@ -468,8 +366,7 @@ const UNIT_SEGMENTS: &[&str] = &["vdd", "vth", "volt", "volts", "voltage", "seco
 /// plain numbers in a *stated* scale (`t_clk_ns`, `margin_mv`,
 /// `fo4_unit_ps`) and the SI-base newtypes would force silent rescaling.
 const SCALE_SEGMENTS: &[&str] = &[
-    "ps", "ns", "us", "ms", "fs", "fj", "pj", "nj", "mv", "uv", "ghz", "mhz", "khz", "mw", "uw",
-    "fo4", "pct",
+    "ps", "ns", "us", "ms", "fs", "fj", "pj", "nj", "mv", "uv", "fo4", "pct",
 ];
 
 fn segments(name: &str) -> impl Iterator<Item = String> + '_ {
@@ -507,24 +404,6 @@ pub(crate) fn double_colon(tokens: &[Token], i: usize) -> bool {
 /// Is token `i` followed by `::name`?
 pub(crate) fn path_call(tokens: &[Token], i: usize, name: &str) -> bool {
     double_colon(tokens, i) && tokens.get(i + 3).and_then(Token::ident) == Some(name)
-}
-
-/// `name!(..)` / `name! {..}` — and not a `macro_rules!` definition head.
-fn is_macro_invocation(tokens: &[Token], i: usize) -> bool {
-    let banged = matches!(tokens.get(i + 1), Some(t) if t.is_punct('!'));
-    let defines = i > 0 && tokens[i - 1].ident().is_some_and(|s| s == "macro_rules");
-    banged && !defines
-}
-
-/// For a macro invocation at `i`: is the delimited argument list empty?
-fn macro_args_empty(tokens: &[Token], i: usize) -> bool {
-    matches!(
-        (tokens.get(i + 2), tokens.get(i + 3)),
-        (Some(a), Some(b))
-            if (a.is_punct('(') && b.is_punct(')'))
-                || (a.is_punct('[') && b.is_punct(']'))
-                || (a.is_punct('{') && b.is_punct('}'))
-    )
 }
 
 /// From `partial_cmp` at index `i`: skip the balanced call parentheses, then
@@ -585,42 +464,6 @@ mod tests {
     }
 
     #[test]
-    fn detects_wall_clock_but_not_duration() {
-        assert_eq!(
-            rules_hit("let t0 = Instant::now();"),
-            vec![RuleId::WallClock]
-        );
-        assert_eq!(
-            rules_hit("let t = SystemTime::now();"),
-            vec![RuleId::WallClock]
-        );
-        assert!(rules_hit("let d = Duration::from_secs(1);").is_empty());
-        assert!(rules_hit("use std::time::Instant;").is_empty());
-    }
-
-    #[test]
-    fn detects_env_reads() {
-        assert_eq!(
-            rules_hit("let v = std::env::var(\"SEED\");"),
-            vec![RuleId::EnvRead]
-        );
-        assert_eq!(
-            rules_hit("let n = std::thread::available_parallelism();"),
-            vec![RuleId::EnvRead]
-        );
-        assert!(rules_hit("let v = env!(\"CARGO_MANIFEST_DIR\");").is_empty());
-    }
-
-    #[test]
-    fn detects_hash_containers() {
-        assert_eq!(
-            rules_hit("use std::collections::HashMap;"),
-            vec![RuleId::HashContainer]
-        );
-        assert!(rules_hit("use std::collections::BTreeMap;").is_empty());
-    }
-
-    #[test]
     fn detects_partial_cmp_unwrap_and_expect() {
         assert_eq!(
             rules_hit("v.sort_by(|a, b| a.partial_cmp(b).unwrap());"),
@@ -632,39 +475,6 @@ mod tests {
         );
         assert!(rules_hit("v.sort_by(f64::total_cmp);").is_empty());
         assert!(rules_hit("let f = f64::partial_cmp;").is_empty());
-    }
-
-    #[test]
-    fn detects_panic_family() {
-        assert_eq!(rules_hit("panic!(\"boom\");"), vec![RuleId::Panic]);
-        assert_eq!(rules_hit("todo!()"), vec![RuleId::Panic]);
-        assert_eq!(rules_hit("unimplemented!()"), vec![RuleId::Panic]);
-        assert_eq!(rules_hit("unreachable!()"), vec![RuleId::Panic]);
-        // Documented unreachable and assert! with a message are allowed.
-        assert!(rules_hit("unreachable!(\"k < n by loop bound\")").is_empty());
-        assert!(rules_hit("assert!(n > 0, \"empty\");").is_empty());
-    }
-
-    #[test]
-    fn macro_definitions_are_not_invocations() {
-        assert!(rules_hit("macro_rules! panic { () => {} }").is_empty());
-    }
-
-    #[test]
-    fn detects_uncached_distribution_builds() {
-        assert_eq!(
-            rules_hit("let d = PathDistribution::build(&tech, vdd, n);"),
-            vec![RuleId::UncachedBuild]
-        );
-        assert_eq!(
-            rules_hit("let d = crate::engine::PathDistribution::build(&tech, vdd, n);"),
-            vec![RuleId::UncachedBuild]
-        );
-        // The sanctioned accessors never name the constructor.
-        assert!(rules_hit("let d = engine.path_distribution(vdd);").is_empty());
-        assert!(rules_hit("let d = cache.get_or_build(&tech, vdd, n);").is_empty());
-        // Mentioning the type without calling `::build` is fine.
-        assert!(rules_hit("fn f(d: &PathDistribution) -> f64 { d.mean_ps() }").is_empty());
     }
 
     fn sig_hits(src: &str) -> Vec<Hit> {
@@ -702,6 +512,8 @@ mod tests {
         assert!(sig_hits("pub fn vdd_grid() -> Vec<f64> { vec![] }").is_empty());
         // A quantity `ntv-units` has no newtype for has nothing to be typed as.
         assert!(sig_hits("pub fn f(freq_hz: f64) {}").is_empty());
+        // A frequency scale does not make a voltage name scale-suffixed.
+        assert_eq!(sig_hits("pub fn f(vdd_mhz: f64) {}").len(), 1);
     }
 
     #[test]

@@ -93,7 +93,7 @@ mod tests {
     #[test]
     fn renders_schema_rules_and_results() {
         let d1 = diag("crates/core/src/engine.rs", 12, RuleId::PanicPath);
-        let d2 = diag("crates/mc/src/quantile.rs", 50, RuleId::Panic);
+        let d2 = diag("crates/mc/src/quantile.rs", 50, RuleId::LossyCast);
         let doc = render(&[&d1, &d2]);
         assert!(doc.contains("\"version\": \"2.1.0\""), "{doc}");
         assert!(doc.contains("sarif-2.1.0.json"), "{doc}");
@@ -107,12 +107,12 @@ mod tests {
                 "{doc}"
             );
         }
-        let panic_index = RuleId::ALL
+        let cast_index = RuleId::ALL
             .iter()
-            .position(|&r| r == RuleId::Panic)
+            .position(|&r| r == RuleId::LossyCast)
             .expect("catalog rule");
         assert!(
-            doc.contains(&format!("\"ruleIndex\": {panic_index}")),
+            doc.contains(&format!("\"ruleIndex\": {cast_index}")),
             "{doc}"
         );
         // Deterministic: same input renders byte-identically.

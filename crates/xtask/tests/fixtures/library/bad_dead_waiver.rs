@@ -2,6 +2,6 @@
 //! `ntv::dead-waiver` under `--check-waivers` (clean otherwise).
 
 pub fn scaled(x: f64) -> f64 {
-    // ntv:allow(panic): nothing on this path can fail
+    // ntv:allow(panic-path): nothing on this path can fail
     x * 2.0
 }

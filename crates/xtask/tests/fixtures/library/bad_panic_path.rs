@@ -1,9 +1,8 @@
 //! Fixture: panicking operations reachable from public API →
 //! `ntv::panic-path`.
 //!
-//! All three shapes: a `.expect(..)` in a private helper called from a
-//! `pub fn`, a messaged `unreachable!(..)`, and slice indexing by a
-//! caller-supplied parameter.
+//! Both shapes: a `.expect(..)` in a private helper called from a
+//! `pub fn`, and slice indexing by a caller-supplied parameter.
 
 pub fn head(values: &[f64]) -> f64 {
     pick(values)
@@ -11,13 +10,6 @@ pub fn head(values: &[f64]) -> f64 {
 
 fn pick(values: &[f64]) -> f64 {
     values.first().copied().expect("non-empty input")
-}
-
-pub fn decode(mode: u8) -> u8 {
-    match mode {
-        0 | 1 => mode,
-        _ => unreachable!("modes are two-valued"),
-    }
 }
 
 pub fn lane_value(table: &[f64], lane: usize) -> f64 {

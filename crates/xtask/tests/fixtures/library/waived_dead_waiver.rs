@@ -2,7 +2,7 @@
 //! (kept for a feature-gated code path) from `--check-waivers`.
 
 pub fn scaled(x: f64) -> f64 {
-    // ntv:allow(dead-waiver): the panic waiver covers a cfg-gated path
-    // ntv:allow(panic): the gated code path panics on a failed conversion
+    // ntv:allow(dead-waiver): the panic-path waiver covers a cfg-gated path
+    // ntv:allow(panic-path): the gated code path panics on a failed conversion
     x * 2.0
 }

@@ -10,14 +10,6 @@ fn pick(values: &[f64]) -> f64 {
     values.first().copied().expect("non-empty input")
 }
 
-pub fn decode(mode: u8) -> u8 {
-    match mode {
-        0 | 1 => mode,
-        // ntv:allow(panic-path): the ISA encodes exactly two modes
-        _ => unreachable!("modes are two-valued"),
-    }
-}
-
 pub fn lane_value(table: &[f64], lane: usize) -> f64 {
     // ntv:allow(panic-path): documented panic; lane count is machine-fixed
     table[lane]

@@ -21,6 +21,10 @@ struct ServeChild {
 }
 
 impl ServeChild {
+    #[expect(
+        clippy::panic,
+        reason = "a server that never announces its address fails the test"
+    )]
     fn spawn() -> Self {
         let mut child = Command::new(env!("CARGO_BIN_EXE_ntv"))
             .args(["serve", "--addr", "127.0.0.1:0"])

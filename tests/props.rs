@@ -23,6 +23,10 @@ use ntv_simd::soda::xram::{LaneMap, ShuffleConfig};
 use ntv_simd::units::Volts;
 
 /// Run `property` on `cases` cases of test `name`, each on its own cursor.
+#[expect(
+    clippy::panic,
+    reason = "a failed case fails the test, naming its stream"
+)]
 fn check(name: &str, cases: u64, property: impl Fn(&mut CounterDraws)) {
     let stream = CounterRng::new(2012, name);
     for c in 0..cases {
