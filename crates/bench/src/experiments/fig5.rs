@@ -52,7 +52,7 @@ pub fn run_with(samples: usize, seed: u64, exec: Executor) -> Fig5Result {
         .iter()
         .map(|&spares| Fig5Curve {
             spares,
-            distribution: matrix.chip_delay_with_spares(128, spares),
+            distribution: matrix.chip_delay_with_spares(spares),
         })
         .collect();
     let matching_spares = study.required_spares(&matrix, baseline).ok();

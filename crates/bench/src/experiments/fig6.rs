@@ -74,7 +74,7 @@ pub fn run_with(samples: usize, seed: u64, exec: Executor) -> Fig6Result {
     let spare_curves = [0u32, 4, 8, 16, 32]
         .iter()
         .map(|&spares| {
-            let distribution = matrix.chip_delay_with_spares(128, spares);
+            let distribution = matrix.chip_delay_with_spares(spares);
             Fig6Curve {
                 label: format!("128+{spares}-spare @600 mV"),
                 q99_ns: distribution.q99_ns(),

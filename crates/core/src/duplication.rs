@@ -11,9 +11,12 @@
 //! one Monte-Carlo pass sampling `128 + α_max` lanes per chip yields the
 //! distribution for *every* α ≤ α_max by order-statistic selection over a
 //! prefix — and adding a spare can only lower each sample, so the q99 is
-//! monotone in α and binary search is sound.
+//! monotone in α and binary search is sound. The pass reduces each chip's
+//! lanes to a *spares ladder* as it samples them: entry α is that chip's
+//! delay with α spares, so every α's distribution is one stored column
+//! instead of a fresh selection over every chip's row.
 
-use ntv_mc::{order, CounterRng, Quantiles};
+use ntv_mc::{CounterRng, Quantiles};
 use ntv_units::Volts;
 
 use crate::engine::{ChipDelayDistribution, DatapathEngine};
@@ -22,16 +25,21 @@ use crate::overhead::DietSodaBudget;
 use crate::perf;
 use crate::quantile::{ChipQuantileSolver, Evaluation};
 
-/// Lane-delay samples (FO4 units): one row per chip, `max_lanes` per row.
+/// Chip delays (FO4 units) of a `lanes`-wide system with every spare count
+/// from 0 to `max_spares`, one spares ladder per sampled chip.
 ///
-/// Row `i` holds conditionally i.i.d. lane delays for chip `i`; any prefix
-/// is a valid sample of a narrower physical array.
+/// Chip `i`'s ladder entry α is the `lanes`-th smallest of the first
+/// `lanes + α` of its conditionally i.i.d. lane delays: the chip delay
+/// after the α slowest of `lanes + α` lanes are power-gated. The lane rows
+/// themselves are not kept. The ladders are stored flat, chip-major, as
+/// `samples × (max_spares + 1)`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LaneDelayMatrix {
     vdd: Volts,
     fo4_unit_ps: f64,
-    max_lanes: usize,
-    rows: Vec<Vec<f64>>,
+    lanes: usize,
+    max_spares: u32,
+    ladders: Vec<f64>,
 }
 
 impl LaneDelayMatrix {
@@ -41,37 +49,78 @@ impl LaneDelayMatrix {
         self.vdd
     }
 
-    /// Lanes sampled per chip (the largest supported `lanes + spares`).
+    /// The largest spare count the matrix was sampled for.
     #[must_use]
-    pub fn max_lanes(&self) -> usize {
-        self.max_lanes
+    pub fn max_spares(&self) -> u32 {
+        self.max_spares
     }
 
-    /// Chip-delay distribution of a `lanes`-wide system with `spares`
-    /// spare lanes: per chip, the `lanes`-th smallest of the first
-    /// `lanes + spares` lane delays.
+    /// Chip-delay distribution of the sampled `lanes`-wide system with
+    /// `spares` spare lanes: per chip, the `lanes`-th smallest of the first
+    /// `lanes + spares` lane delays, read from ladder column `spares`.
     ///
     /// # Panics
     ///
-    /// Panics if `lanes + spares` exceeds the sampled width.
+    /// Panics if `spares` exceeds the sampled width.
     #[must_use]
-    pub fn chip_delay_with_spares(&self, lanes: usize, spares: u32) -> ChipDelayDistribution {
-        let physical = lanes + spares as usize;
+    pub fn chip_delay_with_spares(&self, spares: u32) -> ChipDelayDistribution {
         assert!(
-            physical <= self.max_lanes,
-            "requested {physical} lanes but only {} were sampled",
-            self.max_lanes
+            spares <= self.max_spares,
+            "requested {} lanes but only {} were sampled",
+            self.lanes + spares as usize,
+            self.lanes + self.max_spares as usize
         );
         let data: Vec<f64> = self
-            .rows
+            .ladders
             .iter()
-            .map(|row| order::kth_smallest(&row[..physical], lanes - 1))
+            .skip(spares as usize)
+            .step_by(self.max_spares as usize + 1)
+            .copied()
             .collect();
         ChipDelayDistribution {
             vdd: self.vdd,
             fo4_unit_ps: self.fo4_unit_ps,
             fo4_quantiles: Quantiles::from_samples(data),
         }
+    }
+}
+
+/// One chip's spares ladder: `ladder[α]`, for α from 0 to
+/// `ladder.len() − 1`, is the `lanes`-th smallest of the first `lanes + α`
+/// values of `row`, bit for bit `order::kth_smallest(&row[..lanes + α],
+/// lanes − 1)`: both select in `total_cmp` order, in which equal values are
+/// equal bits.
+///
+/// Keeps the largest `min(ladder.len(), lanes)` of the first `lanes`
+/// values in descending order, then inserts the spare lanes one at a time.
+/// The value at descending position α of `lanes + α` values is their
+/// `lanes`-th smallest, and an insertion only pushes kept values down, so
+/// after α insertions entry α sits at position α. `row` must hold at least
+/// `lanes + ladder.len() − 1` values, and `lanes` must be at least 1.
+fn spares_ladder(row: &[f64], lanes: usize, ladder: &mut [f64]) {
+    let descending = |a: &f64, b: &f64| b.total_cmp(a);
+    let width = ladder.len();
+    let (base, spare_lanes) = row.split_at(lanes);
+    let mut top = base.to_vec();
+    if width < top.len() {
+        top.select_nth_unstable_by(width, descending);
+        top.truncate(width);
+    }
+    top.sort_unstable_by(descending);
+    let mut spare_lanes = spare_lanes.iter();
+    for (alpha, entry) in ladder.iter_mut().enumerate() {
+        if alpha > 0 {
+            if let Some(&s) = spare_lanes.next() {
+                let at = top.partition_point(|t| t.total_cmp(&s).is_gt());
+                if at < width {
+                    top.truncate(width - 1);
+                    top.insert(at, s);
+                }
+            }
+        }
+        // `top` holds min(width, lanes + α) ≥ α + 1 values; the NaN is
+        // unreachable, and `Quantiles::from_samples` would reject it.
+        *entry = top.get(alpha).copied().unwrap_or(f64::NAN);
     }
 }
 
@@ -157,7 +206,10 @@ impl<'a> DuplicationStudy<'a> {
         self
     }
 
-    /// Sample a lane-delay matrix at `vdd` wide enough for `max_spares`.
+    /// Sample the spares ladders of `samples` chips at `vdd`, for every
+    /// spare count up to `max_spares`: each chip's `lanes + max_spares`
+    /// lane delays are drawn and reduced to its ladder inside the parallel
+    /// pass, so no lane row outlives its chip.
     #[must_use]
     pub fn sample_matrix(
         &self,
@@ -167,20 +219,27 @@ impl<'a> DuplicationStudy<'a> {
         seed: u64,
     ) -> LaneDelayMatrix {
         let lanes = self.engine.config().lanes;
-        let max_lanes = lanes + max_spares as usize;
+        let width = max_spares as usize + 1;
         // Chip `i`'s lane delays are addressed as `(seed, label, i)`, so the
         // matrix is bit-identical for any thread count.
         self.engine.warmed_distribution(vdd);
         let stream = CounterRng::new(seed, "duplication-matrix");
-        let rows: Vec<Vec<f64>> = self.exec.map_indexed(samples as u64, |i| {
-            self.engine
-                .sample_lane_delays_fo4(vdd, max_lanes, &mut stream.at(i))
+        let ladders: Vec<Vec<f64>> = self.exec.map_indexed(samples as u64, |i| {
+            let row = self.engine.sample_lane_delays_fo4(
+                vdd,
+                lanes + max_spares as usize,
+                &mut stream.at(i),
+            );
+            let mut ladder = vec![0.0; width];
+            spares_ladder(&row, lanes, &mut ladder);
+            ladder
         });
         LaneDelayMatrix {
             vdd,
             fo4_unit_ps: self.engine.tech().fo4_delay_ps(vdd),
-            max_lanes,
-            rows,
+            lanes,
+            max_spares,
+            ladders: ladders.concat(),
         }
     }
 
@@ -196,10 +255,8 @@ impl<'a> DuplicationStudy<'a> {
         matrix: &LaneDelayMatrix,
         target_q99_fo4: f64,
     ) -> Result<u32, SparesExceeded> {
-        let lanes = self.engine.config().lanes;
-        let max_spares = (matrix.max_lanes() - lanes) as u32;
-        min_spares(max_spares, target_q99_fo4, |alpha| {
-            matrix.chip_delay_with_spares(lanes, alpha).q99_fo4()
+        min_spares(matrix.max_spares(), target_q99_fo4, |alpha| {
+            matrix.chip_delay_with_spares(alpha).q99_fo4()
         })
     }
 
@@ -248,8 +305,7 @@ impl<'a> DuplicationStudy<'a> {
             Evaluation::MonteCarlo => {
                 let matrix = self.sample_matrix(vdd, max_spares, samples, seed);
                 let spares = self.required_spares(&matrix, target)?;
-                let lanes = self.engine.config().lanes;
-                let q99 = matrix.chip_delay_with_spares(lanes, spares).q99_fo4();
+                let q99 = matrix.chip_delay_with_spares(spares).q99_fo4();
                 (spares, q99)
             }
         };
@@ -315,9 +371,9 @@ mod tests {
         let engine = DatapathEngine::new(&tech, DatapathConfig::paper_default());
         let study = DuplicationStudy::new(&engine);
         let matrix = study.sample_matrix(Volts(0.55), 32, SAMPLES, 1);
-        let d0 = matrix.chip_delay_with_spares(128, 0);
-        let d6 = matrix.chip_delay_with_spares(128, 6);
-        let d32 = matrix.chip_delay_with_spares(128, 32);
+        let d0 = matrix.chip_delay_with_spares(0);
+        let d6 = matrix.chip_delay_with_spares(6);
+        let d32 = matrix.chip_delay_with_spares(32);
         assert!(d6.q99_fo4() < d0.q99_fo4());
         assert!(d32.q99_fo4() < d6.q99_fo4());
         let spread = |d: &ChipDelayDistribution| d.quantile_fo4(0.99) - d.quantile_fo4(0.01);
@@ -391,7 +447,7 @@ mod tests {
         let matrix = study.sample_matrix(Volts(0.6), 24, 1200, 6);
         let mut prev = f64::INFINITY;
         for alpha in [0u32, 1, 2, 4, 8, 16, 24] {
-            let q = matrix.chip_delay_with_spares(128, alpha).q99_fo4();
+            let q = matrix.chip_delay_with_spares(alpha).q99_fo4();
             assert!(q <= prev, "alpha={alpha}: {q} > {prev}");
             prev = q;
         }
@@ -437,6 +493,71 @@ mod tests {
         assert!(err.achieved_q99_fo4 > err.target_q99_fo4);
     }
 
+    /// Every ladder entry must carry the bits of the selection it replaces,
+    /// `kth_smallest(&row[..lanes + α], lanes − 1)`, for one-lane, two-lane
+    /// and full-width chips, spare budgets from none to more than the lane
+    /// count, and rows with ties and with both signed zeros.
+    #[test]
+    fn spares_ladder_matches_kth_smallest_for_every_alpha() {
+        let mut rng = ntv_mc::CounterRng::new(8, "spares-ladder").at(0);
+        for lanes in [1usize, 2, 128] {
+            for max_spares in [0usize, 1, 32, 128] {
+                let n = lanes + max_spares;
+                let rows: [Vec<f64>; 4] = [
+                    (0..n).map(|_| rng.uniform()).collect(),
+                    // Ties: few distinct values, so equal values straddle
+                    // every cut.
+                    (0..n).map(|_| f64::from(rng.index(3) as u32)).collect(),
+                    // Signed zeros, which `total_cmp` orders −0.0 < +0.0.
+                    (0..n)
+                        .map(|_| [-0.0, 0.0, 1.0, -1.0][rng.index(4)])
+                        .collect(),
+                    // Descending, so every spare lands below the kept set.
+                    (0..n).map(|i| -(i as f64)).collect(),
+                ];
+                for row in &rows {
+                    let mut ladder = vec![f64::NAN; max_spares + 1];
+                    spares_ladder(row, lanes, &mut ladder);
+                    for (alpha, entry) in ladder.iter().enumerate() {
+                        let want = ntv_mc::order::kth_smallest(&row[..lanes + alpha], lanes - 1);
+                        assert_eq!(
+                            entry.to_bits(),
+                            want.to_bits(),
+                            "lanes={lanes} max_spares={max_spares} alpha={alpha} row={row:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The matrix's columns equal a selection over freshly sampled lane
+    /// rows, chip by chip, at any thread count.
+    #[test]
+    fn matrix_columns_match_row_selection() {
+        let tech = study_engine(TechNode::Gp45);
+        let engine = DatapathEngine::new(&tech, DatapathConfig::paper_default());
+        let (samples, max_spares, seed) = (300, 12u32, 9);
+        let stream = CounterRng::new(seed, "duplication-matrix");
+        let rows: Vec<Vec<f64>> = (0..samples as u64)
+            .map(|i| engine.sample_lane_delays_fo4(Volts(0.55), 140, &mut stream.at(i)))
+            .collect();
+        for threads in [1, 3] {
+            let matrix = DuplicationStudy::new(&engine)
+                .with_executor(Executor::new(threads))
+                .sample_matrix(Volts(0.55), max_spares, samples, seed);
+            assert_eq!(matrix.max_spares(), max_spares);
+            for alpha in 0..=max_spares {
+                let want: Vec<f64> = rows
+                    .iter()
+                    .map(|row| ntv_mc::order::kth_smallest(&row[..128 + alpha as usize], 127))
+                    .collect();
+                let got = matrix.chip_delay_with_spares(alpha);
+                assert_eq!(got.fo4_quantiles, Quantiles::from_samples(want));
+            }
+        }
+    }
+
     #[test]
     #[should_panic(expected = "were sampled")]
     fn matrix_width_is_enforced() {
@@ -444,6 +565,6 @@ mod tests {
         let engine = DatapathEngine::new(&tech, DatapathConfig::paper_default());
         let study = DuplicationStudy::new(&engine);
         let matrix = study.sample_matrix(Volts(0.6), 4, 50, 7);
-        let _ = matrix.chip_delay_with_spares(128, 8);
+        let _ = matrix.chip_delay_with_spares(8);
     }
 }

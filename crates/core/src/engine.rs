@@ -572,7 +572,13 @@ impl<'a> DatapathEngine<'a> {
 
     /// Sample the delays (FO4 units) of `n_lanes` lanes on a fresh chip.
     ///
-    /// Each lane delay is the maximum of `paths_per_lane` path delays.
+    /// Each lane delay is the maximum of `paths_per_lane` path delays. In
+    /// paper-normal mode the lanes run as passes over the whole row (one
+    /// uniform per lane, the order-statistic targets, the 8-lane
+    /// [`normal::quantile_slice`], the scale), bit-identical to one
+    /// [`order::sample_max_normal`] per lane and drawing exactly what that
+    /// loop draws; the other modes sample lane by lane.
+    ///
     /// Passing `&mut stream.at(i)` makes chip `i`'s lanes a pure function
     /// of `(stream key, i)`, so any subset of chips can be sampled on any
     /// thread without changing a value.
@@ -586,16 +592,19 @@ impl<'a> DatapathEngine<'a> {
         let dist = self.path_distribution(vdd);
         let fo4 = dist.mean_ps() / self.config.path_length as f64;
         match self.mode {
-            VariationMode::PaperNormal => (0..n_lanes)
-                .map(|_| {
-                    order::sample_max_normal(
-                        rng,
-                        self.config.paths_per_lane,
-                        dist.mean_ps(),
-                        dist.std_ps(),
-                    ) / fo4
-                })
-                .collect(),
+            // One uniform per lane from the cursor, in lane order, and none
+            // when σ = 0: the draws of one `sample_max_normal` per lane.
+            VariationMode::PaperNormal => {
+                let mut lanes = vec![0.0; n_lanes];
+                paper_normal_max_fo4(
+                    (dist.mean_ps(), dist.std_ps()),
+                    self.config.paths_per_lane,
+                    fo4,
+                    &mut lanes,
+                    |u| u.iter_mut().for_each(|u| *u = rng.uniform_open()),
+                );
+                lanes
+            }
             VariationMode::SkewedIid => (0..n_lanes)
                 .map(|_| dist.sample_max(self.config.paths_per_lane, rng) / fo4)
                 .collect(),
@@ -616,6 +625,30 @@ impl<'a> DatapathEngine<'a> {
                     .collect()
             }
         }
+    }
+
+    /// The per-lane loop [`Self::sample_lane_delays_fo4`]'s paper-normal
+    /// arm replaced: one [`order::sample_max_normal`] call per lane. The
+    /// oracle the lane kernel is pinned against.
+    #[cfg(test)]
+    fn sample_lane_delays_fo4_per_lane(
+        &self,
+        vdd: Volts,
+        n_lanes: usize,
+        rng: &mut CounterDraws,
+    ) -> Vec<f64> {
+        let dist = self.path_distribution(vdd);
+        let fo4 = dist.mean_ps() / self.config.path_length as f64;
+        (0..n_lanes)
+            .map(|_| {
+                order::sample_max_normal(
+                    rng,
+                    self.config.paths_per_lane,
+                    dist.mean_ps(),
+                    dist.std_ps(),
+                ) / fo4
+            })
+            .collect()
     }
 
     /// Per-chip scalar form of [`Self::sample_chip_delays_fo4_batch`]: one
@@ -653,9 +686,11 @@ impl<'a> DatapathEngine<'a> {
     /// per-voltage distribution lookup out of the loop and, for the modes
     /// whose chip delay consumes exactly one uniform draw, splits the work
     /// into fixed-stride passes: a batched counter-RNG draw, an
-    /// elementwise order-statistic target map, and an elementwise quantile
-    /// inversion. Element `i` is bit-identical to the per-chip scalar
-    /// sampler on that cursor (pinned by the unit tests).
+    /// elementwise order-statistic target map, and a quantile inversion
+    /// (the 8-lane [`normal::quantile_slice`] for paper-normal chips,
+    /// [`PathDistribution::quantile_by_survival`] per element for
+    /// skewed-iid ones). Element `i` is bit-identical to the per-chip
+    /// scalar sampler on that cursor (pinned by the unit tests).
     pub fn sample_chip_delays_fo4_batch(
         &self,
         vdd: Volts,
@@ -669,17 +704,9 @@ impl<'a> DatapathEngine<'a> {
         match self.mode {
             // Max over lanes of max over paths == max over all paths.
             VariationMode::PaperNormal => {
-                assert!(n > 0, "maximum of zero variables is undefined");
-                let (mean, std_dev) = (dist.mean_ps(), dist.std_ps());
-                assert!(std_dev >= 0.0, "standard deviation must be non-negative");
-                if std_dev == 0.0 {
-                    out.fill(mean / fo4);
-                    return;
-                }
-                stream.uniform_open_batch(first, out);
-                for o in out {
-                    *o = (mean + std_dev * normal::quantile(order::max_cdf_target(*o, n))) / fo4;
-                }
+                paper_normal_max_fo4((dist.mean_ps(), dist.std_ps()), n, fo4, out, |u| {
+                    stream.uniform_open_batch(first, u);
+                });
             }
             VariationMode::SkewedIid => {
                 assert!(n > 0, "maximum of zero paths is undefined");
@@ -799,6 +826,43 @@ impl<'a> DatapathEngine<'a> {
     #[must_use]
     pub fn fo4_unit_ps(&self, vdd: Volts) -> f64 {
         self.path_distribution(vdd).mean_ps() / self.config.path_length as f64
+    }
+}
+
+/// The paper-normal slowest of `n` paths, in FO4 units, over a batch:
+/// `out[i] = (μ + σ·Φ⁻¹(u_i^(1/n))) / fo4`, the
+/// [`order::sample_max_normal`] transform of one uniform per element.
+///
+/// `draw` fills `out` with the uniforms; then come three passes over the
+/// batch: the [`order::max_cdf_target`] map, [`normal::quantile_slice`] and
+/// the scale. Each pass runs the scalar operation sequence, so element `i`
+/// carries the per-draw form's bits. With σ = 0 every element is `μ / fo4`
+/// and `draw` is never called, so no uniform is consumed, as in
+/// [`order::sample_max_normal`].
+///
+/// # Panics
+///
+/// Panics if `n == 0` or `σ < 0`.
+fn paper_normal_max_fo4(
+    (mean, std_dev): (f64, f64),
+    n: usize,
+    fo4: f64,
+    out: &mut [f64],
+    draw: impl FnOnce(&mut [f64]),
+) {
+    assert!(n > 0, "maximum of zero variables is undefined");
+    assert!(std_dev >= 0.0, "standard deviation must be non-negative");
+    if std_dev == 0.0 {
+        out.fill(mean / fo4);
+        return;
+    }
+    draw(out);
+    for o in out.iter_mut() {
+        *o = order::max_cdf_target(*o, n);
+    }
+    normal::quantile_slice(out);
+    for o in out {
+        *o = (mean + std_dev * *o) / fo4;
     }
 }
 
@@ -1134,6 +1198,57 @@ mod tests {
                 assert!(twos > 0 && zeros > 0, "{node:?} {vdd}: {twos} / {zeros}");
             }
         }
+    }
+
+    /// The paper-normal lane kernel must equal one `sample_max_normal` per
+    /// lane bit for bit, on every node, at low and nominal voltage, for
+    /// lane counts around the 8-lane chunk and the matrix widths, and it
+    /// must leave the cursor where the per-lane loop leaves it: soda's
+    /// fault injection keeps drawing from the same cursor afterwards.
+    #[test]
+    fn paper_normal_lane_kernel_is_bit_exact_and_draw_exact() {
+        let stream = ntv_mc::CounterRng::new(505, "engine-lanes");
+        for node in TechNode::ALL {
+            let tech = TechModel::new(node);
+            let engine = engine_default(&tech);
+            for vdd in [Volts(0.5), Volts(0.55), Volts(1.0)] {
+                for n_lanes in [0usize, 1, 7, 8, 9, 128, 160] {
+                    for cursor in [0u64, 1, 77, 9_999] {
+                        let mut kernel = stream.at(cursor);
+                        let mut oracle = stream.at(cursor);
+                        let got = engine.sample_lane_delays_fo4(vdd, n_lanes, &mut kernel);
+                        let want =
+                            engine.sample_lane_delays_fo4_per_lane(vdd, n_lanes, &mut oracle);
+                        assert_eq!(got.len(), n_lanes);
+                        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                            assert_eq!(
+                                g.to_bits(),
+                                w.to_bits(),
+                                "{node:?} {vdd} lanes={n_lanes} cursor={cursor} i={i}"
+                            );
+                        }
+                        assert_eq!(
+                            kernel.next_word(),
+                            oracle.next_word(),
+                            "{node:?} {vdd} lanes={n_lanes} cursor={cursor}: next draw"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// With σ = 0 the batch transform writes `μ / fo4` without drawing,
+    /// as `sample_max_normal` returns μ without drawing.
+    #[test]
+    fn paper_normal_batch_draws_nothing_at_zero_sigma() {
+        let mut rng = CounterRng::new(6, "zero-sigma").at(0);
+        let mut out = [1.0; 9];
+        let mut drawn = false;
+        paper_normal_max_fo4((400.0, 0.0), 100, 8.0, &mut out, |_| drawn = true);
+        assert!(!drawn, "no uniform may be drawn at zero sigma");
+        let scalar = order::sample_max_normal(&mut rng, 100, 400.0, 0.0) / 8.0;
+        assert!(out.iter().all(|o| o.to_bits() == scalar.to_bits()));
     }
 
     /// The SoA chip-delay kernel must equal the per-index scalar sampler

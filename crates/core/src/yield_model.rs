@@ -80,8 +80,7 @@ impl<'a> YieldStudy<'a> {
     /// Yield of a duplicated system from a pre-sampled lane matrix.
     #[must_use]
     pub fn yield_with_spares(&self, matrix: &LaneDelayMatrix, spares: u32, t_clk_ns: f64) -> f64 {
-        let lanes = self.engine.config().lanes;
-        let dist = matrix.chip_delay_with_spares(lanes, spares);
+        let dist = matrix.chip_delay_with_spares(spares);
         let t_clk_fo4 = t_clk_ns * 1000.0 / dist.fo4_unit_ps;
         let ok = dist
             .fo4_quantiles

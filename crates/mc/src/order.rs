@@ -102,20 +102,6 @@ pub fn kth_smallest(samples: &[f64], k: usize) -> f64 {
     *kth
 }
 
-/// Largest element of a non-empty sample.
-///
-/// # Panics
-///
-/// Panics if `samples` is empty.
-#[must_use]
-pub fn max(samples: &[f64]) -> f64 {
-    assert!(
-        !samples.is_empty(),
-        "maximum of an empty sample is undefined"
-    );
-    samples.iter().copied().fold(f64::NEG_INFINITY, f64::max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,11 +153,6 @@ mod tests {
         assert_eq!(kth_smallest(&v, 0), 1.0);
         assert_eq!(kth_smallest(&v, 2), 3.0);
         assert_eq!(kth_smallest(&v, 4), 5.0);
-    }
-
-    #[test]
-    fn max_helper() {
-        assert_eq!(max(&[1.0, 9.0, -3.0]), 9.0);
     }
 
     #[test]
