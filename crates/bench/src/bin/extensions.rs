@@ -1,6 +1,7 @@
 //! Run the extension experiments (SIMD-width sweep, adaptive body bias,
 //! timing-yield curves, error policies, variance decomposition, modelling
-//! ablations) that go beyond the paper's printed figures.
+//! ablations) that go beyond the paper's printed figures, and the §3.1
+//! Kogge–Stone cross-check.
 
 use ntv_bench::{experiments::extensions, experiments::policies, DEFAULT_SEED};
 use ntv_core::Executor;
@@ -45,4 +46,9 @@ fn main() {
         );
     }
     println!("{}", extensions::ablations());
+    println!();
+    println!(
+        "{}",
+        extensions::kogge_stone_check_with(1_000, DEFAULT_SEED, exec)
+    );
 }

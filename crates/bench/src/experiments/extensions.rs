@@ -10,8 +10,12 @@
 //! * **Ablations** — how much the modelling choices DESIGN.md calls out
 //!   (path tail shape, correlation structure, quadrature order, MC vs QMC
 //!   sampling) move the quantities they feed.
+//! * **§3.1 cross-check** — the 64-bit Kogge–Stone adder the paper cites
+//!   (≈8.4 % 3σ/μ at 0.5 V), timed gate by gate by the netlist STA engine,
+//!   a code path independent of the chain model.
 
 use ntv_circuit::chain::ChainMc;
+use ntv_circuit::{adder, sta};
 use ntv_core::body_bias::BodyBiasStudy;
 use ntv_core::duplication::DuplicationStudy;
 use ntv_core::engine::VariationMode;
@@ -19,7 +23,7 @@ use ntv_core::margining::MarginStudy;
 use ntv_core::perf;
 use ntv_core::yield_model::YieldStudy;
 use ntv_core::{DatapathConfig, DatapathEngine, Executor};
-use ntv_device::{ChipSample, TechModel, TechNode};
+use ntv_device::{calib, ChipSample, TechModel, TechNode};
 use ntv_mc::qmc::Halton;
 use ntv_mc::{normal, order, sum_ordered, CounterRng, GaussHermite, Quantiles, Summary};
 use ntv_units::Volts;
@@ -390,6 +394,73 @@ impl std::fmt::Display for AblationResult {
     }
 }
 
+/// §3.1's circuit cross-check: a 64-bit Kogge–Stone adder at 90 nm and
+/// 0.5 V, the circuit Drego et al. measured.
+#[derive(Debug, Clone, Copy)]
+pub struct KoggeStoneCheck {
+    /// Logic gates in the netlist (primary inputs excluded).
+    pub gates: usize,
+    /// Logic levels on the deepest input-to-output path.
+    pub depth: usize,
+    /// Variation-free critical-path delay (ps).
+    pub nominal_ps: f64,
+    /// Chips drawn.
+    pub chips: usize,
+    /// Mean critical-path delay over the chips (ps).
+    pub mean_ps: f64,
+    /// 3σ/μ of the critical-path delay over the chips.
+    pub three_sigma_over_mu: f64,
+}
+
+/// Time the 64-bit Kogge–Stone adder on `chips` chips at 90 nm and 0.5 V:
+/// chip `i` comes from index `i` of one seeded stream, so `exec`'s thread
+/// count changes no bit.
+#[must_use]
+pub fn kogge_stone_check_with(chips: usize, seed: u64, exec: Executor) -> KoggeStoneCheck {
+    let tech = TechModel::new(TechNode::Gp90);
+    let netlist = adder::kogge_stone(64);
+    let vdd = Volts(0.5);
+    let stream = CounterRng::new(seed, "extensions/kogge_stone_64");
+    let delays: Summary = exec
+        .map_indexed_chunks(chips as u64, |start, len| {
+            sta::mc_critical_delays(&netlist, &tech, vdd, start..start + len, &stream)
+        })
+        .into_iter()
+        .collect();
+    let nominal = sta::analyze(&netlist, &sta::nominal_delays(&netlist, &tech, vdd));
+    KoggeStoneCheck {
+        gates: netlist.gate_count(),
+        depth: netlist.logic_depth(),
+        nominal_ps: nominal.critical_delay_ps,
+        chips,
+        mean_ps: delays.mean(),
+        three_sigma_over_mu: delays.three_sigma_over_mu(),
+    }
+}
+
+impl std::fmt::Display for KoggeStoneCheck {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        writeln!(
+            f,
+            "Extension — §3.1 cross-check: 64-bit Kogge-Stone adder, 90nm GP @0.50 V"
+        )?;
+        writeln!(
+            f,
+            "  netlist: {} gates, {} logic levels, nominal critical path {:.0} ps",
+            self.gates, self.depth, self.nominal_ps
+        )?;
+        write!(
+            f,
+            "  gate-level STA over {} chips: mean {:.0} ps, 3sigma/mu {:.1}% \
+             (paper, Drego et al.: {:.1}%)",
+            self.chips,
+            self.mean_ps,
+            self.three_sigma_over_mu * 100.0,
+            calib::KOGGE_STONE_64B_3SIGMA_05V * 100.0
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -411,6 +482,15 @@ mod tests {
         // paper's "wide SIMD is still fine at 90 nm" conclusion.
         assert!(last.drop > first.drop + 0.003, "{first:?} vs {last:?}");
         assert!(last.drop < 2.0 * first.drop + 0.02);
+    }
+
+    #[test]
+    fn kogge_stone_check_is_thread_invariant() {
+        let bits = |threads| {
+            let c = kogge_stone_check_with(200, 7, Executor::new(threads));
+            (c.mean_ps.to_bits(), c.three_sigma_over_mu.to_bits())
+        };
+        assert_eq!(bits(1), bits(3));
     }
 
     #[test]

@@ -28,6 +28,7 @@ pub struct Fig4Result {
 impl Fig4Result {
     /// The drop for a node at a voltage, if swept.
     #[must_use]
+    // ntv:allow(test-only-api): fig4's unit tests and tests/paper_reproduction.rs::headline_performance_drops read one swept drop through it
     pub fn drop(&self, node: TechNode, vdd: f64) -> Option<f64> {
         self.curves
             .iter()

@@ -108,8 +108,10 @@ mod tests {
         let m = r.matching_spares.expect("matchable at 0.55 V");
         assert!((3..=14).contains(&m), "matching spares {m}");
         // The spread also tightens (Fig 5's visual).
-        let spread =
-            |c: &Fig5Curve| c.distribution.quantile_fo4(0.99) - c.distribution.quantile_fo4(0.01);
+        let spread = |c: &Fig5Curve| {
+            let q = &c.distribution.fo4_quantiles;
+            q.quantile(0.99) - q.quantile(0.01)
+        };
         assert!(spread(r.curves.last().expect("curves")) < spread(&r.curves[0]));
     }
 

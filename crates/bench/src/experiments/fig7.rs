@@ -5,7 +5,7 @@
 //! noise); `samples`/`seed` are accepted for interface uniformity but do
 //! not affect the result.
 
-use ntv_core::compare::{compare_sweep_with, ComparisonPoint, Technique};
+use ntv_core::compare::{compare_sweep_with, ComparisonPoint};
 use ntv_core::{DatapathConfig, DatapathEngine, Evaluation, Executor};
 use ntv_device::{TechModel, TechNode};
 use ntv_units::Volts;
@@ -22,10 +22,10 @@ pub struct Fig7Panel {
     pub points: Vec<ComparisonPoint>,
 }
 
+#[cfg(test)]
 impl Fig7Panel {
     /// Preferred technique at each swept voltage.
-    #[must_use]
-    pub fn preferences(&self) -> Vec<(f64, Technique)> {
+    fn preferences(&self) -> Vec<(f64, ntv_core::compare::Technique)> {
         self.points
             .iter()
             .map(|p| (p.vdd.get(), p.preferred()))
@@ -94,6 +94,7 @@ impl std::fmt::Display for Fig7Result {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ntv_core::compare::Technique;
 
     #[test]
     fn crossover_structure_matches_paper() {

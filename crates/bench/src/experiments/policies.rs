@@ -130,10 +130,10 @@ pub fn run(chips: usize, seed: u64) -> PolicyResult {
     PolicyResult { node, vdd, cells }
 }
 
+#[cfg(test)]
 impl PolicyResult {
     /// The cell for a quantile/policy pair, if computed.
-    #[must_use]
-    pub fn cell(&self, clock_quantile: f64, policy: ErrorPolicy) -> Option<&PolicyCell> {
+    fn cell(&self, clock_quantile: f64, policy: ErrorPolicy) -> Option<&PolicyCell> {
         self.cells
             .iter()
             .find(|c| (c.clock_quantile - clock_quantile).abs() < 1e-9 && c.policy == policy)

@@ -38,6 +38,7 @@ pub struct Table1Result {
 impl Table1Result {
     /// The cell for a node/voltage, if computed.
     #[must_use]
+    // ntv:allow(test-only-api): table1's unit tests and tests/paper_reproduction.rs::duplication_works_at_90nm_but_not_scaled_nodes_at_half_volt look cells up through it
     pub fn cell(&self, node: TechNode, vdd: f64) -> Option<&Table1Cell> {
         self.cells
             .iter()

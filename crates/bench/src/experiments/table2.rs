@@ -35,6 +35,7 @@ pub struct Table2Result {
 impl Table2Result {
     /// The cell for a node/voltage, if computed.
     #[must_use]
+    // ntv:allow(test-only-api): table2's unit tests, tests/paper_reproduction.rs::margins_are_millivolt_scale_and_ordered and tests/determinism.rs::table2_margins_are_deterministic look cells up through it
     pub fn cell(&self, node: TechNode, vdd: f64) -> Option<&Table2Cell> {
         self.cells
             .iter()

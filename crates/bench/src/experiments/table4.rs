@@ -26,10 +26,10 @@ pub struct Table4Result {
     pub cells: Vec<Table4Cell>,
 }
 
+#[cfg(test)]
 impl Table4Result {
     /// The cell for a node/voltage, if computed.
-    #[must_use]
-    pub fn cell(&self, node: TechNode, vdd: f64) -> Option<&Table4Cell> {
+    fn cell(&self, node: TechNode, vdd: f64) -> Option<&Table4Cell> {
         self.cells
             .iter()
             .find(|c| c.node == node && (c.row.vdd.get() - vdd).abs() < 1e-9)

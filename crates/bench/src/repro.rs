@@ -80,6 +80,7 @@ pub fn write(out: &mut impl Write, exec: Executor, started: Instant) -> io::Resu
 /// lines: every section header (it carries the `[t = …]` stamp) and the
 /// closing line are dropped, and the kept lines are joined by `\n`.
 #[must_use]
+// ntv:allow(test-only-api): tests/thread_invariance.rs::paper_run_matches_the_golden_digest_at_any_thread_count checks the in-process run against perf/golden.txt with it; perf keeps its own copy of the rule
 pub fn digest(stdout: &str) -> u64 {
     let kept: Vec<&str> = stdout
         .lines()

@@ -45,18 +45,6 @@ impl TextTable {
         self
     }
 
-    /// Number of data rows.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Render with right-aligned columns.
     #[must_use]
     pub fn render(&self) -> String {
@@ -93,18 +81,6 @@ impl std::fmt::Display for TextTable {
     }
 }
 
-/// Format a fraction as a percentage with one decimal.
-#[must_use]
-pub fn pct(x: f64) -> String {
-    format!("{:.1}%", x * 100.0)
-}
-
-/// Format a voltage in millivolts with one decimal.
-#[must_use]
-pub fn millivolts(v: f64) -> String {
-    format!("{:.1} mV", v * 1000.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,14 +94,6 @@ mod tests {
         assert_eq!(lines.len(), 3);
         assert!(lines[0].contains("long-header"));
         assert!(lines[2].ends_with("x"));
-        assert_eq!(t.len(), 1);
-        assert!(!t.is_empty());
-    }
-
-    #[test]
-    fn formatting_helpers() {
-        assert_eq!(pct(0.0513), "5.1%");
-        assert_eq!(millivolts(0.0058), "5.8 mV");
     }
 
     #[test]

@@ -48,22 +48,10 @@ impl<'a> ChainMc<'a> {
         Self { tech, length }
     }
 
-    /// Number of stages.
-    #[must_use]
-    pub fn length(&self) -> usize {
-        self.length
-    }
-
     /// The technology model in use.
     #[must_use]
     pub fn tech(&self) -> &TechModel {
         self.tech
-    }
-
-    /// Variation-free chain delay (ps) at `vdd`.
-    #[must_use]
-    pub fn nominal_delay_ps(&self, vdd: Volts) -> f64 {
-        self.length as f64 * self.tech.fo4_delay_ps(vdd)
     }
 
     /// Sample the chain delay (ps) on an already-drawn chip.
@@ -126,17 +114,6 @@ mod tests {
     use ntv_device::TechNode;
 
     #[test]
-    fn chain_delay_scales_linearly_with_length() {
-        let tech = TechModel::new(TechNode::Gp45);
-        let c10 = ChainMc::new(&tech, 10);
-        let c40 = ChainMc::new(&tech, 40);
-        assert!(
-            (c40.nominal_delay_ps(Volts(0.6)) / c10.nominal_delay_ps(Volts(0.6)) - 4.0).abs()
-                < 1e-12
-        );
-    }
-
-    #[test]
     fn mean_tracks_nominal_delay() {
         let tech = TechModel::new(TechNode::Gp90);
         let chain = ChainMc::new(&tech, 50);
@@ -144,7 +121,7 @@ mod tests {
         let s = chain.summary(Volts(0.7), 2000, &stream);
         // The nonlinear Vth dependence introduces a small positive bias;
         // the mean must stay within a few percent of nominal.
-        let nominal = chain.nominal_delay_ps(Volts(0.7));
+        let nominal = 50.0 * tech.fo4_delay_ps(Volts(0.7));
         assert!(
             (s.mean() / nominal - 1.0).abs() < 0.05,
             "mean {} nominal {nominal}",
@@ -228,7 +205,7 @@ mod tests {
             // Legacy formulation: draw chip, then per stage draw a gate and
             // immediately evaluate its delay, accumulating left to right.
             let chip = tech.sample_chip(&mut rng_legacy);
-            let legacy = ntv_mc::reduce::sum_ordered((0..chain.length()).map(|_| {
+            let legacy = ntv_mc::reduce::sum_ordered((0..50).map(|_| {
                 let gate = tech.sample_gate(&mut rng_legacy);
                 tech.gate_delay_ps(vdd, &chip, &gate)
             }));

@@ -16,12 +16,9 @@
 //! * [`netlist`] — a combinational DAG netlist builder,
 //! * [`sta`] — static timing analysis (arrival times, critical path) over a
 //!   netlist with per-instance sampled delays,
-//! * [`adder`] — 64-bit Kogge–Stone and ripple-carry adder netlists (the
-//!   validation circuit cited by the paper: ≈8.4 % delay variation at
-//!   0.5 V for a 64-bit Kogge–Stone adder),
-//! * [`multiplier`] — a carry-save array multiplier (the FU's deepest
-//!   path),
-//! * [`report`] — netlist statistics and Graphviz export,
+//! * [`adder`] — the Kogge–Stone adder netlist, the validation circuit the
+//!   paper cites (≈8.4 % delay variation at 0.5 V for 64 bits); the
+//!   `extensions` binary prints our value beside it (§3.1),
 //! * [`path_model`] — the fast closed-form critical-path model
 //!   (Gauss–Hermite conditional gate moments + CLT over the chain) that the
 //!   architecture engine uses, cross-validated against the gate-level
@@ -47,10 +44,8 @@
 pub mod adder;
 pub mod chain;
 pub mod gate;
-pub mod multiplier;
 pub mod netlist;
 pub mod path_model;
-pub mod report;
 pub mod sta;
 
 pub use chain::ChainMc;

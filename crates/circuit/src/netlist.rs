@@ -48,50 +48,27 @@ impl GateNode {
 /// ```
 /// use ntv_circuit::{GateKind, Netlist};
 ///
-/// let mut n = Netlist::new("half-adder");
-/// let a = n.add_input("a");
-/// let b = n.add_input("b");
-/// let sum = n.add_gate(GateKind::Xor2, &[a, b]);
-/// let carry = n.add_gate(GateKind::And2, &[a, b]);
-/// n.mark_output(sum, "sum");
-/// n.mark_output(carry, "carry");
+/// let mut n = Netlist::default();
+/// let a = n.add_input();
+/// let b = n.add_input();
+/// let _sum = n.add_gate(GateKind::Xor2, &[a, b]);
+/// let _carry = n.add_gate(GateKind::And2, &[a, b]);
 /// assert_eq!(n.gate_count(), 2);
 /// assert_eq!(n.logic_depth(), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Netlist {
-    name: String,
     gates: Vec<GateNode>,
-    input_names: Vec<(GateId, String)>,
-    output_names: Vec<(GateId, String)>,
 }
 
 impl Netlist {
-    /// Create an empty netlist.
-    #[must_use]
-    pub fn new(name: impl Into<String>) -> Self {
-        Self {
-            name: name.into(),
-            gates: Vec::new(),
-            input_names: Vec::new(),
-            output_names: Vec::new(),
-        }
-    }
-
-    /// Netlist name.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Add a primary input and return its handle.
-    pub fn add_input(&mut self, name: impl Into<String>) -> GateId {
+    pub fn add_input(&mut self) -> GateId {
         let id = GateId(self.gates.len());
         self.gates.push(GateNode {
             kind: GateKind::Input,
             fanin: Vec::new(),
         });
-        self.input_names.push((id, name.into()));
         id
     }
 
@@ -128,16 +105,6 @@ impl Netlist {
         id
     }
 
-    /// Mark a gate as a primary output.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` does not exist.
-    pub fn mark_output(&mut self, id: GateId, name: impl Into<String>) {
-        assert!(id.0 < self.gates.len(), "output {id:?} does not exist");
-        self.output_names.push((id, name.into()));
-    }
-
     /// All gates in topological order (construction order).
     #[must_use]
     pub fn nodes(&self) -> &[GateNode] {
@@ -169,18 +136,6 @@ impl Netlist {
             .count()
     }
 
-    /// Primary inputs (handle, name).
-    #[must_use]
-    pub fn inputs(&self) -> &[(GateId, String)] {
-        &self.input_names
-    }
-
-    /// Primary outputs (handle, name).
-    #[must_use]
-    pub fn outputs(&self) -> &[(GateId, String)] {
-        &self.output_names
-    }
-
     /// Maximum number of logic levels from any input to any node.
     #[must_use]
     pub fn logic_depth(&self) -> usize {
@@ -208,12 +163,11 @@ mod tests {
     use super::*;
 
     fn two_level() -> Netlist {
-        let mut n = Netlist::new("t");
-        let a = n.add_input("a");
-        let b = n.add_input("b");
+        let mut n = Netlist::default();
+        let a = n.add_input();
+        let b = n.add_input();
         let g1 = n.add_gate(GateKind::Nand2, &[a, b]);
-        let g2 = n.add_gate(GateKind::Inv, &[g1]);
-        n.mark_output(g2, "y");
+        n.add_gate(GateKind::Inv, &[g1]);
         n
     }
 
@@ -223,8 +177,6 @@ mod tests {
         assert_eq!(n.node_count(), 4);
         assert_eq!(n.gate_count(), 2);
         assert_eq!(n.logic_depth(), 2);
-        assert_eq!(n.inputs().len(), 2);
-        assert_eq!(n.outputs().len(), 1);
     }
 
     #[test]
@@ -239,17 +191,17 @@ mod tests {
 
     #[test]
     fn inputs_have_depth_zero() {
-        let mut n = Netlist::new("inputs-only");
-        n.add_input("a");
-        n.add_input("b");
+        let mut n = Netlist::default();
+        n.add_input();
+        n.add_input();
         assert_eq!(n.logic_depth(), 0);
     }
 
     #[test]
     #[should_panic(expected = "does not exist yet")]
     fn forward_reference_rejected() {
-        let mut n = Netlist::new("bad");
-        let a = n.add_input("a");
+        let mut n = Netlist::default();
+        let a = n.add_input();
         // Fabricate a handle that doesn't exist.
         let bogus = GateId(99);
         let _ = n.add_gate(GateKind::Nand2, &[a, bogus]);
@@ -258,15 +210,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "expects 2 inputs")]
     fn wrong_arity_rejected() {
-        let mut n = Netlist::new("bad");
-        let a = n.add_input("a");
+        let mut n = Netlist::default();
+        let a = n.add_input();
         let _ = n.add_gate(GateKind::Nand2, &[a]);
     }
 
     #[test]
     #[should_panic(expected = "use add_input")]
     fn cannot_add_input_via_add_gate() {
-        let mut n = Netlist::new("bad");
+        let mut n = Netlist::default();
         let _ = n.add_gate(GateKind::Input, &[]);
     }
 }

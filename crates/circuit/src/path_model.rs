@@ -79,12 +79,6 @@ impl<'a> PathModel<'a> {
         }
     }
 
-    /// Number of stages.
-    #[must_use]
-    pub fn length(&self) -> usize {
-        self.length
-    }
-
     /// The technology model in use.
     #[must_use]
     pub fn tech(&self) -> &TechModel {

@@ -13,8 +13,10 @@
 //! the structure the paper's architecture model abstracts (100 critical
 //! paths per SIMD lane).
 
+use std::ops::Range;
+
 use ntv_device::{ChipSample, TechModel};
-use ntv_mc::CounterDraws;
+use ntv_mc::{CounterDraws, CounterRng};
 use ntv_units::Volts;
 
 use crate::gate::GateKind;
@@ -119,20 +121,24 @@ pub fn analyze(netlist: &Netlist, delays: &[f64]) -> StaResult {
     }
 }
 
-/// Monte-Carlo critical-path delays (ps) for a netlist: each sample draws a
-/// fresh chip and fresh per-gate delays.
+/// Monte-Carlo critical-path delays (ps) for chips `chips` of `stream`:
+/// chip `i` draws its chip sample and its per-gate delays from
+/// `stream.at(i)`, so delays do not depend on which other chips were drawn,
+/// and any split of the range (one per executor worker, say) concatenates
+/// to the same bits.
 #[must_use]
 pub fn mc_critical_delays(
     netlist: &Netlist,
     tech: &TechModel,
     vdd: Volts,
-    samples: usize,
-    rng: &mut CounterDraws,
+    chips: Range<u64>,
+    stream: &CounterRng,
 ) -> Vec<f64> {
-    (0..samples)
-        .map(|_| {
-            let chip = tech.sample_chip(rng);
-            let delays = sample_delays(netlist, tech, vdd, &chip, rng);
+    chips
+        .map(|i| {
+            let mut rng = stream.at(i);
+            let chip = tech.sample_chip(&mut rng);
+            let delays = sample_delays(netlist, tech, vdd, &chip, &mut rng);
             analyze(netlist, &delays).critical_delay_ps
         })
         .collect()
@@ -142,15 +148,13 @@ pub fn mc_critical_delays(
 mod tests {
     use super::*;
     use ntv_device::TechNode;
-    use ntv_mc::CounterRng;
 
     fn chain_netlist(len: usize) -> Netlist {
-        let mut n = Netlist::new("chain");
-        let mut prev = n.add_input("in");
+        let mut n = Netlist::default();
+        let mut prev = n.add_input();
         for _ in 0..len {
             prev = n.add_gate(GateKind::Inv, &[prev]);
         }
-        n.mark_output(prev, "out");
         n
     }
 
@@ -165,12 +169,11 @@ mod tests {
 
     #[test]
     fn diamond_takes_slower_branch() {
-        let mut n = Netlist::new("diamond");
-        let a = n.add_input("a");
+        let mut n = Netlist::default();
+        let a = n.add_input();
         let fast = n.add_gate(GateKind::Inv, &[a]);
         let slow = n.add_gate(GateKind::Inv, &[a]);
-        let join = n.add_gate(GateKind::Nand2, &[fast, slow]);
-        n.mark_output(join, "y");
+        n.add_gate(GateKind::Nand2, &[fast, slow]);
         let delays = vec![0.0, 1.0, 5.0, 2.0];
         let r = analyze(&n, &delays);
         assert_eq!(r.critical_delay_ps, 7.0);
@@ -192,13 +195,35 @@ mod tests {
     fn mc_critical_delay_is_at_least_nominal_shaped() {
         let tech = TechModel::new(TechNode::Gp90);
         let n = chain_netlist(20);
-        let mut rng = CounterRng::new(4, "mc_critical_delay_is_at_least_nominal_shaped").at(0);
-        let samples = mc_critical_delays(&n, &tech, Volts(0.6), 200, &mut rng);
+        let stream = CounterRng::new(4, "mc_critical_delay_is_at_least_nominal_shaped");
+        let samples = mc_critical_delays(&n, &tech, Volts(0.6), 0..200, &stream);
         assert_eq!(samples.len(), 200);
         assert!(samples.iter().all(|&d| d > 0.0));
         let nominal = 20.0 * tech.fo4_delay_ps(Volts(0.6));
         let mean = samples.iter().sum::<f64>() / 200.0;
         assert!((mean / nominal - 1.0).abs() < 0.1);
+    }
+
+    #[test]
+    fn mc_critical_delays_are_index_addressed() {
+        // Chip `i` is a function of `i` alone: split ranges concatenate to
+        // the bits of the whole range, in any split, as executor workers
+        // would produce them.
+        let tech = TechModel::new(TechNode::Gp90);
+        let n = crate::adder::kogge_stone(8);
+        let stream = CounterRng::new(9, "mc_critical_delays_are_index_addressed");
+        let bits = |chips| -> Vec<u64> {
+            mc_critical_delays(&n, &tech, Volts(0.5), chips, &stream)
+                .iter()
+                .map(|d| d.to_bits())
+                .collect()
+        };
+        let whole = bits(0..40);
+        for split in [1, 13, 39] {
+            let mut parts = bits(0..split);
+            parts.extend(bits(split..40));
+            assert_eq!(parts, whole, "split at {split}");
+        }
     }
 
     #[test]

@@ -100,9 +100,9 @@ fn scaling_ratio_22_vs_90_at_055v() {
 #[test]
 fn absolute_chain_delays_90nm() {
     let tech = TechModel::new(TechNode::Gp90);
-    let chain = ChainMc::new(&tech, 50);
-    let d05 = chain.nominal_delay_ps(Volts(0.5)) / 1000.0;
-    let d06 = chain.nominal_delay_ps(Volts(0.6)) / 1000.0;
+    // The variation-free chain delay: 50 FO4 stages.
+    let d05 = 50.0 * tech.fo4_delay_ps(Volts(0.5)) / 1000.0;
+    let d06 = 50.0 * tech.fo4_delay_ps(Volts(0.6)) / 1000.0;
     println!("chain-50 delay: {d05:.2} ns @0.5 V (paper 22.05), {d06:.2} ns @0.6 V (paper 8.99)");
     assert!(calib::relative_error(d05, calib::CHAIN50_DELAY_NS_90NM_05V) < 0.15);
     assert!(calib::relative_error(d06, calib::CHAIN50_DELAY_NS_90NM_06V) < 0.15);

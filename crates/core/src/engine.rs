@@ -454,12 +454,6 @@ impl ChipDelayDistribution {
         self.q99_fo4() * self.fo4_unit_ps / 1000.0
     }
 
-    /// Arbitrary quantile in FO4 units.
-    #[must_use]
-    pub fn quantile_fo4(&self, p: f64) -> f64 {
-        self.fo4_quantiles.quantile(p)
-    }
-
     /// Histogram of the FO4-unit samples (the "Occurrences" series of
     /// Figs 3/5/6).
     #[must_use]

@@ -54,24 +54,6 @@ pub fn frequency_margining(
     }
 }
 
-/// The smallest SIMD clock period (ns) that is an integer multiple of the
-/// memory clock period and still covers `t_va_clk_ns` (paper §4.3: the
-/// SIMD datapath clock must be a multiple of the memory clock to avoid
-/// cross-domain synchronizers).
-///
-/// # Panics
-///
-/// Panics if either period is not positive.
-#[must_use]
-pub fn memory_aligned_period_ns(t_va_clk_ns: f64, t_mem_ns: f64) -> f64 {
-    assert!(
-        t_va_clk_ns > 0.0 && t_mem_ns > 0.0,
-        "periods must be positive"
-    );
-    let multiples = (t_va_clk_ns / t_mem_ns).ceil().max(1.0);
-    multiples * t_mem_ns
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,18 +92,5 @@ mod tests {
         let r = frequency_margining(&engine, Volts(0.5), SAMPLES, 3, Executor::default());
         // ~50 FO4 x 441 ps = 22 ns design period.
         assert!(r.t_clk_ns > 18.0 && r.t_clk_ns < 28.0, "{}", r.t_clk_ns);
-    }
-
-    #[test]
-    fn memory_alignment_rounds_up() {
-        assert_eq!(memory_aligned_period_ns(9.1, 3.0), 12.0);
-        assert_eq!(memory_aligned_period_ns(9.0, 3.0), 9.0);
-        assert_eq!(memory_aligned_period_ns(0.5, 3.0), 3.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn alignment_rejects_zero_period() {
-        let _ = memory_aligned_period_ns(1.0, 0.0);
     }
 }

@@ -41,11 +41,11 @@
 //!
 //! A long-running service (`ntv-serve`) faces millions of *distinct*
 //! operating points — every client-chosen voltage is its own key — so the
-//! cache accepts an optional resident bound ([`OpPointCache::with_bound`]
-//! / [`OpPointCache::set_bound`]). Eviction is least-recently-used on a
-//! logical access clock (a monotone `u64` tick per lookup, never wall
-//! time): when an insert pushes the resident count over the bound, the
-//! built entries with the smallest last-use ticks are dropped. Three
+//! cache accepts an optional resident bound ([`OpPointCache::set_bound`]).
+//! Eviction is least-recently-used on a logical access clock (a monotone
+//! `u64` tick per lookup, never wall time): when an insert pushes the
+//! resident count over the bound, the built entries with the smallest
+//! last-use ticks are dropped. Three
 //! invariants keep eviction invisible to results:
 //!
 //! * **Values are pure.** An evicted-and-rebuilt entry is bit-identical to
@@ -144,20 +144,6 @@ impl OpPointCache {
     pub fn new() -> Self {
         let cache = Self::default();
         cache.bound.store(UNBOUNDED, Ordering::Relaxed);
-        cache
-    }
-
-    /// An empty cache bounded to `bound` resident operating points,
-    /// evicted least-recently-used.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bound` is zero — a cache that can hold nothing cannot
-    /// satisfy the exactly-once build contract its waiters rely on.
-    #[must_use]
-    pub fn with_bound(bound: usize) -> Self {
-        let cache = Self::new();
-        cache.set_bound(Some(bound));
         cache
     }
 
@@ -420,12 +406,8 @@ mod tests {
     #[test]
     fn custom_parameters_use_a_private_cache() {
         let defaults = TechModel::new(TechNode::Gp90);
-        let scaled = TechModel::from_params(
-            DeviceParams::builder(TechNode::Gp90)
-                .sigma_scale(2.0)
-                .build()
-                .expect("valid params"),
-        );
+        let scaled =
+            TechModel::from_params(DeviceParams::for_node(TechNode::Gp90).with_sigma_scale(2.0));
         assert!(Arc::ptr_eq(
             &OpPointCache::shared_for(&defaults),
             OpPointCache::global()
@@ -445,12 +427,8 @@ mod tests {
 
     #[test]
     fn global_cache_rejects_custom_parameters() {
-        let scaled = TechModel::from_params(
-            DeviceParams::builder(TechNode::Gp45)
-                .sigma_scale(0.5)
-                .build()
-                .expect("valid params"),
-        );
+        let scaled =
+            TechModel::from_params(DeviceParams::for_node(TechNode::Gp45).with_sigma_scale(0.5));
         let result = std::panic::catch_unwind(|| {
             OpPointCache::global().get_or_build(&scaled, Volts(0.6), 50)
         });
@@ -480,7 +458,8 @@ mod tests {
     #[test]
     fn bounded_cache_evicts_least_recently_used() {
         let tech = TechModel::new(TechNode::Gp90);
-        let cache = OpPointCache::with_bound(2);
+        let cache = OpPointCache::new();
+        cache.set_bound(Some(2));
         let volts = [Volts(0.52), Volts(0.54), Volts(0.56)];
         let _a = cache.get_or_build(&tech, volts[0], 50);
         let _b = cache.get_or_build(&tech, volts[1], 50);
@@ -506,7 +485,8 @@ mod tests {
     #[test]
     fn evicted_and_rebuilt_entries_are_bit_identical() {
         let tech = TechModel::new(TechNode::Gp45);
-        let cache = OpPointCache::with_bound(1);
+        let cache = OpPointCache::new();
+        cache.set_bound(Some(1));
         let first = cache.get_or_build(&tech, Volts(0.58), 50);
         // Force eviction by inserting a second point, then rebuild.
         let _other = cache.get_or_build(&tech, Volts(0.62), 50);
@@ -547,7 +527,7 @@ mod tests {
         assert_eq!(cache.bound(), Some(8));
         cache.set_bound(None);
         assert_eq!(cache.bound(), None);
-        let result = std::panic::catch_unwind(|| OpPointCache::with_bound(0));
+        let result = std::panic::catch_unwind(|| cache.set_bound(Some(0)));
         assert!(result.is_err(), "zero bound must be rejected");
     }
 }

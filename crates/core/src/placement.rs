@@ -34,30 +34,6 @@ pub enum SparePlacement {
     },
 }
 
-impl SparePlacement {
-    /// Total spares this scheme adds to a `lanes`-wide array.
-    ///
-    /// # Panics
-    ///
-    /// Panics for a local scheme whose cluster size does not divide `lanes`.
-    #[must_use]
-    pub fn total_spares(&self, lanes: u32) -> u32 {
-        match *self {
-            SparePlacement::Global { spares } => spares,
-            SparePlacement::Local {
-                cluster_size,
-                spares_per_cluster,
-            } => {
-                assert!(
-                    cluster_size > 0 && lanes.is_multiple_of(cluster_size),
-                    "cluster size {cluster_size} must divide the lane count {lanes}"
-                );
-                lanes / cluster_size * spares_per_cluster
-            }
-        }
-    }
-}
-
 /// Binomial CDF `P(X ≤ k)` for `X ~ Bin(n, p)`, by stable iterative pmf.
 ///
 /// # Panics
@@ -210,7 +186,6 @@ mod tests {
             spares_per_cluster: 1,
         };
         let global = SparePlacement::Global { spares: 32 };
-        assert_eq!(local.total_spares(128), global.total_spares(128));
         for p in [0.01, 0.05, 0.1, 0.2] {
             let pl = repair_probability(local, 128, p);
             let pg = repair_probability(global, 128, p);

@@ -12,20 +12,31 @@
 use ntv_core::engine::VariationMode;
 use ntv_core::{ChipQuantileSolver, DatapathConfig, DatapathEngine, Executor};
 use ntv_device::{TechModel, TechNode};
-use ntv_mc::{bootstrap, order, CounterDraws, CounterRng};
+use ntv_mc::{order, CounterDraws, CounterRng};
 use ntv_units::Volts;
 
 const SAMPLES: usize = 50_000;
 const RESAMPLES: usize = 200;
 
-/// Monte-Carlo quantile estimate with a bootstrapped standard error.
+/// Monte-Carlo quantile estimate with a percentile-bootstrap standard
+/// error: the quantile of `RESAMPLES` with-replacement resamples, whose
+/// 95 % percentile interval spans ±1.96 SE around the estimate.
 fn mc_quantile(samples: &[f64], p: f64, rng: &mut CounterDraws) -> (f64, f64) {
     let idx = (p * (samples.len() - 1) as f64).round() as usize;
-    let ci = bootstrap::bootstrap_ci(samples, RESAMPLES, 0.95, rng, |v| {
-        order::kth_smallest(v, idx)
-    });
-    // A 95% percentile interval spans ±1.96 SE around the estimate.
-    (ci.estimate, ci.width() / 3.92)
+    let mut stats = Vec::with_capacity(RESAMPLES);
+    let mut scratch = vec![0.0; samples.len()];
+    for _ in 0..RESAMPLES {
+        for slot in &mut scratch {
+            *slot = samples[rng.index(samples.len())];
+        }
+        stats.push(order::kth_smallest(&scratch, idx));
+    }
+    stats.sort_by(f64::total_cmp);
+    let at = |q: f64| stats[((RESAMPLES - 1) as f64 * q).round() as usize];
+    (
+        order::kth_smallest(samples, idx),
+        (at(0.975) - at(0.025)) / 3.92,
+    )
 }
 
 fn check_mode_node_voltage(mode: VariationMode, node: TechNode, vdd: Volts, seed: u64) {

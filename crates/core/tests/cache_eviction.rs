@@ -87,7 +87,8 @@ fn bounded_cache_race_is_bit_identical_to_unbounded() {
         .map(|&v| reference.get_or_build(&tech, v, PATH_LENGTH))
         .collect();
 
-    let cache = OpPointCache::with_bound(BOUND);
+    let cache = OpPointCache::new();
+    cache.set_bound(Some(BOUND));
     let mut worker_results: Vec<Vec<(usize, u64, u64)>> = Vec::new();
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..THREADS)
@@ -151,7 +152,8 @@ fn bounded_cache_race_is_bit_identical_to_unbounded() {
 #[test]
 fn arc_identity_between_evictions() {
     let tech = TechModel::new(TechNode::Gp45);
-    let cache = OpPointCache::with_bound(2);
+    let cache = OpPointCache::new();
+    cache.set_bound(Some(2));
     let a = cache.get_or_build(&tech, Volts(0.57), PATH_LENGTH);
     let b = cache.get_or_build(&tech, Volts(0.57), PATH_LENGTH);
     assert!(Arc::ptr_eq(&a, &b));

@@ -97,6 +97,7 @@ pub fn node_index(node: TechNode) -> usize {
 ///
 /// Panics if `want == 0`.
 #[must_use]
+// ntv:allow(test-only-api): crates/circuit/tests/calibration.rs and fig1's unit tests score measured values against these targets with it
 pub fn relative_error(got: f64, want: f64) -> f64 {
     assert!(
         want != 0.0,

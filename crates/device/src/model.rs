@@ -74,11 +74,11 @@ impl TechModel {
     ///
     /// # Panics
     ///
-    /// Panics if `params` fails [`DeviceParams::validate`]; use the builder
-    /// to construct checked custom parameters.
+    /// Panics if `params` fails [`DeviceParams::validate`]; call it first to
+    /// check custom parameters.
     #[must_use]
     pub fn from_params(params: DeviceParams) -> Self {
-        // ntv:allow(panic-path): documented panic (see `# Panics`); the builder is the checked path
+        // ntv:allow(panic-path): documented panic (see `# Panics`); `DeviceParams::validate` is the checked path
         params.validate().expect("device parameters must be valid");
         Self { params }
     }

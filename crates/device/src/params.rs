@@ -34,8 +34,9 @@ pub const THERMAL_VOLTAGE: Volts = Volts(0.02585);
 /// Complete analytical device model for one technology node.
 ///
 /// Construct via [`DeviceParams::for_node`] for the calibrated paper nodes,
-/// or build a custom value with [`DeviceParams::builder`] for what-if
-/// studies (e.g. variation-scaling ablations).
+/// or derive a custom value from one (the fields are public, and
+/// [`DeviceParams::with_sigma_scale`] scales the variation) for what-if
+/// studies; [`DeviceParams::validate`] checks it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeviceParams {
     /// Which node this parameter set describes.
@@ -172,12 +173,34 @@ impl DeviceParams {
         }
     }
 
-    /// Start a builder pre-populated from this node's calibrated values.
+    /// These parameters with all four variation σ components scaled by
+    /// `factor`, for what-if studies of the variation magnitude.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `factor` is negative or not finite.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use ntv_device::{DeviceParams, TechNode};
+    /// let base = DeviceParams::for_node(TechNode::Gp90);
+    /// let params = base.with_sigma_scale(2.0);
+    /// assert!(params.sigma_vth_random > base.sigma_vth_random);
+    /// assert!(params.validate().is_ok());
+    /// ```
     #[must_use]
-    pub fn builder(node: TechNode) -> DeviceParamsBuilder {
-        DeviceParamsBuilder {
-            params: Self::for_node(node),
-        }
+    // ntv:allow(test-only-api): tests/props.rs::sigma_scale_scales_measured_variation, op_cache's private-cache tests and variation's zero-σ test build their custom parameter sets with it
+    pub fn with_sigma_scale(mut self, factor: f64) -> Self {
+        assert!(
+            factor.is_finite() && factor >= 0.0,
+            "sigma scale must be finite and >= 0"
+        );
+        self.sigma_vth_random *= factor;
+        self.sigma_vth_systematic *= factor;
+        self.sigma_k_random *= factor;
+        self.sigma_k_systematic *= factor;
+        self
     }
 
     /// Validate physical plausibility.
@@ -248,89 +271,6 @@ impl std::fmt::Display for InvalidDeviceParams {
 
 impl std::error::Error for InvalidDeviceParams {}
 
-/// Builder for custom [`DeviceParams`] (what-if and ablation studies).
-///
-/// # Example
-///
-/// ```
-/// use ntv_device::{DeviceParams, TechNode};
-/// let params = DeviceParams::builder(TechNode::Gp90)
-///     .sigma_scale(2.0)
-///     .build()
-///     .expect("valid parameters");
-/// assert!(params.sigma_vth_random > DeviceParams::for_node(TechNode::Gp90).sigma_vth_random);
-/// ```
-#[derive(Debug, Clone)]
-pub struct DeviceParamsBuilder {
-    params: DeviceParams,
-}
-
-impl DeviceParamsBuilder {
-    /// Override the nominal threshold voltage.
-    #[must_use]
-    pub fn vth0(mut self, vth0: Volts) -> Self {
-        self.params.vth0 = vth0;
-        self
-    }
-
-    /// Override the sub-threshold slope factor.
-    #[must_use]
-    pub fn slope_n(mut self, n: f64) -> Self {
-        self.params.slope_n = n;
-        self
-    }
-
-    /// Override the velocity-saturation exponent.
-    #[must_use]
-    pub fn alpha(mut self, alpha: f64) -> Self {
-        self.params.alpha = alpha;
-        self
-    }
-
-    /// Scale all four variation σ components by `factor` (ablation knob).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is negative or not finite.
-    #[must_use]
-    pub fn sigma_scale(mut self, factor: f64) -> Self {
-        assert!(
-            factor.is_finite() && factor >= 0.0,
-            "sigma scale must be finite and >= 0"
-        );
-        self.params.sigma_vth_random *= factor;
-        self.params.sigma_vth_systematic *= factor;
-        self.params.sigma_k_random *= factor;
-        self.params.sigma_k_systematic *= factor;
-        self
-    }
-
-    /// Override the per-device random σ(Vth).
-    #[must_use]
-    pub fn sigma_vth_random(mut self, sigma: Volts) -> Self {
-        self.params.sigma_vth_random = sigma;
-        self
-    }
-
-    /// Override the per-chip systematic σ(Vth).
-    #[must_use]
-    pub fn sigma_vth_systematic(mut self, sigma: Volts) -> Self {
-        self.params.sigma_vth_systematic = sigma;
-        self
-    }
-
-    /// Finish, validating the resulting parameter set.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InvalidDeviceParams`] if any field is out of its physical
-    /// range.
-    pub fn build(self) -> Result<DeviceParams, InvalidDeviceParams> {
-        self.params.validate()?;
-        Ok(self.params)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -364,28 +304,17 @@ mod tests {
     }
 
     #[test]
-    fn builder_overrides_and_validates() {
-        let p = DeviceParams::builder(TechNode::Gp45)
-            .vth0(Volts(0.5))
-            .slope_n(1.4)
-            .build()
-            .unwrap();
-        assert_eq!(p.vth0, Volts(0.5));
-        assert_eq!(p.slope_n, 1.4);
-
-        let bad = DeviceParams::builder(TechNode::Gp45)
-            .vth0(Volts(1.5))
-            .build();
+    fn validate_names_the_violated_field() {
+        let mut p = DeviceParams::for_node(TechNode::Gp45);
+        p.vth0 = Volts(1.5);
+        let bad = p.validate();
         assert!(bad.is_err());
         assert!(bad.unwrap_err().to_string().contains("Vth0"));
     }
 
     #[test]
     fn sigma_scale_zero_gives_deterministic_device() {
-        let p = DeviceParams::builder(TechNode::Gp90)
-            .sigma_scale(0.0)
-            .build()
-            .unwrap();
+        let p = DeviceParams::for_node(TechNode::Gp90).with_sigma_scale(0.0);
         assert_eq!(p.sigma_vth_random, Volts::ZERO);
         assert_eq!(p.sigma_k_systematic, 0.0);
     }

@@ -33,14 +33,6 @@ pub struct RegionSample {
     pub ln_k: f64,
 }
 
-impl RegionSample {
-    /// The variation-free region (all shifts zero).
-    #[must_use]
-    pub fn nominal() -> Self {
-        Self::default()
-    }
-}
-
 /// Systematic (per-chip) variation draw, shared by all gates on a die.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ChipSample {
@@ -171,10 +163,7 @@ mod tests {
 
     #[test]
     fn zero_sigma_params_give_deterministic_samples() {
-        let params = DeviceParams::builder(TechNode::Gp90)
-            .sigma_scale(0.0)
-            .build()
-            .unwrap();
+        let params = DeviceParams::for_node(TechNode::Gp90).with_sigma_scale(0.0);
         let mut rng = CounterRng::new(3, "zero_sigma_params_give_deterministic_samples").at(0);
         for _ in 0..10 {
             assert_eq!(sample_chip(&params, &mut rng), ChipSample::nominal());

@@ -18,8 +18,8 @@
 /// for x in [0.5, 1.0, 2.5, 2.6, 9.9, 11.0] {
 ///     h.add(x);
 /// }
-/// assert_eq!(h.counts(), &[2, 2, 0, 0, 1]);
 /// assert_eq!(h.overflow(), 1);
+/// assert_eq!(h.total(), 6);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
@@ -85,26 +85,23 @@ impl Histogram {
         }
     }
 
-    /// Per-bin counts.
-    #[must_use]
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
     /// Samples below the range.
     #[must_use]
+    // ntv:allow(test-only-api): tests/props.rs::histogram_conserves_every_sample and this file's tests check that no sample is lost through it
     pub fn underflow(&self) -> u64 {
         self.underflow
     }
 
     /// Samples at or above the upper bound.
     #[must_use]
+    // ntv:allow(test-only-api): tests/props.rs::histogram_conserves_every_sample and this file's tests check that no sample is lost through it
     pub fn overflow(&self) -> u64 {
         self.overflow
     }
 
     /// Total samples added, including under/overflow.
     #[must_use]
+    // ntv:allow(test-only-api): tests/props.rs::histogram_conserves_every_sample, fig1's unit tests and this file's tests count the samples a histogram holds with it
     pub fn total(&self) -> u64 {
         self.counts.iter().sum::<u64>() + self.underflow + self.overflow
     }
@@ -119,14 +116,6 @@ impl Histogram {
         assert!(i < self.counts.len(), "bin index {i} out of range");
         let w = (self.hi - self.lo) / self.counts.len() as f64;
         self.lo + (i as f64 + 0.5) * w
-    }
-
-    /// `(bin_center, count)` series, e.g. for plotting.
-    #[must_use]
-    pub fn series(&self) -> Vec<(f64, u64)> {
-        (0..self.counts.len())
-            .map(|i| (self.bin_center(i), self.counts[i]))
-            .collect()
     }
 
     /// Render an ASCII bar chart, `width` characters for the largest bin.
@@ -163,9 +152,9 @@ mod tests {
         assert_eq!(h.overflow(), 0);
         // Bin edges are subject to floating-point rounding; allow +-1.
         assert!(
-            h.counts().iter().all(|&c| (99..=101).contains(&c)),
+            h.counts.iter().all(|&c| (99..=101).contains(&c)),
             "{:?}",
-            h.counts()
+            h.counts
         );
     }
 

@@ -16,7 +16,7 @@
 //!   stream splitting and the counter-based [`CounterRng`], whose
 //!   [`CounterDraws`] cursors every sampler draws from, so every experiment
 //!   is reproducible and parallelizable without changing results,
-//! * [`normal`] — the standard normal pdf/CDF/quantile function,
+//! * [`normal`] — the standard normal CDF and quantile function,
 //! * [`quadrature`] — Gauss–Hermite rules for expectations under a normal,
 //! * [`stats`] — streaming summary statistics (mean, σ, 3σ/μ, skewness),
 //! * [`quantile`] — empirical quantiles and CDF of a sample, and the
@@ -28,9 +28,8 @@
 //!   i.i.d. normals in O(1), k-th smallest selection),
 //! * [`qmc`] — a Halton low-discrepancy stream for variance-reduced
 //!   quantile estimation,
-//! * [`bootstrap`] — percentile-bootstrap confidence intervals,
-//! * [`reduce`] — fixed-order and Neumaier-compensated f64 summation, the
-//!   sanctioned shapes for the `ntv::reduction-order` lint.
+//! * [`reduce`] — fixed-order f64 summation, the sanctioned shapes for the
+//!   `ntv::reduction-order` lint.
 //!
 //! # Example
 //!
@@ -44,7 +43,6 @@
 //! assert!((summary.std_dev() - 1.0).abs() < 0.05);
 //! ```
 
-pub mod bootstrap;
 pub mod error;
 pub mod histogram;
 pub mod normal;
@@ -60,6 +58,6 @@ pub use error::SampleError;
 pub use histogram::Histogram;
 pub use quadrature::GaussHermite;
 pub use quantile::Quantiles;
-pub use reduce::{sum2_ordered, sum_compensated, sum_ordered};
+pub use reduce::{sum2_ordered, sum_ordered};
 pub use rng::{CounterDraws, CounterRng};
 pub use stats::Summary;

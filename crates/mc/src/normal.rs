@@ -1,4 +1,4 @@
-//! The standard normal distribution: pdf, CDF, and quantile function.
+//! The standard normal distribution: CDF and quantile function.
 //!
 //! The quantile function (`Φ⁻¹`) is the workhorse of the fast
 //! architecture-level engine in `ntv-core`: the maximum of *n* i.i.d. normal
@@ -14,19 +14,6 @@
 //! bit-identical to the scalar function.
 
 use std::f64::consts::{PI, SQRT_2};
-
-/// Probability density function of the standard normal distribution.
-///
-/// # Example
-///
-/// ```
-/// let p = ntv_mc::normal::pdf(0.0);
-/// assert!((p - 0.39894228).abs() < 1e-8);
-/// ```
-#[must_use]
-pub fn pdf(x: f64) -> f64 {
-    (-0.5 * x * x).exp() / (2.0 * PI).sqrt()
-}
 
 // Chebyshev coefficients for erfc, from W. J. Cody's rational fit as
 // tabulated in Numerical Recipes (3rd ed., §6.2.2). Shared by the scalar
@@ -470,30 +457,6 @@ mod tests {
     fn erfc_slice_rejects_length_mismatch() {
         let mut out = [0.0; 2];
         erfc_slice(&[1.0, 2.0, 3.0], &mut out);
-    }
-
-    #[test]
-    fn pdf_integrates_to_one() {
-        // Simpson's rule over [-8, 8], accumulated with the sanctioned
-        // fixed-order reducer. The legacy `+=` loop is kept below to pin the
-        // migration bit-identical.
-        let n = 4000;
-        let h = 16.0 / f64::from(n);
-        let endpoints = pdf(-8.0) + pdf(8.0);
-        // The endpoint term leads the fold so the order matches the legacy
-        // `sum = endpoints; sum += term` loop exactly.
-        let sum = crate::reduce::sum_ordered(std::iter::once(endpoints).chain((1..n).map(|i| {
-            let x = -8.0 + f64::from(i) * h;
-            (if i % 2 == 1 { 4.0 } else { 2.0 }) * pdf(x)
-        })));
-        assert!((sum * h / 3.0 - 1.0).abs() < 1e-10);
-
-        let mut legacy = endpoints;
-        for i in 1..n {
-            let x = -8.0 + f64::from(i) * h;
-            legacy += if i % 2 == 1 { 4.0 } else { 2.0 } * pdf(x);
-        }
-        assert_eq!(sum.to_bits(), legacy.to_bits());
     }
 
     #[test]

@@ -95,6 +95,7 @@ pub fn max_survival_target(u: f64, n: usize) -> f64 {
 ///
 /// Panics if `k >= samples.len()`.
 #[must_use]
+// ntv:allow(test-only-api): the selection oracle of duplication's spares-ladder pins, tests/props.rs::kth_smallest_matches_sorting and analytic_equivalence's bootstrap quantiles
 pub fn kth_smallest(samples: &[f64], k: usize) -> f64 {
     assert!(k < samples.len(), "order statistic index out of range");
     let mut v = samples.to_vec();

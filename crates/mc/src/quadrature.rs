@@ -106,7 +106,7 @@ impl GaussHermite {
     /// ```
     /// use ntv_mc::quadrature::GaussHermite;
     /// assert!(std::ptr::eq(GaussHermite::shared(16), GaussHermite::shared(16)));
-    /// assert_eq!(GaussHermite::shared(16).order(), 16);
+    /// assert_eq!(GaussHermite::shared(16).nodes().len(), 16);
     /// ```
     #[must_use]
     pub fn shared(n: usize) -> &'static Self {
@@ -122,12 +122,6 @@ impl GaussHermite {
             "shared quadrature order must be in 1..={MAX_SHARED_ORDER}, got {n}"
         );
         n - 1
-    }
-
-    /// Rule order.
-    #[must_use]
-    pub fn order(&self) -> usize {
-        self.nodes.len()
     }
 
     /// Quadrature nodes (descending).
@@ -253,7 +247,7 @@ mod tests {
         for n in [12, 16, 24] {
             let shared = GaussHermite::shared(n);
             let fresh = GaussHermite::new(n);
-            assert_eq!(shared.order(), n);
+            assert_eq!(shared.nodes().len(), n);
             for (a, b) in shared.nodes().iter().zip(fresh.nodes()) {
                 assert_eq!(a.to_bits(), b.to_bits(), "order {n} node");
             }

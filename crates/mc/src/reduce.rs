@@ -1,4 +1,4 @@
-//! Fixed-order and compensated f64 reductions.
+//! Fixed-order f64 reductions.
 //!
 //! Float addition is not associative, so the *order* of a summation is part
 //! of its value: reassociating the same terms — which is exactly what SIMD
@@ -14,13 +14,8 @@
 //!   order-pinned so the vectorization pass knows the order is load-bearing
 //!   and must be reproduced (e.g. by lane-invariant tree order) rather than
 //!   discovered.
-//! * [`sum_compensated`] — Neumaier's improved Kahan summation: the running
-//!   compensation recovers the low-order bits ordinary accumulation drops,
-//!   so the result is nearly independent of term order. Use it where the
-//!   *accuracy* of the sum matters more than bit-matching a historical
-//!   order (new code, accuracy-critical tails).
 //!
-//! All three are allocation-free single passes over any `f64` iterator.
+//! Both are allocation-free single passes over any `f64` iterator.
 //!
 //! The batch variants [`add_assign_ordered`] and [`axpy_ordered`] are the
 //! structure-of-arrays counterparts, used by the survival grid: each call
@@ -92,29 +87,6 @@ pub fn axpy_ordered(acc: &mut [f64], w: f64, xs: &[f64]) {
     }
 }
 
-/// Neumaier-compensated sum: a Kahan-style running error term that also
-/// handles the case where the next term is larger than the running sum.
-///
-/// The result changes by at most one ulp under any reordering of finite
-/// inputs with the same exponent range — the right tool when a future
-/// vectorized kernel must agree with the scalar path without pinning an
-/// order. Infinities and NaNs propagate as in ordinary summation.
-#[must_use]
-pub fn sum_compensated(values: impl IntoIterator<Item = f64>) -> f64 {
-    let mut sum = 0.0;
-    let mut comp = 0.0; // running compensation for lost low-order bits
-    for x in values {
-        let t = sum + x;
-        if sum.abs() >= x.abs() {
-            comp += (sum - t) + x; // ntv:allow(reduction-order): compensated-helper internals
-        } else {
-            comp += (x - t) + sum; // ntv:allow(reduction-order): compensated-helper internals
-        }
-        sum = t;
-    }
-    sum + comp
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,26 +129,6 @@ mod tests {
         let (sa, sb) = sum2_ordered(pairs.iter().copied());
         assert_eq!(sa.to_bits(), a.to_bits());
         assert_eq!(sb.to_bits(), b.to_bits());
-    }
-
-    #[test]
-    fn compensated_sum_recovers_cancelled_bits() {
-        // 1.0 + 1e16 - 1e16 loses the 1.0 in naive order.
-        let xs = [1.0, 1e16, -1e16];
-        assert_eq!(sum_compensated(xs.iter().copied()), 1.0);
-        let naive = sum_ordered(xs.iter().copied());
-        assert_eq!(naive, 0.0); // demonstrates exactly what was lost
-    }
-
-    #[test]
-    fn compensated_sum_is_order_insensitive_where_naive_is_not() {
-        let mut xs: Vec<f64> = (0..2000)
-            .map(|i| 10f64.powi((i % 13) - 6) * f64::from(i % 17 - 8))
-            .collect();
-        let fwd = sum_compensated(xs.iter().copied());
-        xs.reverse();
-        let rev = sum_compensated(xs.iter().copied());
-        assert!((fwd - rev).abs() <= fwd.abs() * 1e-15 + 1e-300);
     }
 
     #[test]
@@ -230,9 +182,7 @@ mod tests {
     #[test]
     fn empty_and_single_sums_are_exact() {
         assert_eq!(sum_ordered(std::iter::empty()), 0.0);
-        assert_eq!(sum_compensated(std::iter::empty()), 0.0);
         assert_eq!(sum_ordered([42.5]), 42.5);
-        assert_eq!(sum_compensated([42.5]), 42.5);
         assert_eq!(sum2_ordered(std::iter::empty()), (0.0, 0.0));
     }
 }

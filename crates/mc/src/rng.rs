@@ -100,12 +100,6 @@ impl CounterRng {
         }
     }
 
-    /// The stream's key.
-    #[must_use]
-    pub fn key(&self) -> u64 {
-        self.key
-    }
-
     /// Derive an independent child stream identified by `label`.
     ///
     /// Deterministic in `(key, label)` alone — no hidden state advances —
@@ -330,8 +324,8 @@ mod tests {
             CounterRng::new(7, "x").at(3).next_word(),
             CounterRng::new(8, "x").at(3).next_word()
         );
-        assert_eq!(s.stream("child").key(), s.stream("child").key());
-        assert_ne!(s.stream("child").key(), s.stream("other").key());
+        assert_eq!(s.stream("child"), s.stream("child"));
+        assert_ne!(s.stream("child"), s.stream("other"));
     }
 
     #[test]

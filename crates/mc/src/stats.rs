@@ -150,6 +150,7 @@ impl Summary {
 
     /// Sample skewness (g1, biased).
     #[must_use]
+    // ntv:allow(test-only-api): tests/engines_agree.rs's moment and tail-shape tests, tests/counter_quality.rs and the chain and rng unit tests check distribution shapes with it
     pub fn skewness(&self) -> f64 {
         if self.count < 3 || self.m2 == 0.0 {
             return 0.0;
@@ -193,6 +194,7 @@ impl Summary {
 /// assert!(ntv_mc::stats::pearson(&x, &y) > 0.99);
 /// ```
 #[must_use]
+// ntv:allow(test-only-api): tests/engines_agree.rs::common_random_numbers_correlate_across_voltages checks common-random-number correlation with it
 pub fn pearson(x: &[f64], y: &[f64]) -> f64 {
     assert_eq!(x.len(), y.len(), "paired samples must have equal length");
     assert!(x.len() >= 2, "correlation needs at least two samples");

@@ -13,7 +13,7 @@
 //!    values, so the generator can never silently change (which would
 //!    invalidate every recorded experiment table).
 
-use ntv_mc::rng::CounterRng;
+use ntv_mc::rng::{derive_seed, CounterRng};
 use ntv_mc::Summary;
 
 /// Pearson correlation of two equal-length samples.
@@ -116,8 +116,8 @@ fn raw_word_sequence_is_pinned() {
     // Golden values: changing the mixing constants, the finalizer, or
     // `derive_seed` MUST fail this test — the whole experiment archive
     // (EXPERIMENTS.md tables, BENCH_*.json) is keyed to this sequence.
+    assert_eq!(derive_seed(2012, "pinned"), 0xf0e5_fb36_e404_149f);
     let stream = CounterRng::new(2012, "pinned");
-    assert_eq!(stream.key(), 0xf0e5_fb36_e404_149f);
 
     let take3 = |index: u64| -> [u64; 3] {
         let mut d = stream.at(index);

@@ -90,6 +90,7 @@ impl Connection {
     /// # Errors
     ///
     /// Propagates socket failures and malformed response framing.
+    // ntv:allow(test-only-api): crates/serve/tests/http.rs sends its batches and studies through it
     pub fn query(&mut self, body: &str) -> std::io::Result<Response> {
         self.request("POST", "/v1/query", body)
     }
@@ -100,6 +101,7 @@ impl Connection {
 /// # Errors
 ///
 /// Propagates connect and transport failures.
+// ntv:allow(test-only-api): crates/serve/tests/http.rs and tests/cli.rs's serve tests probe a fresh connection with it
 pub fn request_once(
     addr: SocketAddr,
     method: &str,

@@ -131,13 +131,8 @@ impl FaultModel {
     }
 
     /// Per-operation error probability of physical lane `lane`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of range.
-    #[must_use]
-    pub fn error_probability(&self, lane: usize) -> f64 {
-        // ntv:allow(panic-path): documented panic (see `# Panics`); lanes are machine-fixed at 128
+    #[cfg(test)]
+    fn error_probability(&self, lane: usize) -> f64 {
         self.error_prob[lane]
     }
 

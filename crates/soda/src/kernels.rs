@@ -20,6 +20,7 @@ use crate::SIMD_WIDTH;
 pub mod golden {
     /// Saturating 16-bit addition, element-wise.
     #[must_use]
+    // ntv:allow(test-only-api): the oracle of tests/props.rs::vector_add_kernel_matches_golden and this file's vector-add test
     pub fn vector_add(a: &[i16], b: &[i16]) -> Vec<i16> {
         a.iter()
             .zip(b)
@@ -67,8 +68,8 @@ pub mod golden {
 
     /// Floating-point DFT of a complex signal, scaled by `1/n` (matching
     /// the fixed-point FFT's per-stage halving).
-    #[must_use]
-    pub fn dft_scaled(re: &[i16], im: &[i16]) -> (Vec<f64>, Vec<f64>) {
+    #[cfg(test)]
+    pub(crate) fn dft_scaled(re: &[i16], im: &[i16]) -> (Vec<f64>, Vec<f64>) {
         let n = re.len();
         let mut out_re = vec![0.0; n];
         let mut out_im = vec![0.0; n];
@@ -100,6 +101,7 @@ fn v(i: u8) -> VReg {
 /// # Panics
 ///
 /// Panics if the inputs are not 128 elements each.
+// ntv:allow(test-only-api): tests/props.rs::vector_add_kernel_matches_golden, tests/soda_pipeline.rs::energy_config_tracks_voltage and the crate example run the PE through it
 pub fn vector_add(pe: &mut ProcessingElement, a: &[i16], b: &[i16]) -> Result<Vec<i16>, PeError> {
     assert_eq!(a.len(), SIMD_WIDTH, "inputs must be 128 wide");
     assert_eq!(b.len(), SIMD_WIDTH, "inputs must be 128 wide");

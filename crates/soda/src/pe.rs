@@ -284,13 +284,8 @@ impl ProcessingElement {
     }
 
     /// Read a scalar register.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    #[must_use]
-    pub fn sreg(&self, index: usize) -> i16 {
-        // ntv:allow(panic-path): documented panic (see `# Panics`); the register file is machine-fixed
+    #[cfg(test)]
+    fn sreg(&self, index: usize) -> i16 {
         self.sregs[index]
     }
 
@@ -303,12 +298,6 @@ impl ProcessingElement {
     /// Mutable SIMD memory (host staging).
     pub fn mem_mut(&mut self) -> &mut SimdMemory {
         &mut self.mem
-    }
-
-    /// The crossbar (to inspect stored configurations and the lane map).
-    #[must_use]
-    pub fn xram(&self) -> &XramCrossbar {
-        &self.xram
     }
 
     /// Execution statistics so far.

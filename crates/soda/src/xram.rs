@@ -33,12 +33,6 @@ impl ShuffleConfig {
         Self { select }
     }
 
-    /// The identity shuffle of the given width.
-    #[must_use]
-    pub fn identity(width: usize) -> Self {
-        Self::new((0..width).collect())
-    }
-
     /// Butterfly exchange used by FFT stage `stage`: lane `i` reads from
     /// lane `i XOR 2^stage`.
     ///
@@ -63,34 +57,10 @@ impl ShuffleConfig {
         Self::new((0..width).map(|i| (i + shift) % width).collect())
     }
 
-    /// Broadcast lane `src` to every output.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src >= width`.
-    #[must_use]
-    pub fn broadcast(width: usize, src: usize) -> Self {
-        assert!(src < width, "broadcast source {src} out of range");
-        Self::new(vec![src; width])
-    }
-
     /// Lane count.
     #[must_use]
     pub fn width(&self) -> usize {
         self.select.len()
-    }
-
-    /// Whether the configuration is a permutation (no multicast).
-    #[must_use]
-    pub fn is_permutation(&self) -> bool {
-        let mut seen = vec![false; self.select.len()];
-        for &s in &self.select {
-            if seen[s] {
-                return false;
-            }
-            seen[s] = true;
-        }
-        true
     }
 
     /// Apply the shuffle to a data vector.
@@ -101,6 +71,32 @@ impl ShuffleConfig {
     pub fn apply<T: Copy>(&self, data: &[T]) -> Vec<T> {
         assert_eq!(data.len(), self.width(), "data width mismatch");
         self.select.iter().map(|&s| data[s]).collect()
+    }
+}
+
+/// Constructors and checks that only the tests below use.
+#[cfg(test)]
+impl ShuffleConfig {
+    /// The identity shuffle of the given width.
+    fn identity(width: usize) -> Self {
+        Self::new((0..width).collect())
+    }
+
+    /// Broadcast lane `src` to every output.
+    fn broadcast(width: usize, src: usize) -> Self {
+        Self::new(vec![src; width])
+    }
+
+    /// Whether the configuration is a permutation (no multicast).
+    fn is_permutation(&self) -> bool {
+        let mut seen = vec![false; self.select.len()];
+        for &s in &self.select {
+            if seen[s] {
+                return false;
+            }
+            seen[s] = true;
+        }
+        true
     }
 }
 

@@ -239,15 +239,6 @@ unit!(
     "s"
 );
 
-impl Seconds {
-    /// A period from a nanosecond magnitude (explicit scaling: `ns × 1e-9`).
-    #[must_use]
-    #[inline]
-    pub fn from_ns(ns: f64) -> Self {
-        Self(ns * 1e-9)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -337,13 +328,6 @@ mod tests {
         assert_eq!("0.55 V".parse::<Volts>().expect("suffixed"), Volts(0.55));
         assert_eq!("2.5s".parse::<Seconds>().expect("tight"), Seconds(2.5));
         assert!("volts".parse::<Volts>().is_err());
-    }
-
-    #[test]
-    fn from_ns_scales_explicitly() {
-        let t = Seconds::from_ns(2.0);
-        assert!((t.get() - 2e-9).abs() < 1e-24);
-        assert!((Seconds::from_ns(0.5) / t - 0.25).abs() < 1e-15);
     }
 
     #[test]

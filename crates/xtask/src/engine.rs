@@ -14,6 +14,7 @@ use crate::graph;
 use crate::lexer::{self, Token};
 use crate::parser;
 use crate::rules::{self, RuleId};
+use crate::surface::{self, Role};
 
 /// What kind of code a file contains, which decides rule applicability.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,8 +84,13 @@ impl FileClass {
         match rule {
             // NaN-unsafe orderings poison experiments no matter where they
             // live, tests and benches included; a rotted waiver is likewise
-            // a lie wherever it lives.
-            RuleId::PartialCmpUnwrap | RuleId::BadWaiver | RuleId::DeadWaiver => true,
+            // a lie wherever it lives. The surface audit decides its own
+            // scope (library crates' `src/`, ntv-serve and ntv-bench
+            // included) from the path.
+            RuleId::PartialCmpUnwrap
+            | RuleId::BadWaiver
+            | RuleId::DeadWaiver
+            | RuleId::TestOnlyApi => true,
             // Stateful generators are a library-crate concern: result code
             // must draw through the counter-based API (harnesses do too,
             // by convention only).
@@ -476,6 +482,33 @@ pub fn lint_sources(files: &[(PathBuf, String)], options: &LintOptions) -> LintR
         for (fi, hit) in conc_hits {
             apply_hit(&mut states[conc_idx[fi]], hit);
         }
+    }
+
+    // The public-surface audit sees every file's uses at once: a library
+    // `pub fn` needs a caller in program code, wherever that code lives.
+    let surface_idx: Vec<(usize, Role)> = states
+        .iter()
+        .enumerate()
+        .filter_map(|(i, s)| Role::of(&s.rel, s.class).map(|role| (i, role)))
+        .collect();
+    let surface_hits = {
+        let sem_files: Vec<graph::SemFile> = surface_idx
+            .iter()
+            .map(|&(i, _)| {
+                let s = &states[i];
+                graph::SemFile {
+                    rel: &s.rel,
+                    tokens: &s.lexed.tokens,
+                    parsed: &s.parsed,
+                    test_ranges: &s.regions.ranges,
+                }
+            })
+            .collect();
+        let roles: Vec<Role> = surface_idx.iter().map(|&(_, role)| role).collect();
+        surface::test_only_api_hits(&sem_files, &roles)
+    };
+    for (fi, hit) in surface_hits {
+        apply_hit(&mut states[surface_idx[fi].0], hit);
     }
 
     // Waiver hygiene: malformed waivers always, dead waivers on request.

@@ -52,6 +52,7 @@ pub mod parser;
 pub mod resolve;
 pub mod rules;
 pub mod sarif;
+pub mod surface;
 
 pub use engine::{
     lint_source, lint_sources, lint_workspace, Diagnostic, FileClass, LintOptions, LintReport,

@@ -75,6 +75,9 @@ pub enum RuleId {
     /// channel `recv`, `join`, `sleep`) while a lock guard is live — the
     /// bug shape that convoys every other thread behind one slow caller.
     BlockingUnderLock,
+    /// A library `pub fn` that tests call and no program code does — found
+    /// by the [`surface`](crate::surface) audit over every file's uses.
+    TestOnlyApi,
     /// An `ntv:allow(..)` waiver that suppresses zero findings (reported
     /// only under `xtask lint --check-waivers`, so waivers cannot rot).
     DeadWaiver,
@@ -96,6 +99,7 @@ impl RuleId {
         RuleId::LockOrderCycle,
         RuleId::AtomicOrdering,
         RuleId::BlockingUnderLock,
+        RuleId::TestOnlyApi,
         RuleId::DeadWaiver,
     ];
 
@@ -116,6 +120,7 @@ impl RuleId {
             RuleId::LockOrderCycle => "ntv::lock-order-cycle",
             RuleId::AtomicOrdering => "ntv::atomic-ordering",
             RuleId::BlockingUnderLock => "ntv::blocking-under-lock",
+            RuleId::TestOnlyApi => "ntv::test-only-api",
             RuleId::DeadWaiver => "ntv::dead-waiver",
         }
     }
@@ -137,6 +142,7 @@ impl RuleId {
             RuleId::LockOrderCycle => "lock-order-cycle",
             RuleId::AtomicOrdering => "atomic-ordering",
             RuleId::BlockingUnderLock => "blocking-under-lock",
+            RuleId::TestOnlyApi => "test-only-api",
             RuleId::DeadWaiver => "dead-waiver",
         }
     }
@@ -187,7 +193,7 @@ impl RuleId {
                 "float addition is not associative, so this sequential \
                  accumulation pins a summation order that SIMD lane \
                  reordering would silently change; route it through \
-                 `ntv_mc::reduce` (`sum_ordered` / `sum_compensated`), or \
+                 `ntv_mc::reduce` (`sum_ordered` / `sum2_ordered`), or \
                  waive with the invariant that fixes the order"
             }
             RuleId::LossyCast => {
@@ -230,6 +236,14 @@ impl RuleId {
                  lock; drop the guard first, or move the blocking call out \
                  of the critical section (the `op_cache` build-outside-lock \
                  pattern)"
+            }
+            RuleId::TestOnlyApi => {
+                "no program calls this public fn, only tests do, so it is \
+                 surface that keeps no result alive; delete it with the \
+                 tests whose only subject it is, narrow it to \
+                 `#[cfg(test)]`, or, for deliberate cross-crate test \
+                 support, waive with the tests it serves: \
+                 `// ntv:allow(test-only-api): <which tests, what role>`"
             }
             RuleId::DeadWaiver => {
                 "this waiver suppresses no finding — the code it excused \

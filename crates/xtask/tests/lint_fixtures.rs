@@ -52,6 +52,7 @@ fn each_bad_fixture_triggers_its_rule() {
             "harness/bad_blocking_under_lock.rs",
             RuleId::BlockingUnderLock,
         ),
+        ("library/bad_test_only_api.rs", RuleId::TestOnlyApi),
         ("library/bad_dead_waiver.rs", RuleId::DeadWaiver),
     ];
     // Dead waivers are only reported under --check-waivers.
@@ -127,6 +128,31 @@ fn panic_path_fixture_flags_every_shape_and_waivers_silence() {
         vec![],
         "library/waived_lock_discipline.rs"
     );
+}
+
+/// `ntv::test-only-api` flags the fn only tests call, not the one a program
+/// calls, and a waiver naming the tests it serves (or `#[cfg(test)]`)
+/// silences it.
+#[test]
+fn test_only_api_fixture_flags_the_test_only_fn_and_waivers_silence() {
+    let source =
+        std::fs::read_to_string(fixture("library/bad_test_only_api.rs")).expect("fixture exists");
+    let ws_rel = Path::new("crates/xtask/tests/fixtures/library/bad_test_only_api.rs");
+    let diags = engine::lint_source(ws_rel, &source);
+    assert_eq!(diags.len(), 1, "{diags:#?}");
+    assert_eq!(diags[0].rule, RuleId::TestOnlyApi);
+    assert_eq!(diags[0].line, 16, "{diags:#?}");
+    assert!(diags[0].message.contains("::oracle`"), "{diags:#?}");
+
+    let check = engine::LintOptions {
+        check_waivers: true,
+        ..engine::LintOptions::default()
+    };
+    let source = std::fs::read_to_string(fixture("library/waived_test_only_api.rs"))
+        .expect("fixture exists");
+    let ws_rel = Path::new("crates/xtask/tests/fixtures/library/waived_test_only_api.rs");
+    let report = engine::lint_sources(&[(ws_rel.to_path_buf(), source)], &check);
+    assert!(report.diagnostics.is_empty(), "{:#?}", report.diagnostics);
 }
 
 /// Cross-file reachability: each half of the pair is clean alone; linted

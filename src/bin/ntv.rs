@@ -344,6 +344,12 @@ fn main() -> ExitCode {
                 eprintln!("--q expects a quantile level in (0, 1)");
                 return ExitCode::FAILURE;
             }
+            // The wire's cap: above it, the spares tail alone would ask for
+            // gigabytes.
+            if u64::from(spares) > wire::MAX_SPARES {
+                eprintln!("--spares expects a spare count in 0..={}", wire::MAX_SPARES);
+                return ExitCode::FAILURE;
+            }
             if json {
                 // The same query object the HTTP service executes, so the
                 // output is the serve wire format by construction.
@@ -372,9 +378,12 @@ fn main() -> ExitCode {
                 (Ok(n), Ok(v)) => (n, v),
                 (Err(e), _) | (_, Err(e)) => return e,
             };
-            let Ok(t_clk_ns) = t_clk.parse::<f64>() else {
-                eprintln!("invalid clock period `{t_clk}` (expected ns)");
-                return ExitCode::FAILURE;
+            let t_clk_ns = match t_clk.parse::<f64>() {
+                Ok(t) if t.is_finite() && t > 0.0 => t,
+                _ => {
+                    eprintln!("invalid clock period `{t_clk}` (expected ns, finite and > 0)");
+                    return ExitCode::FAILURE;
+                }
             };
             let tech = TechModel::new(node);
             let engine = DatapathEngine::new(&tech, DatapathConfig::paper_default());

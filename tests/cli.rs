@@ -169,4 +169,18 @@ fn usage_on_bad_input() {
     assert!(String::from_utf8(out.stderr)
         .expect("utf8")
         .contains("invalid supply voltage"));
+    // Spares above the wire's cap, rejected before anything is allocated.
+    let out = ntv(&["quantile", "90nm", "0.6", "--spares", "4097"]);
+    assert!(!out.status.success());
+    assert!(String::from_utf8(out.stderr)
+        .expect("utf8")
+        .contains("--spares expects a spare count in 0..=4096"));
+    // A clock period must be a finite positive number of nanoseconds.
+    for t_clk in ["nan", "inf", "-5", "0"] {
+        let out = ntv(&["yield", "90nm", "0.55", t_clk]);
+        assert!(!out.status.success(), "clock {t_clk} should fail");
+        assert!(String::from_utf8(out.stderr)
+            .expect("utf8")
+            .contains("invalid clock period"));
+    }
 }

@@ -161,8 +161,10 @@ fn global_sparing_never_loses_to_local() {
             cluster_size: 8,
             spares_per_cluster,
         };
-        let total = cluster.total_spares(128);
-        let global = SparePlacement::Global { spares: total };
+        // The same spare budget, pooled: 16 clusters of 8 lanes.
+        let global = SparePlacement::Global {
+            spares: 128 / 8 * spares_per_cluster,
+        };
         let pl = repair_probability(cluster, 128, p_fail);
         let pg = repair_probability(global, 128, p_fail);
         assert!(pg >= pl - 1e-12, "p={p_fail}: global {pg} < local {pl}");
@@ -215,12 +217,8 @@ fn sigma_scale_scales_measured_variation() {
     check("sigma_scale_scales_measured_variation", 64, |d| {
         let scale = float(d, 0.25, 2.0);
         let base = TechModel::new(TechNode::Gp90);
-        let scaled = TechModel::from_params(
-            DeviceParams::builder(TechNode::Gp90)
-                .sigma_scale(scale)
-                .build()
-                .unwrap(),
-        );
+        let scaled =
+            TechModel::from_params(DeviceParams::for_node(TechNode::Gp90).with_sigma_scale(scale));
         // Common random numbers: both chains see the same chips.
         let stream = CounterRng::new(d.next_word(), "sigma_scale_scales_measured_variation");
         let sa = ChainMc::new(&base, 10).summary(Volts(0.6), 800, &stream);
