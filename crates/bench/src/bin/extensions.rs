@@ -24,10 +24,7 @@ fn main() {
         );
     }
     println!();
-    println!(
-        "{}",
-        extensions::yield_curves_with(TechNode::Gp90, 0.55, samples, DEFAULT_SEED, exec)
-    );
+    println!("{}", extensions::yield_curves(TechNode::Gp90, 0.55));
     println!();
     println!("{}", policies::run(400, DEFAULT_SEED));
     println!();

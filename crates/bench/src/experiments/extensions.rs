@@ -21,12 +21,11 @@ use ntv_core::duplication::DuplicationStudy;
 use ntv_core::engine::VariationMode;
 use ntv_core::margining::MarginStudy;
 use ntv_core::perf;
-use ntv_core::yield_model::YieldStudy;
-use ntv_core::{DatapathConfig, DatapathEngine, Executor};
+use ntv_core::{ChipQuantileSolver, DatapathConfig, DatapathEngine, Executor};
 use ntv_device::{calib, ChipSample, TechModel, TechNode};
 use ntv_mc::qmc::Halton;
 use ntv_mc::{normal, order, sum_ordered, CounterRng, GaussHermite, Quantiles, Summary};
-use ntv_units::Volts;
+use ntv_units::{Seconds, Volts};
 
 use crate::table::TextTable;
 
@@ -184,20 +183,13 @@ pub struct YieldCurvesResult {
     pub curves: Vec<(u32, Vec<YieldPoint>)>,
 }
 
-/// Timing-yield curves for 0, 4 and 12 spares.
+/// Timing-yield curves for 0, 4 and 12 spares, read from the exact
+/// chip-delay law on a clock grid of 51 to 56.5 FO4.
 #[must_use]
-pub fn yield_curves_with(
-    node: TechNode,
-    vdd: f64,
-    samples: usize,
-    seed: u64,
-    exec: Executor,
-) -> YieldCurvesResult {
+pub fn yield_curves(node: TechNode, vdd: f64) -> YieldCurvesResult {
     let tech = TechModel::new(node);
     let engine = DatapathEngine::new(&tech, DatapathConfig::paper_default());
-    let study = YieldStudy::new(&engine).with_executor(exec);
-    let dup = DuplicationStudy::new(&engine).with_executor(exec);
-    let matrix = dup.sample_matrix(Volts(vdd), 12, samples, seed);
+    let solver = ChipQuantileSolver::new(&engine);
     let fo4_ns = engine.fo4_unit_ps(Volts(vdd)) / 1000.0;
     let grid: Vec<f64> = (0..12)
         .map(|i| (51.0 + f64::from(i) * 0.5) * fo4_ns)
@@ -210,7 +202,7 @@ pub fn yield_curves_with(
                 .iter()
                 .map(|&t| YieldPoint {
                     t_clk_ns: t,
-                    timing_yield: study.yield_with_spares(&matrix, spares, t),
+                    timing_yield: solver.timing_yield(Volts(vdd), spares, Seconds(t * 1e-9)),
                 })
                 .collect();
             (spares, curve)
@@ -505,7 +497,7 @@ mod tests {
 
     #[test]
     fn spares_shift_yield_curves_left() {
-        let r = yield_curves_with(TechNode::Gp90, 0.55, 1500, 42, Executor::default());
+        let r = yield_curves(TechNode::Gp90, 0.55);
         // At every clock, more spares -> no worse yield; somewhere strictly
         // better.
         let mut strictly = false;

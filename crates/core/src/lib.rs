@@ -25,7 +25,7 @@
 //! Appendix D). Overheads use the Diet SODA area/power budget
 //! ([`overhead`]). Two extensions round out the menu: adaptive body bias
 //! ([`body_bias`], the EVAL-style knob from the paper's related work) and
-//! full timing-yield curves ([`yield_model`]).
+//! full timing-yield curves ([`ChipQuantileSolver::timing_yield`]).
 //!
 //! # Example
 //!
@@ -67,7 +67,6 @@ pub mod perf;
 pub mod placement;
 pub mod quantile;
 pub mod sensitivity;
-pub mod yield_model;
 
 pub use config::DatapathConfig;
 pub use engine::{ChipDelayDistribution, DatapathEngine};

@@ -10,9 +10,6 @@
 //! by Monte Carlo.
 
 use ntv_mc::CounterDraws;
-use ntv_units::Volts;
-
-use crate::engine::DatapathEngine;
 
 /// A spare-placement scheme for a `lanes`-wide array.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -138,34 +135,9 @@ pub fn mc_repair_probability(
     ok as f64 / trials as f64
 }
 
-/// Per-lane timing-failure probability at `vdd` for a given clock period:
-/// the fraction of lanes whose delay exceeds `t_clk_ns`.
-#[must_use]
-pub fn lane_failure_probability(
-    engine: &DatapathEngine<'_>,
-    vdd: Volts,
-    t_clk_ns: f64,
-    samples: usize,
-    rng: &mut CounterDraws,
-) -> f64 {
-    let fo4_ps = engine.tech().fo4_delay_ps(vdd);
-    let t_clk_fo4 = t_clk_ns * 1000.0 / fo4_ps;
-    let lanes = engine.config().lanes;
-    let mut failing = 0usize;
-    let mut total = 0usize;
-    for _ in 0..samples {
-        let row = engine.sample_lane_delays_fo4(vdd, lanes, rng);
-        failing += row.iter().filter(|&&d| d > t_clk_fo4).count();
-        total += lanes;
-    }
-    failing as f64 / total as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::DatapathConfig;
-    use ntv_device::{TechModel, TechNode};
     use ntv_mc::CounterRng;
 
     #[test]
@@ -227,19 +199,6 @@ mod tests {
             assert!(p >= prev);
             prev = p;
         }
-    }
-
-    #[test]
-    fn lane_failure_probability_behaves() {
-        let tech = TechModel::new(TechNode::Gp90);
-        let engine = DatapathEngine::new(&tech, DatapathConfig::paper_default());
-        let mut rng = CounterRng::new(15, "lane_failure_probability_behaves").at(0);
-        // A generous clock fails almost never; a tight one often.
-        let fo4_ns = tech.fo4_delay_ps(Volts(0.55)) / 1000.0;
-        let loose = lane_failure_probability(&engine, Volts(0.55), 70.0 * fo4_ns, 200, &mut rng);
-        let tight = lane_failure_probability(&engine, Volts(0.55), 51.0 * fo4_ns, 200, &mut rng);
-        assert!(loose < 0.01, "loose {loose}");
-        assert!(tight > 0.1, "tight {tight}");
     }
 
     #[test]

@@ -29,17 +29,23 @@
 //! delays): a binomial order-statistic tail over the lane CDF, evaluated
 //! in log space so deep-tail lane probabilities do not underflow.
 //!
+//! One private law holds these CDFs: the quantiles invert it, and
+//! [`ChipQuantileSolver::timing_yield`] reads it at a clock period, which
+//! is the timing yield (on a one-lane engine, the lane CDF).
+//!
 //! Monte-Carlo stays the right tool where the *empirical sample paths*
-//! are the product — histograms (Figs 3, 5, 6), yield curves, and any
-//! statistic of a finite-sample estimator. Studies therefore default to
-//! [`Evaluation::MonteCarlo`] (byte-identical to the pre-solver outputs)
-//! and opt into [`Evaluation::Analytic`] explicitly.
+//! are the product — histograms (Figs 3, 5, 6), and any statistic of a
+//! finite-sample estimator — and as the oracle the law is checked
+//! against. Studies therefore default to [`Evaluation::MonteCarlo`]
+//! (byte-identical to the pre-solver outputs) and opt into
+//! [`Evaluation::Analytic`] explicitly.
 
 use std::f64::consts::SQRT_2;
+use std::sync::Arc;
 
 use ntv_device::ChipSample;
 use ntv_mc::{normal, order, GaussHermite};
-use ntv_units::Volts;
+use ntv_units::{Seconds, Volts};
 
 use crate::engine::{DatapathEngine, PathDistribution, VariationMode};
 
@@ -87,29 +93,7 @@ impl<'e, 't> ChipQuantileSolver<'e, 't> {
     /// Panics if `p` is outside the open interval (0, 1).
     #[must_use]
     pub fn chip_quantile_ps(&self, vdd: Volts, p: f64) -> f64 {
-        assert!(p > 0.0 && p < 1.0, "quantile requires p in (0, 1), got {p}");
-        let config = self.engine.config();
-        let n = config.critical_path_count();
-        match self.engine.mode() {
-            VariationMode::PaperNormal => {
-                let dist = self.engine.path_distribution(vdd);
-                // Closed form: max of N i.i.d. normals.
-                dist.mean_ps() + dist.std_ps() * normal::quantile(order::max_cdf_target(p, n))
-            }
-            VariationMode::SkewedIid => {
-                let dist = self.engine.path_distribution(vdd);
-                // One inverse-survival lookup — the same interpolant the
-                // sampler draws through, evaluated at the fixed target.
-                dist.quantile_by_survival(order::max_survival_target(p, n))
-            }
-            VariationMode::Hierarchical => {
-                let mix = self.hier_mixture(vdd);
-                let paths = config.paths_per_lane as f64;
-                let lanes = config.lanes as f64;
-                let (lo, hi) = mix.bracket();
-                invert_monotone_cdf(p, lo, hi, |x| mix.chip_cdf(x, paths, lanes))
-            }
-        }
+        self.spares_quantile_ps(vdd, 0, p)
     }
 
     /// Exact p-quantile of the chip delay in FO4 units (the paper's
@@ -142,10 +126,8 @@ impl<'e, 't> ChipQuantileSolver<'e, 't> {
     /// `lanes`-th smallest of `lanes + spares` lane delays (the α slowest
     /// lanes are disabled at test time, §4.1).
     ///
-    /// The order-statistic CDF is the binomial tail
-    /// `P(at least `lanes` of `lanes+spares` lane delays ≤ x)`, with the
-    /// lane CDF `F_path(x)^paths` evaluated per mode (conditionally, under
-    /// the quadrature, for `Hierarchical`).
+    /// Without spares the i.i.d. modes have closed forms; every other case
+    /// bisects the chip-delay law that [`Self::timing_yield`] reads.
     ///
     /// # Panics
     ///
@@ -153,41 +135,56 @@ impl<'e, 't> ChipQuantileSolver<'e, 't> {
     #[must_use]
     pub fn spares_quantile_ps(&self, vdd: Volts, spares: u32, p: f64) -> f64 {
         assert!(p > 0.0 && p < 1.0, "quantile requires p in (0, 1), got {p}");
-        if spares == 0 {
-            // Identical distribution; use the direct (often closed-form)
-            // chip quantile.
-            return self.chip_quantile_ps(vdd, p);
+        let n = self.engine.config().critical_path_count();
+        match (self.engine.mode(), spares) {
+            (VariationMode::PaperNormal, 0) => {
+                let dist = self.engine.path_distribution(vdd);
+                // Closed form: max of N i.i.d. normals.
+                dist.mean_ps() + dist.std_ps() * normal::quantile(order::max_cdf_target(p, n))
+            }
+            (VariationMode::SkewedIid, 0) => {
+                // One inverse-survival lookup — the same interpolant the
+                // sampler draws through, evaluated at the fixed target.
+                let dist = self.engine.path_distribution(vdd);
+                dist.quantile_by_survival(order::max_survival_target(p, n))
+            }
+            _ => {
+                let law = self.law(vdd, spares);
+                let (lo, hi) = law.bracket();
+                invert_monotone_cdf(p, lo, hi, |x| law.cdf(x))
+            }
         }
+    }
+
+    /// Timing yield: the probability that the chip delay with `spares`
+    /// spare lanes is at most `t_clk`, i.e. the fraction of fabricated
+    /// chips that meet that clock period. On a one-lane engine it is the
+    /// lane CDF, so `1 − timing_yield` is a lane's timing-failure
+    /// probability.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t_clk` is NaN.
+    #[must_use]
+    pub fn timing_yield(&self, vdd: Volts, spares: u32, t_clk: Seconds) -> f64 {
+        assert!(!t_clk.get().is_nan(), "timing yield needs a clock period");
+        self.law(vdd, spares).cdf(t_clk.get() * 1e12)
+    }
+
+    /// The chip-delay law at `vdd` with `spares` spares: each mode's lane
+    /// CDF `F_path(x)^paths` (conditionally, under the quadrature, for
+    /// `Hierarchical`) combined over the lanes by [`LaneTail`].
+    fn law(&self, vdd: Volts, spares: u32) -> ChipLaw {
         let config = self.engine.config();
-        let lanes = config.lanes;
-        let physical = lanes + spares as usize;
-        let paths = config.paths_per_lane as f64;
-        match self.engine.mode() {
-            VariationMode::PaperNormal => {
-                let dist = self.engine.path_distribution(vdd);
-                let (mu, s) = (dist.mean_ps(), dist.std_ps());
-                let (lo, hi) = (mu - 8.0 * s, mu + 12.0 * s);
-                let tail = BinomialTail::new(physical, lanes);
-                invert_monotone_cdf(p, lo, hi, |x| {
-                    let (pl, sl) = lane_split(ln_normal_cdf((x - mu) / s), paths);
-                    tail.eval(pl, sl)
-                })
-            }
-            VariationMode::SkewedIid => {
-                let dist = self.engine.path_distribution(vdd);
-                let (lo, hi) = skewed_bracket(&dist);
-                let tail = BinomialTail::new(physical, lanes);
-                invert_monotone_cdf(p, lo, hi, |x| {
-                    let (pl, sl) = lane_split((-dist.survival(x)).ln_1p(), paths);
-                    tail.eval(pl, sl)
-                })
-            }
-            VariationMode::Hierarchical => {
-                let mix = self.hier_mixture(vdd);
-                let (lo, hi) = mix.bracket();
-                let tail = BinomialTail::new(physical, lanes);
-                invert_monotone_cdf(p, lo, hi, |x| mix.spares_cdf(x, paths, &tail))
-            }
+        let lane = match self.engine.mode() {
+            VariationMode::PaperNormal => LaneLaw::PaperNormal(self.engine.path_distribution(vdd)),
+            VariationMode::SkewedIid => LaneLaw::SkewedIid(self.engine.path_distribution(vdd)),
+            VariationMode::Hierarchical => LaneLaw::Hierarchical(self.hier_mixture(vdd)),
+        };
+        ChipLaw {
+            lane,
+            paths: config.paths_per_lane as f64,
+            tail: LaneTail::new(config.lanes, spares),
         }
     }
 
@@ -254,6 +251,76 @@ impl<'e, 't> ChipQuantileSolver<'e, 't> {
             .collect();
 
         HierMixture { comps, factors }
+    }
+}
+
+/// The chip-delay CDF (ps) of one engine at one `(vdd, spares)`: the law
+/// the quantiles invert and [`ChipQuantileSolver::timing_yield`] reads.
+struct ChipLaw {
+    lane: LaneLaw,
+    paths: f64,
+    tail: LaneTail,
+}
+
+/// Where each mode's path CDF comes from.
+enum LaneLaw {
+    /// i.i.d. normal paths with the operating point's moments.
+    PaperNormal(Arc<PathDistribution>),
+    /// i.i.d. paths with the Gauss–Hermite mixture's survival grid.
+    SkewedIid(Arc<PathDistribution>),
+    /// Paths conditionally normal given the chip-global and regional draws.
+    Hierarchical(HierMixture),
+}
+
+impl ChipLaw {
+    /// `P(chip delay ≤ x)`, `x` in ps.
+    fn cdf(&self, x: f64) -> f64 {
+        let iid = |ln_path_cdf| {
+            let (pl, sl) = lane_split(ln_path_cdf, self.paths);
+            self.tail.eval(pl, sl)
+        };
+        match &self.lane {
+            LaneLaw::PaperNormal(dist) => iid(ln_normal_cdf((x - dist.mean_ps()) / dist.std_ps())),
+            LaneLaw::SkewedIid(dist) => iid((-dist.survival(x)).ln_1p()),
+            LaneLaw::Hierarchical(mix) => mix.cdf(x, self.paths, &self.tail),
+        }
+    }
+
+    /// Initial bisection bracket: the survival grid's ±8σ/+12σ extent, or
+    /// the mixture's.
+    fn bracket(&self) -> (f64, f64) {
+        match &self.lane {
+            LaneLaw::PaperNormal(dist) | LaneLaw::SkewedIid(dist) => (
+                dist.mean_ps() - 8.0 * dist.std_ps(),
+                dist.mean_ps() + 12.0 * dist.std_ps(),
+            ),
+            LaneLaw::Hierarchical(mix) => mix.bracket(),
+        }
+    }
+}
+
+/// How the lane CDF `p` (survival `s`) becomes the chip CDF.
+enum LaneTail {
+    /// No spares: every one of the lanes must be ready, `p^lanes`.
+    Slowest(f64),
+    /// Spares: at least `lanes` of the physical lanes must be ready.
+    Binomial(BinomialTail),
+}
+
+impl LaneTail {
+    fn new(lanes: usize, spares: u32) -> Self {
+        if spares == 0 {
+            Self::Slowest(lanes as f64)
+        } else {
+            Self::Binomial(BinomialTail::new(lanes + spares as usize, lanes))
+        }
+    }
+
+    fn eval(&self, p: f64, s: f64) -> f64 {
+        match self {
+            Self::Slowest(lanes) => p.powf(*lanes),
+            Self::Binomial(tail) => tail.eval(p, s),
+        }
     }
 }
 
@@ -338,20 +405,9 @@ impl HierMixture {
         (cdf.clamp(0.0, 1.0), sf.clamp(0.0, 1.0))
     }
 
-    /// Chip-delay CDF: `E_g[(lane CDF | g)^lanes]`.
-    fn chip_cdf(&self, x: f64, paths: f64, lanes: f64) -> f64 {
-        let total = ntv_mc::reduce::sum_ordered(self.comps.iter().map(|&(w, mu, s)| {
-            let (cdf, _) = self.lane_cdf_sf(x, mu, s, paths);
-            w * cdf.powf(lanes)
-        }));
-        total.clamp(0.0, 1.0)
-    }
-
-    /// CDF of the `lanes`-th smallest of the physical lane delays:
-    /// `E_g[binomial tail of the conditional lane CDF]` (lanes are
-    /// conditionally i.i.d. given the chip-global draw). `tail` carries
-    /// the precomputed `(physical, lanes)` coefficient table.
-    fn spares_cdf(&self, x: f64, paths: f64, tail: &BinomialTail) -> f64 {
+    /// Chip-delay CDF: `E_g[tail of the conditional lane CDF]` (lanes are
+    /// conditionally i.i.d. given the chip-global draw).
+    fn cdf(&self, x: f64, paths: f64, tail: &LaneTail) -> f64 {
         let total = ntv_mc::reduce::sum_ordered(self.comps.iter().map(|&(w, mu, s)| {
             let (cdf, sf) = self.lane_cdf_sf(x, mu, s, paths);
             w * tail.eval(cdf, sf)
@@ -373,14 +429,6 @@ fn ln_normal_cdf(z: f64) -> f64 {
 fn lane_split(ln_f_path: f64, paths: f64) -> (f64, f64) {
     let ln_p = paths * ln_f_path;
     (ln_p.exp(), -ln_p.exp_m1())
-}
-
-/// Survival-grid bisection bracket: the grid extent itself.
-fn skewed_bracket(dist: &PathDistribution) -> (f64, f64) {
-    (
-        dist.mean_ps() - 8.0 * dist.std_ps(),
-        dist.mean_ps() + 12.0 * dist.std_ps(),
-    )
 }
 
 /// The binomial order-statistic tail `P(at least k of m ≤ x)` with its
@@ -597,6 +645,37 @@ mod tests {
         let min2 = solver.spares_quantile_ps(Volts(0.7), 1, 0.9);
         assert!(min2 < direct);
         assert!(min2 > dist.mean_ps() - 8.0 * dist.std_ps());
+    }
+
+    #[test]
+    fn timing_yield_spans_zero_to_one_and_rises_with_spares() {
+        let tech = TechModel::new(TechNode::Gp45);
+        for mode in [
+            VariationMode::PaperNormal,
+            VariationMode::SkewedIid,
+            VariationMode::Hierarchical,
+        ] {
+            let engine = DatapathEngine::with_mode(&tech, DatapathConfig::paper_default(), mode);
+            let solver = ChipQuantileSolver::new(&engine);
+            let vdd = Volts(0.6);
+            for spares in [0, 2] {
+                assert_eq!(solver.timing_yield(vdd, spares, Seconds(0.0)), 0.0);
+                let y = solver.timing_yield(vdd, spares, Seconds(1.0));
+                assert!(y > 1.0 - 1e-12 && y <= 1.0, "{mode:?} {spares}: {y}");
+            }
+            let median = Seconds(solver.chip_quantile_ps(vdd, 0.5) * 1e-12);
+            let bare = solver.timing_yield(vdd, 0, median);
+            let spared = solver.timing_yield(vdd, 8, median);
+            assert!(spared > bare + 0.1, "{mode:?}: {spared} vs {bare}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "timing yield needs a clock period")]
+    fn timing_yield_rejects_nan_clock() {
+        let tech = TechModel::new(TechNode::Gp90);
+        let engine = DatapathEngine::new(&tech, DatapathConfig::paper_default());
+        let _ = ChipQuantileSolver::new(&engine).timing_yield(Volts(0.6), 0, Seconds(f64::NAN));
     }
 
     /// The retired recompute-per-call formulation: coefficient recurrence

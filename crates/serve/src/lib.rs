@@ -25,11 +25,10 @@
 //! bodies across runs, servers, and cache histories — the property the
 //! double-run identity test and CI smoke `cmp` pin.
 //!
-//! The wire schema lives in [`wire`]; the `ntv` CLI's `--json` output
-//! runs the same [`Query`] values, so `ntv margin --json` prints the result
-//! object `/v1/query` returns for that query sent with
-//! `"evaluation":"mc"` (the CLI evaluates by Monte Carlo; the wire default
-//! is `analytic`).
+//! The wire schema lives in [`wire`]; the `ntv` CLI's `spares`, `margin`,
+//! `plan` and `quantile` commands build, validate and run the same
+//! [`Query`] values, so `ntv margin --json` prints the result object
+//! `/v1/query` returns for that query.
 //!
 //! # Quickstart
 //!

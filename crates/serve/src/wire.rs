@@ -3,12 +3,9 @@
 //! JSON results.
 //!
 //! This module is the *single* serialization path for analysis results —
-//! the HTTP server and the `ntv` CLI's `--json` mode both call
-//! [`Query::run`], so one query prints the same bytes whether it travelled
-//! over a socket or stdout. The CLI's `margin` and `plan` queries evaluate
-//! by Monte Carlo, so `ntv margin --json` prints what `/v1/query` returns
-//! for the same query sent with `"evaluation":"mc"`; the wire default is
-//! `analytic`.
+//! the HTTP server and the `ntv` CLI both validate with [`parse_one`] and
+//! call [`Query::run`], so one query prints the same bytes whether it
+//! travelled over a socket or stdout.
 //!
 //! ## Schema
 //!
@@ -27,8 +24,9 @@
 //! `paper-normal | skewed-iid | hierarchical`; `evaluation` is
 //! `analytic | mc`. Only `margin` and `dse` have a Monte-Carlo fallback —
 //! the other kinds are closed-form by construction. Voltages are validated
-//! to the calibrated 0.3–1.2 V range.
+//! to the calibrated [`VDD_RANGE`], and `samples` to 1..=1 000 000.
 
+use std::ops::RangeInclusive;
 use std::sync::OnceLock;
 
 use ntv_core::dse::{DesignChoice, DseStudy};
@@ -48,6 +46,9 @@ pub const MAX_SWEEP_STEPS: u64 = 4_096;
 
 /// Hard cap on spare-lane counts accepted over the wire.
 pub const MAX_SPARES: u64 = 4_096;
+
+/// The supply voltages the device model is calibrated for (volts).
+pub const VDD_RANGE: RangeInclusive<f64> = 0.3..=1.2;
 
 /// Default Monte-Carlo sample count (matches the `ntv` CLI).
 pub const DEFAULT_SAMPLES: u64 = 5_000;
@@ -246,11 +247,11 @@ impl Fields<'_> {
             .get(key)
             .and_then(Value::as_f64)
             .ok_or_else(|| format!("`{key}` is required (volts)"))?;
-        if (0.3..=1.2).contains(&v) {
+        if VDD_RANGE.contains(&v) {
             Ok(Volts(v))
         } else {
             Err(format!(
-                "`{key}` = {v} outside the calibrated 0.3..=1.2 V range"
+                "`{key}` = {v} outside the calibrated {VDD_RANGE:?} V range"
             ))
         }
     }
@@ -269,25 +270,36 @@ impl Fields<'_> {
         }
     }
 
-    fn unsigned(&self, key: &str, default: u64, max: u64) -> Result<u64, String> {
+    fn unsigned(&self, key: &str, default: u64, range: RangeInclusive<u64>) -> Result<u64, String> {
         match self.0.get(key) {
             None => Ok(default),
             Some(v) => {
                 let n = v
                     .as_u64()
                     .ok_or_else(|| format!("`{key}` must be a non-negative integer"))?;
-                if n <= max {
-                    Ok(n)
+                if n < *range.start() {
+                    Err(format!(
+                        "`{key}` = {n} below the minimum of {}",
+                        range.start()
+                    ))
+                } else if n > *range.end() {
+                    Err(format!("`{key}` = {n} exceeds the cap of {}", range.end()))
                 } else {
-                    Err(format!("`{key}` = {n} exceeds the cap of {max}"))
+                    Ok(n)
                 }
             }
         }
     }
 }
 
+/// Parse one query object into a validated [`Query`], filling in the
+/// schema's defaults.
+///
+/// # Errors
+///
+/// Returns a human-readable message naming the first invalid field.
 #[allow(clippy::cast_possible_truncation)]
-fn parse_one(value: &Value) -> Result<Query, String> {
+pub fn parse_one(value: &Value) -> Result<Query, String> {
     let f = Fields(value);
     let kind = f.str_field("kind")?.ok_or_else(|| {
         "`kind` is required (margin | quantile | sweep | min_spares | dse)".to_string()
@@ -298,21 +310,18 @@ fn parse_one(value: &Value) -> Result<Query, String> {
             mode: f.mode()?,
             vdd: f.vdd("vdd")?,
             evaluation: f.evaluation()?,
-            samples: f.unsigned("samples", DEFAULT_SAMPLES, 1_000_000)? as usize,
-            seed: f.unsigned("seed", DEFAULT_SEED, u64::MAX - 1)?,
+            samples: f.unsigned("samples", DEFAULT_SAMPLES, 1..=1_000_000)? as usize,
+            seed: f.unsigned("seed", DEFAULT_SEED, 0..=u64::MAX - 1)?,
         }),
         "quantile" => Ok(Query::Quantile {
             node: f.node()?,
             mode: f.mode()?,
             vdd: f.vdd("vdd")?,
             q: f.quantile()?,
-            spares: f.unsigned("spares", 0, MAX_SPARES)? as u32,
+            spares: f.unsigned("spares", 0, 0..=MAX_SPARES)? as u32,
         }),
         "sweep" => {
-            let steps = f.unsigned("steps", 16, MAX_SWEEP_STEPS)?;
-            if steps < 2 {
-                return Err(format!("`steps` = {steps} below the minimum of 2"));
-            }
+            let steps = f.unsigned("steps", 16, 2..=MAX_SWEEP_STEPS)?;
             let (vdd_start, vdd_stop) = (f.vdd("vdd_start")?, f.vdd("vdd_stop")?);
             if vdd_stop.get() < vdd_start.get() {
                 return Err("`vdd_stop` below `vdd_start`".to_string());
@@ -330,7 +339,7 @@ fn parse_one(value: &Value) -> Result<Query, String> {
             node: f.node()?,
             mode: f.mode()?,
             vdd: f.vdd("vdd")?,
-            max_spares: f.unsigned("max_spares", 128, MAX_SPARES)? as u32,
+            max_spares: f.unsigned("max_spares", 128, 0..=MAX_SPARES)? as u32,
         }),
         "dse" => {
             let spares = match value.get("spares") {
@@ -359,8 +368,8 @@ fn parse_one(value: &Value) -> Result<Query, String> {
                 vdd: f.vdd("vdd")?,
                 spares,
                 evaluation: f.evaluation()?,
-                samples: f.unsigned("samples", DEFAULT_SAMPLES, 1_000_000)? as usize,
-                seed: f.unsigned("seed", DEFAULT_SEED, u64::MAX - 1)?,
+                samples: f.unsigned("samples", DEFAULT_SAMPLES, 1..=1_000_000)? as usize,
+                seed: f.unsigned("seed", DEFAULT_SEED, 0..=u64::MAX - 1)?,
             })
         }
         other => Err(format!(
@@ -650,6 +659,14 @@ mod tests {
             (
                 r#"{"kind":"sweep","node":"45nm","vdd_start":0.7,"vdd_stop":0.5}"#,
                 "vdd_stop",
+            ),
+            (
+                r#"{"kind":"margin","node":"45nm","vdd":0.6,"evaluation":"mc","samples":0}"#,
+                "`samples` = 0 below the minimum of 1",
+            ),
+            (
+                r#"{"kind":"dse","node":"45nm","vdd":0.6,"evaluation":"mc","samples":0}"#,
+                "`samples` = 0 below the minimum of 1",
             ),
         ];
         for (text, needle) in cases {

@@ -6,34 +6,30 @@
 //! cargo run --release --example sparing_placement
 //! ```
 
-use ntv_simd::core::placement::{
-    lane_failure_probability, mc_repair_probability, repair_probability, SparePlacement,
-};
-use ntv_simd::core::{DatapathConfig, DatapathEngine};
+use ntv_simd::core::placement::{mc_repair_probability, repair_probability, SparePlacement};
+use ntv_simd::core::{ChipQuantileSolver, DatapathConfig, DatapathEngine};
 use ntv_simd::device::{TechModel, TechNode};
 use ntv_simd::mc::CounterRng;
 use ntv_simd::soda::LaneMap;
-use ntv_simd::units::Volts;
+use ntv_simd::units::{Seconds, Volts};
 
 fn main() {
     let tech = TechModel::new(TechNode::PtmHp22);
-    let engine = DatapathEngine::new(&tech, DatapathConfig::paper_default());
+    // A one-lane datapath's chip delay is one lane's delay, so its exact
+    // chip-delay law is the lane-delay law.
+    let lane = DatapathEngine::new(&tech, DatapathConfig::paper_default().with_lanes(1));
+    let lane_law = ChipQuantileSolver::new(&lane);
     let mut rng = CounterRng::new(5, "main").at(0);
 
     // Derive a realistic per-lane failure probability from the variation
     // model: 22 nm at 0.55 V, clocked at the lane-delay 90% quantile
     // (aggressive binning: ~13 of 128 lanes miss timing on a typical chip).
-    let vdd = 0.55;
-    let lane_q = ntv_simd::mc::Quantiles::from_samples(engine.sample_lane_delays_fo4(
-        Volts(vdd),
-        4_000,
-        &mut rng,
-    ));
-    let t_clk_fo4 = lane_q.quantile(0.90);
-    let t_clk_ns = t_clk_fo4 * engine.fo4_unit_ps(Volts(vdd)) / 1000.0;
-    let p_fail = lane_failure_probability(&engine, Volts(vdd), t_clk_ns, 400, &mut rng);
+    let vdd = Volts(0.55);
+    let t_clk_fo4 = lane_law.chip_quantile_fo4(vdd, 0.90);
+    let t_clk_ns = lane_law.chip_quantile_ns(vdd, 0.90);
+    let p_fail = 1.0 - lane_law.timing_yield(vdd, 0, Seconds(t_clk_ns * 1e-9));
     println!(
-        "22nm @{vdd} V, clock at {t_clk_fo4:.1} FO4 ({t_clk_ns:.2} ns): per-lane \
+        "22nm @{vdd}, clock at {t_clk_fo4:.1} FO4 ({t_clk_ns:.2} ns): per-lane \
          timing-failure probability = {p_fail:.3}\n"
     );
 

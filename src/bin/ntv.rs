@@ -6,8 +6,8 @@
 //! ntv spares    <node> <vdd>        structural-duplication solution
 //! ntv margin    <node> <vdd>        voltage-margining solution
 //! ntv plan      <node> <vdd>        combined design-space exploration
-//! ntv quantile  <node> <vdd>        exact chip-delay quantile (analytic)
-//! ntv yield     <node> <vdd> <ns>   timing yield at a clock period
+//! ntv quantile  <node> <vdd>        exact chip-delay quantile
+//! ntv yield     <node> <vdd> <ns>   exact timing yield at a clock period
 //! ntv sensitivity <node> <vdd>      variance decomposition by source
 //! ntv info      <node>              device-model summary
 //! ntv serve                         long-running HTTP query service
@@ -16,26 +16,27 @@
 //! Nodes: `90nm`, `45nm`, `32nm`, `22nm`. Voltages in volts (e.g. `0.55`).
 //! `--threads N` anywhere on the command line sets the worker count
 //! (default: all hardware threads; results are identical for any value).
-//! `margin`, `plan` and `quantile` accept `--json`: each runs a
-//! `ntv_serve::wire::Query` and prints the byte-stable result object the
-//! `ntv serve` HTTP endpoint returns for it (one serialization path).
-//! `margin` and `plan` evaluate by Monte Carlo, so their objects match the
-//! endpoint's for the query sent with `"evaluation":"mc"`.
+//! `spares`, `margin`, `plan` and `quantile` are the `ntv serve` wire
+//! kinds `min_spares`, `margin`, `dse` and `quantile`: each builds its
+//! `ntv_serve::wire::Query` object, validates it with the wire's parser,
+//! runs it once, and prints the result object (`--json`, the bytes
+//! `/v1/query` returns for that query) or text lines read from it. An
+//! in-band `"error"` prints as the answer.
 
+use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-use ntv_simd::core::dse::DseStudy;
-use ntv_simd::core::duplication::DuplicationStudy;
-use ntv_simd::core::margining::MarginStudy;
 use ntv_simd::core::perf;
 use ntv_simd::core::sensitivity;
-use ntv_simd::core::yield_model::YieldStudy;
-use ntv_simd::core::{DatapathConfig, DatapathEngine, Evaluation, Executor};
+use ntv_simd::core::{
+    ChipQuantileSolver, DatapathConfig, DatapathEngine, DietSodaBudget, Executor,
+};
 use ntv_simd::device::energy::EnergyModel;
 use ntv_simd::device::{Corner, TechModel, TechNode};
-use ntv_simd::serve::wire::{self, Query};
+use ntv_simd::serve::json::{self, Value};
+use ntv_simd::serve::wire;
 use ntv_simd::serve::{serve, ServeConfig};
-use ntv_simd::units::Volts;
+use ntv_simd::units::{Seconds, Volts};
 
 const SAMPLES: usize = 5_000;
 const SEED: u64 = 2012;
@@ -49,13 +50,13 @@ fn usage() -> ExitCode {
          margin <node> <vdd>        margining solution (Table 2 cell)\n  \
          plan <node> <vdd>          combined exploration (Table 3 style)\n  \
          quantile <node> <vdd>      exact chip-delay quantile [--q P] [--spares N]\n  \
-         yield <node> <vdd> <ns>    timing yield at a clock period\n  \
+         yield <node> <vdd> <ns>    exact timing yield at a clock period\n  \
          sensitivity <node> <vdd>   variance decomposition by source\n  \
          info <node>                device-model summary\n  \
          serve                      HTTP query service [--addr A] [--workers N]\n                             \
          [--cache-bound N] [--mc-capacity N]\n\
          nodes: 90nm | 45nm | 32nm | 22nm\n\
-         margin | plan | quantile accept --json (the serve wire format)"
+         spares | margin | plan | quantile accept --json (the serve wire format)"
     );
     ExitCode::FAILURE
 }
@@ -116,12 +117,111 @@ fn parse_node(s: &str) -> Result<TechNode, ExitCode> {
 
 fn parse_vdd(s: &str) -> Result<f64, ExitCode> {
     match s.parse::<f64>() {
-        Ok(v) if (0.3..=1.2).contains(&v) => Ok(v),
+        Ok(v) if wire::VDD_RANGE.contains(&v) => Ok(v),
         _ => {
-            eprintln!("invalid supply voltage `{s}` (expected volts, 0.3..=1.2)");
+            eprintln!(
+                "invalid supply voltage `{s}` (expected volts, {:?})",
+                wire::VDD_RANGE
+            );
             Err(ExitCode::FAILURE)
         }
     }
+}
+
+/// A wire-kind command (`spares`, `margin`, `plan`, `quantile`): build its
+/// query object, let the wire's parser validate it, run it once, and print
+/// the result object or the text lines read from it.
+fn cmd_wire(
+    command: &str,
+    node: TechNode,
+    vdd: &str,
+    extra: Vec<(&str, Value)>,
+    json: bool,
+    exec: &Executor,
+) -> ExitCode {
+    let Ok(vdd) = vdd.parse::<f64>() else {
+        eprintln!("invalid supply voltage `{vdd}` (expected volts)");
+        return ExitCode::FAILURE;
+    };
+    let kind = match command {
+        "spares" => "min_spares",
+        "plan" => "dse",
+        other => other,
+    };
+    let mut object = BTreeMap::from([
+        ("kind".to_string(), Value::Str(kind.to_string())),
+        ("node".to_string(), Value::Str(wire::node_name(node))),
+        ("vdd".to_string(), Value::Num(vdd)),
+    ]);
+    object.extend(extra.into_iter().map(|(k, v)| (k.to_string(), v)));
+    let query = match wire::parse_one(&Value::Obj(object)) {
+        Ok(query) => query,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let body = query.run(exec);
+    if json {
+        println!("{body}");
+        return ExitCode::SUCCESS;
+    }
+    let result = json::parse(&body).expect("`Query::run` renders a JSON object");
+    let num = |v: &Value, key: &str| v.get(key).and_then(Value::as_f64).unwrap_or(f64::NAN);
+    let count = |v: &Value, key: &str| {
+        let n = v.get(key).and_then(Value::as_u64);
+        n.and_then(|n| u32::try_from(n).ok()).unwrap_or_default()
+    };
+    if let Some(error) = result.get("error").and_then(Value::as_str) {
+        println!("{node} @{vdd} V: {error}");
+        return ExitCode::SUCCESS;
+    }
+    match command {
+        "spares" => {
+            let spares = count(&result, "spares");
+            let budget = DietSodaBudget::paper();
+            println!(
+                "{node} @{vdd} V: {spares} spares ({:.1}% area, {:.2}% power)",
+                budget.duplication_area_overhead(spares) * 100.0,
+                budget.duplication_power_overhead(spares) * 100.0
+            );
+        }
+        "margin" => println!(
+            "{node} @{vdd} V: +{:.1} mV margin ({:.2}% power), target {:.3} ns",
+            num(&result, "margin") * 1000.0,
+            num(&result, "power_overhead") * 100.0,
+            num(&result, "target_ns")
+        ),
+        "plan" => {
+            let choices = result
+                .get("choices")
+                .and_then(Value::as_arr)
+                .unwrap_or_default();
+            for c in choices {
+                println!(
+                    "  {:>2} spares + {:>5.1} mV -> {:.2}% power",
+                    count(c, "spares"),
+                    num(c, "margin") * 1000.0,
+                    num(c, "power_overhead") * 100.0
+                );
+            }
+            let best = result.get("best").unwrap_or(&Value::Null);
+            println!(
+                "best: {} spares + {:.1} mV ({:.2}% power)",
+                count(best, "spares"),
+                num(best, "margin") * 1000.0,
+                num(best, "power_overhead") * 100.0
+            );
+        }
+        _ => println!(
+            "{node} @{vdd} V: q{:.4} = {:.2} FO4 ({:.3} ns) with {} spares",
+            num(&result, "q") * 100.0,
+            num(&result, "fo4"),
+            num(&result, "ns"),
+            count(&result, "spares")
+        ),
+    }
+    ExitCode::SUCCESS
 }
 
 /// `ntv serve`: bind the HTTP query service and block in the foreground.
@@ -187,7 +287,7 @@ fn main() -> ExitCode {
         take_value::<f64>(&mut args, "--q"),
         take_value::<u32>(&mut args, "--spares"),
     ) {
-        (Ok(q), Ok(s)) => (q.unwrap_or(0.99), s.unwrap_or(0)),
+        (Ok(q), Ok(s)) => (q, s),
         _ => return ExitCode::FAILURE,
     };
 
@@ -242,136 +342,17 @@ fn main() -> ExitCode {
             );
             ExitCode::SUCCESS
         }
-        ("spares", Some(node), Some(vdd), None) => {
-            let (node, vdd) = match (parse_node(node), parse_vdd(vdd)) {
-                (Ok(n), Ok(v)) => (n, v),
-                (Err(e), _) | (_, Err(e)) => return e,
+        (command @ ("spares" | "margin" | "plan" | "quantile"), Some(node), Some(vdd), None) => {
+            let node = match parse_node(node) {
+                Ok(n) => n,
+                Err(e) => return e,
             };
-            let tech = TechModel::new(node);
-            let engine = DatapathEngine::new(&tech, DatapathConfig::paper_default());
-            match DuplicationStudy::new(&engine).with_executor(exec).solve(
-                Volts(vdd),
-                128,
-                SAMPLES,
-                SEED,
-            ) {
-                Ok(sol) => println!(
-                    "{node} @{vdd} V: {} spares ({:.1}% area, {:.2}% power)",
-                    sol.spares,
-                    sol.area_overhead * 100.0,
-                    sol.power_overhead * 100.0
-                ),
-                Err(e) => println!("{node} @{vdd} V: {e}"),
+            let mut extra = Vec::new();
+            if command == "quantile" {
+                extra.extend(q_level.map(|q| ("q", Value::Num(q))));
+                extra.extend(spares.map(|s| ("spares", Value::Num(f64::from(s)))));
             }
-            ExitCode::SUCCESS
-        }
-        ("margin", Some(node), Some(vdd), None) => {
-            let (node, vdd) = match (parse_node(node), parse_vdd(vdd)) {
-                (Ok(n), Ok(v)) => (n, v),
-                (Err(e), _) | (_, Err(e)) => return e,
-            };
-            if json {
-                let query = Query::Margin {
-                    node,
-                    mode: Default::default(),
-                    vdd: Volts(vdd),
-                    evaluation: Evaluation::MonteCarlo,
-                    samples: SAMPLES,
-                    seed: SEED,
-                };
-                println!("{}", query.run(&exec));
-                return ExitCode::SUCCESS;
-            }
-            let tech = TechModel::new(node);
-            let engine = DatapathEngine::new(&tech, DatapathConfig::paper_default());
-            let sol =
-                MarginStudy::new(&engine)
-                    .with_executor(exec)
-                    .solve(Volts(vdd), SAMPLES, SEED);
-            println!(
-                "{node} @{vdd} V: +{:.1} mV margin ({:.2}% power), target {:.3} ns",
-                sol.margin.get() * 1000.0,
-                sol.power_overhead * 100.0,
-                sol.target_ns
-            );
-            ExitCode::SUCCESS
-        }
-        ("plan", Some(node), Some(vdd), None) => {
-            let (node, vdd) = match (parse_node(node), parse_vdd(vdd)) {
-                (Ok(n), Ok(v)) => (n, v),
-                (Err(e), _) | (_, Err(e)) => return e,
-            };
-            if json {
-                let query = Query::Dse {
-                    node,
-                    mode: Default::default(),
-                    vdd: Volts(vdd),
-                    spares: wire::DEFAULT_SPARE_CANDIDATES.to_vec(),
-                    evaluation: Evaluation::MonteCarlo,
-                    samples: SAMPLES,
-                    seed: SEED,
-                };
-                println!("{}", query.run(&exec));
-                return ExitCode::SUCCESS;
-            }
-            let tech = TechModel::new(node);
-            let engine = DatapathEngine::new(&tech, DatapathConfig::paper_default());
-            let dse = DseStudy::new(&engine).with_executor(exec);
-            let choices = dse.explore(Volts(vdd), &wire::DEFAULT_SPARE_CANDIDATES, SAMPLES, SEED);
-            for c in &choices {
-                println!(
-                    "  {:>2} spares + {:>5.1} mV -> {:.2}% power",
-                    c.spares,
-                    c.margin.get() * 1000.0,
-                    c.power_overhead * 100.0
-                );
-            }
-            let best = DseStudy::best(&choices);
-            println!(
-                "best: {} spares + {:.1} mV ({:.2}% power)",
-                best.spares,
-                best.margin.get() * 1000.0,
-                best.power_overhead * 100.0
-            );
-            ExitCode::SUCCESS
-        }
-        ("quantile", Some(node), Some(vdd), None) => {
-            let (node, vdd) = match (parse_node(node), parse_vdd(vdd)) {
-                (Ok(n), Ok(v)) => (n, v),
-                (Err(e), _) | (_, Err(e)) => return e,
-            };
-            if !(0.0..1.0).contains(&q_level) || q_level == 0.0 {
-                eprintln!("--q expects a quantile level in (0, 1)");
-                return ExitCode::FAILURE;
-            }
-            // The wire's cap: above it, the spares tail alone would ask for
-            // gigabytes.
-            if u64::from(spares) > wire::MAX_SPARES {
-                eprintln!("--spares expects a spare count in 0..={}", wire::MAX_SPARES);
-                return ExitCode::FAILURE;
-            }
-            if json {
-                // The same query object the HTTP service executes, so the
-                // output is the serve wire format by construction.
-                let query = Query::Quantile {
-                    node,
-                    mode: Default::default(),
-                    vdd: Volts(vdd),
-                    q: q_level,
-                    spares,
-                };
-                println!("{}", query.run(&exec));
-                return ExitCode::SUCCESS;
-            }
-            let engine = wire::paper_engine(node, Default::default());
-            let solver = ntv_simd::core::ChipQuantileSolver::new(engine);
-            let fo4 = solver.spares_quantile_fo4(Volts(vdd), spares, q_level);
-            let ns = fo4 * engine.fo4_unit_ps(Volts(vdd)) / 1000.0;
-            println!(
-                "{node} @{vdd} V: q{:.4} = {fo4:.2} FO4 ({ns:.3} ns) with {spares} spares",
-                q_level * 100.0
-            );
-            ExitCode::SUCCESS
+            cmd_wire(command, node, vdd, extra, json, &exec)
         }
         ("yield", Some(node), Some(vdd), Some(t_clk)) => {
             let (node, vdd) = match (parse_node(node), parse_vdd(vdd)) {
@@ -385,15 +366,12 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
-            let tech = TechModel::new(node);
-            let engine = DatapathEngine::new(&tech, DatapathConfig::paper_default());
-            let study = YieldStudy::new(&engine).with_executor(exec);
-            let y = study.timing_yield(Volts(vdd), t_clk_ns, SAMPLES, SEED);
-            let q99 = study.period_for_yield(Volts(vdd), 0.99, SAMPLES, SEED);
+            let solver = ChipQuantileSolver::new(wire::paper_engine(node, Default::default()));
+            let y = solver.timing_yield(Volts(vdd), 0, Seconds(t_clk_ns * 1e-9));
             println!(
                 "{node} @{vdd} V: yield {:.2}% at {t_clk_ns} ns (99% yield needs {:.3} ns)",
                 y * 100.0,
-                q99
+                solver.q99_ns(Volts(vdd))
             );
             ExitCode::SUCCESS
         }

@@ -14,15 +14,19 @@
 //!   Gauss–Hermite quadrature, order statistics, histograms),
 //! * [`device`] — transregional MOSFET delay/energy models and per-node
 //!   process-variation parameters (90/45 nm GP, 32/22 nm PTM HP),
-//! * [`circuit`] — gates, FO4 chains, a netlist/STA engine, Kogge–Stone and
-//!   ripple-carry adders, and the circuit-level Monte-Carlo engines,
+//! * [`circuit`] — gates, FO4 chains, a netlist/STA engine, the 64-bit
+//!   Kogge–Stone adder of the paper's §3.1 cross-check, and the
+//!   circuit-level Monte-Carlo engines,
 //! * [`core`] — the paper's contribution: architecture-level variation
 //!   analysis for wide SIMD datapaths and the three mitigation techniques
 //!   (structural duplication, voltage margining, frequency margining) plus
 //!   their combination,
 //! * [`soda`] — a functional simulator of the Diet SODA processing element
 //!   (128-lane 16-bit SIMD pipeline, banked memory, AGUs, XRAM crossbar)
-//!   with timing-fault injection and error-handling policies.
+//!   with timing-fault injection and error-handling policies,
+//! * [`serve`] — the batch HTTP query service over the analytic solvers,
+//!   and the wire queries the `ntv` CLI shares with it,
+//! * [`units`] — the `Volts` / `Seconds` newtypes of the public APIs.
 //!
 //! ## Quickstart
 //!

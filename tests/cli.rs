@@ -101,24 +101,80 @@ fn quantile_reports_fo4_and_ns() {
     assert!(text.contains("with 2 spares"), "{text}");
 }
 
+/// The numbers a wire-kind command's text mode prints, formatted from its
+/// result object as the text lines format them.
+fn text_numbers(result: &Value) -> Vec<String> {
+    let num = |v: &Value, key: &str| v.get(key).and_then(Value::as_f64).expect(key);
+    match result.get("kind").and_then(Value::as_str).expect("kind") {
+        "quantile" => vec![format!(
+            "q{:.4} = {:.2} FO4 ({:.3} ns) with {} spares",
+            num(result, "q") * 100.0,
+            num(result, "fo4"),
+            num(result, "ns"),
+            num(result, "spares")
+        )],
+        "margin" => vec![format!(
+            "+{:.1} mV margin ({:.2}% power), target {:.3} ns",
+            num(result, "margin") * 1000.0,
+            num(result, "power_overhead") * 100.0,
+            num(result, "target_ns")
+        )],
+        "dse" => {
+            let choices = result
+                .get("choices")
+                .and_then(Value::as_arr)
+                .expect("choices");
+            let best = result.get("best").expect("best");
+            choices
+                .iter()
+                .map(|c| {
+                    format!(
+                        "{:>2} spares + {:>5.1} mV -> {:.2}% power",
+                        num(c, "spares"),
+                        num(c, "margin") * 1000.0,
+                        num(c, "power_overhead") * 100.0
+                    )
+                })
+                .chain([format!(
+                    "best: {} spares + {:.1} mV ({:.2}% power)",
+                    num(best, "spares"),
+                    num(best, "margin") * 1000.0,
+                    num(best, "power_overhead") * 100.0
+                )])
+                .collect()
+        }
+        "min_spares" => vec![format!(": {} spares (", num(result, "spares"))],
+        other => vec![format!("unexpected kind {other}")],
+    }
+}
+
 #[test]
 fn cli_json_matches_the_serve_wire_format() {
-    // One serialization path: `ntv <command> --json` must print byte-for-
-    // byte what the HTTP service returns for the same query. The CLI's
-    // margin solve is Monte Carlo, so its query names `"evaluation":"mc"`.
+    // One serialization path: every wire-kind command runs the wire's
+    // query, so `ntv <command> --json` must print byte for byte what the
+    // HTTP service returns for the default query (analytic, no
+    // `"evaluation":"mc"`), and its text mode prints the same numbers.
     let server = ServeChild::spawn();
-    let cases: [(&[&str], &str); 2] = [
+    let cases: [(&[&str], &str); 4] = [
         (
-            &["quantile", "45nm", "0.62", "--json"],
+            &["quantile", "45nm", "0.62"],
             r#"{"kind":"quantile","node":"45nm","vdd":0.62}"#,
         ),
         (
-            &["margin", "45nm", "0.6", "--json"],
-            r#"{"kind":"margin","node":"45nm","vdd":0.6,"evaluation":"mc"}"#,
+            &["margin", "45nm", "0.6"],
+            r#"{"kind":"margin","node":"45nm","vdd":0.6}"#,
+        ),
+        (
+            &["plan", "45nm", "0.6"],
+            r#"{"kind":"dse","node":"45nm","vdd":0.6}"#,
+        ),
+        (
+            &["spares", "90nm", "0.55"],
+            r#"{"kind":"min_spares","node":"90nm","vdd":0.55}"#,
         ),
     ];
     for (args, query) in cases {
-        let out = ntv(args);
+        let out = ntv(&[args, &["--json"]].concat());
         assert!(out.status.success(), "{args:?}");
         let cli_line = String::from_utf8(out.stdout)
             .expect("utf8")
@@ -139,6 +195,16 @@ fn cli_json_matches_the_serve_wire_format() {
             response.body, envelope,
             "{args:?}: CLI and server bytes must match"
         );
+
+        let out = ntv(args);
+        assert!(out.status.success(), "{args:?}");
+        let text = String::from_utf8(out.stdout).expect("utf8");
+        for needle in text_numbers(&results[0]) {
+            assert!(
+                text.contains(&needle),
+                "{args:?}: {needle:?} not in {text:?}"
+            );
+        }
     }
 }
 
@@ -169,12 +235,41 @@ fn usage_on_bad_input() {
     assert!(String::from_utf8(out.stderr)
         .expect("utf8")
         .contains("invalid supply voltage"));
-    // Spares above the wire's cap, rejected before anything is allocated.
-    let out = ntv(&["quantile", "90nm", "0.6", "--spares", "4097"]);
-    assert!(!out.status.success());
-    assert!(String::from_utf8(out.stderr)
-        .expect("utf8")
-        .contains("--spares expects a spare count in 0..=4096"));
+    // The wire kinds fail with the wire's own message: a voltage outside
+    // the calibrated range, a quantile level outside (0, 1), and spares
+    // above the wire's cap, rejected before anything is allocated.
+    let cases: [(&[&str], &str); 6] = [
+        (
+            &["margin", "90nm", "9.9"],
+            "`vdd` = 9.9 outside the calibrated 0.3..=1.2 V range",
+        ),
+        (
+            &["plan", "45nm", "0.2"],
+            "`vdd` = 0.2 outside the calibrated 0.3..=1.2 V range",
+        ),
+        (
+            &["spares", "22nm", "1.3"],
+            "`vdd` = 1.3 outside the calibrated 0.3..=1.2 V range",
+        ),
+        (
+            &["quantile", "90nm", "0.1"],
+            "`vdd` = 0.1 outside the calibrated 0.3..=1.2 V range",
+        ),
+        (
+            &["quantile", "90nm", "0.6", "--q", "1.5"],
+            "`q` = 1.5 outside (0, 1)",
+        ),
+        (
+            &["quantile", "90nm", "0.6", "--spares", "4097"],
+            "`spares` = 4097 exceeds the cap of 4096",
+        ),
+    ];
+    for (args, message) in cases {
+        let out = ntv(args);
+        assert!(!out.status.success(), "args {args:?} should fail");
+        let err = String::from_utf8(out.stderr).expect("utf8");
+        assert!(err.contains(message), "{args:?}: {err}");
+    }
     // A clock period must be a finite positive number of nanoseconds.
     for t_clk in ["nan", "inf", "-5", "0"] {
         let out = ntv(&["yield", "90nm", "0.55", t_clk]);

@@ -10,9 +10,9 @@ use ntv_simd::circuit::path_model::PathModel;
 use ntv_simd::core::body_bias::BodyBiasStudy;
 use ntv_simd::core::dse::DseStudy;
 use ntv_simd::core::duplication::DuplicationStudy;
-use ntv_simd::core::engine::PathDistribution;
+use ntv_simd::core::engine::{PathDistribution, VariationMode};
 use ntv_simd::core::margining::MarginStudy;
-use ntv_simd::core::{DatapathConfig, DatapathEngine, Executor};
+use ntv_simd::core::{ChipQuantileSolver, DatapathConfig, DatapathEngine, Executor};
 use ntv_simd::device::{ChipSample, TechModel, TechNode};
 use ntv_simd::mc::{reduce, CounterRng};
 use ntv_simd::units::Volts;
@@ -228,6 +228,65 @@ fn operating_point_bits_are_pinned() {
     let total = reduce::sum_ordered(delays);
     cases.push(("gate_delay_ps_batch sum".into(), total, 0x40acb9aa2b834939));
 
+    for (name, value, bits) in cases {
+        assert_eq!(
+            value.to_bits(),
+            bits,
+            "{name} = {value} ({:#018x}), pinned {}",
+            value.to_bits(),
+            f64::from_bits(bits)
+        );
+    }
+}
+
+/// The L2 chip-quantile solves under every serve answer and analytic
+/// table, pinned to recorded bits: the chip q99, the 2-spare q99 and the
+/// 26-spare q99.9 in each variation mode, at 45 nm / 0.6 V and 22 nm /
+/// 0.5 V. Repro prints these rounded and perf's serve digests see them
+/// only through whole responses; a refactor of the chip-delay law or its
+/// inversion that moves a bit fails here.
+#[test]
+fn solver_quantile_bits_are_pinned() {
+    const MODES: [VariationMode; 3] = [
+        VariationMode::PaperNormal,
+        VariationMode::SkewedIid,
+        VariationMode::Hierarchical,
+    ];
+    // (chip q0.99, 2 spares q0.99, 26 spares q0.999) in ps, per mode.
+    const GP45_600MV: [[u64; 3]; 3] = [
+        [0x40abe54167b8577c, 0x40ab19557c360b98, 0x40aa3c1000d1bfea],
+        [0x40ac98650854c7ce, 0x40ab8eba195d9eec, 0x40aa7d9d303f6386],
+        [0x40abfa8d6fe70cec, 0x40ab71efad3d3133, 0x40ab2a53e984d9ec],
+    ];
+    const HP22_500MV: [[u64; 3]; 3] = [
+        [0x40aeb4f80f676c26, 0x40ad28cefaaf960c, 0x40ab7af13b23b218],
+        [0x40b0ebacee45c7b6, 0x40af283946de6356, 0x40ac8f8e0d3b9fe6],
+        [0x40afb380370c6ab2, 0x40ae8423863988a3, 0x40ae0078aeb1feea],
+    ];
+    let mut cases: Vec<(String, f64, u64)> = Vec::new();
+    for (node, vdd, pinned) in [
+        (TechNode::Gp45, 0.6, GP45_600MV),
+        (TechNode::PtmHp22, 0.5, HP22_500MV),
+    ] {
+        let tech = TechModel::new(node);
+        for (mode, bits) in MODES.into_iter().zip(pinned) {
+            let engine = DatapathEngine::with_mode(&tech, DatapathConfig::paper_default(), mode);
+            let solver = ChipQuantileSolver::new(&engine);
+            let v = Volts(vdd);
+            let values = [
+                solver.chip_quantile_ps(v, 0.99),
+                solver.spares_quantile_ps(v, 2, 0.99),
+                solver.spares_quantile_ps(v, 26, 0.999),
+            ];
+            for ((label, value), bits) in ["chip q0.99", "2 spares q0.99", "26 spares q0.999"]
+                .into_iter()
+                .zip(values)
+                .zip(bits)
+            {
+                cases.push((format!("{node} {vdd} V {mode:?} {label}"), value, bits));
+            }
+        }
+    }
     for (name, value, bits) in cases {
         assert_eq!(
             value.to_bits(),
