@@ -21,7 +21,7 @@ use ntv_core::duplication::DuplicationStudy;
 use ntv_core::engine::VariationMode;
 use ntv_core::margining::MarginStudy;
 use ntv_core::perf;
-use ntv_core::{ChipQuantileSolver, DatapathConfig, DatapathEngine, Executor};
+use ntv_core::{ChipQuantileSolver, DatapathConfig, DatapathEngine, Evaluation, Executor};
 use ntv_device::{calib, ChipSample, TechModel, TechNode};
 use ntv_mc::qmc::Halton;
 use ntv_mc::{normal, order, sum_ordered, CounterRng, GaussHermite, Quantiles, Summary};
@@ -51,7 +51,8 @@ pub struct WidthSweepResult {
     pub points: Vec<WidthPoint>,
 }
 
-/// Sweep the performance drop against datapath width (16 → 1024 lanes).
+/// Sweep the Monte-Carlo performance drop against datapath width (16 →
+/// 1024 lanes).
 #[must_use]
 pub fn width_sweep_with(
     node: TechNode,
@@ -66,7 +67,8 @@ pub fn width_sweep_with(
         .map(|&lanes| {
             let config = DatapathConfig::new(lanes, 100, 50);
             let engine = DatapathEngine::new(&tech, config);
-            let point = perf::performance_drop(&engine, Volts(vdd), samples, seed, exec);
+            let point =
+                perf::performance_drop_sweep(&engine, &[Volts(vdd)], samples, seed, exec)[0];
             WidthPoint {
                 lanes,
                 drop: point.drop,
@@ -114,7 +116,8 @@ pub struct AbbComparison {
     pub margin_power: f64,
 }
 
-/// Compare adaptive body bias against voltage margining.
+/// Compare adaptive body bias against voltage margining, both solved by
+/// Monte Carlo on `samples` chips drawn from `seed`.
 #[must_use]
 pub fn abb_comparison_with(
     node: TechNode,
@@ -130,6 +133,7 @@ pub fn abb_comparison_with(
         .solve(Volts(vdd), samples, seed);
     let margin = MarginStudy::new(&engine)
         .with_executor(exec)
+        .with_evaluation(Evaluation::MonteCarlo)
         .solve(Volts(vdd), samples, seed);
     AbbComparison {
         node,
@@ -284,7 +288,7 @@ pub fn ablations() -> AblationResult {
     let tech22 = TechModel::new(TechNode::PtmHp22);
     let drop_with = |mode| {
         let engine = DatapathEngine::with_mode(&tech22, config, mode);
-        perf::performance_drop(&engine, Volts(0.5), ABLATION_SAMPLES, 1, exec).drop
+        perf::performance_drop_sweep(&engine, &[Volts(0.5)], ABLATION_SAMPLES, 1, exec)[0].drop
     };
     let drop_paper_normal = drop_with(VariationMode::PaperNormal);
     let drop_skewed_iid = drop_with(VariationMode::SkewedIid);

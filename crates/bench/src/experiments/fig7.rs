@@ -1,12 +1,12 @@
 //! Fig 7: power-overhead comparison between structural duplication and
 //! voltage margining across the NTV band, for all four technology nodes.
 //!
-//! Solved on the analytic quantile path (exact order statistics, no MC
-//! noise); `samples`/`seed` are accepted for interface uniformity but do
-//! not affect the result.
+//! Solved exactly by [`compare_sweep`] (exact order statistics, no MC
+//! noise); `samples`, `seed` and `exec` are accepted for interface
+//! uniformity but do not affect the result.
 
-use ntv_core::compare::{compare_sweep_with, ComparisonPoint};
-use ntv_core::{DatapathConfig, DatapathEngine, Evaluation, Executor};
+use ntv_core::compare::{compare_sweep, ComparisonPoint};
+use ntv_core::{DatapathConfig, DatapathEngine, Executor};
 use ntv_device::{TechModel, TechNode};
 use ntv_units::Volts;
 
@@ -40,9 +40,9 @@ pub struct Fig7Result {
     pub panels: Vec<Fig7Panel>,
 }
 
-/// Regenerate Fig 7 on an explicit executor.
+/// Regenerate Fig 7. The exact solves read none of the arguments.
 #[must_use]
-pub fn run_with(samples: usize, seed: u64, exec: Executor) -> Fig7Result {
+pub fn run_with(_samples: usize, _seed: u64, _exec: Executor) -> Fig7Result {
     let panels = TechNode::ALL
         .iter()
         .map(|&node| {
@@ -50,15 +50,7 @@ pub fn run_with(samples: usize, seed: u64, exec: Executor) -> Fig7Result {
             let engine = DatapathEngine::new(&tech, DatapathConfig::paper_default());
             Fig7Panel {
                 node,
-                points: compare_sweep_with(
-                    &engine,
-                    &TABLE_VOLTAGES.map(Volts),
-                    128,
-                    samples,
-                    seed,
-                    exec,
-                    Evaluation::Analytic,
-                ),
+                points: compare_sweep(&engine, &TABLE_VOLTAGES.map(Volts), 128),
             }
         })
         .collect();

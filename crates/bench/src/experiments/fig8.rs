@@ -40,19 +40,18 @@ pub fn run_with(samples: usize, seed: u64, exec: Executor) -> Fig8Result {
     let vdd = 0.60;
     let tech = TechModel::new(TechNode::Gp45);
     let engine = DatapathEngine::new(&tech, DatapathConfig::paper_default());
-    // Analytic grid: exact order-statistic quantiles, no MC noise
-    // (`samples`/`seed` are accepted for interface uniformity only).
+    // The library's analytic default: exact order-statistic quantiles, no
+    // MC noise (`samples`/`seed` are accepted for interface uniformity
+    // only).
     let target_ns = perf::target_delay_ns(
         &engine,
-        Evaluation::Analytic,
+        Evaluation::default(),
         Volts(vdd),
         samples,
         seed,
         exec,
     );
-    let dse = DseStudy::new(&engine)
-        .with_executor(exec)
-        .with_evaluation(Evaluation::Analytic);
+    let dse = DseStudy::new(&engine).with_executor(exec);
 
     let mut grid = Vec::new();
     for &spares in &[0u32, 2, 8] {

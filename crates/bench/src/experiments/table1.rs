@@ -1,12 +1,12 @@
 //! Table 1: required spare count and area/power overhead of structural
 //! duplication for the four nodes at 0.50–0.70 V.
 //!
-//! Solved on the analytic quantile path (exact order statistics, no MC
-//! noise); `samples`/`seed` are accepted for interface uniformity but do
-//! not affect the result.
+//! Solved exactly by [`DuplicationStudy::solve`] (exact order statistics,
+//! no MC noise); `samples`, `seed` and `exec` are accepted for interface
+//! uniformity but do not affect the result.
 
 use ntv_core::duplication::DuplicationStudy;
-use ntv_core::{DatapathConfig, DatapathEngine, Evaluation, Executor};
+use ntv_core::{DatapathConfig, DatapathEngine, Executor};
 use ntv_device::{TechModel, TechNode};
 use ntv_units::Volts;
 
@@ -46,18 +46,16 @@ impl Table1Result {
     }
 }
 
-/// Regenerate Table 1 on an explicit executor.
+/// Regenerate Table 1. The exact solve reads none of the arguments.
 #[must_use]
-pub fn run_with(samples: usize, seed: u64, exec: Executor) -> Table1Result {
+pub fn run_with(_samples: usize, _seed: u64, _exec: Executor) -> Table1Result {
     let mut cells = Vec::new();
     for &node in &TechNode::ALL {
         let tech = TechModel::new(node);
         let engine = DatapathEngine::new(&tech, DatapathConfig::paper_default());
-        let study = DuplicationStudy::new(&engine)
-            .with_executor(exec)
-            .with_evaluation(Evaluation::Analytic);
+        let study = DuplicationStudy::new(&engine);
         for &vdd in &TABLE_VOLTAGES {
-            let cell = match study.solve(Volts(vdd), 128, samples, seed) {
+            let cell = match study.solve(Volts(vdd), 128) {
                 Ok(sol) => Table1Cell {
                     node,
                     vdd,

@@ -1,12 +1,12 @@
 //! Table 2: required voltage margin and power overhead for the four nodes
 //! at 0.50–0.70 V.
 //!
-//! Solved on the analytic quantile path (exact order statistics, no MC
-//! noise); `samples`/`seed` are accepted for interface uniformity but do
-//! not affect the result.
+//! Solved by [`MarginStudy`]'s analytic default (exact order statistics,
+//! no MC noise); `samples`/`seed` are accepted for interface uniformity
+//! but do not affect the result.
 
 use ntv_core::margining::{MarginSolution, MarginStudy};
-use ntv_core::{DatapathConfig, DatapathEngine, Evaluation, Executor};
+use ntv_core::{DatapathConfig, DatapathEngine, Executor};
 use ntv_device::calib;
 use ntv_device::{TechModel, TechNode};
 use ntv_units::Volts;
@@ -50,9 +50,7 @@ pub fn run_with(samples: usize, seed: u64, exec: Executor) -> Table2Result {
     for &node in &TechNode::ALL {
         let tech = TechModel::new(node);
         let engine = DatapathEngine::new(&tech, DatapathConfig::paper_default());
-        let study = MarginStudy::new(&engine)
-            .with_executor(exec)
-            .with_evaluation(Evaluation::Analytic);
+        let study = MarginStudy::new(&engine).with_executor(exec);
         for (row, &vdd) in TABLE_VOLTAGES.iter().enumerate() {
             let solution = study.solve(Volts(vdd), samples, seed);
             let paper_margin = calib::TABLE2_MARGIN_MV[row].1[calib::node_index(node)] / 1000.0;

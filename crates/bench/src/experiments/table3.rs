@@ -1,12 +1,12 @@
 //! Table 3: combined duplication + voltage-margin design choices for a
 //! 128-wide system at 600 mV in 45 nm, and the minimum-power combination.
 //!
-//! Solved on the analytic quantile path (exact order statistics, no MC
-//! noise); `samples`/`seed` are accepted for interface uniformity but do
-//! not affect the result.
+//! Solved by [`DseStudy`]'s analytic default (exact order statistics, no
+//! MC noise); `samples`/`seed` are accepted for interface uniformity but
+//! do not affect the result.
 
 use ntv_core::dse::{DesignChoice, DseStudy};
-use ntv_core::{DatapathConfig, DatapathEngine, Evaluation, Executor};
+use ntv_core::{DatapathConfig, DatapathEngine, Executor};
 use ntv_device::{TechModel, TechNode};
 use ntv_units::Volts;
 
@@ -32,9 +32,7 @@ pub fn run_with(samples: usize, seed: u64, exec: Executor) -> Table3Result {
     let vdd = 0.60;
     let tech = TechModel::new(TechNode::Gp45);
     let engine = DatapathEngine::new(&tech, DatapathConfig::paper_default());
-    let dse = DseStudy::new(&engine)
-        .with_executor(exec)
-        .with_evaluation(Evaluation::Analytic);
+    let dse = DseStudy::new(&engine).with_executor(exec);
     let choices = dse.explore(Volts(vdd), &SPARE_CANDIDATES, samples, seed);
     let best = DseStudy::best(&choices);
     Table3Result { vdd, choices, best }

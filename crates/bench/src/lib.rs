@@ -9,7 +9,8 @@
 //! [`repro`] prints them all in the paper's layout, one section each, and
 //! digests that output; the `repro` binary is its command-line wrapper
 //! (`cargo run --release -p ntv-bench --bin repro`). The `extensions`
-//! binary prints the studies beyond the paper and the modelling ablations.
+//! binary prints the studies beyond the paper and the modelling ablations
+//! through [`repro::write_extensions`].
 //! Timing lives in the separate `perf/` benchmark package.
 //!
 //! | Paper artifact | Module | repro section |

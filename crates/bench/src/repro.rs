@@ -4,17 +4,19 @@
 //!
 //! [`SECTIONS`] is the run, [`write()`] prints it, and [`digest`] is the
 //! rule the behaviour contract pins it by (the `repro stdout` line of
-//! `perf/golden.txt`).
+//! `perf/golden.txt`). [`write_extensions`] prints the studies beyond the
+//! paper, the `extensions` binary's output, which the same rule pins.
 
 use std::io::{self, Write};
 use std::time::Instant;
 
-use ntv_core::Executor;
-use ntv_device::TechNode;
+use ntv_core::{sensitivity, DatapathConfig, Executor};
+use ntv_device::{TechModel, TechNode};
+use ntv_units::Volts;
 
 use crate::experiments::{
-    fig1, fig11, fig2, fig3, fig4, fig5, fig6, fig7, fig8, fig9, placement, table1, table2, table3,
-    table4,
+    extensions, fig1, fig11, fig2, fig3, fig4, fig5, fig6, fig7, fig8, fig9, placement, policies,
+    table1, table2, table3, table4,
 };
 use crate::{ARCH_SAMPLES as ARCH, CIRCUIT_SAMPLES as CIRCUIT, DEFAULT_SEED as SEED};
 
@@ -76,11 +78,52 @@ pub fn write(out: &mut impl Write, exec: Executor, started: Instant) -> io::Resu
     )
 }
 
+/// Print the studies beyond the paper to `out`: the SIMD-width sweeps, the
+/// ABB comparisons, the timing-yield curves, the error policies, the
+/// variance decompositions, the modelling ablations and the §3.1
+/// Kogge–Stone cross-check. The output is bit-identical for any `exec`.
+///
+/// # Errors
+///
+/// Returns the first error `out` reports.
+pub fn write_extensions(out: &mut impl Write, exec: Executor) -> io::Result<()> {
+    let samples = 5_000;
+    for node in [TechNode::Gp90, TechNode::PtmHp22] {
+        let sweep = extensions::width_sweep_with(node, 0.55, samples, SEED, exec);
+        writeln!(out, "{sweep}\n")?;
+    }
+    for node in TechNode::ALL {
+        let abb = extensions::abb_comparison_with(node, 0.6, samples, SEED, exec);
+        writeln!(out, "{abb}")?;
+    }
+    writeln!(out)?;
+    writeln!(out, "{}", extensions::yield_curves(TechNode::Gp90, 0.55))?;
+    writeln!(out)?;
+    writeln!(out, "{}", policies::run(400, SEED))?;
+    writeln!(out)?;
+    for node in [TechNode::Gp90, TechNode::PtmHp22] {
+        let tech = TechModel::new(node);
+        let config = DatapathConfig::paper_default();
+        let report = sensitivity::decompose(&tech, config, Volts(0.55), samples, SEED, exec);
+        writeln!(
+            out,
+            "Extension — variance decomposition, {node} @0.55 V\n{report}"
+        )?;
+    }
+    writeln!(out, "{}", extensions::ablations())?;
+    writeln!(out)?;
+    writeln!(
+        out,
+        "{}",
+        extensions::kogge_stone_check_with(1_000, SEED, exec)
+    )
+}
+
 /// FNV-1a 64-bit digest of a paper run's output without its wall-clock
 /// lines: every section header (it carries the `[t = …]` stamp) and the
 /// closing line are dropped, and the kept lines are joined by `\n`.
 #[must_use]
-// ntv:allow(test-only-api): tests/thread_invariance.rs::paper_run_matches_the_golden_digest_at_any_thread_count checks the in-process run against perf/golden.txt with it; perf keeps its own copy of the rule
+// ntv:allow(test-only-api): tests/thread_invariance.rs::paper_run_matches_the_golden_digest_at_any_thread_count checks the in-process run against perf/golden.txt with it, and tests/thread_invariance.rs::extensions_run_matches_its_golden_digest_at_1_and_8_threads checks write_extensions; perf keeps its own copy of the rule
 pub fn digest(stdout: &str) -> u64 {
     let kept: Vec<&str> = stdout
         .lines()

@@ -199,7 +199,9 @@ mod tests {
         let tech = TechModel::new(TechNode::PtmHp32);
         let engine = DatapathEngine::new(&tech, DatapathConfig::paper_default());
         let bias = BodyBiasStudy::new(&engine).solve(Volts(0.6), SAMPLES, 3);
-        let margin = crate::margining::MarginStudy::new(&engine).solve(Volts(0.6), SAMPLES, 3);
+        let margin = crate::margining::MarginStudy::new(&engine)
+            .with_evaluation(crate::quantile::Evaluation::MonteCarlo)
+            .solve(Volts(0.6), SAMPLES, 3);
         assert!(bias.vth_shift < 3.0 * margin.margin + Volts(5e-3));
         assert!(bias.vth_shift > 0.2 * margin.margin);
     }

@@ -6,14 +6,15 @@
 //! spares suffice, while margining wins as technology scales and voltage
 //! drops — a small ΔV buys an exponential delay reduction, whereas the
 //! spare count explodes.
+//!
+//! Both solves are exact: [`DuplicationStudy::solve`] and the analytic
+//! default of [`MarginStudy`].
 
 use ntv_units::Volts;
 
 use crate::duplication::DuplicationStudy;
 use crate::engine::DatapathEngine;
-use crate::exec::Executor;
 use crate::margining::MarginStudy;
-use crate::quantile::Evaluation;
 
 /// Which mitigation technique a comparison favours.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -60,27 +61,12 @@ impl ComparisonPoint {
     }
 }
 
-/// Compare both techniques at one operating point. With
-/// [`Evaluation::Analytic`] the solves are exact and `samples`/`seed` are
-/// ignored; [`Evaluation::MonteCarlo`] reproduces the historical outputs.
+/// Compare both techniques at one operating point.
 #[must_use]
-pub fn compare_at(
-    engine: &DatapathEngine<'_>,
-    vdd: Volts,
-    max_spares: u32,
-    samples: usize,
-    seed: u64,
-    exec: Executor,
-    evaluation: Evaluation,
-) -> ComparisonPoint {
-    let dup = DuplicationStudy::new(engine)
-        .with_executor(exec)
-        .with_evaluation(evaluation)
-        .solve(vdd, max_spares, samples, seed);
-    let margin = MarginStudy::new(engine)
-        .with_executor(exec)
-        .with_evaluation(evaluation)
-        .solve(vdd, samples, seed);
+pub fn compare_at(engine: &DatapathEngine<'_>, vdd: Volts, max_spares: u32) -> ComparisonPoint {
+    let dup = DuplicationStudy::new(engine).solve(vdd, max_spares);
+    // The analytic solve reads no samples and no seed.
+    let margin = MarginStudy::new(engine).solve(vdd, 0, 0);
     ComparisonPoint {
         vdd,
         spares: dup.as_ref().ok().map(|s| s.spares),
@@ -90,21 +76,16 @@ pub fn compare_at(
     }
 }
 
-/// One Fig 7 panel with an explicit [`Evaluation`]: [`compare_at`] at each
-/// voltage of the sweep, in order.
+/// One Fig 7 panel: [`compare_at`] at each voltage of the sweep, in order.
 #[must_use]
-pub fn compare_sweep_with(
+pub fn compare_sweep(
     engine: &DatapathEngine<'_>,
     voltages: &[Volts],
     max_spares: u32,
-    samples: usize,
-    seed: u64,
-    exec: Executor,
-    evaluation: Evaluation,
 ) -> Vec<ComparisonPoint> {
     voltages
         .iter()
-        .map(|&v| compare_at(engine, v, max_spares, samples, seed, exec, evaluation))
+        .map(|&v| compare_at(engine, v, max_spares))
         .collect()
 }
 
@@ -114,23 +95,13 @@ mod tests {
     use crate::config::DatapathConfig;
     use ntv_device::{TechModel, TechNode};
 
-    const SAMPLES: usize = 1500;
-
     #[test]
     fn duplication_wins_high_ntv_at_90nm() {
         // Fig 7(a): in 90 nm at 0.60-0.70 V one or two spares are cheaper
         // than any voltage margin.
         let tech = TechModel::new(TechNode::Gp90);
         let engine = DatapathEngine::new(&tech, DatapathConfig::paper_default());
-        let p = compare_at(
-            &engine,
-            Volts(0.65),
-            128,
-            SAMPLES,
-            1,
-            Executor::default(),
-            Evaluation::MonteCarlo,
-        );
+        let p = compare_at(&engine, Volts(0.65), 128);
         assert_eq!(p.preferred(), Technique::Duplication, "{p:?}");
     }
 
@@ -139,15 +110,7 @@ mod tests {
         // Fig 7(b)/§4.4: in 45 nm at 0.5-0.6 V margining is cheaper.
         let tech = TechModel::new(TechNode::Gp45);
         let engine = DatapathEngine::new(&tech, DatapathConfig::paper_default());
-        let p = compare_at(
-            &engine,
-            Volts(0.55),
-            128,
-            SAMPLES,
-            2,
-            Executor::default(),
-            Evaluation::MonteCarlo,
-        );
+        let p = compare_at(&engine, Volts(0.55), 128);
         assert_eq!(p.preferred(), Technique::VoltageMargining, "{p:?}");
     }
 
@@ -155,15 +118,7 @@ mod tests {
     fn unsolvable_duplication_defers_to_margining() {
         let tech = TechModel::new(TechNode::PtmHp22);
         let engine = DatapathEngine::new(&tech, DatapathConfig::paper_default());
-        let p = compare_at(
-            &engine,
-            Volts(0.50),
-            128,
-            1000,
-            3,
-            Executor::default(),
-            Evaluation::MonteCarlo,
-        );
+        let p = compare_at(&engine, Volts(0.50), 128);
         assert!(p.duplication_power.is_none(), "{p:?}");
         assert_eq!(p.preferred(), Technique::VoltageMargining);
     }
@@ -172,47 +127,12 @@ mod tests {
     fn sweep_produces_one_point_per_voltage() {
         let tech = TechModel::new(TechNode::Gp90);
         let engine = DatapathEngine::new(&tech, DatapathConfig::paper_default());
-        let pts = compare_sweep_with(
-            &engine,
-            &[Volts(0.6), Volts(0.65), Volts(0.7)],
-            64,
-            800,
-            4,
-            Executor::default(),
-            Evaluation::MonteCarlo,
-        );
+        let voltages = [Volts(0.6), Volts(0.65), Volts(0.7)];
+        let pts = compare_sweep(&engine, &voltages, 64);
         assert_eq!(pts.len(), 3);
-        for (p, v) in pts.iter().zip([Volts(0.6), Volts(0.65), Volts(0.7)]) {
-            assert_eq!(p.vdd, v);
+        for (p, v) in pts.iter().zip(voltages) {
+            assert_eq!(*p, compare_at(&engine, v, 64));
         }
-    }
-
-    #[test]
-    fn analytic_comparison_reaches_same_verdicts() {
-        let tech90 = TechModel::new(TechNode::Gp90);
-        let engine90 = DatapathEngine::new(&tech90, DatapathConfig::paper_default());
-        let hi = compare_at(
-            &engine90,
-            Volts(0.65),
-            128,
-            0,
-            0,
-            Executor::default(),
-            Evaluation::Analytic,
-        );
-        assert_eq!(hi.preferred(), Technique::Duplication, "{hi:?}");
-        let tech45 = TechModel::new(TechNode::Gp45);
-        let engine45 = DatapathEngine::new(&tech45, DatapathConfig::paper_default());
-        let lo = compare_sweep_with(
-            &engine45,
-            &[Volts(0.55)],
-            128,
-            0,
-            0,
-            Executor::default(),
-            Evaluation::Analytic,
-        );
-        assert_eq!(lo[0].preferred(), Technique::VoltageMargining, "{lo:?}");
     }
 
     #[test]

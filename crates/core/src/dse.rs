@@ -58,10 +58,10 @@ impl<'a> DseStudy<'a> {
         self
     }
 
-    /// How q99 probes are evaluated: [`Evaluation::MonteCarlo`] (default,
-    /// byte-identical to the historical outputs) or
-    /// [`Evaluation::Analytic`] (exact order-statistic quantiles;
-    /// `samples`/`seed` arguments are ignored).
+    /// How q99 probes are evaluated: [`Evaluation::Analytic`] (the
+    /// default: exact order-statistic quantiles; `samples`/`seed` are
+    /// ignored) or [`Evaluation::MonteCarlo`] (`samples` chips drawn from
+    /// `seed`, as serve's `"evaluation":"mc"` asks).
     #[must_use]
     pub fn with_evaluation(mut self, evaluation: Evaluation) -> Self {
         self.evaluation = evaluation;
@@ -229,8 +229,10 @@ mod tests {
         let tech = TechModel::new(TechNode::Gp45);
         let engine = DatapathEngine::new(&tech, DatapathConfig::paper_default());
         let candidates = [0u32, 2, 8, 26];
-        let mc = DseStudy::new(&engine).explore(Volts(0.6), &candidates, 2400, 1);
-        let study = DseStudy::new(&engine).with_evaluation(Evaluation::Analytic);
+        let mc = DseStudy::new(&engine)
+            .with_evaluation(Evaluation::MonteCarlo)
+            .explore(Volts(0.6), &candidates, 2400, 1);
+        let study = DseStudy::new(&engine);
         let an = study.explore(Volts(0.6), &candidates, 0, 0);
         for (m, a) in mc.iter().zip(&an) {
             assert_eq!(m.spares, a.spares);

@@ -7,6 +7,12 @@
 //! FO4 chip-delay point matches the baseline architecture at nominal
 //! voltage.
 //!
+//! [`DuplicationStudy::solve`] is Table 1's exact solve: the analytic
+//! baseline, then [`DuplicationStudy::min_spares_for`]'s search over the
+//! exact spared q99. Figs 5 and 6 read sampled chips instead, through
+//! [`DuplicationStudy::sample_matrix`] and
+//! [`DuplicationStudy::required_spares`].
+//!
 //! Implementation note: lane delays on a chip are conditionally i.i.d., so
 //! one Monte-Carlo pass sampling `128 + α_max` lanes per chip yields the
 //! distribution for *every* α ≤ α_max by order-statistic selection over a
@@ -23,7 +29,7 @@ use crate::engine::{ChipDelayDistribution, DatapathEngine};
 use crate::exec::Executor;
 use crate::overhead::DietSodaBudget;
 use crate::perf;
-use crate::quantile::{ChipQuantileSolver, Evaluation};
+use crate::quantile::ChipQuantileSolver;
 
 /// Chip delays (FO4 units) of a `lanes`-wide system with every spare count
 /// from 0 to `max_spares`, one spares ladder per sampled chip.
@@ -171,7 +177,6 @@ pub struct DuplicationStudy<'a> {
     engine: &'a DatapathEngine<'a>,
     budget: DietSodaBudget,
     exec: Executor,
-    evaluation: Evaluation,
 }
 
 impl<'a> DuplicationStudy<'a> {
@@ -182,25 +187,15 @@ impl<'a> DuplicationStudy<'a> {
             engine,
             budget: DietSodaBudget::paper(),
             exec: Executor::default(),
-            evaluation: Evaluation::default(),
         }
     }
 
-    /// Use an explicit executor (thread count) for the Monte-Carlo batches.
-    /// Results are bit-identical for any choice.
+    /// Use an explicit executor (thread count) for
+    /// [`Self::sample_matrix`]'s Monte-Carlo batches. Results are
+    /// bit-identical for any choice.
     #[must_use]
     pub fn with_executor(mut self, exec: Executor) -> Self {
         self.exec = exec;
-        self
-    }
-
-    /// How [`Self::solve`] evaluates q99: [`Evaluation::MonteCarlo`]
-    /// (default, byte-identical to the historical outputs) or
-    /// [`Evaluation::Analytic`] via [`Self::min_spares_for`]
-    /// (`samples`/`seed` arguments are then ignored).
-    #[must_use]
-    pub fn with_evaluation(mut self, evaluation: Evaluation) -> Self {
-        self.evaluation = evaluation;
         self
     }
 
@@ -277,40 +272,21 @@ impl<'a> DuplicationStudy<'a> {
         })
     }
 
-    /// Solve one Table 1 cell: spares needed at `vdd` to match the nominal
-    /// baseline, with area/power overheads.
+    /// Solve one Table 1 cell exactly: the spares needed at `vdd` for the
+    /// exact q99 to match [`perf::baseline_q99_fo4_analytic`], with
+    /// area/power overheads.
     ///
     /// # Errors
     ///
     /// Returns [`SparesExceeded`] when `max_spares` is insufficient (the
     /// ">128" entries of Table 1).
-    pub fn solve(
-        &self,
-        vdd: Volts,
-        max_spares: u32,
-        samples: usize,
-        seed: u64,
-    ) -> Result<SpareSolution, SparesExceeded> {
-        let target =
-            perf::baseline_q99_fo4_with(self.engine, self.evaluation, samples, seed, self.exec);
-        let (spares, q99) = match self.evaluation {
-            Evaluation::Analytic => {
-                let spares = self.min_spares_for(vdd, target, max_spares)?;
-                let solver = ChipQuantileSolver::new(self.engine);
-                let q99 = solver.spares_quantile_fo4(vdd, spares, 0.99);
-                (spares, q99)
-            }
-            Evaluation::MonteCarlo => {
-                let matrix = self.sample_matrix(vdd, max_spares, samples, seed);
-                let spares = self.required_spares(&matrix, target)?;
-                let q99 = matrix.chip_delay_with_spares(spares).q99_fo4();
-                (spares, q99)
-            }
-        };
+    pub fn solve(&self, vdd: Volts, max_spares: u32) -> Result<SpareSolution, SparesExceeded> {
+        let target = perf::baseline_q99_fo4_analytic(self.engine);
+        let spares = self.min_spares_for(vdd, target, max_spares)?;
         Ok(SpareSolution {
             vdd,
             spares,
-            q99_fo4: q99,
+            q99_fo4: ChipQuantileSolver::new(self.engine).spares_quantile_fo4(vdd, spares, 0.99),
             target_q99_fo4: target,
             area_overhead: self.budget.duplication_area_overhead(spares),
             power_overhead: self.budget.duplication_power_overhead(spares),
@@ -386,18 +362,8 @@ mod tests {
         let engine = DatapathEngine::new(&tech, DatapathConfig::paper_default());
         let study = DuplicationStudy::new(&engine);
         // Paper Table 1 (90 nm): 28 @0.50V, 6 @0.55V, 2 @0.60V, 1 @0.65/0.70V.
-        let s055 = study
-            .solve(Volts(0.55), 128, SAMPLES, 2)
-            .expect("solvable")
-            .spares;
-        let s060 = study
-            .solve(Volts(0.60), 128, SAMPLES, 2)
-            .expect("solvable")
-            .spares;
-        let s050 = study
-            .solve(Volts(0.50), 128, SAMPLES, 2)
-            .expect("solvable")
-            .spares;
+        let spares = |vdd| study.solve(Volts(vdd), 128).expect("solvable").spares;
+        let (s050, s055, s060) = (spares(0.50), spares(0.55), spares(0.60));
         assert!((3..=14).contains(&s055), "0.55V: {s055} (paper 6)");
         assert!((1..=5).contains(&s060), "0.60V: {s060} (paper 2)");
         assert!((14..=56).contains(&s050), "0.50V: {s050} (paper 28)");
@@ -410,9 +376,7 @@ mod tests {
         let tech = study_engine(TechNode::Gp45);
         let engine = DatapathEngine::new(&tech, DatapathConfig::paper_default());
         let study = DuplicationStudy::new(&engine);
-        let err = study
-            .solve(Volts(0.50), 128, 1500, 3)
-            .expect_err(">128 expected");
+        let err = study.solve(Volts(0.50), 128).expect_err(">128 expected");
         assert_eq!(err.max_spares, 128);
         assert!(err.achieved_q99_fo4 > err.target_q99_fo4);
         assert!(err.to_string().contains("more than 128 spares"));
@@ -423,9 +387,10 @@ mod tests {
         let tech = study_engine(TechNode::Gp90);
         let engine = DatapathEngine::new(&tech, DatapathConfig::paper_default());
         let study = DuplicationStudy::new(&engine);
-        let sol = study.solve(Volts(1.0), 16, 1500, 4).expect("solvable");
-        // Same voltage as the baseline: at most a spare or two of MC noise.
-        assert!(sol.spares <= 2, "{}", sol.spares);
+        let sol = study.solve(Volts(1.0), 16).expect("solvable");
+        // Same voltage as the baseline: the same exact quantile.
+        assert_eq!(sol.spares, 0);
+        assert_eq!(sol.q99_fo4, sol.target_q99_fo4);
     }
 
     #[test]
@@ -433,7 +398,7 @@ mod tests {
         let tech = study_engine(TechNode::Gp90);
         let engine = DatapathEngine::new(&tech, DatapathConfig::paper_default());
         let study = DuplicationStudy::new(&engine);
-        let sol = study.solve(Volts(0.55), 64, 1500, 5).expect("solvable");
+        let sol = study.solve(Volts(0.55), 64).expect("solvable");
         let b = DietSodaBudget::paper();
         assert_eq!(sol.area_overhead, b.duplication_area_overhead(sol.spares));
         assert_eq!(sol.power_overhead, b.duplication_power_overhead(sol.spares));
@@ -457,12 +422,11 @@ mod tests {
     fn analytic_solve_matches_mc_spares() {
         let tech = study_engine(TechNode::Gp90);
         let engine = DatapathEngine::new(&tech, DatapathConfig::paper_default());
-        let mc = DuplicationStudy::new(&engine)
-            .solve(Volts(0.55), 128, 4000, 2)
-            .expect("solvable")
-            .spares;
-        let study = DuplicationStudy::new(&engine).with_evaluation(Evaluation::Analytic);
-        let an = study.solve(Volts(0.55), 128, 0, 0).expect("solvable");
+        let study = DuplicationStudy::new(&engine);
+        let matrix = study.sample_matrix(Volts(0.55), 128, 4000, 2);
+        let baseline = perf::baseline_q99_fo4(&engine, 4000, 2, Executor::default());
+        let mc = study.required_spares(&matrix, baseline).expect("solvable");
+        let an = study.solve(Volts(0.55), 128).expect("solvable");
         // Paper Table 1: 6 spares at 0.55 V in 90 nm; MC and analytic land
         // within each other's confidence band.
         assert!((3..=14).contains(&an.spares), "analytic {}", an.spares);
@@ -479,18 +443,6 @@ mod tests {
                 .expect_err("must be infeasible one spare short");
             assert!(short.achieved_q99_fo4 > short.target_q99_fo4);
         }
-    }
-
-    #[test]
-    fn analytic_exceeds_budget_where_table1_says_so() {
-        let tech = study_engine(TechNode::Gp45);
-        let engine = DatapathEngine::new(&tech, DatapathConfig::paper_default());
-        let study = DuplicationStudy::new(&engine).with_evaluation(Evaluation::Analytic);
-        let err = study
-            .solve(Volts(0.50), 128, 0, 0)
-            .expect_err(">128 expected");
-        assert_eq!(err.max_spares, 128);
-        assert!(err.achieved_q99_fo4 > err.target_q99_fo4);
     }
 
     /// Every ladder entry must carry the bits of the selection it replaces,

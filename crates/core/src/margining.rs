@@ -13,10 +13,11 @@
 //! 3. raise the supply in fine steps until the q99 chip delay (ns) at
 //!    `V + Vm` meets the target.
 //!
-//! Step 3 uses common random numbers (the chip draws do not depend on
-//! voltage), which makes q99(V + Vm) strictly decreasing in `Vm`
-//! sample-by-sample and lets us bisect to 0.1 mV — the paper quotes margins
-//! like "5.78 mV" at exactly this granularity.
+//! Step 3 probes the exact q99 by default, which is strictly decreasing in
+//! `Vm`. The Monte-Carlo arm uses common random numbers (the chip draws do
+//! not depend on voltage), which keeps its estimate decreasing
+//! sample-by-sample. Either way the search bisects to 0.1 mV — the paper
+//! quotes margins like "5.78 mV" at exactly this granularity.
 
 use ntv_mc::CounterRng;
 use ntv_units::Volts;
@@ -74,11 +75,11 @@ impl<'a> MarginStudy<'a> {
         self
     }
 
-    /// How the q99 probes inside the solve loop are evaluated. The default
-    /// ([`Evaluation::MonteCarlo`]) reproduces the historical outputs
-    /// byte-for-byte; [`Evaluation::Analytic`] replaces every probe with
-    /// the exact order-statistic quantile (`samples`/`seed` arguments are
-    /// then ignored) and makes voltage sweeps noise-free and fast.
+    /// How the q99 probes inside the solve loop are evaluated. The default,
+    /// [`Evaluation::Analytic`], probes the exact order-statistic quantile:
+    /// noise-free and fast, and `samples`/`seed` are ignored.
+    /// [`Evaluation::MonteCarlo`] probes `samples` chips drawn from `seed`
+    /// with common random numbers, as serve's `"evaluation":"mc"` asks.
     #[must_use]
     pub fn with_evaluation(mut self, evaluation: Evaluation) -> Self {
         self.evaluation = evaluation;
@@ -227,8 +228,10 @@ mod tests {
     fn analytic_solve_matches_mc_and_is_noise_free() {
         let tech = TechModel::new(TechNode::Gp90);
         let engine = DatapathEngine::new(&tech, DatapathConfig::paper_default());
-        let mc = MarginStudy::new(&engine).solve(Volts(0.50), 4000, 1);
-        let study = MarginStudy::new(&engine).with_evaluation(Evaluation::Analytic);
+        let mc = MarginStudy::new(&engine)
+            .with_evaluation(Evaluation::MonteCarlo)
+            .solve(Volts(0.50), 4000, 1);
+        let study = MarginStudy::new(&engine);
         let an = study.solve(Volts(0.50), 4000, 1);
         // Same design point up to MC noise on the 4k-sample estimate.
         assert!(

@@ -10,6 +10,10 @@
 //! where FV is the node's nominal voltage. Because both operands are in FO4
 //! units, the raw slowdown of low-voltage operation divides out and only
 //! the *variation-induced* degradation remains.
+//!
+//! [`performance_drop`] reads both operands from the exact chip-delay law;
+//! [`performance_drop_sweep`] estimates them by Monte Carlo, as Fig 4
+//! prints them.
 
 use ntv_mc::CounterRng;
 use ntv_units::Volts;
@@ -51,26 +55,13 @@ pub fn baseline_q99_fo4_analytic(engine: &DatapathEngine<'_>) -> f64 {
     ChipQuantileSolver::new(engine).q99_fo4(engine.tech().nominal_vdd())
 }
 
-/// The nominal-voltage baseline fo4chipd under `evaluation`:
-/// [`baseline_q99_fo4`] or [`baseline_q99_fo4_analytic`] (which ignores
-/// `samples`, `seed` and `exec`).
-pub(crate) fn baseline_q99_fo4_with(
-    engine: &DatapathEngine<'_>,
-    evaluation: Evaluation,
-    samples: usize,
-    seed: u64,
-    exec: Executor,
-) -> f64 {
-    match evaluation {
-        Evaluation::MonteCarlo => baseline_q99_fo4(engine, samples, seed, exec),
-        Evaluation::Analytic => baseline_q99_fo4_analytic(engine),
-    }
-}
-
 /// The target chip delay (ns) of NTV operation at `vdd` (paper §4.2):
 /// `fo4chipd@FV × FO4(vdd)`, the delay the chip would reach at `vdd` if
 /// its variation were no worse than at nominal. The margin, DSE and
-/// Table 4 studies all measure against it.
+/// Table 4 studies all measure against it. The baseline fo4chipd is
+/// [`baseline_q99_fo4_analytic`], or [`baseline_q99_fo4`] under
+/// [`Evaluation::MonteCarlo`]; the analytic arm ignores `samples`, `seed`
+/// and `exec`.
 #[must_use]
 pub fn target_delay_ns(
     engine: &DatapathEngine<'_>,
@@ -80,32 +71,34 @@ pub fn target_delay_ns(
     seed: u64,
     exec: Executor,
 ) -> f64 {
-    baseline_q99_fo4_with(engine, evaluation, samples, seed, exec) * engine.tech().fo4_delay_ps(vdd)
-        / 1000.0
+    let baseline = match evaluation {
+        Evaluation::MonteCarlo => baseline_q99_fo4(engine, samples, seed, exec),
+        Evaluation::Analytic => baseline_q99_fo4_analytic(engine),
+    };
+    baseline * engine.tech().fo4_delay_ps(vdd) / 1000.0
 }
 
-/// Performance drop at a single voltage: the one-voltage
-/// [`performance_drop_sweep`].
-///
-/// Common random numbers by construction: chip `i` of the NTV run is
-/// addressed as `(seed, "perf-ntv", i)` regardless of voltage or thread
-/// count, so repeated calls are bit-reproducible.
+/// Exact performance drop at a single voltage: the q99 of the chip-delay
+/// law at `vdd` over [`baseline_q99_fo4_analytic`], so the drop at the
+/// nominal voltage is exactly zero.
 #[must_use]
-pub fn performance_drop(
-    engine: &DatapathEngine<'_>,
-    vdd: Volts,
-    samples: usize,
-    seed: u64,
-    exec: Executor,
-) -> PerfDropPoint {
-    performance_drop_sweep(engine, &[vdd], samples, seed, exec)[0]
+pub fn performance_drop(engine: &DatapathEngine<'_>, vdd: Volts) -> PerfDropPoint {
+    let q99 = ChipQuantileSolver::new(engine).q99_fo4(vdd);
+    PerfDropPoint {
+        vdd,
+        q99_fo4: q99,
+        drop: q99 / baseline_q99_fo4_analytic(engine) - 1.0,
+    }
 }
 
-/// Performance-drop sweep over several voltages (one Fig 4 curve).
+/// Monte-Carlo performance-drop sweep over several voltages (one Fig 4
+/// curve).
 ///
 /// The baseline is computed once; every voltage reuses the same
 /// index-addressed chip draws (common random numbers), making the curve
-/// smooth in `vdd`.
+/// smooth in `vdd`: chip `i` of the NTV run is addressed as
+/// `(seed, "perf-ntv", i)` regardless of voltage or thread count, so
+/// repeated calls are bit-reproducible.
 #[must_use]
 pub fn performance_drop_sweep(
     engine: &DatapathEngine<'_>,
@@ -143,11 +136,10 @@ mod tests {
     fn drop_matches_fig4_90nm() {
         let tech = TechModel::new(TechNode::Gp90);
         let engine = DatapathEngine::new(&tech, DatapathConfig::paper_default());
-        let exec = Executor::default();
         // Paper: 5% @0.5V, 2.5% @0.55V, 1.5% @0.6V.
-        let d05 = performance_drop(&engine, Volts(0.50), SAMPLES, 1, exec).drop;
-        let d055 = performance_drop(&engine, Volts(0.55), SAMPLES, 1, exec).drop;
-        let d06 = performance_drop(&engine, Volts(0.60), SAMPLES, 1, exec).drop;
+        let d05 = performance_drop(&engine, Volts(0.50)).drop;
+        let d055 = performance_drop(&engine, Volts(0.55)).drop;
+        let d06 = performance_drop(&engine, Volts(0.60)).drop;
         assert!((0.03..0.08).contains(&d05), "0.50V: {d05}");
         assert!((0.015..0.045).contains(&d055), "0.55V: {d055}");
         assert!((0.008..0.03).contains(&d06), "0.60V: {d06}");
@@ -158,7 +150,7 @@ mod tests {
     fn drop_matches_fig4_22nm() {
         let tech = TechModel::new(TechNode::PtmHp22);
         let engine = DatapathEngine::new(&tech, DatapathConfig::paper_default());
-        let d05 = performance_drop(&engine, Volts(0.50), SAMPLES, 2, Executor::default()).drop;
+        let d05 = performance_drop(&engine, Volts(0.50)).drop;
         // Paper: climbs to ~18-20% at 0.5 V.
         assert!((0.12..0.28).contains(&d05), "22nm 0.5V: {d05}");
     }
@@ -167,9 +159,12 @@ mod tests {
     fn drop_at_nominal_is_zero() {
         let tech = TechModel::new(TechNode::Gp45);
         let engine = DatapathEngine::new(&tech, DatapathConfig::paper_default());
-        let d = performance_drop(&engine, Volts(1.0), SAMPLES, 3, Executor::default()).drop;
-        // Same voltage, different random streams: only MC noise remains.
-        assert!(d.abs() < 0.01, "drop at nominal: {d}");
+        // The same exact quantile on both sides of the ratio.
+        assert_eq!(performance_drop(&engine, Volts(1.0)).drop, 0.0);
+        // The Monte-Carlo sweep draws its two sides from different streams:
+        // only MC noise remains.
+        let d = performance_drop_sweep(&engine, &[Volts(1.0)], SAMPLES, 3, Executor::default())[0];
+        assert!(d.drop.abs() < 0.01, "MC drop at nominal: {}", d.drop);
     }
 
     #[test]
@@ -190,13 +185,12 @@ mod tests {
 
     #[test]
     fn scaled_nodes_drop_more() {
-        let samples = 2000;
         let drops: Vec<f64> = TechNode::ALL
             .iter()
             .map(|&n| {
                 let tech = TechModel::new(n);
                 let engine = DatapathEngine::new(&tech, DatapathConfig::paper_default());
-                performance_drop(&engine, Volts(0.5), samples, 5, Executor::default()).drop
+                performance_drop(&engine, Volts(0.5)).drop
             })
             .collect();
         // 90nm smallest, 22nm largest (Fig 4).
@@ -219,8 +213,8 @@ mod tests {
     fn results_are_thread_count_invariant() {
         let tech = TechModel::new(TechNode::Gp90);
         let engine = DatapathEngine::new(&tech, DatapathConfig::paper_default());
-        let serial = performance_drop(&engine, Volts(0.55), 1000, 6, Executor::serial());
-        let par = performance_drop(&engine, Volts(0.55), 1000, 6, Executor::new(8));
+        let drop = |exec| performance_drop_sweep(&engine, &[Volts(0.55)], 1000, 6, exec)[0];
+        let (serial, par) = (drop(Executor::serial()), drop(Executor::new(8)));
         assert_eq!(serial.q99_fo4.to_bits(), par.q99_fo4.to_bits());
         assert_eq!(serial.drop.to_bits(), par.drop.to_bits());
     }

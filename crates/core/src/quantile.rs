@@ -33,12 +33,11 @@
 //! [`ChipQuantileSolver::timing_yield`] reads it at a clock period, which
 //! is the timing yield (on a one-lane engine, the lane CDF).
 //!
-//! Monte-Carlo stays the right tool where the *empirical sample paths*
-//! are the product — histograms (Figs 3, 5, 6), and any statistic of a
-//! finite-sample estimator — and as the oracle the law is checked
-//! against. Studies therefore default to [`Evaluation::MonteCarlo`]
-//! (byte-identical to the pre-solver outputs) and opt into
-//! [`Evaluation::Analytic`] explicitly.
+//! The studies therefore default to [`Evaluation::Analytic`]. Monte Carlo
+//! stays the right tool where the *empirical sample paths* are the product
+//! — histograms (Figs 3, 5, 6), and any statistic of a finite-sample
+//! estimator — and as the oracle the law is checked against; a study that
+//! wants it asks for [`Evaluation::MonteCarlo`].
 
 use std::f64::consts::SQRT_2;
 use std::sync::Arc;
@@ -52,13 +51,13 @@ use crate::engine::{DatapathEngine, PathDistribution, VariationMode};
 /// How a study evaluates the chip-delay quantile its search loop probes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Evaluation {
-    /// Counter-addressed Monte-Carlo sampling — the default, byte-identical
-    /// to the historical outputs, and required wherever the empirical
-    /// sample paths themselves are reported.
-    #[default]
+    /// Counter-addressed Monte-Carlo sampling: the estimator whose noise
+    /// and sample paths a caller wants to see, and the oracle the exact
+    /// law is checked against.
     MonteCarlo,
-    /// Exact quantiles from [`ChipQuantileSolver`] — noise-free and orders
-    /// of magnitude faster inside bisection loops.
+    /// Exact quantiles from [`ChipQuantileSolver`] — the default:
+    /// noise-free and orders of magnitude faster inside bisection loops.
+    #[default]
     Analytic,
 }
 

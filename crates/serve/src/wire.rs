@@ -236,7 +236,7 @@ impl Fields<'_> {
 
     fn evaluation(&self) -> Result<Evaluation, String> {
         match self.str_field("evaluation")? {
-            None => Ok(Evaluation::Analytic),
+            None => Ok(Evaluation::default()),
             Some(s) => parse_evaluation(s),
         }
     }

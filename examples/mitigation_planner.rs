@@ -43,7 +43,7 @@ fn main() {
     );
 
     // Duplication only.
-    match DuplicationStudy::new(&engine).solve(Volts(vdd), 128, samples, seed) {
+    match DuplicationStudy::new(&engine).solve(Volts(vdd), 128) {
         Ok(sol) => println!(
             "1. duplication only: {} spare lanes -> {:.1}% area, {:.2}% power",
             sol.spares,

@@ -7,15 +7,11 @@
 
 use ntv_simd::core::compare::compare_at;
 use ntv_simd::core::perf::performance_drop;
-use ntv_simd::core::{DatapathConfig, DatapathEngine, Evaluation, Executor};
+use ntv_simd::core::{ChipQuantileSolver, DatapathConfig, DatapathEngine};
 use ntv_simd::device::{TechModel, TechNode};
-use ntv_simd::mc::CounterRng;
 use ntv_simd::units::Volts;
 
 fn main() {
-    let samples = 5_000;
-    let seed = 42;
-
     // A 128-lane SIMD datapath (100 critical paths per lane, 50 FO4 each —
     // the paper's Diet SODA configuration) in 90 nm, run at 0.55 V.
     let tech = TechModel::new(TechNode::Gp90);
@@ -30,31 +26,23 @@ fn main() {
         (1.0 / vdd).powi(2)
     );
 
-    // 2. What variation adds on top: the 99% chip-delay point in FO4 units.
-    let stream = CounterRng::new(seed, "quickstart");
-    let dist = engine.chip_delay_distribution(Volts(vdd), samples, &stream, Executor::default());
+    // 2. What variation adds on top: the exact 99% chip-delay point in FO4
+    // units.
+    let solver = ChipQuantileSolver::new(&engine);
     println!(
         "  ideal critical path is 50 FO4; the 99% point of the slowest of\n  \
          12,800 paths is {:.1} FO4 ({:.2} ns)",
-        dist.q99_fo4(),
-        dist.q99_ns()
+        solver.q99_fo4(Volts(vdd)),
+        solver.q99_ns(Volts(vdd))
     );
-    let drop = performance_drop(&engine, Volts(vdd), samples, seed, Executor::default());
+    let drop = performance_drop(&engine, Volts(vdd));
     println!(
         "  variation-induced performance drop vs nominal: {:.1}%",
         drop.drop * 100.0
     );
 
     // 3. The mitigation menu: spare lanes vs a few millivolts.
-    let point = compare_at(
-        &engine,
-        Volts(vdd),
-        128,
-        samples,
-        seed,
-        Executor::default(),
-        Evaluation::MonteCarlo,
-    );
+    let point = compare_at(&engine, Volts(vdd), 128);
     match (point.spares, point.duplication_power) {
         (Some(spares), Some(power)) => println!(
             "  structural duplication: {spares} spare lanes ({:.1}% power overhead)",

@@ -8,14 +8,13 @@
 
 use ntv_simd::circuit::chain::ChainMc;
 use ntv_simd::core::perf::performance_drop;
-use ntv_simd::core::{DatapathConfig, DatapathEngine, Executor};
+use ntv_simd::core::{DatapathConfig, DatapathEngine};
 use ntv_simd::device::{TechModel, TechNode};
 use ntv_simd::mc::CounterRng;
 use ntv_simd::units::Volts;
 
 fn main() {
     let circuit_samples = 800;
-    let arch_samples = 4_000;
     let seed = 7;
 
     println!(
@@ -34,7 +33,7 @@ fn main() {
             // A prefix-adder critical path is ~8 levels of complex gates;
             // emulate with a 12-stage chain (cheap proxy for the STA run).
             let adder = ChainMc::new(&tech, 12).three_sigma_over_mu(vdd, circuit_samples, &stream);
-            let drop = performance_drop(&engine, vdd, arch_samples, seed, Executor::default()).drop;
+            let drop = performance_drop(&engine, vdd).drop;
             println!(
                 "{:<12} {:>6.2}V {:>11.1}% {:>11.1}% {:>11.1}% {:>11.1}%",
                 node.to_string(),

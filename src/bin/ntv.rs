@@ -21,16 +21,15 @@
 //! `ntv_serve::wire::Query` object, validates it with the wire's parser,
 //! runs it once, and prints the result object (`--json`, the bytes
 //! `/v1/query` returns for that query) or text lines read from it. An
-//! in-band `"error"` prints as the answer.
+//! in-band `"error"` prints as the answer. `drop` and `yield` read the
+//! exact chip-delay law; `sensitivity` samples chips.
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
 use ntv_simd::core::perf;
 use ntv_simd::core::sensitivity;
-use ntv_simd::core::{
-    ChipQuantileSolver, DatapathConfig, DatapathEngine, DietSodaBudget, Executor,
-};
+use ntv_simd::core::{ChipQuantileSolver, DatapathConfig, DietSodaBudget, Executor};
 use ntv_simd::device::energy::EnergyModel;
 use ntv_simd::device::{Corner, TechModel, TechNode};
 use ntv_simd::serve::json::{self, Value};
@@ -332,9 +331,8 @@ fn main() -> ExitCode {
                 (Ok(n), Ok(v)) => (n, v),
                 (Err(e), _) | (_, Err(e)) => return e,
             };
-            let tech = TechModel::new(node);
-            let engine = DatapathEngine::new(&tech, DatapathConfig::paper_default());
-            let p = perf::performance_drop(&engine, Volts(vdd), SAMPLES, SEED, exec);
+            let p =
+                perf::performance_drop(wire::paper_engine(node, Default::default()), Volts(vdd));
             println!(
                 "{node} @{vdd} V: q99 = {:.2} FO4, drop vs nominal = {:.1}%",
                 p.q99_fo4,

@@ -12,7 +12,8 @@ use ntv_simd::core::dse::DseStudy;
 use ntv_simd::core::duplication::DuplicationStudy;
 use ntv_simd::core::engine::{PathDistribution, VariationMode};
 use ntv_simd::core::margining::MarginStudy;
-use ntv_simd::core::{ChipQuantileSolver, DatapathConfig, DatapathEngine, Executor};
+use ntv_simd::core::perf;
+use ntv_simd::core::{ChipQuantileSolver, DatapathConfig, DatapathEngine, Evaluation, Executor};
 use ntv_simd::device::{ChipSample, TechModel, TechNode};
 use ntv_simd::mc::{reduce, CounterRng};
 use ntv_simd::units::Volts;
@@ -85,11 +86,12 @@ fn placement_demo_is_deterministic() {
     }
 }
 
-/// The Monte-Carlo study solves that no golden digest covers — repro runs
-/// Tables 1–3 analytically, and only serve_mixed's digest sees an MC
-/// margin — pinned to their recorded bits at one small design point each.
-/// A refactor of the searches, targets or samplers behind them must leave
-/// every value unchanged.
+/// The Monte-Carlo study solves that no golden digest covers — the margin
+/// and DSE studies' MC arms (only serve_mixed's digest sees an MC margin),
+/// the sampled spares search of Figs 5 and 6 (`sample_matrix` +
+/// `required_spares`) and body bias — pinned to their recorded bits at one
+/// small design point each. A refactor of the searches, targets or
+/// samplers behind them must leave every value unchanged.
 #[test]
 fn monte_carlo_study_bits_are_pinned() {
     const STUDY_SAMPLES: usize = 300;
@@ -99,11 +101,20 @@ fn monte_carlo_study_bits_are_pinned() {
     let e45 = DatapathEngine::new(&gp45, DatapathConfig::paper_default());
     let e90 = DatapathEngine::new(&gp90, DatapathConfig::paper_default());
 
-    let margin = MarginStudy::new(&e45).solve(Volts(0.6), STUDY_SAMPLES, STUDY_SEED);
-    let dse = DseStudy::new(&e45).explore(Volts(0.6), &[0, 2, 8], STUDY_SAMPLES, STUDY_SEED);
-    let spares = DuplicationStudy::new(&e90)
-        .solve(Volts(0.55), 32, STUDY_SAMPLES, STUDY_SEED)
+    let margin = MarginStudy::new(&e45)
+        .with_evaluation(Evaluation::MonteCarlo)
+        .solve(Volts(0.6), STUDY_SAMPLES, STUDY_SEED);
+    let dse = DseStudy::new(&e45)
+        .with_evaluation(Evaluation::MonteCarlo)
+        .explore(Volts(0.6), &[0, 2, 8], STUDY_SAMPLES, STUDY_SEED);
+    let spares_target =
+        perf::baseline_q99_fo4(&e90, STUDY_SAMPLES, STUDY_SEED, Executor::default());
+    let duplication = DuplicationStudy::new(&e90);
+    let matrix = duplication.sample_matrix(Volts(0.55), 32, STUDY_SAMPLES, STUDY_SEED);
+    let spares = duplication
+        .required_spares(&matrix, spares_target)
         .expect("32 spares suffice at 90 nm, 0.55 V");
+    let spares_q99 = matrix.chip_delay_with_spares(spares).q99_fo4();
     let abb = BodyBiasStudy::new(&e90).solve(Volts(0.55), STUDY_SAMPLES, STUDY_SEED);
     assert_eq!(dse.iter().map(|c| c.spares).collect::<Vec<_>>(), [0, 2, 8]);
 
@@ -138,15 +149,11 @@ fn monte_carlo_study_bits_are_pinned() {
             dse[2].power_overhead,
             0x3f95_c062_a190_7f90,
         ),
-        (
-            "spares.spares",
-            f64::from(spares.spares),
-            0x4022_0000_0000_0000,
-        ),
-        ("spares.q99_fo4", spares.q99_fo4, 0x404b_3c3b_a3e3_ebbb),
+        ("spares.spares", f64::from(spares), 0x4022_0000_0000_0000),
+        ("spares.q99_fo4", spares_q99, 0x404b_3c3b_a3e3_ebbb),
         (
             "spares.target_q99_fo4",
-            spares.target_q99_fo4,
+            spares_target,
             0x404b_459e_e6c4_6326,
         ),
         ("abb.vth_shift", abb.vth_shift.get(), 0x3f67_3333_3333_3334),

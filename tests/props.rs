@@ -14,7 +14,12 @@ use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use ntv_simd::circuit::chain::ChainMc;
+use ntv_simd::core::compare::{compare_at, Technique};
+use ntv_simd::core::duplication::DuplicationStudy;
+use ntv_simd::core::margining::MarginStudy;
+use ntv_simd::core::perf::performance_drop;
 use ntv_simd::core::placement::{binomial_cdf, repair_probability, SparePlacement};
+use ntv_simd::core::{DatapathConfig, DatapathEngine};
 use ntv_simd::device::{DeviceParams, TechModel, TechNode};
 use ntv_simd::mc::{normal, order, CounterDraws, CounterRng, Quantiles, Summary};
 use ntv_simd::soda::kernels::{self, golden};
@@ -48,6 +53,15 @@ fn int(d: &mut CounterDraws, range: Range<usize>) -> usize {
 
 fn finite_vec(d: &mut CounterDraws, len: Range<usize>) -> Vec<f64> {
     (0..int(d, len)).map(|_| float(d, -1.0e6, 1.0e6)).collect()
+}
+
+/// A node and two supply voltages `v1 < v2` in 0.40–1.20 V, at least
+/// 5 mV apart: the inputs of the exact solves' metamorphic properties.
+fn node_and_two_voltages(d: &mut CounterDraws) -> (TechModel, Volts, Volts) {
+    let tech = TechModel::new(TechNode::ALL[int(d, 0..4)]);
+    let v1 = float(d, 0.40, 1.195);
+    let v2 = float(d, v1 + 0.005, 1.20);
+    (tech, Volts(v1), Volts(v2))
 }
 
 fn samples_i16(d: &mut CounterDraws, n: usize, scale: f64, offset: f64) -> Vec<i16> {
@@ -363,6 +377,66 @@ fn corners_bracket_monte_carlo_systematics() {
                 delay > ff * 0.98 && delay < ss * 1.02,
                 "d={delay} outside [{ff}, {ss}]"
             );
+        }
+    });
+}
+
+#[test]
+fn exact_spares_do_not_rise_with_vdd() {
+    check("exact_spares_do_not_rise_with_vdd", 32, |d| {
+        let (tech, v1, v2) = node_and_two_voltages(d);
+        let engine = DatapathEngine::new(&tech, DatapathConfig::paper_default());
+        let study = DuplicationStudy::new(&engine);
+        // An unsolvable point (more than 128 spares) ranks above every count,
+        // so a solvable point must stay solvable at the higher voltage.
+        let spares = |v| study.solve(v, 128).map_or(u32::MAX, |s| s.spares);
+        assert!(spares(v2) <= spares(v1), "{v1} -> {v2}");
+    });
+}
+
+#[test]
+fn default_margin_does_not_rise_with_vdd() {
+    check("default_margin_does_not_rise_with_vdd", 32, |d| {
+        let (tech, v1, v2) = node_and_two_voltages(d);
+        let engine = DatapathEngine::new(&tech, DatapathConfig::paper_default());
+        let study = MarginStudy::new(&engine);
+        let margin = |v| study.solve(v, 0, 0).margin;
+        assert!(margin(v2) <= margin(v1), "{v1} -> {v2}");
+    });
+}
+
+#[test]
+fn exact_drop_is_zero_at_nominal_and_falls_with_vdd() {
+    check(
+        "exact_drop_is_zero_at_nominal_and_falls_with_vdd",
+        32,
+        |d| {
+            let (tech, v1, v2) = node_and_two_voltages(d);
+            let engine = DatapathEngine::new(&tech, DatapathConfig::paper_default());
+            assert_eq!(performance_drop(&engine, tech.nominal_vdd()).drop, 0.0);
+            let drop = |v| performance_drop(&engine, v).drop;
+            assert!(drop(v2) <= drop(v1), "{v1} -> {v2}");
+        },
+    );
+}
+
+#[test]
+fn comparison_prefers_the_cheaper_technique() {
+    check("comparison_prefers_the_cheaper_technique", 32, |d| {
+        let (tech, v1, v2) = node_and_two_voltages(d);
+        let engine = DatapathEngine::new(&tech, DatapathConfig::paper_default());
+        for v in [v1, v2] {
+            let p = compare_at(&engine, v, 128);
+            assert_eq!(p.spares.is_some(), p.duplication_power.is_some());
+            let duplication_cheaper = p
+                .duplication_power
+                .is_some_and(|dup| dup < p.margining_power);
+            let want = if duplication_cheaper {
+                Technique::Duplication
+            } else {
+                Technique::VoltageMargining
+            };
+            assert_eq!(p.preferred(), want, "{p:?}");
         }
     });
 }

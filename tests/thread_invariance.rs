@@ -4,8 +4,9 @@
 //! of `(seed, stream label, i)`), so the [`Executor`]'s chunk-and-merge
 //! schedule produces bit-identical output for **any** worker count. This
 //! file pins that contract end-to-end — raw sample batches, experiment
-//! tables, solver outputs and the whole paper run at 1, 2 and 8 threads —
-//! which is what makes `repro --threads N` a pure speed knob.
+//! tables, solver outputs, the whole paper run at 1, 2 and 8 threads and
+//! the extensions run at 1 and 8 — which is what makes `repro --threads N`
+//! a pure speed knob.
 
 use std::time::Instant;
 
@@ -13,7 +14,7 @@ use ntv_bench::experiments::{fig2, fig4, fig6, table1};
 use ntv_bench::repro;
 use ntv_mc::CounterRng;
 use ntv_simd::core::margining::MarginStudy;
-use ntv_simd::core::{DatapathConfig, DatapathEngine, Executor};
+use ntv_simd::core::{DatapathConfig, DatapathEngine, Evaluation, Executor};
 use ntv_simd::device::{TechModel, TechNode};
 use ntv_simd::units::Volts;
 
@@ -121,13 +122,15 @@ fn margin_solver_bisection_is_thread_invariant() {
     // common random numbers (not just batch merging) survive parallelism.
     let tech = TechModel::new(TechNode::PtmHp22);
     let engine = DatapathEngine::new(&tech, DatapathConfig::paper_default());
-    let reference = MarginStudy::new(&engine)
-        .with_executor(Executor::serial())
-        .solve(Volts(0.55), SAMPLES, 3);
+    let solve = |exec| {
+        MarginStudy::new(&engine)
+            .with_executor(exec)
+            .with_evaluation(Evaluation::MonteCarlo)
+            .solve(Volts(0.55), SAMPLES, 3)
+    };
+    let reference = solve(Executor::serial());
     for threads in THREADS {
-        let sol = MarginStudy::new(&engine)
-            .with_executor(Executor::new(threads))
-            .solve(Volts(0.55), SAMPLES, 3);
+        let sol = solve(Executor::new(threads));
         assert_bits(
             reference.margin.get(),
             sol.margin.get(),
@@ -167,6 +170,25 @@ fn paper_run_matches_the_golden_digest_at_any_thread_count() {
             format!("{:016x}", repro::digest(&titles.join("\n"))),
             TITLES_DIGEST,
             "section titles at {threads} threads"
+        );
+    }
+}
+
+/// Digest of the `extensions` binary's stdout (`repro::write_extensions`)
+/// under `repro::digest`'s rule. It moves only when an extension's printed
+/// output changes on purpose.
+const EXTENSIONS_DIGEST: &str = "9435e4ddf2586bd5";
+
+#[test]
+fn extensions_run_matches_its_golden_digest_at_1_and_8_threads() {
+    for threads in [1, 8] {
+        let mut out = Vec::new();
+        repro::write_extensions(&mut out, Executor::new(threads)).expect("a Vec accepts");
+        let stdout = String::from_utf8(out).expect("the extensions run prints UTF-8");
+        assert_eq!(
+            format!("{:016x}", repro::digest(&stdout)),
+            EXTENSIONS_DIGEST,
+            "extensions run at {threads} threads"
         );
     }
 }
